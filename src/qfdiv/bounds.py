@@ -19,10 +19,13 @@ from .errors import (
     QuadratureFailure,
     SingularState,
 )
+from .linalg import SINGULAR_EPS, raise_first_failure
 from .maximal import build_witness
 from .states import satisfies_abs_condition
 
 EQUAL_STATES_EPS = 1e-8
+# below this least eigenvalue of rho the second Audenaert-Eisert term is 0
+AE_ALPHA_FLOOR = 1e-12
 DEFAULT_QUAD_TOL = 1e-8
 MAX_QUAD_INTERVALS = 100_000
 
@@ -205,27 +208,33 @@ def adaptive_simpson(fn, a, b, tol=DEFAULT_QUAD_TOL, max_intervals=MAX_QUAD_INTE
     return total
 
 
+def audenaert_eisert_rows(t, alpha, beta):
+    """Audenaert-Eisert bound for each row, from the trace distance t and the
+    least eigenvalues alpha of rho and beta of sigma (see
+    :func:`audenaert_eisert_bound`)."""
+    t, alpha, beta = (np.asarray(x, dtype=float) for x in (t, alpha, beta))
+    raise_first_failure([(beta <= SINGULAR_EPS, lambda i, where: SingularState(
+        f"{where}sigma has min eigenvalue {beta[i]:.3e}"))])
+    alpha = np.maximum(alpha, 0.0)
+    first = (beta + t / 2.0) * np.log1p(t / (2.0 * beta))
+    kept = alpha >= AE_ALPHA_FLOOR
+    safe = np.where(kept, alpha, 1.0)
+    second = np.where(kept, safe * np.log1p(t / (2.0 * safe)), 0.0)
+    return first - second
+
+
 def audenaert_eisert_bound(rho, sigma):
     """Relative-entropy upper bound from trace distance and least eigenvalues.
 
     With t the trace distance, alpha the least eigenvalue of rho, and beta
-    that of sigma (beta must exceed 1e-10):
+    that of sigma (beta must exceed ``SINGULAR_EPS``):
 
         (beta + t/2) ln(1 + t/(2 beta)) - alpha ln(1 + t/(2 alpha)),
 
-    where the second term vanishes for alpha < 1e-12.
+    where the second term vanishes for alpha < ``AE_ALPHA_FLOOR``.
     """
     t = trace_distance(rho, sigma)
-    beta = float(np.linalg.eigvalsh(sigma.mat)[0])
-    if beta <= 1e-10:
-        raise SingularState(f"sigma has min eigenvalue {beta:.3e}")
-    alpha = max(float(np.linalg.eigvalsh(rho.mat)[0]), 0.0)
-    first = (beta + t / 2.0) * math.log1p(t / (2.0 * beta))
-    if alpha < 1e-12:
-        second = 0.0
-    else:
-        second = alpha * math.log1p(t / (2.0 * alpha))
-    return first - second
+    return float(audenaert_eisert_rows([t], rho.spectrum[:1], sigma.spectrum[:1])[0])
 
 
 def check_audenaert_eisert(rho, sigma):

@@ -2,7 +2,9 @@
 
 All quantum definitions here are the conventional ones (relative entropy,
 chi-squared, trace distance, max-relative entropy); the maximal f-divergence
-lives in :mod:`qfdiv.maximal`.  Entropic quantities are in nats.
+lives in :mod:`qfdiv.maximal`.  Entropic quantities are in nats.  The
+``*_rows`` functions evaluate many pairs at once, one per row; the
+single-pair functions are their one-row views.
 """
 
 from __future__ import annotations
@@ -12,19 +14,51 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatch, SingularState, ZeroReference
-from .linalg import hermitian_eig, inv_sqrt_psd, trace_norm_hermitian
+from .linalg import (
+    SINGULAR_EPS,
+    hermitian_eig,
+    inv_sqrt_psd,
+    raise_first_failure,
+    trace_norm_hermitian,
+)
 
-SINGULAR_EPS = 1e-10
+
+def f_div_rows(p, q, f):
+    """D_f(p_b || q_b) for each row b of two ``(B, n)`` probability arrays;
+    every q entry must be strictly positive."""
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    if p.shape != q.shape:
+        raise DimensionMismatch(f"lengths {p.shape[-1]} and {q.shape[-1]} differ")
+    raise_first_failure([(q.min(axis=-1) <= 0.0, lambda i, where: ZeroReference(
+        f"{where}reference distribution has a zero entry"))])
+    return np.sum(f.values(p / q) * q, axis=-1)
 
 
 def classical_f_div(p, q, f):
     """D_f(p || q) = sum_i q_i f(p_i / q_i); q must be strictly positive."""
     if len(p) != len(q):
         raise DimensionMismatch(f"lengths {len(p)} and {len(q)} differ")
-    qp = q.probs
-    if qp.min() <= 0.0:
-        raise ZeroReference("reference distribution has a zero entry")
-    return float(sum(f.at(pi / qi) * qi for pi, qi in zip(p.probs, qp)))
+    return float(f_div_rows(p.probs[None], q.probs[None], f)[0])
+
+
+def relative_entropy_rows(rho_mats, rho_spectra, sigma_eig):
+    """Umegaki relative entropy of each row pair, from precomputed spectra.
+
+    ``rho_spectra`` are the eigenvalues of the ``rho_mats`` rows and
+    ``sigma_eig`` the stacked eigendecomposition of the sigma rows, which
+    must be invertible.  Zero eigenvalues of rho contribute nothing.
+    """
+    w = sigma_eig.eigenvalues
+    raise_first_failure([(w[:, 0] <= SINGULAR_EPS, lambda i, where: SingularState(
+        f"{where}sigma has min eigenvalue {w[i, 0]:.3e}"))])
+    p = np.asarray(rho_spectra)
+    positive = p > 0.0
+    entropy = np.sum(np.where(positive, p * np.log(np.where(positive, p, 1.0)), 0.0),
+                     axis=-1)
+    log_s = sigma_eig.compose(np.log(w))
+    cross = np.trace(rho_mats @ log_s, axis1=-2, axis2=-1).real
+    return entropy - cross
 
 
 def quantum_relative_entropy(rho, sigma):
@@ -34,23 +68,15 @@ def quantum_relative_entropy(rho, sigma):
     """
     if rho.dim != sigma.dim:
         raise DimensionMismatch(f"dimensions {rho.dim} and {sigma.dim} differ")
-    eig_s = hermitian_eig(sigma.mat)
-    if eig_s.eigenvalues[0] <= SINGULAR_EPS:
-        raise SingularState(
-            f"sigma has min eigenvalue {eig_s.eigenvalues[0]:.3e}"
-        )
-    log_s = (eig_s.vectors * np.log(eig_s.eigenvalues)) @ eig_s.vectors.conj().T
-    p = hermitian_eig(rho.mat).eigenvalues
-    entropy = sum(x * math.log(x) for x in p if x > 0.0)
-    cross = float(np.trace(rho.mat @ log_s).real)
-    return float(entropy) - cross
+    eig_s = hermitian_eig(sigma.mat[None])
+    return float(relative_entropy_rows(rho.mat[None], rho.spectrum[None], eig_s)[0])
 
 
 def quantum_chi2(rho, sigma):
     """Chi-squared divergence tr((sigma^{-1/2} rho sigma^{-1/2})^2 sigma) - 1."""
     if rho.dim != sigma.dim:
         raise DimensionMismatch(f"dimensions {rho.dim} and {sigma.dim} differ")
-    s = inv_sqrt_psd(sigma.mat, SINGULAR_EPS)
+    s = inv_sqrt_psd(sigma.mat)
     x = s @ rho.mat @ s
     x = (x + x.conj().T) / 2
     return float(np.trace(x @ x @ sigma.mat).real) - 1.0
@@ -68,7 +94,7 @@ def max_relative_entropy(rho, sigma):
     sigma^{-1/2} rho sigma^{-1/2}, in nats."""
     if rho.dim != sigma.dim:
         raise DimensionMismatch(f"dimensions {rho.dim} and {sigma.dim} differ")
-    s = inv_sqrt_psd(sigma.mat, SINGULAR_EPS)
+    s = inv_sqrt_psd(sigma.mat)
     x = s @ rho.mat @ s
     x = (x + x.conj().T) / 2
     top = float(np.linalg.eigvalsh(x)[-1])

@@ -65,6 +65,11 @@ class QuadratureFailure(QfdivError, RuntimeError):
     """Adaptive quadrature exceeded its subdivision budget."""
 
 
+class SamplingBudgetExceeded(QfdivError, RuntimeError):
+    """Rejection sampling used up its draw budget before keeping every
+    requested sample."""
+
+
 class NotOperatorConvex(QfdivError, ValueError):
     """Operation requires an operator-convex generator."""
 

@@ -8,14 +8,17 @@ explicitly as the continuous limit.  Builtins:
     tv    f(x) = |x - 1|
 
 Convexity and the declared second derivative are spot-checked when a
-generator is constructed, so invalid generators fail fast.
+generator is constructed, so invalid generators fail fast.  ``value`` must
+work elementwise on numpy arrays as well as on floats, so divergences of
+many distributions are evaluated in one array expression.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
+
+import numpy as np
 
 from .errors import InvariantViolation, UnknownGenerator
 
@@ -63,8 +66,18 @@ class FGenerator:
                         f"difference gives {fd:.6g}",
                     )
 
+    def values(self, x):
+        """Evaluate f elementwise on an array of points x >= 0, using the
+        declared limit at x = 0."""
+        x = np.asarray(x, dtype=float)
+        at_zero = x == 0.0
+        if not at_zero.any():
+            return self.value(x)
+        return np.where(at_zero, self.value_at_zero,
+                        self.value(np.where(at_zero, 1.0, x)))
+
     def at(self, x):
-        """Evaluate f at x >= 0, using the declared limit at x = 0."""
+        """Evaluate f at one point x >= 0, using the declared limit at x = 0."""
         if x == 0.0:
             return self.value_at_zero
         return float(self.value(x))
@@ -75,7 +88,7 @@ def builtin_generator(name):
     if name == "kl":
         return FGenerator(
             name="kl",
-            value=lambda x: x * math.log(x),
+            value=lambda x: x * np.log(x),
             value_at_zero=0.0,
             second_derivative=lambda x: 1.0 / x,
             operator_convex=True,
@@ -91,7 +104,7 @@ def builtin_generator(name):
     if name == "tv":
         return FGenerator(
             name="tv",
-            value=lambda x: abs(x - 1.0),
+            value=lambda x: np.abs(x - 1.0),
             value_at_zero=1.0,
             second_derivative=None,
             operator_convex=False,

@@ -1,8 +1,12 @@
 """Dense Hermitian linear algebra on small complex matrices.
 
 Plain ``numpy`` arrays in, plain arrays out; the typed state wrappers live in
-:mod:`qfdiv.states`.  Eigenvector phases follow a fixed convention so repeated
-runs on identical input are bit-identical.
+:mod:`qfdiv.states`.  The Hermiticity checks, ``hermitian_eig``,
+``abs_hermitian``, ``trace_norm_hermitian`` and ``loewner_geq`` also take a
+stack of matrices, shape ``(B, n, n)``, and work row by row: a single matrix
+gives a scalar result, a stack gives one entry per row.  Eigenvector phases
+follow a fixed convention so repeated runs on identical input are
+bit-identical.
 """
 
 from __future__ import annotations
@@ -23,54 +27,100 @@ from .errors import (
 HERMITIAN_TOL = 1e-10
 # eigenvalues in [-PSD_CLAMP_TOL, 0) are treated as exact zeros
 PSD_CLAMP_TOL = 1e-8
+# a state whose least eigenvalue is at or below this is treated as singular
+SINGULAR_EPS = 1e-10
+
+
+def raise_first_failure(checks):
+    """Raise the error of the lowest failing row, if any row fails.
+
+    ``checks`` lists ``(bad, make)`` pairs in the order one matrix is
+    checked: ``bad`` is a per-row mask and ``make(i, where)`` builds the
+    error for row ``i``, with ``where`` the prefix ``"row i: "`` in a stack
+    of several rows and ``""`` otherwise.  A row that fails several checks
+    reports the earliest, so a stack raises exactly what a loop over its
+    rows would raise first.
+    """
+    rows = np.size(checks[0][0])
+    first = None
+    for bad, make in checks:
+        if bad.any():
+            i = int(bad.argmax())
+            if first is None or i < first[0]:
+                first = (i, make)
+    if first is not None:
+        i, make = first
+        raise make(i, f"row {i}: " if rows > 1 else "")
+
+
+def adjoint(a):
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def _scalar(x):
+    """A 0-d result as a Python scalar; per-row results stay arrays."""
+    return x.item() if np.ndim(x) == 0 else x
 
 
 def as_complex_matrix(a):
-    """Coerce input to a square complex128 array with finite entries."""
+    """Coerce input to a complex128 square matrix, or stack of them, with
+    finite entries."""
     m = np.array(a, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] < 1:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise DomainError("matrix contains non-finite entries")
     return m
 
 
+def _defects(a):
+    return np.abs(a - adjoint(a)).max(axis=(-2, -1))
+
+
 def hermiticity_defect(a):
     """Largest entrywise deviation of ``a`` from its conjugate transpose."""
-    a = np.asarray(a)
-    return float(np.max(np.abs(a - a.conj().T)))
+    return _scalar(_defects(np.asarray(a)))
 
 
 def require_hermitian(a, tol=HERMITIAN_TOL):
     """Validate Hermiticity within ``tol`` and return the symmetrized copy."""
     m = as_complex_matrix(a)
-    defect = hermiticity_defect(m)
-    if defect > tol:
-        raise NotHermitian(f"max |A - A^dag| = {defect:.3e} exceeds {tol:.1e}")
-    return (m + m.conj().T) / 2
+    defect = _defects(m)
+    raise_first_failure([(defect > tol, lambda i, where: NotHermitian(
+        f"{where}max |A - A^dag| = {defect.flat[i]:.3e} exceeds {tol:.1e}"))])
+    return (m + adjoint(m)) / 2
 
 
 @dataclass(frozen=True)
 class HermitianEigen:
-    """Spectral decomposition A = V diag(w) V^dag.
+    """Spectral decomposition A = V diag(w) V^dag, of one matrix or a stack.
 
-    ``eigenvalues`` are real and ascending; column k of ``vectors`` is the
-    eigenvector for ``eigenvalues[k]``, phase-fixed so its largest-modulus
-    component is real and positive.
+    ``eigenvalues`` are real and ascending along the last axis; column k of
+    ``vectors`` is the eigenvector for ``eigenvalues[..., k]``, phase-fixed
+    so its largest-modulus component is real and positive.
     """
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
 
+    def compose(self, values):
+        """V diag(values) V^dag, with ``values`` shaped like the eigenvalues."""
+        return (self.vectors * values[..., None, :]) @ adjoint(self.vectors)
+
 
 def _fix_phases(u):
     # rotate each column so its largest-modulus entry is real positive
-    lead = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
-    return u * (lead.conj() / np.abs(lead))
+    n = u.shape[-1]
+    stack = u.reshape(-1, n, n)
+    lead_row = np.abs(stack).argmax(axis=-2)
+    lead = stack[np.arange(len(stack))[:, None], lead_row, np.arange(n)]
+    return u * (lead.conj() / np.abs(lead)).reshape(u.shape[:-2] + (1, n))
 
 
 def hermitian_eig(a, tol=HERMITIAN_TOL):
-    """Eigendecomposition of a Hermitian matrix with deterministic phases."""
+    """Eigendecomposition of a Hermitian matrix, or of each matrix in a
+    stack, with deterministic phases."""
     m = require_hermitian(a, tol)
     try:
         w, u = np.linalg.eigh(m)
@@ -98,30 +148,29 @@ def matrix_function_psd(a, f, tol=HERMITIAN_TOL):
         raise DomainError(f"function undefined on the spectrum: {exc}") from exc
     if not np.all(np.isfinite(fw)):
         raise DomainError("function produced non-finite values on the spectrum")
-    return (eig.vectors * fw) @ eig.vectors.conj().T
+    return eig.compose(fw)
 
 
-def inv_sqrt_psd(a, eps=1e-10):
+def inv_sqrt_psd(a, eps=SINGULAR_EPS):
     """Inverse square root A^{-1/2} of a positive definite Hermitian matrix."""
     eig = hermitian_eig(a)
     if eig.eigenvalues[0] <= eps:
         raise SingularState(
             f"min eigenvalue {eig.eigenvalues[0]:.3e} not above {eps:.1e}"
         )
-    w = eig.eigenvalues ** -0.5
-    return (eig.vectors * w) @ eig.vectors.conj().T
+    return eig.compose(eig.eigenvalues ** -0.5)
 
 
 def abs_hermitian(x):
     """Operator absolute value |X| = sqrt(X^2) of a Hermitian matrix."""
     eig = hermitian_eig(x)
-    return (eig.vectors * np.abs(eig.eigenvalues)) @ eig.vectors.conj().T
+    return eig.compose(np.abs(eig.eigenvalues))
 
 
 def trace_norm_hermitian(x):
     """Trace norm of a Hermitian matrix: sum of absolute eigenvalues."""
     m = require_hermitian(x)
-    return float(np.sum(np.abs(np.linalg.eigvalsh(m))))
+    return _scalar(np.sum(np.abs(np.linalg.eigvalsh(m)), axis=-1))
 
 
 def loewner_geq(x, y, tol=HERMITIAN_TOL):
@@ -130,13 +179,13 @@ def loewner_geq(x, y, tol=HERMITIAN_TOL):
     my = require_hermitian(y)
     if mx.shape != my.shape:
         raise DimensionMismatch(f"shape mismatch {mx.shape} vs {my.shape}")
-    return bool(np.linalg.eigvalsh(mx - my)[0] >= -tol)
+    return _scalar(np.linalg.eigvalsh(mx - my)[..., 0] >= -tol)
 
 
 def matrix_polynomial(coeffs, x):
     """Evaluate sum_k coeffs[k] X^k by Horner's rule; X may be non-Hermitian."""
     m = as_complex_matrix(x)
-    eye = np.eye(m.shape[0], dtype=np.complex128)
+    eye = np.eye(m.shape[-1], dtype=np.complex128)
     out = np.zeros_like(m)
     for c in reversed(list(coeffs)):
         out = out @ m + c * eye

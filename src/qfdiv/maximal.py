@@ -3,7 +3,7 @@
 For invertible sigma, diagonalize T = sigma^{-1/2} rho sigma^{-1/2} as
 sum_i lambda_i |u_i><u_i|.  The classical pair
 
-    s_i = <u_i| sigma |u_i>,      r_i = lambda_i s_i
+    s_i = <u_i| sigma |u_i> = ||sigma^{1/2} u_i||^2,      r_i = lambda_i s_i
 
 together with the recovery channel V built from Kraus operators
 A_i = sigma^{1/2} |u_i><i| / sqrt(s_i) satisfies V(diag r) = rho and
@@ -16,13 +16,14 @@ experiments) consumes this construction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .divergence import (
     classical_f_div,
+    f_div_rows,
     quantum_chi2,
     quantum_relative_entropy,
     trace_distance,
@@ -35,7 +36,14 @@ from .errors import (
     SingularState,
 )
 from .generators import builtin_generator
-from .linalg import PSD_CLAMP_TOL, hermitian_eig
+from .linalg import (
+    PSD_CLAMP_TOL,
+    SINGULAR_EPS,
+    HermitianEigen,
+    adjoint,
+    hermitian_eig,
+    raise_first_failure,
+)
 from .states import (
     ClassicalDistribution,
     QuantumChannel,
@@ -43,7 +51,6 @@ from .states import (
     diagonal_state,
 )
 
-SINGULAR_EPS = 1e-10
 WITNESS_TOL = 1e-9
 
 
@@ -52,18 +59,61 @@ class Witness:
     """Classical witness (r, s) and recovery channel for a state pair.
 
     ``lambdas`` are the ascending eigenvalues of sigma^{-1/2} rho sigma^{-1/2}
-    (the likelihood-ratio spectrum); column i of ``basis`` is its eigenvector.
+    (the likelihood-ratio spectrum); column i of ``basis`` is its eigenvector
+    u_i, and column i of ``columns`` is sigma^{1/2} u_i, whose squared norm
+    is s_i.  The recovery channel is assembled when ``channel`` is first
+    read.
     """
 
     lambdas: np.ndarray
     basis: np.ndarray
     r: ClassicalDistribution
     s: ClassicalDistribution
-    channel: QuantumChannel
+    columns: np.ndarray = field(repr=False)
+
+    @cached_property
+    def channel(self):
+        """Kraus operators A_i = sigma^{1/2} |u_i><i| / sqrt(s_i)."""
+        n = len(self.lambdas)
+        idx = np.arange(n)
+        kraus = np.zeros((n, n, n), dtype=np.complex128)
+        kraus[idx, :, idx] = (self.columns / np.sqrt(self.s.probs)).T
+        return QuantumChannel(kraus)
 
     def f_divergence(self, f):
         """D_f(r || s), which equals the maximal f-divergence of the pair."""
         return classical_f_div(self.r, self.s, f)
+
+
+@dataclass(frozen=True)
+class WitnessBatch:
+    """Witnesses of a stack of pairs: row b of each array belongs to pair b.
+
+    ``lambdas``, ``r`` and ``s`` are ``(B, n)``; ``basis`` and ``columns``
+    are ``(B, n, n)`` as in :class:`Witness`; ``sigma`` is the stacked
+    eigendecomposition of the sigma rows.
+    """
+
+    lambdas: np.ndarray
+    basis: np.ndarray
+    r: np.ndarray
+    s: np.ndarray
+    columns: np.ndarray
+    sigma: HermitianEigen
+
+    def f_divergence(self, f):
+        """D_f(r_b || s_b) for every row b."""
+        return f_div_rows(self.r, self.s, f)
+
+    def row(self, i):
+        """The :class:`Witness` of pair ``i``."""
+        return Witness(
+            lambdas=self.lambdas[i],
+            basis=self.basis[i],
+            r=ClassicalDistribution(self.r[i], tol=WITNESS_TOL),
+            s=ClassicalDistribution(self.s[i], tol=WITNESS_TOL),
+            columns=self.columns[i],
+        )
 
 
 @dataclass(frozen=True)
@@ -80,52 +130,72 @@ class Extremes:
             raise InvariantViolation("extremes", f"M = {self.M} below 1")
 
 
-def build_witness(rho, sigma):
-    """Construct the witness distributions and recovery channel.
+def witness_batch(rho_mats, sigma_mats):
+    """Witness distributions of every pair in two ``(B, n, n)`` state stacks.
 
-    sigma must be invertible (min eigenvalue above 1e-10).  Eigenvalues of
-    the ratio matrix in [-1e-8, 0) are clamped to zero (rank-deficient rho);
-    anything more negative raises :class:`NegativeSpectrum`.
+    Each sigma must be invertible (min eigenvalue above ``SINGULAR_EPS``).
+    Eigenvalues of the ratio matrix in [-1e-8, 0) are clamped to zero
+    (rank-deficient rho); anything more negative raises
+    :class:`NegativeSpectrum`.  s_i = ||sigma^{1/2} u_i||^2 is read off the
+    same columns the Kraus operators use, so the recovery channel is
+    complete to rounding even for nearly singular sigma.  r and s must be
+    normalized within ``WITNESS_TOL``.  When rows fail, the error is the one
+    the lowest failing row raises.
     """
-    if rho.dim != sigma.dim:
-        raise DimensionMismatch(f"dimensions {rho.dim} and {sigma.dim} differ")
-    n = rho.dim
-    eig_s = hermitian_eig(sigma.mat)
-    if eig_s.eigenvalues[0] <= SINGULAR_EPS:
-        raise SingularState(
-            f"sigma has min eigenvalue {eig_s.eigenvalues[0]:.3e}"
+    rho_mats = np.asarray(rho_mats)
+    sigma_mats = np.asarray(sigma_mats)
+    if rho_mats.ndim != 3 or rho_mats.shape != sigma_mats.shape:
+        raise DimensionMismatch(
+            f"stack shapes {rho_mats.shape} and {sigma_mats.shape} differ"
         )
-    v = eig_s.vectors
-    inv_sqrt = (v * eig_s.eigenvalues ** -0.5) @ v.conj().T
-    sqrt_s = (v * eig_s.eigenvalues ** 0.5) @ v.conj().T
+    eig_s = hermitian_eig(sigma_mats)
+    w = eig_s.eigenvalues
+    singular = w[:, 0] <= SINGULAR_EPS
+    # singular rows get a stand-in spectrum so the other rows can proceed
+    w_safe = np.where(singular[:, None], 1.0, w)
+    inv_sqrt = eig_s.compose(w_safe ** -0.5)
+    sqrt_s = eig_s.compose(w_safe ** 0.5)
 
-    t = inv_sqrt @ rho.mat @ inv_sqrt
-    t = (t + t.conj().T) / 2
+    t = inv_sqrt @ rho_mats @ inv_sqrt
+    t = (t + adjoint(t)) / 2
     eig_t = hermitian_eig(t)
     lam = eig_t.eigenvalues
-    if lam[0] < -PSD_CLAMP_TOL:
-        raise NegativeSpectrum(f"ratio matrix has eigenvalue {lam[0]:.3e}")
+    low = lam[:, 0]
     lam = np.where(lam < 0.0, 0.0, lam)
     u = eig_t.vectors
 
-    s_vec = np.einsum("ji,jk,ki->i", u.conj(), sigma.mat, u).real
-    if s_vec.min() <= 0.0:
-        raise SingularState(f"witness weight {s_vec.min():.3e} not positive")
+    columns = sqrt_s @ u
+    s_vec = np.sum(columns.real ** 2 + columns.imag ** 2, axis=-2)
     r_vec = lam * s_vec
-
-    eye = np.eye(n)
-    kraus = [
-        np.outer(sqrt_s @ u[:, i], eye[i]) / math.sqrt(s_vec[i])
-        for i in range(n)
-    ]
-    lam.flags.writeable = False
-    return Witness(
-        lambdas=lam,
-        basis=u,
-        r=ClassicalDistribution(r_vec, tol=WITNESS_TOL),
-        s=ClassicalDistribution(s_vec, tol=WITNESS_TOL),
-        channel=QuantumChannel(kraus),
+    s_min = s_vec.min(axis=-1)
+    r_gap = np.abs(r_vec.sum(axis=-1) - 1.0)
+    s_gap = np.abs(s_vec.sum(axis=-1) - 1.0)
+    raise_first_failure(
+        [
+            (singular, lambda i, where: SingularState(
+                f"{where}sigma has min eigenvalue {w[i, 0]:.3e}")),
+            (low < -PSD_CLAMP_TOL, lambda i, where: NegativeSpectrum(
+                f"{where}ratio matrix has eigenvalue {low[i]:.3e}")),
+            (s_min <= 0.0, lambda i, where: SingularState(
+                f"{where}witness weight {s_min[i]:.3e} not positive")),
+            (r_gap > WITNESS_TOL, lambda i, where: InvariantViolation(
+                "normalization", f"{where}r: |sum - 1| = {r_gap[i]:.3e}")),
+            (s_gap > WITNESS_TOL, lambda i, where: InvariantViolation(
+                "normalization", f"{where}s: |sum - 1| = {s_gap[i]:.3e}")),
+        ]
     )
+    for a in (lam, u, r_vec, s_vec, columns):
+        a.flags.writeable = False
+    return WitnessBatch(lambdas=lam, basis=u, r=r_vec, s=s_vec,
+                        columns=columns, sigma=eig_s)
+
+
+def build_witness(rho, sigma):
+    """Construct the witness distributions and recovery channel of one pair;
+    the one-row view of :func:`witness_batch`."""
+    if rho.dim != sigma.dim:
+        raise DimensionMismatch(f"dimensions {rho.dim} and {sigma.dim} differ")
+    return witness_batch(rho.mat[None], sigma.mat[None]).row(0)
 
 
 def maximal_f_div(rho, sigma, f):

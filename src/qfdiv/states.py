@@ -2,7 +2,9 @@
 
 Random sampling is reproducible: every Monte Carlo sample draws from its own
 substream derived from (seed, sample index), so results do not depend on
-evaluation order.
+evaluation order.  Samples are drawn one generator at a time and then
+stacked, so a stack of draws holds exactly the states that one-at-a-time
+sampling would give.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from .errors import BadRank, DimensionMismatch, InvariantViolation, OutOfRange
 STATE_TOL = 1e-10
 CHANNEL_TOL = 1e-9
 CONDITION_TOL = 1e-9
+# rows per stack in the batched Monte Carlo loops; bounds their memory
+CHUNK_ROWS = 256
 
 
 def substream(seed, *key):
@@ -23,9 +27,13 @@ def substream(seed, *key):
 
 
 class ClassicalDistribution:
-    """Probability vector: nonnegative entries summing to one within ``tol``."""
+    """Probability vector: nonnegative entries summing to one within ``tol``.
 
-    __slots__ = ("probs",)
+    ``tol`` is kept, so states built from the distribution are checked at
+    the tolerance it was built under.
+    """
+
+    __slots__ = ("probs", "tol")
 
     def __init__(self, probs, tol=STATE_TOL):
         p = np.array(probs, dtype=float)
@@ -40,6 +48,7 @@ class ClassicalDistribution:
             raise InvariantViolation("normalization", f"|sum - 1| = {defect:.3e}")
         p.flags.writeable = False
         self.probs = p
+        self.tol = tol
 
     def __len__(self):
         return self.probs.size
@@ -48,25 +57,74 @@ class ClassicalDistribution:
         return f"ClassicalDistribution({self.probs.tolist()})"
 
 
-class DensityMatrix:
-    """Hermitian PSD matrix with unit trace; the carrier for quantum states."""
+def _check_states(m, tol):
+    """Symmetrize a complex ``(B, n, n)`` stack and check each row is a
+    state within ``tol``; returns the read-only stack and its ascending
+    spectra, or raises for the lowest failing row."""
+    defect = linalg.hermiticity_defect(m)
+    m = (m + linalg.adjoint(m)) / 2
+    tr_gap = np.abs(m.trace(axis1=1, axis2=2).real - 1.0)
+    spectra = np.linalg.eigvalsh(m)
+    low = spectra[:, 0]
+    linalg.raise_first_failure(
+        [
+            (defect > tol, lambda i, where: InvariantViolation(
+                "hermiticity", f"{where}max |A - A^dag| = {defect[i]:.3e}")),
+            (tr_gap > tol, lambda i, where: InvariantViolation(
+                "trace", f"{where}|tr - 1| = {tr_gap[i]:.3e}")),
+            (low < -tol, lambda i, where: InvariantViolation(
+                "positivity", f"{where}min eigenvalue {low[i]:.3e}")),
+        ]
+    )
+    m.flags.writeable = False
+    spectra.flags.writeable = False
+    return m, spectra
 
-    __slots__ = ("mat",)
+
+class DensityStack:
+    """Stack of density matrices, each Hermitian PSD with unit trace.
+
+    ``mats`` is the symmetrized ``(B, n, n)`` stack and ``spectra`` the
+    ascending eigenvalues found by the positivity check, one row per state.
+    A failing stack raises for its lowest failing row.
+    """
+
+    __slots__ = ("mats", "spectra", "tol")
+
+    def __init__(self, mats, tol=STATE_TOL):
+        m = linalg.as_complex_matrix(mats)
+        if m.ndim != 3:
+            raise DimensionMismatch(f"expected a (B, n, n) stack, got shape {m.shape}")
+        self.mats, self.spectra = _check_states(m, tol)
+        self.tol = tol
+
+    def row(self, i):
+        """Row ``i`` as a :class:`DensityMatrix`, without checking it again."""
+        rho = object.__new__(DensityMatrix)
+        rho.mat = self.mats[i]
+        rho.spectrum = self.spectra[i]
+        rho.tol = self.tol
+        return rho
+
+
+class DensityMatrix:
+    """Hermitian PSD matrix with unit trace; the carrier for quantum states.
+
+    Checked as a one-row :class:`DensityStack`: ``spectrum`` holds the
+    ascending eigenvalues from the positivity check, and ``tol`` the
+    tolerance the state was checked at.
+    """
+
+    __slots__ = ("mat", "spectrum", "tol")
 
     def __init__(self, mat, tol=STATE_TOL):
         m = linalg.as_complex_matrix(mat)
-        defect = linalg.hermiticity_defect(m)
-        if defect > tol:
-            raise InvariantViolation("hermiticity", f"max |A - A^dag| = {defect:.3e}")
-        m = (m + m.conj().T) / 2
-        tr = float(m.trace().real)
-        if abs(tr - 1.0) > tol:
-            raise InvariantViolation("trace", f"|tr - 1| = {abs(tr - 1.0):.3e}")
-        low = float(np.linalg.eigvalsh(m)[0])
-        if low < -tol:
-            raise InvariantViolation("positivity", f"min eigenvalue {low:.3e}")
-        m.flags.writeable = False
-        self.mat = m
+        if m.ndim != 2:
+            raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
+        mats, spectra = _check_states(m[None], tol)
+        self.mat = mats[0]
+        self.spectrum = spectra[0]
+        self.tol = tol
 
     @property
     def dim(self):
@@ -111,6 +169,27 @@ class QuantumChannel:
         return f"QuantumChannel({k} Kraus ops, {inn} -> {out})"
 
 
+def ginibre_factor(n, rank, rng):
+    """One n x rank complex Gaussian matrix G drawn from ``rng``."""
+    return rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+
+
+def ginibre_states(factors):
+    """The states G G^dag / tr(G G^dag) of a ``(B, n, rank)`` factor stack."""
+    g = np.asarray(factors)
+    m = g @ linalg.adjoint(g)
+    m = (m + linalg.adjoint(m)) / 2
+    return DensityStack(m / m.trace(axis1=1, axis2=2).real[:, None, None])
+
+
+def _check_rank(n, rank):
+    if rank is None:
+        return n
+    if rank < 1:
+        raise BadRank(f"rank must be at least 1, got {rank}")
+    return rank
+
+
 def random_density(n, rank=None, seed=None):
     """Draw a random density matrix GG^dag / tr(GG^dag), G an n x rank
     complex Gaussian.
@@ -120,15 +199,23 @@ def random_density(n, rank=None, seed=None):
     measure toward the maximally mixed state (induced ensemble with an
     environment of dimension ``rank``).
     """
-    if rank is None:
-        rank = n
-    if rank < 1:
-        raise BadRank(f"rank must be at least 1, got {rank}")
+    rank = _check_rank(n, rank)
     rng = np.random.default_rng(seed)
-    g = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
-    m = g @ g.conj().T
-    m = (m + m.conj().T) / 2
-    return DensityMatrix(m / m.trace().real)
+    return ginibre_states(ginibre_factor(n, rank, rng)[None]).row(0)
+
+
+def random_pairs(rngs, n, rank=None):
+    """One (rho, sigma) draw from each generator, rho first, as two stacks.
+
+    Row b of the result is exactly the pair that two ``random_density``
+    calls on ``rngs[b]`` would draw.
+    """
+    rank = _check_rank(n, rank)
+    rho_factors, sigma_factors = [], []
+    for rng in rngs:
+        rho_factors.append(ginibre_factor(n, rank, rng))
+        sigma_factors.append(ginibre_factor(n, rank, rng))
+    return ginibre_states(np.array(rho_factors)), ginibre_states(np.array(sigma_factors))
 
 
 def random_channel(n, k=None, seed=None):
@@ -147,7 +234,8 @@ def random_channel(n, k=None, seed=None):
 
 
 def apply_channel(channel, rho):
-    """Apply a channel to a state: sum_i A_i rho A_i^dag."""
+    """Apply a channel to a state: sum_i A_i rho A_i^dag, checked at the
+    input state's tolerance."""
     if channel.dim_in != rho.dim:
         raise DimensionMismatch(
             f"channel expects dimension {channel.dim_in}, state has {rho.dim}"
@@ -155,23 +243,38 @@ def apply_channel(channel, rho):
     out = np.zeros((channel.dim_out, channel.dim_out), dtype=np.complex128)
     for a in channel.kraus:
         out += a @ rho.mat @ a.conj().T
-    return DensityMatrix(out)
+    return DensityMatrix(out, rho.tol)
 
 
 def diagonal_state(p):
     """Embed a classical distribution (or probability vector) as a diagonal
-    density matrix."""
+    density matrix, checked at the distribution's tolerance."""
     if not isinstance(p, ClassicalDistribution):
         p = ClassicalDistribution(p)
-    return DensityMatrix(np.diag(p.probs.astype(np.complex128)))
+    return DensityMatrix(np.diag(p.probs.astype(np.complex128)), p.tol)
+
+
+def abs_condition_rows(rho_mats, sigma_mats, tol=CONDITION_TOL):
+    """Row-wise test of |rho - sigma| <= rho + sigma on two state stacks.
+
+    Returns the per-row verdicts and the ascending spectra of rho - sigma,
+    whose absolute sums are the trace distances.
+    """
+    if np.shape(rho_mats) != np.shape(sigma_mats):
+        raise DimensionMismatch(
+            f"stack shapes {np.shape(rho_mats)} and {np.shape(sigma_mats)} differ"
+        )
+    eig = linalg.hermitian_eig(rho_mats - sigma_mats)
+    gap = eig.compose(np.abs(eig.eigenvalues))
+    return linalg.loewner_geq(rho_mats + sigma_mats, gap, tol), eig.eigenvalues
 
 
 def satisfies_abs_condition(rho, sigma, tol=CONDITION_TOL):
     """Whether |rho - sigma| <= rho + sigma in the Loewner order."""
     if rho.dim != sigma.dim:
         raise DimensionMismatch(f"dimensions {rho.dim} and {sigma.dim} differ")
-    diff = rho.mat - sigma.mat
-    return linalg.loewner_geq(rho.mat + sigma.mat, linalg.abs_hermitian(diff), tol)
+    holds, _ = abs_condition_rows(rho.mat[None], sigma.mat[None], tol)
+    return bool(holds[0])
 
 
 def regularize(rho, delta):

@@ -10,6 +10,7 @@ from qfdiv.bounds import (
     DEFAULT_QUAD_TOL,
     adaptive_simpson,
     audenaert_eisert_bound,
+    audenaert_eisert_rows,
     binette_rhs,
     check_audenaert_eisert,
     check_quantum_pinsker_chi2,
@@ -19,6 +20,7 @@ from qfdiv.bounds import (
     zeta1_closed,
     zeta1_integral,
 )
+from qfdiv.divergence import trace_distance
 from qfdiv.errors import (
     DegenerateExtremes,
     NoSecondDerivative,
@@ -313,3 +315,19 @@ def test_witness_total_variation_dominates_trace_distance():
         w = build_witness(rho, sigma)
         t_witness = float(np.sum(np.abs(w.r.probs - w.s.probs)))
         assert t_witness >= trace_distance(rho, sigma) - 1e-10
+
+
+def test_audenaert_eisert_rows_match_the_single_pair_bound():
+    pairs = [(random_density(3, seed=substream(90, i, 0)),
+              random_density(3, rank=2, seed=substream(90, i, 1)) if i == 0
+              else random_density(3, seed=substream(90, i, 1)))
+             for i in range(5)]
+    t = [trace_distance(r, s) for r, s in pairs]
+    alpha = [r.spectrum[0] for r, _ in pairs]
+    beta = [s.spectrum[0] for _, s in pairs]
+    beta[0] = 0.0
+    with pytest.raises(SingularState, match="^row 0: "):
+        audenaert_eisert_rows(t, alpha, beta)
+    rows = audenaert_eisert_rows(t[1:], alpha[1:], beta[1:])
+    for i, (rho, sigma) in enumerate(pairs[1:]):
+        assert rows[i] == audenaert_eisert_bound(rho, sigma)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from conftest import maximally_mixed, plus_state
 
+from qfdiv import cli
 from qfdiv.cli import (
     ExperimentConfig,
     main,
@@ -100,6 +101,15 @@ def test_verify_command_reports_the_known_red_suite(tmp_path, capsys):
     assert "reverse-pinsker" in csv
 
 
+@pytest.mark.parametrize("seed", [568437518, 568657945])
+def test_verify_passes_the_witness_suite_on_nearly_singular_draws(tmp_path, capsys, seed):
+    # these seeds draw a nearly singular sigma in the witness suite; only the
+    # documented trace-distance reverse-Pinsker suite may fail
+    assert run_cli("verify", "--samples", 1000, "--seed", seed, "--out", tmp_path) == 1
+    failed = [l for l in capsys.readouterr().out.splitlines() if l.startswith("FAIL")]
+    assert len(failed) == 1 and "reverse-pinsker" in failed[0]
+
+
 def test_fig1_command_writes_decay_table(tmp_path, capsys):
     code = run_cli("fig1", "--out", tmp_path)
     assert code == 0
@@ -133,6 +143,34 @@ def test_fig2_command_writes_bound_scatter(tmp_path, capsys):
         # the maximal divergence dominates the standard one
         assert relent <= dmax + 1e-10
     assert (tmp_path / "fig2.svg").exists()
+
+
+@pytest.mark.parametrize("argv, summary", [
+    (("--samples", 300),
+     "fig2: kept 300 pairs, rejected 75; reverse-Pinsker bound tighter on 300, "
+     "looser on 0"),
+    (("--samples", 200, "--dim", 4, "--seed", 42),
+     "fig2: kept 200 pairs, rejected 48; reverse-Pinsker bound tighter on 200, "
+     "looser on 0"),
+])
+def test_fig2_integer_outputs_are_pinned(tmp_path, capsys, argv, summary):
+    # seed-42 counts: stacking the draws must not change which pairs are kept
+    assert run_cli("fig2", *argv, "--out", tmp_path) == 0
+    assert capsys.readouterr().out.strip() == summary
+
+
+def test_fig2_draw_budget_stops_a_condition_that_never_holds(tmp_path, capsys, monkeypatch):
+    def never(rho_mats, sigma_mats, tol):
+        holds, spectra = real(rho_mats, sigma_mats, tol)
+        return np.zeros_like(holds), spectra
+
+    real = cli.abs_condition_rows
+    monkeypatch.setattr(cli, "abs_condition_rows", never)
+    assert run_cli("fig2", "--samples", 3, "--out", tmp_path) == 1
+    err = capsys.readouterr().err
+    assert "drew 300 candidate pairs and kept 0 of 3" in err
+    assert "acceptance rate 0.0000" in err
+    assert not (tmp_path / "fig2.csv").exists()
 
 
 def test_fig2_output_is_deterministic(tmp_path):

@@ -8,17 +8,21 @@ from conftest import maximally_mixed, plus_state
 
 from qfdiv.divergence import (
     classical_f_div,
+    f_div_rows,
     max_relative_entropy,
     quantum_chi2,
     quantum_relative_entropy,
+    relative_entropy_rows,
     trace_distance,
 )
 from qfdiv.errors import DimensionMismatch, SingularState, ZeroReference
 from qfdiv.generators import builtin_generator
+from qfdiv.linalg import hermitian_eig
 from qfdiv.states import (
     ClassicalDistribution,
     diagonal_state,
     random_density,
+    random_pairs,
     substream,
 )
 
@@ -157,3 +161,37 @@ def test_quantum_divergences_reject_dimension_mismatch():
     ):
         with pytest.raises(DimensionMismatch):
             fn(rho, sigma)
+
+
+# ---------------------------------------------------------------------------
+# row-wise forms: the single-pair functions are their one-row views
+# ---------------------------------------------------------------------------
+
+
+def test_f_div_rows_match_the_single_pair_divergence():
+    rng = substream(80)
+    p = rng.dirichlet(np.ones(5), size=8)
+    p[0, 2] = 0.0  # the limit at zero ratio is used
+    p[0] /= p[0].sum()
+    q = rng.dirichlet(np.ones(5), size=8)
+    for f in (KL, CHI2, TV):
+        rows = f_div_rows(p, q, f)
+        for i in range(8):
+            one = classical_f_div(ClassicalDistribution(p[i]), ClassicalDistribution(q[i]), f)
+            assert rows[i] == one
+            loop = sum(f.at(a / b) * b for a, b in zip(p[i], q[i]))
+            assert rows[i] == pytest.approx(loop, rel=1e-13, abs=1e-15)
+
+
+def test_f_div_rows_names_the_row_with_a_zero_reference():
+    q = np.full((3, 2), 0.5)
+    q[2] = [1.0, 0.0]
+    with pytest.raises(ZeroReference, match="^row 2: "):
+        f_div_rows(np.full((3, 2), 0.5), q, KL)
+
+
+def test_relative_entropy_rows_match_the_single_pair_entropy():
+    rho, sigma = random_pairs([substream(81, i) for i in range(6)], 3)
+    rows = relative_entropy_rows(rho.mats, rho.spectra, hermitian_eig(sigma.mats))
+    for i in range(6):
+        assert rows[i] == quantum_relative_entropy(rho.row(i), sigma.row(i))

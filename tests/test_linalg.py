@@ -260,3 +260,46 @@ def test_eigensolver_failure_is_wrapped(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", boom)
     with pytest.raises(NoConvergence):
         linalg.hermitian_eig(np.eye(2))
+
+
+# ---------------------------------------------------------------------------
+# stacks: each row is treated exactly as the matrix alone
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [2, 4, 7])
+def test_stacked_eigendecomposition_matches_each_matrix_bit_for_bit(n):
+    rng = np.random.default_rng(31)
+    stack = np.array([random_hermitian(n, rng) for _ in range(5)])
+    batch = linalg.hermitian_eig(stack)
+    assert batch.eigenvalues.shape == (5, n) and batch.vectors.shape == (5, n, n)
+    for i in range(5):
+        one = linalg.hermitian_eig(stack[i])
+        assert np.array_equal(batch.eigenvalues[i], one.eigenvalues)
+        assert np.array_equal(batch.vectors[i], one.vectors)
+        lead = one.vectors[np.argmax(np.abs(one.vectors), axis=0), np.arange(n)]
+        assert np.all(np.abs(lead.imag) <= 1e-12) and np.all(lead.real > 0.0)
+
+
+def test_stacked_checks_return_one_entry_per_row():
+    rng = np.random.default_rng(32)
+    xs = np.array([random_hermitian(3, rng) for _ in range(4)])
+    norms = linalg.trace_norm_hermitian(xs)
+    assert norms.shape == (4,)
+    for i in range(4):
+        assert norms[i] == linalg.trace_norm_hermitian(xs[i])
+        assert np.array_equal(linalg.abs_hermitian(xs)[i], linalg.abs_hermitian(xs[i]))
+    geq = linalg.loewner_geq(np.abs(xs).sum() * np.eye(3)[None] + 0 * xs, xs)
+    assert geq.dtype == bool and geq.all()
+    assert isinstance(linalg.loewner_geq(np.eye(2), np.eye(2)), bool)
+
+
+def test_stacked_hermiticity_check_names_the_lowest_failing_row():
+    stack = np.array([np.eye(2)] * 4, dtype=complex)
+    stack[3, 0, 1] = 1.0
+    stack[1, 1, 0] = 1.0
+    assert linalg.hermiticity_defect(stack).tolist() == [0.0, 1.0, 0.0, 1.0]
+    with pytest.raises(NotHermitian, match="^row 1: "):
+        linalg.require_hermitian(stack)
+    with pytest.raises(NotHermitian, match="^max"):
+        linalg.require_hermitian(stack[1])

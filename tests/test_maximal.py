@@ -13,10 +13,17 @@ from qfdiv.divergence import (
     quantum_relative_entropy,
     trace_distance,
 )
-from qfdiv.errors import DimensionMismatch, NotOperatorConvex, SingularState
+from qfdiv import maximal
+from qfdiv.errors import (
+    DimensionMismatch,
+    NegativeSpectrum,
+    NotOperatorConvex,
+    SingularState,
+)
 from qfdiv.generators import FGenerator, builtin_generator
 from qfdiv.linalg import hermitian_eig, inv_sqrt_psd, matrix_polynomial
 from qfdiv.maximal import (
+    WITNESS_TOL,
     Witness,
     build_witness,
     check_dpi_maximal,
@@ -24,6 +31,7 @@ from qfdiv.maximal import (
     extremes_mM,
     maximal_f_div,
     verify_witness,
+    witness_batch,
 )
 from qfdiv.states import (
     ClassicalDistribution,
@@ -31,8 +39,10 @@ from qfdiv.states import (
     diagonal_state,
     random_channel,
     random_density,
+    random_pairs,
     substream,
 )
+from qfdiv.verify import random_pair
 
 KL = builtin_generator("kl")
 CHI2 = builtin_generator("chi2")
@@ -275,3 +285,104 @@ def test_witness_rejects_dimension_mismatch():
             random_density(2, seed=substream(51, 0)),
             random_density(3, seed=substream(51, 1)),
         )
+
+
+# ---------------------------------------------------------------------------
+# batched witnesses: build_witness is the one-row view of witness_batch
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 8])
+def test_build_witness_is_bit_identical_to_its_batch_row(dim):
+    rho, sigma = random_pairs([substream(60, dim, i) for i in range(7)], dim)
+    batch = witness_batch(rho.mats, sigma.mats)
+    assert batch.lambdas.shape == (7, dim)
+    for i in range(7):
+        w = build_witness(rho.row(i), sigma.row(i))
+        row = batch.row(i)
+        for got, want in (
+            (w.lambdas, batch.lambdas[i]),
+            (w.basis, batch.basis[i]),
+            (w.r.probs, batch.r[i]),
+            (w.s.probs, batch.s[i]),
+            (w.columns, batch.columns[i]),
+            (w.channel.kraus, row.channel.kraus),
+        ):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+        assert w.f_divergence(KL) == batch.f_divergence(KL)[i]
+
+
+def test_batched_witness_of_commuting_pairs_is_the_diagonals():
+    rng = substream(61)
+    for dim in (2, 3, 5):
+        p = rng.dirichlet(np.ones(dim), size=6)
+        q = rng.dirichlet(np.ones(dim), size=6)
+        diag = np.zeros((6, dim, dim))
+        diag[:, np.arange(dim), np.arange(dim)] = p
+        rho_mats = diag.copy()
+        diag[:, np.arange(dim), np.arange(dim)] = q
+        batch = witness_batch(rho_mats, diag)
+        for i in range(6):
+            # the witness lists the pairs (p_j, q_j) in ascending ratio order
+            order = np.argsort(p[i] / q[i])
+            assert np.allclose(batch.r[i], p[i][order], atol=1e-14)
+            assert np.allclose(batch.s[i], q[i][order], atol=1e-14)
+            assert np.allclose(batch.lambdas[i], (p[i] / q[i])[order], rtol=1e-12)
+
+
+def test_witness_batch_raises_for_the_lowest_failing_row():
+    rho, sigma = random_pairs([substream(62, i) for i in range(4)], 3)
+    rho_mats = np.array(rho.mats)
+    sigma_mats = np.array(sigma.mats)
+    sigma_mats[2] = np.diag([0.5, 0.5, 0.0])
+    with pytest.raises(SingularState, match="^row 2: sigma has min eigenvalue"):
+        witness_batch(rho_mats, sigma_mats)
+    # an earlier row that fails a later check still comes first
+    rho_mats[1] = np.diag([1.1, 0.0, -0.1])
+    with pytest.raises(NegativeSpectrum, match="^row 1: ratio matrix"):
+        witness_batch(rho_mats, sigma_mats)
+
+
+def test_witness_batch_rejects_mismatched_stacks():
+    with pytest.raises(DimensionMismatch):
+        witness_batch(np.zeros((2, 3, 3)), np.zeros((2, 4, 4)))
+
+
+def test_recovery_channel_is_assembled_on_first_read(monkeypatch):
+    rho = random_density(3, seed=substream(63, 0))
+    sigma = random_density(3, seed=substream(63, 1))
+
+    def refuse(_):
+        raise AssertionError("channel assembled")
+
+    monkeypatch.setattr(maximal, "QuantumChannel", refuse)
+    w = build_witness(rho, sigma)
+    assert w.f_divergence(KL) >= 0.0
+    with pytest.raises(AssertionError, match="channel assembled"):
+        w.channel
+
+
+# Two pairs of the witness suite's ensemble, keyed (seed, dim, index) as in
+# verify.witness_suite, with nearly singular sigma.  On the first, taking
+# s_i = <u_i|sigma|u_i> while the Kraus operators use sigma^{1/2} u_i
+# misses the completeness tolerance (defect 1.342e-09).  The second has an
+# r normalization defect of about 5.6e-10: within WITNESS_TOL, but above
+# the state tolerance at which diag(r) would be checked by default.
+
+
+def test_witness_is_complete_for_a_nearly_singular_sigma():
+    rho, sigma = random_pair(8, substream(568437518, 8, 7))
+    assert sigma.spectrum[0] < 1e-8
+    w = build_witness(rho, sigma)
+    comp = np.einsum("kij,kil->jl", w.channel.kraus.conj(), w.channel.kraus)
+    assert np.max(np.abs(comp - np.eye(8))) <= 1e-14
+    for f in (KL, CHI2, TV):
+        assert verify_witness(rho, sigma, f).passed
+
+
+def test_witness_r_defect_shows_as_its_residual():
+    rho, sigma = random_pair(2, substream(568657945, 2, 9))
+    report = verify_witness(rho, sigma, KL)
+    assert 1e-10 < report.residuals["r_normalization"] <= WITNESS_TOL
+    assert report.passed

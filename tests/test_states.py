@@ -13,11 +13,14 @@ from qfdiv.errors import (
 from qfdiv.states import (
     ClassicalDistribution,
     DensityMatrix,
+    DensityStack,
     QuantumChannel,
+    abs_condition_rows,
     apply_channel,
     diagonal_state,
     random_channel,
     random_density,
+    random_pairs,
     regularize,
     satisfies_abs_condition,
     substream,
@@ -214,3 +217,58 @@ def test_abs_condition_checks_dimensions():
             random_density(2, seed=substream(11, 0)),
             random_density(3, seed=substream(11, 1)),
         )
+
+
+# ---------------------------------------------------------------------------
+# stacks of states: DensityMatrix and satisfies_abs_condition are one-row
+# views of the stacked checks
+# ---------------------------------------------------------------------------
+
+
+def test_random_pairs_stack_exactly_the_one_at_a_time_draws():
+    rho, sigma = random_pairs([substream(12, i) for i in range(6)], 4, rank=8)
+    assert rho.mats.shape == sigma.mats.shape == (6, 4, 4)
+    for i in range(6):
+        rng = substream(12, i)
+        one_rho = random_density(4, rank=8, seed=rng)
+        one_sigma = random_density(4, rank=8, seed=rng)
+        assert np.array_equal(rho.mats[i], one_rho.mat)
+        assert np.array_equal(sigma.mats[i], one_sigma.mat)
+        assert np.array_equal(rho.row(i).spectrum, one_rho.spectrum)
+
+
+def test_density_stack_names_the_lowest_failing_row():
+    mats = np.array([np.eye(2) / 2] * 4, dtype=complex)
+    mats[3] = np.diag([1.2, -0.2])
+    mats[2] = np.diag([0.6, 0.6])
+    with pytest.raises(InvariantViolation, match="row 2: ") as info:
+        DensityStack(mats)
+    assert info.value.invariant == "trace"
+    with pytest.raises(InvariantViolation) as info:
+        DensityMatrix(mats[3])
+    assert info.value.invariant == "positivity"
+    assert str(info.value).startswith("positivity: min eigenvalue")
+    with pytest.raises(DimensionMismatch):
+        DensityMatrix(mats)
+
+
+def test_abs_condition_rows_agree_with_the_single_pair_test():
+    rho, sigma = random_pairs([substream(13, i) for i in range(40)], 4)
+    holds, diff_spectra = abs_condition_rows(rho.mats, sigma.mats)
+    assert 0 < holds.sum() < 40  # both outcomes occur in the square ensemble
+    for i in range(40):
+        assert holds[i] == satisfies_abs_condition(rho.row(i), sigma.row(i))
+        assert np.allclose(diff_spectra[i],
+                           np.linalg.eigvalsh(rho.mats[i] - sigma.mats[i]),
+                           atol=1e-14)
+
+
+def test_states_built_from_a_distribution_keep_its_tolerance():
+    # a witness-style distribution, normalized only to 5e-10
+    p = ClassicalDistribution([0.5, 0.5 + 5e-10], tol=1e-9)
+    rho = diagonal_state(p)
+    assert rho.tol == 1e-9
+    ch = random_channel(2, seed=substream(14))
+    assert apply_channel(ch, rho).tol == 1e-9
+    with pytest.raises(InvariantViolation):
+        diagonal_state(p.probs)

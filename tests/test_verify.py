@@ -122,3 +122,9 @@ def test_binette_bound_is_numerically_sharp(f):
     best = binette_sharpness_search(0.5, 2.0, f)
     assert best >= 1.0 - 1e-4
     assert best <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("samples, rate", [(1000, 0.814), (10000, 0.805)])
+def test_condition_rate_is_pinned_at_seed_42(samples, rate):
+    # seed-42 rates: stacking the draws must not change any verdict
+    assert condition_rate(dim=4, samples=samples, seed=42).extras["rate"] == rate
