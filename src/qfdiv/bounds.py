@@ -21,7 +21,7 @@ from .errors import (
 )
 from .linalg import SINGULAR_EPS, raise_first_failure
 from .maximal import build_witness
-from .states import satisfies_abs_condition
+from .states import abs_condition_rows
 
 EQUAL_STATES_EPS = 1e-8
 # below this least eigenvalue of rho the second Audenaert-Eisert term is 0
@@ -87,15 +87,13 @@ def decoherence_bounds(chi2_0, lam, t):
 
 
 def binette_rhs(m, M, t, f):
-    """Reverse-Pinsker right side (t/2) (f(m)/(1-m) + f(M)/(M-1)).
+    """Reverse-Pinsker right side (t/2) ``zeta1_closed(m, M, f)``.
 
-    Needs non-degenerate extremes 0 <= m < 1 < M and t in [0, 2].
+    Needs t in [0, 2] and non-degenerate extremes 0 <= m < 1 < M.
     """
-    if not (0.0 <= m < 1.0 < M):
-        raise DegenerateExtremes(f"need 0 <= m < 1 < M, got m={m}, M={M}")
     if not 0.0 <= t <= 2.0:
         raise OutOfRange(f"trace distance {t} outside [0, 2]")
-    return (t / 2.0) * (f.at(m) / (1.0 - m) + f.at(M) / (M - 1.0))
+    return (t / 2.0) * zeta1_closed(m, M, f)
 
 
 def check_reverse_pinsker_quantum(rho, sigma, f):
@@ -124,15 +122,30 @@ def check_reverse_pinsker_quantum(rho, sigma, f):
       chord bound then gives (t/2) ``zeta1_integral(m, M, kl)``, which is
       ``zeta1_closed(m, M, kl)``.
 
-    Coinciding states short-circuit to the trivial report 0 <= 0.
+    Coinciding states short-circuit to the trivial report 0 <= 0 without
+    building a witness.  The condition and t come from one
+    eigendecomposition of rho - sigma; the report is
+    :func:`reverse_pinsker_report`.
     """
-    condition = satisfies_abs_condition(rho, sigma)
-    t = trace_distance(rho, sigma)
+    holds, diff_spectra = abs_condition_rows(rho.mat[None], sigma.mat[None])
+    t = float(np.sum(np.abs(diff_spectra[0])))
+    w = build_witness(rho, sigma) if t >= EQUAL_STATES_EPS else None
+    return reverse_pinsker_report(w, t, bool(holds[0]), f)
+
+
+def reverse_pinsker_report(witness, t, condition, f):
+    """Reverse-Pinsker report of one pair from its witness, its trace
+    distance t and its positivity-condition verdict.
+
+    The left side is D_f(r || s) of the witness and the right side
+    ``binette_rhs(m, M, t, f)`` with (m, M) the extreme likelihood ratios.
+    For t below ``EQUAL_STATES_EPS`` the report is the trivial 0 <= 0 and
+    ``witness`` is not read.
+    """
     if t < EQUAL_STATES_EPS:
         return BoundReport(lhs=0.0, rhs=0.0, slack=0.0, condition_met=condition)
-    w = build_witness(rho, sigma)
-    lhs = w.f_divergence(f)
-    rhs = binette_rhs(float(w.lambdas[0]), float(w.lambdas[-1]), t, f)
+    lhs = witness.f_divergence(f)
+    rhs = binette_rhs(float(witness.lambdas[0]), float(witness.lambdas[-1]), t, f)
     return BoundReport(lhs=lhs, rhs=rhs, slack=rhs - lhs, condition_met=condition)
 
 

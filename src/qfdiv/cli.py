@@ -17,19 +17,16 @@ import numpy as np
 
 from . import verify as suites
 from .bounds import (
-    audenaert_eisert_bound,
     audenaert_eisert_rows,
     binette_rhs,
-    check_quantum_pinsker_chi2,
-    check_reverse_pinsker_quantum,
     decoherence_bounds,
+    pinsker_chi2_lower,
+    reverse_pinsker_report,
 )
 from .divergence import (
-    max_relative_entropy,
     quantum_chi2,
     quantum_relative_entropy,
     relative_entropy_rows,
-    trace_distance,
 )
 from .errors import (
     InvariantViolation,
@@ -46,7 +43,6 @@ from .states import (
     DensityMatrix,
     abs_condition_rows,
     random_pairs,
-    satisfies_abs_condition,
     substream,
 )
 
@@ -108,22 +104,23 @@ def parse_state_file(path):
     if len(lines) < n + 1:
         raise ParseError(f"expected {n} matrix rows, file has {len(lines) - 1}",
                          line=len(lines))
-    mat = np.zeros((n, n), dtype=np.complex128)
-    for i in range(n):
-        lineno = i + 2
-        tokens = lines[i + 1].split()
+    values = []  # re, im of each entry in row-major order
+    for lineno, line in enumerate(lines[1:n + 1], start=2):
+        tokens = line.split()
         if len(tokens) != n:
             raise ParseError(f"expected {n} entries, got {len(tokens)}", line=lineno)
-        for j, token in enumerate(tokens):
+        for j, token in enumerate(tokens, start=1):
             parts = token.split(",")
             if len(parts) != 2:
-                raise ParseError(f"entry {j + 1} is not 're,im': {token!r}",
+                raise ParseError(f"entry {j} is not 're,im': {token!r}",
                                  line=lineno)
             try:
-                mat[i, j] = complex(float(parts[0]), float(parts[1]))
+                values.append(float(parts[0]))
+                values.append(float(parts[1]))
             except ValueError as exc:
-                raise ParseError(f"bad number in entry {j + 1}: {token!r}",
+                raise ParseError(f"bad number in entry {j}: {token!r}",
                                  line=lineno) from exc
+    mat = np.array(values).view(np.complex128).reshape(n, n)
     return DensityMatrix(mat)
 
 
@@ -481,7 +478,7 @@ def cmd_witness(config, rho_path, sigma_path, fname, bits=False):
     sigma = parse_state_file(sigma_path)
     f = builtin_generator(fname)
     report = verify_witness(rho, sigma, f)
-    w = build_witness(rho, sigma)
+    w = report.witness
     unit = "bits" if bits else "nats"
     scale = 1.0 / math.log(2.0) if bits else 1.0
     value = w.f_divergence(f)
@@ -499,36 +496,44 @@ def cmd_witness(config, rho_path, sigma_path, fname, bits=False):
 
 
 def cmd_compare_bounds(config, rho_path, sigma_path, bits=False):
-    """Print every divergence and bound for two state files."""
+    """Print every divergence and bound for two state files.
+
+    One witness supplies (m, M), every maximal divergence and D_max = ln M;
+    one eigendecomposition of rho - sigma supplies the positivity condition
+    and the trace distance t, which the reverse-Pinsker rows, the Pinsker
+    envelope and the Audenaert-Eisert bound all read.
+    """
     rho = parse_state_file(rho_path)
     sigma = parse_state_file(sigma_path)
     scale = 1.0 / math.log(2.0) if bits else 1.0
     unit = "bits" if bits else "nats"
     w = build_witness(rho, sigma)
-    t = trace_distance(rho, sigma)
-    cond = satisfies_abs_condition(rho, sigma)
+    holds, diff_spectra = abs_condition_rows(rho.mat[None], sigma.mat[None])
+    cond = bool(holds[0])
+    t = float(np.sum(np.abs(diff_spectra[0])))
+    chi2 = quantum_chi2(rho, sigma)
     print(f"trace distance: {t:.12g}")
     print(f"m: {float(w.lambdas[0]):.12g}   M: {float(w.lambdas[-1]):.12g}")
     print(f"positivity condition |rho-sigma| <= rho+sigma: "
           f"{'satisfied' if cond else 'violated'}")
     print(f"relative entropy: {quantum_relative_entropy(rho, sigma) * scale:.12g} {unit}")
-    print(f"max-relative entropy: {max_relative_entropy(rho, sigma) * scale:.12g} {unit}")
-    print(f"chi-squared: {quantum_chi2(rho, sigma):.12g}")
+    print(f"max-relative entropy: {math.log(float(w.lambdas[-1])) * scale:.12g} {unit}")
+    print(f"chi-squared: {chi2:.12g}")
     for name in BUILTIN_NAMES:
         f = builtin_generator(name)
         value = w.f_divergence(f)
         shown = value * scale if name == "kl" else value
         suffix = f" {unit}" if name == "kl" else ""
         print(f"maximal {name} divergence: {shown:.12g}{suffix}")
-        rp = check_reverse_pinsker_quantum(rho, sigma, f)
+        rp = reverse_pinsker_report(w, t, cond, f)
         shown_rhs = rp.rhs * scale if name == "kl" else rp.rhs
         print(f"  reverse-Pinsker rhs: {shown_rhs:.12g}{suffix}"
               f"  (slack {rp.slack:.3e}, condition "
               f"{'met' if rp.condition_met else 'not met'})")
-    pin = check_quantum_pinsker_chi2(rho, sigma)
-    print(f"Pinsker-type lower envelope of chi-squared: {pin.lhs:.12g} "
-          f"(slack {pin.slack:.3e})")
-    ae = audenaert_eisert_bound(rho, sigma)
+    envelope = pinsker_chi2_lower(t)
+    print(f"Pinsker-type lower envelope of chi-squared: {envelope:.12g} "
+          f"(slack {chi2 - envelope:.3e})")
+    ae = float(audenaert_eisert_rows([t], rho.spectrum[:1], sigma.spectrum[:1])[0])
     print(f"Audenaert-Eisert upper bound: {ae * scale:.12g} {unit}")
     return 0
 

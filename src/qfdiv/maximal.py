@@ -48,6 +48,7 @@ from .states import (
     ClassicalDistribution,
     QuantumChannel,
     apply_channel,
+    completeness_defect,
     diagonal_state,
 )
 
@@ -211,10 +212,12 @@ def extremes_mM(rho, sigma):
 
 @dataclass(frozen=True)
 class WitnessReport:
-    """Named residuals from replaying the witness construction."""
+    """Named residuals from replaying the witness construction, and the
+    witness they were measured on."""
 
     residuals: dict = field(default_factory=dict)
     tol: float = WITNESS_TOL
+    witness: Witness | None = field(default=None, repr=False)
 
     @property
     def worst(self):
@@ -231,21 +234,20 @@ def verify_witness(rho, sigma, f, tol=WITNESS_TOL):
     Residuals: normalization of r and s, trace-norm errors of the channel
     reconstructions V(diag r) = rho and V(diag s) = sigma, Kraus
     completeness, and the match between D_f(r || s) and the maximal
-    divergence recomputed from scratch.
+    divergence recomputed from scratch.  The report carries the witness.
     """
     w = build_witness(rho, sigma)
     back_r = apply_channel(w.channel, diagonal_state(w.r))
     back_s = apply_channel(w.channel, diagonal_state(w.s))
-    comp = np.einsum("kij,kil->jl", w.channel.kraus.conj(), w.channel.kraus)
     residuals = {
         "r_normalization": abs(float(w.r.probs.sum()) - 1.0),
         "s_normalization": abs(float(w.s.probs.sum()) - 1.0),
         "reconstruct_rho": trace_distance(back_r, rho),
         "reconstruct_sigma": trace_distance(back_s, sigma),
-        "kraus_completeness": float(np.max(np.abs(comp - np.eye(rho.dim)))),
+        "kraus_completeness": completeness_defect(w.channel.kraus),
         "divergence_match": abs(w.f_divergence(f) - maximal_f_div(rho, sigma, f)),
     }
-    return WitnessReport(residuals=residuals, tol=tol)
+    return WitnessReport(residuals=residuals, tol=tol, witness=w)
 
 
 def check_dpi_maximal(rho, sigma, channel, f):

@@ -147,8 +147,7 @@ class QuantumChannel:
         if len(shape) != 2 or any(a.shape != shape for a in ops):
             raise DimensionMismatch("Kraus operators must share one 2-d shape")
         stack = np.array(ops)
-        comp = np.einsum("kij,kil->jl", stack.conj(), stack)
-        defect = float(np.max(np.abs(comp - np.eye(shape[1]))))
+        defect = completeness_defect(stack)
         if defect > tol:
             raise InvariantViolation(
                 "completeness", f"max |sum A^dag A - I| = {defect:.3e}"
@@ -167,6 +166,14 @@ class QuantumChannel:
     def __repr__(self):
         k, out, inn = self.kraus.shape
         return f"QuantumChannel({k} Kraus ops, {inn} -> {out})"
+
+
+def completeness_defect(kraus):
+    """Largest entry of |sum_i A_i^dag A_i - I| for a ``(k, m, n)`` Kraus
+    stack, summed as one matrix product of the ``(k m, n)`` stacked rows."""
+    n = kraus.shape[-1]
+    flat = kraus.reshape(-1, n)
+    return float(np.max(np.abs(flat.conj().T @ flat - np.eye(n))))
 
 
 def ginibre_factor(n, rank, rng):

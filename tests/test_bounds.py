@@ -17,6 +17,7 @@ from qfdiv.bounds import (
     check_reverse_pinsker_quantum,
     decoherence_bounds,
     pinsker_chi2_lower,
+    reverse_pinsker_report,
     zeta1_closed,
     zeta1_integral,
 )
@@ -34,6 +35,7 @@ from qfdiv.states import (
     ClassicalDistribution,
     diagonal_state,
     random_density,
+    satisfies_abs_condition,
     substream,
 )
 
@@ -261,6 +263,29 @@ def test_reverse_pinsker_short_circuits_on_coinciding_states():
     rho = random_density(3, seed=substream(62, 0))
     rep = check_reverse_pinsker_quantum(rho, rho, KL)
     assert rep.lhs == 0.0 and rep.rhs == 0.0 and rep.slack == 0.0
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_reverse_pinsker_report_matches_the_single_pair_check(n):
+    # t and the condition come from the scalar routes, not from the
+    # eigendecomposition of rho - sigma that the wrapper reads
+    for i in range(5):
+        rho = random_density(n, rank=2 * n, seed=substream(65, n, i, 0))
+        sigma = random_density(n, rank=2 * n, seed=substream(65, n, i, 1))
+        pairs = [(rho, sigma), (rho, rho)] if i == 0 else [(rho, sigma)]
+        for a, b in pairs:
+            w = build_witness(a, b)
+            t = trace_distance(a, b)
+            cond = satisfies_abs_condition(a, b)
+            for f in (KL, CHI2, TV):
+                got = reverse_pinsker_report(w, t, cond, f)
+                want = check_reverse_pinsker_quantum(a, b, f)
+                assert got.condition_met == want.condition_met
+                for name in ("lhs", "rhs", "slack"):
+                    assert getattr(got, name) == pytest.approx(
+                        getattr(want, name), rel=1e-12, abs=1e-15), (i, f.name, name)
+    trivial = reverse_pinsker_report(None, 0.0, True, KL)
+    assert (trivial.lhs, trivial.rhs, trivial.slack) == (0.0, 0.0, 0.0)
 
 
 def test_reverse_pinsker_holds_on_commuting_pairs():

@@ -1,18 +1,27 @@
 """End-to-end tests for the command-line interface."""
 
+import math
+
 import numpy as np
 import pytest
 from conftest import maximally_mixed, plus_state
 
-from qfdiv import cli
+from qfdiv import cli, maximal
+from qfdiv.bounds import (
+    audenaert_eisert_bound,
+    check_quantum_pinsker_chi2,
+    check_reverse_pinsker_quantum,
+)
 from qfdiv.cli import (
     ExperimentConfig,
     main,
     parse_state_file,
     write_state_file,
 )
+from qfdiv.divergence import max_relative_entropy, trace_distance
 from qfdiv.errors import InvariantViolation, OutOfRange, ParseError
-from qfdiv.states import random_density, substream
+from qfdiv.generators import BUILTIN_NAMES, builtin_generator
+from qfdiv.states import random_density, satisfies_abs_condition, substream
 
 
 def run_cli(*argv):
@@ -56,6 +65,36 @@ def test_state_file_reports_the_offending_line(tmp_path):
     with pytest.raises(ParseError) as info:
         parse_state_file(path)
     assert info.value.line == 2
+
+
+@pytest.mark.parametrize("text, line, message", [
+    # a comma count over the whole line would accept this row
+    ("2\n1,2,3 4\n0.5,0 0.5,0\n", 2, "entry 1 is not 're,im': '1,2,3'"),
+    ("2\n0.5,0 0,0\n0.5,0 0.5,x\n", 3, "bad number in entry 2: '0.5,x'"),
+    ("2\n0.5,0 0,0\n0.5,0\n", 3, "expected 2 entries, got 1"),
+])
+def test_state_file_names_the_bad_entry_and_line(tmp_path, text, line, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=message) as info:
+        parse_state_file(path)
+    assert info.value.line == line
+
+
+def test_state_file_round_trip_is_bit_exact_at_dim_32(tmp_path):
+    rho = random_density(32, rank=64, seed=substream(71, 0))
+    path = tmp_path / "state.txt"
+    write_state_file(path, rho)
+    assert np.array_equal(parse_state_file(path).mat, rho.mat)
+
+
+def test_state_file_reads_numbers_as_python_float_does(tmp_path):
+    # Python's float accepts digit separators, which numpy's string
+    # casting need not
+    path = tmp_path / "underscore.txt"
+    path.write_text("2\n0.2_5,0 0,0\n0,-0 7_5e-2,+0\n")
+    mat = parse_state_file(path).mat
+    assert mat[0, 0] == float("0.2_5") and mat[1, 1] == float("7_5e-2")
 
 
 def test_state_file_rejects_wrong_row_count(tmp_path):
@@ -217,6 +256,90 @@ def test_compare_bounds_command(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "condition" in out
     assert "trace distance" in out
+
+
+def _write_random_pair(tmp_path, n, seed):
+    rho = random_density(n, rank=2 * n, seed=substream(seed, n, 0))
+    sigma = random_density(n, rank=2 * n, seed=substream(seed, n, 1))
+    write_state_file(tmp_path / "rho.txt", rho)
+    write_state_file(tmp_path / "sigma.txt", sigma)
+    return rho, sigma, tmp_path / "rho.txt", tmp_path / "sigma.txt"
+
+
+@pytest.mark.parametrize("command, builds", [("compare-bounds", 1), ("witness", 2)])
+def test_single_pair_commands_count_their_witness_builds(
+        tmp_path, monkeypatch, command, builds):
+    # witness: one build in verify_witness and one in its divergence_match
+    # residual, which recomputes the maximal divergence from scratch
+    calls = []
+    real = maximal.witness_batch
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(maximal, "witness_batch", counting)
+    monkeypatch.setattr(cli, "witness_batch", counting)
+    _, _, rho_path, sigma_path = _write_random_pair(tmp_path, 4, 72)
+    assert run_cli(command, rho_path, sigma_path, "--out", tmp_path) == 0
+    assert len(calls) == builds
+
+
+@pytest.mark.parametrize("n, seed", [(4, 73), (8, 74)])
+def test_compare_bounds_numbers_match_the_scalar_functions(
+        tmp_path, monkeypatch, capsys, n, seed):
+    rho, sigma, rho_path, sigma_path = _write_random_pair(tmp_path, n, seed)
+    seen = {}
+
+    def spy(name):
+        real = getattr(cli, name)
+
+        def record(*args):
+            out = real(*args)
+            seen.setdefault(name, []).append(out)
+            return out
+
+        monkeypatch.setattr(cli, name, record)
+
+    for name in ("build_witness", "abs_condition_rows", "quantum_chi2",
+                 "reverse_pinsker_report", "pinsker_chi2_lower",
+                 "audenaert_eisert_rows"):
+        spy(name)
+    assert run_cli("compare-bounds", rho_path, sigma_path, "--out", tmp_path) == 0
+    out = capsys.readouterr().out
+
+    (w,) = seen["build_witness"]
+    ((holds, diff_spectra),) = seen["abs_condition_rows"]
+    (chi2,) = seen["quantum_chi2"]
+    (envelope,) = seen["pinsker_chi2_lower"]
+    (ae,) = seen["audenaert_eisert_rows"]
+    t = float(np.sum(np.abs(diff_spectra[0])))
+    dmax = math.log(float(w.lambdas[-1]))
+    pin = check_quantum_pinsker_chi2(rho, sigma)
+
+    assert bool(holds[0]) == satisfies_abs_condition(rho, sigma)
+    assert t == pytest.approx(trace_distance(rho, sigma), rel=1e-12)
+    # two routes to D_max: ln M of the witness and sigma^{-1/2} rho sigma^{-1/2}
+    assert dmax == pytest.approx(max_relative_entropy(rho, sigma), rel=1e-12)
+    assert envelope == pytest.approx(pin.lhs, rel=1e-12)
+    assert chi2 - envelope == pytest.approx(pin.slack, rel=1e-12)
+    assert ae[0] == pytest.approx(audenaert_eisert_bound(rho, sigma), rel=1e-12)
+    reports = seen["reverse_pinsker_report"]
+    assert len(reports) == len(BUILTIN_NAMES)
+    for name, rp in zip(BUILTIN_NAMES, reports):
+        want = check_reverse_pinsker_quantum(rho, sigma, builtin_generator(name))
+        assert rp.condition_met == want.condition_met
+        assert rp.rhs == pytest.approx(want.rhs, rel=1e-12)
+        assert rp.slack == pytest.approx(want.slack, rel=1e-12)
+        assert f"  reverse-Pinsker rhs: {rp.rhs:.12g}" in out
+
+    # the printed lines show exactly the values checked above
+    for line in (f"trace distance: {t:.12g}",
+                 f"max-relative entropy: {dmax:.12g} nats",
+                 f"Pinsker-type lower envelope of chi-squared: {envelope:.12g} "
+                 f"(slack {chi2 - envelope:.3e})",
+                 f"Audenaert-Eisert upper bound: {ae[0]:.12g} nats"):
+        assert line in out.splitlines()
 
 
 def test_bits_flag_rescales_entropic_output(tmp_path, capsys):

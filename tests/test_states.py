@@ -11,12 +11,14 @@ from qfdiv.errors import (
     OutOfRange,
 )
 from qfdiv.states import (
+    CHANNEL_TOL,
     ClassicalDistribution,
     DensityMatrix,
     DensityStack,
     QuantumChannel,
     abs_condition_rows,
     apply_channel,
+    completeness_defect,
     diagonal_state,
     random_channel,
     random_density,
@@ -81,6 +83,32 @@ def test_quantum_channel_requires_completeness():
     assert info.value.invariant == "completeness"
     with pytest.raises(InvariantViolation):
         QuantumChannel([])
+
+
+def _einsum_defect(kraus):
+    comp = np.einsum("kij,kil->jl", kraus.conj(), kraus)
+    return float(np.max(np.abs(comp - np.eye(kraus.shape[-1]))))
+
+
+def test_completeness_defect_matches_the_einsum_sum():
+    rng = substream(8, 0)
+    complete = random_channel(3, k=5, seed=substream(8, 1)).kraus
+    # a non-square (k, m, n) family: one complete, one arbitrary
+    q, _ = np.linalg.qr(rng.standard_normal((4 * 2, 3))
+                        + 1j * rng.standard_normal((4 * 2, 3)))
+    isometry = q.reshape(4, 2, 3)
+    arbitrary = rng.standard_normal((4, 2, 3)) + 1j * rng.standard_normal((4, 2, 3))
+    for kraus in (complete, isometry, arbitrary):
+        assert abs(completeness_defect(kraus) - _einsum_defect(kraus)) <= 1e-14
+    assert completeness_defect(isometry) <= 1e-14
+    assert completeness_defect(arbitrary) > 1.0
+
+
+def test_quantum_channel_rejects_completeness_just_past_its_tolerance():
+    QuantumChannel([np.eye(2) * np.sqrt(1.0 + CHANNEL_TOL / 2)])
+    with pytest.raises(InvariantViolation) as info:
+        QuantumChannel([np.eye(2) * np.sqrt(1.0 + 2 * CHANNEL_TOL)])
+    assert info.value.invariant == "completeness"
 
 
 def test_quantum_channel_accepts_unitary_kraus():
