@@ -2,9 +2,9 @@
 
 Random sampling is reproducible: every Monte Carlo sample draws from its own
 substream derived from (seed, sample index), so results do not depend on
-evaluation order.  Samples are drawn one generator at a time and then
-stacked, so a stack of draws holds exactly the states that one-at-a-time
-sampling would give.
+evaluation order.  Each generator makes one Gaussian draw straight into a
+preallocated stack, in the order that one-at-a-time sampling would draw, so
+a stack holds exactly the states that one-at-a-time sampling would give.
 """
 
 from __future__ import annotations
@@ -176,25 +176,12 @@ def completeness_defect(kraus):
     return float(np.max(np.abs(flat.conj().T @ flat - np.eye(n))))
 
 
-def ginibre_factor(n, rank, rng):
-    """One n x rank complex Gaussian matrix G drawn from ``rng``."""
-    return rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
-
-
 def ginibre_states(factors):
     """The states G G^dag / tr(G G^dag) of a ``(B, n, rank)`` factor stack."""
     g = np.asarray(factors)
     m = g @ linalg.adjoint(g)
     m = (m + linalg.adjoint(m)) / 2
     return DensityStack(m / m.trace(axis1=1, axis2=2).real[:, None, None])
-
-
-def _check_rank(n, rank):
-    if rank is None:
-        return n
-    if rank < 1:
-        raise BadRank(f"rank must be at least 1, got {rank}")
-    return rank
 
 
 def random_density(n, rank=None, seed=None):
@@ -206,9 +193,8 @@ def random_density(n, rank=None, seed=None):
     measure toward the maximally mixed state (induced ensemble with an
     environment of dimension ``rank``).
     """
-    rank = _check_rank(n, rank)
-    rng = np.random.default_rng(seed)
-    return ginibre_states(ginibre_factor(n, rank, rng)[None]).row(0)
+    (g,) = _ginibre_factors([np.random.default_rng(seed)], 1, n, rank)
+    return ginibre_states(g).row(0)
 
 
 def random_pairs(rngs, n, rank=None):
@@ -217,12 +203,24 @@ def random_pairs(rngs, n, rank=None):
     Row b of the result is exactly the pair that two ``random_density``
     calls on ``rngs[b]`` would draw.
     """
-    rank = _check_rank(n, rank)
-    rho_factors, sigma_factors = [], []
-    for rng in rngs:
-        rho_factors.append(ginibre_factor(n, rank, rng))
-        sigma_factors.append(ginibre_factor(n, rank, rng))
-    return ginibre_states(np.array(rho_factors)), ginibre_states(np.array(sigma_factors))
+    rho_factors, sigma_factors = _ginibre_factors(rngs, 2, n, rank)
+    return ginibre_states(rho_factors), ginibre_states(sigma_factors)
+
+
+def _ginibre_factors(rngs, k, n, rank):
+    """``(k, B, n, rank)`` complex Gaussian factors, rank defaulting to n.
+    Generator b makes one draw into row b of a ``(B, k, 2, n, rank)`` float
+    buffer, whose C order (real then imaginary part of each factor in turn)
+    is the order of 2k separate ``(n, rank)`` draws."""
+    rank = n if rank is None else rank
+    if rank < 1:
+        raise BadRank(f"rank must be at least 1, got {rank}")
+    buf = np.empty((len(rngs), k, 2, n, rank))
+    for b, rng in enumerate(rngs):
+        rng.standard_normal(out=buf[b])
+    g = np.empty((k, len(rngs), n, rank), dtype=np.complex128)
+    g.real, g.imag = buf.transpose(2, 1, 0, 3, 4)
+    return g
 
 
 def random_channel(n, k=None, seed=None):

@@ -398,12 +398,12 @@ def condition_rate(dim=4, samples=1000, seed=42, commuting=False, environment=No
 
 
 def _random_commuting_pairs(rngs, dim):
-    """Diagonal (rho, sigma) stacks with Dirichlet spectra, rho first."""
-    draws = np.array([(rng.dirichlet(np.ones(dim)), rng.dirichlet(np.ones(dim)))
-                      for rng in rngs])
-    mats = np.zeros(draws.shape + (dim,))
-    idx = np.arange(dim)
-    mats[..., idx, idx] = draws
+    """Diagonal (rho, sigma) stacks with Dirichlet spectra, rho first; each
+    generator draws both spectra in one call."""
+    spectra = np.empty((len(rngs), 2, dim))
+    for b, rng in enumerate(rngs):
+        spectra[b] = rng.dirichlet(np.ones(dim), size=2)
+    mats = spectra[..., None] * np.eye(dim)
     return DensityStack(mats[:, 0]), DensityStack(mats[:, 1])
 
 

@@ -18,7 +18,7 @@ from qfdiv.cli import (
     parse_state_file,
     write_state_file,
 )
-from qfdiv.divergence import max_relative_entropy, trace_distance
+from qfdiv.divergence import max_relative_entropy, quantum_relative_entropy, trace_distance
 from qfdiv.errors import InvariantViolation, OutOfRange, ParseError
 from qfdiv.generators import BUILTIN_NAMES, builtin_generator
 from qfdiv.states import random_density, satisfies_abs_condition, substream
@@ -301,14 +301,15 @@ def test_compare_bounds_numbers_match_the_scalar_functions(
 
         monkeypatch.setattr(cli, name, record)
 
-    for name in ("build_witness", "abs_condition_rows", "quantum_chi2",
-                 "reverse_pinsker_report", "pinsker_chi2_lower",
+    for name in ("witness_batch", "relative_entropy_rows", "abs_condition_rows",
+                 "quantum_chi2", "reverse_pinsker_report", "pinsker_chi2_lower",
                  "audenaert_eisert_rows"):
         spy(name)
     assert run_cli("compare-bounds", rho_path, sigma_path, "--out", tmp_path) == 0
     out = capsys.readouterr().out
 
-    (w,) = seen["build_witness"]
+    (batch,) = seen["witness_batch"]
+    w = batch.row(0)
     ((holds, diff_spectra),) = seen["abs_condition_rows"]
     (chi2,) = seen["quantum_chi2"]
     (envelope,) = seen["pinsker_chi2_lower"]
@@ -322,6 +323,11 @@ def test_compare_bounds_numbers_match_the_scalar_functions(
     # two routes to D_max: ln M of the witness and sigma^{-1/2} rho sigma^{-1/2}
     assert dmax == pytest.approx(max_relative_entropy(rho, sigma), rel=1e-12)
     assert envelope == pytest.approx(pin.lhs, rel=1e-12)
+    # the printed relative entropy reads the witness's sigma eigendecomposition;
+    # quantum_relative_entropy diagonalizes sigma on its own
+    ((relent,),) = seen["relative_entropy_rows"]
+    assert f"\nrelative entropy: {relent:.12g} nats\n" in out
+    assert relent == pytest.approx(quantum_relative_entropy(rho, sigma), rel=1e-12)
     assert chi2 - envelope == pytest.approx(pin.slack, rel=1e-12)
     assert ae[0] == pytest.approx(audenaert_eisert_bound(rho, sigma), rel=1e-12)
     reports = seen["reverse_pinsker_report"]

@@ -20,6 +20,7 @@ from qfdiv.states import (
     apply_channel,
     completeness_defect,
     diagonal_state,
+    ginibre_states,
     random_channel,
     random_density,
     random_pairs,
@@ -263,6 +264,29 @@ def test_random_pairs_stack_exactly_the_one_at_a_time_draws():
         assert np.array_equal(rho.mats[i], one_rho.mat)
         assert np.array_equal(sigma.mats[i], one_sigma.mat)
         assert np.array_equal(rho.row(i).spectrum, one_rho.spectrum)
+
+
+@pytest.mark.parametrize("n, rank", [(2, 1), (4, 8), (8, 3)])
+def test_random_pairs_match_four_explicit_gaussian_draws(n, rank):
+    # reference: rho re, rho im, sigma re, sigma im as four separate draws,
+    # which is the stream order the single-draw sampler must reproduce
+    keys = range(5)
+    rngs = [substream(15, n, i) for i in keys]
+    rho, sigma = random_pairs(rngs, n, rank)
+    factors, after = [], []
+    for i in keys:
+        rng = substream(15, n, i)
+        draws = [rng.standard_normal((n, rank)) for _ in range(4)]
+        factors.append([draws[0] + 1j * draws[1], draws[2] + 1j * draws[3]])
+        after.append(rng.random())
+    factors = np.array(factors)
+    want_rho, want_sigma = ginibre_states(factors[:, 0]), ginibre_states(factors[:, 1])
+    assert np.array_equal(rho.mats, want_rho.mats)
+    assert np.array_equal(sigma.mats, want_sigma.mats)
+    assert np.array_equal(rho.spectra, want_rho.spectra)
+    assert np.array_equal(sigma.spectra, want_sigma.spectra)
+    # the stream continues where four draws leave it (dpi_suite relies on it)
+    assert [rng.random() for rng in rngs] == after
 
 
 def test_density_stack_names_the_lowest_failing_row():

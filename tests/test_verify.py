@@ -1,9 +1,12 @@
 """Tests for the seeded Monte Carlo verification suites."""
 
+import numpy as np
 import pytest
 
 from qfdiv.generators import builtin_generator
+from qfdiv.states import substream
 from qfdiv.verify import (
+    _random_commuting_pairs,
     binette_sharpness_search,
     condition_rate,
     dpi_suite,
@@ -102,6 +105,19 @@ def test_condition_rate_is_one_for_commuting_pairs():
     result = condition_rate(dim=4, samples=200, seed=42, commuting=True)
     assert result.extras["rate"] == 1.0
     assert result.passed
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 8])
+def test_commuting_pairs_match_two_dirichlet_draws(dim):
+    rngs = [substream(16, dim, i) for i in range(20)]
+    rho, sigma = _random_commuting_pairs(rngs, dim)
+    for i, rng in enumerate(rngs):
+        again = substream(16, dim, i)
+        p = again.dirichlet(np.ones(dim))
+        q = again.dirichlet(np.ones(dim))
+        assert np.array_equal(rho.mats[i], np.diag(p).astype(complex))
+        assert np.array_equal(sigma.mats[i], np.diag(q).astype(complex))
+        assert rng.random() == again.random()
 
 
 def test_condition_rate_exceeds_eighty_percent_for_environment_doubled():
