@@ -25,14 +25,10 @@ from .divergence import (
 from .errors import QfdivError
 from .generators import BUILTIN_NAMES, FGenerator, builtin_generator
 from .maximal import (
-    Extremes,
     Witness,
     WitnessBatch,
     WitnessReport,
     build_witness,
-    check_dpi_maximal,
-    check_maximality,
-    extremes_mM,
     maximal_f_div,
     verify_witness,
     witness_batch,
@@ -57,7 +53,6 @@ __all__ = [
     "BoundReport",
     "ClassicalDistribution",
     "DensityMatrix",
-    "Extremes",
     "FGenerator",
     "QfdivError",
     "QuantumChannel",
@@ -71,14 +66,11 @@ __all__ = [
     "build_witness",
     "builtin_generator",
     "check_audenaert_eisert",
-    "check_dpi_maximal",
-    "check_maximality",
     "check_quantum_pinsker_chi2",
     "check_reverse_pinsker_quantum",
     "classical_f_div",
     "decoherence_bounds",
     "diagonal_state",
-    "extremes_mM",
     "max_relative_entropy",
     "maximal_f_div",
     "pinsker_chi2_lower",

@@ -70,10 +70,6 @@ class SamplingBudgetExceeded(QfdivError, RuntimeError):
     requested sample."""
 
 
-class NotOperatorConvex(QfdivError, ValueError):
-    """Operation requires an operator-convex generator."""
-
-
 class ParseError(QfdivError, ValueError):
     """A state file could not be parsed."""
 

@@ -19,20 +19,13 @@ from .bounds import (
     zeta1_closed,
     zeta1_integral,
 )
-from .divergence import classical_f_div, quantum_chi2, quantum_relative_entropy, trace_distance
+from .divergence import quantum_chi2, quantum_relative_entropy, trace_distance
 from .errors import SingularState
 from .generators import builtin_generator
 from .linalg import matrix_function_psd, matrix_polynomial
-from .maximal import (
-    WITNESS_TOL,
-    build_witness,
-    check_dpi_maximal,
-    maximal_f_div,
-    verify_witness,
-)
+from .maximal import WITNESS_TOL, build_witness, verify_witness
 from .states import (
     CHUNK_ROWS,
-    ClassicalDistribution,
     DensityStack,
     abs_condition_rows,
     apply_channel,
@@ -70,20 +63,30 @@ def random_pair(dim, rng, rank=None):
 
 
 def witness_suite(dims=(2, 3, 4, 8), pairs_per_dim=100, seed=42):
-    """Worst witness residual over random full-rank pairs and all builtins."""
-    gens = [builtin_generator(name) for name in ("kl", "chi2", "tv")]
+    """Worst witness residual over random full-rank pairs.
+
+    One :func:`verify_witness` report per pair serves every builtin
+    generator: its residuals do not depend on ``f`` (see there), so the kl
+    report is the report of each of them.
+    """
+    kl = builtin_generator("kl")
     worst = 0.0
     for dim in dims:
         for i in range(pairs_per_dim):
             rho, sigma = random_pair(dim, substream(seed, dim, i))
-            for f in gens:
-                report = verify_witness(rho, sigma, f, tol=WITNESS_TOL)
-                worst = max(worst, report.worst)
+            worst = max(worst, verify_witness(rho, sigma, kl).worst)
     return SuiteResult("witness", worst, WITNESS_TOL)
 
 
 def dpi_suite(dim=4, trials=100, seed=42):
     """Monotonicity of the maximal divergence under random channels.
+
+    Trial i draws a pair and then a channel Phi from ``substream(seed, i)``.
+    It builds the witness of each of its four distinct pairs once and reads
+    kl, chi2 and tv from it: (rho, sigma), (Phi rho, Phi sigma), the witness
+    pair (diag r, diag s), and that pair's image under the recovery channel V.
+    A trial is skipped (``extras['skipped']``) when sigma or Phi sigma is
+    too close to singular for the first two witnesses.
 
     ``worst`` is the largest increase after a channel for the operator-convex
     builtins; equality through the witness recovery channel is tracked in
@@ -94,8 +97,7 @@ def dpi_suite(dim=4, trials=100, seed=42):
     measured out of curiosity (``extras['tv_increase_rate']``) but never
     asserted.
     """
-    kl = builtin_generator("kl")
-    chi2 = builtin_generator("chi2")
+    convex = [builtin_generator(name) for name in ("kl", "chi2")]
     tv = builtin_generator("tv")
     worst = 0.0
     equality_worst = 0.0
@@ -106,25 +108,27 @@ def dpi_suite(dim=4, trials=100, seed=42):
         rho, sigma = random_pair(dim, rng)
         channel = random_channel(dim, seed=rng)
         try:
-            for f in (kl, chi2):
-                before, after = check_dpi_maximal(rho, sigma, channel, f)
-                worst = max(worst, after - before)
-            tv_before = maximal_f_div(rho, sigma, tv)
-            tv_after = maximal_f_div(
-                apply_channel(channel, rho), apply_channel(channel, sigma), tv
+            before = build_witness(rho, sigma)
+            after = build_witness(
+                apply_channel(channel, rho), apply_channel(channel, sigma)
             )
-            if tv_after > tv_before + INEQUALITY_TOL:
-                tv_increases += 1
         except SingularState:
             skipped += 1
             continue
-        w = build_witness(rho, sigma)
-        diag_r = diagonal_state(w.r)
-        diag_s = diagonal_state(w.s)
-        for f in (kl, chi2):
-            before, after = check_dpi_maximal(diag_r, diag_s, w.channel, f)
-            scale = max(1.0, abs(before))
-            equality_worst = max(equality_worst, abs(after - before) / scale)
+        for f in convex:
+            worst = max(worst, after.f_divergence(f) - before.f_divergence(f))
+        if after.f_divergence(tv) > before.f_divergence(tv) + INEQUALITY_TOL:
+            tv_increases += 1
+        diag_r = diagonal_state(before.r)
+        diag_s = diagonal_state(before.s)
+        classical = build_witness(diag_r, diag_s)
+        recovered = build_witness(
+            apply_channel(before.channel, diag_r), apply_channel(before.channel, diag_s)
+        )
+        for f in convex:
+            d = classical.f_divergence(f)
+            gap = abs(recovered.f_divergence(f) - d) / max(1.0, abs(d))
+            equality_worst = max(equality_worst, gap)
     return SuiteResult(
         "dpi",
         worst,
@@ -173,13 +177,12 @@ def pinsker_suite(dim=4, samples=1000, seed=42):
     return SuiteResult("pinsker", worst, INEQUALITY_TOL)
 
 
-def reverse_pinsker_suite(dim=4, samples=1000, seed=42, environment=None):
+def reverse_pinsker_suite(dim=4, samples=1000, seed=42):
     """Trace-distance reverse-Pinsker bound on condition-satisfying pairs.
 
-    Sampling defaults to the environment-doubled Ginibre ensemble
-    (``environment = 2 dim``), where the condition |rho - sigma| <= rho + sigma
-    holds for most pairs; pass ``environment = dim`` for plain
-    Hilbert-Schmidt draws.  Only condition-satisfying pairs enter ``worst``.
+    Pairs come from the environment-doubled Ginibre ensemble (rank 2 dim),
+    where the condition |rho - sigma| <= rho + sigma holds for most pairs.
+    Only condition-satisfying pairs enter ``worst``.
 
     ``worst`` measures the trace-distance form for the MAXIMAL divergence,
     ``D_f^max <= binette_rhs(m, M, ||rho - sigma||_1, f)``, and this suite
@@ -206,8 +209,6 @@ def reverse_pinsker_suite(dim=4, samples=1000, seed=42, environment=None):
     Per-generator violation counts of the trace-distance form are reported
     in ``extras`` too.
     """
-    if environment is None:
-        environment = 2 * dim
     gens = [builtin_generator(name) for name in ("kl", "chi2", "tv")]
     kl = gens[0]
     worst = 0.0
@@ -216,7 +217,7 @@ def reverse_pinsker_suite(dim=4, samples=1000, seed=42, environment=None):
     witness_form_worst = 0.0
     relent_form_worst = -math.inf
     for i in range(samples):
-        rho, sigma = random_pair(dim, substream(seed, i), rank=environment)
+        rho, sigma = random_pair(dim, substream(seed, i), rank=2 * dim)
         w = build_witness(rho, sigma)
         t = trace_distance(rho, sigma)
         if t < 1e-8:
@@ -251,7 +252,7 @@ def reverse_pinsker_suite(dim=4, samples=1000, seed=42, environment=None):
     return SuiteResult("reverse-pinsker", worst, INEQUALITY_TOL, extras=extras)
 
 
-def witness_binette_suite(dim=4, samples=1000, seed=42, environment=None):
+def witness_binette_suite(dim=4, samples=1000, seed=42):
     """Sharp classical reverse-Pinsker bound evaluated on the witness pair.
 
     For every pair, ``D_f(r||s) <= binette_rhs(m, M, ||r - s||_1, f)`` where
@@ -259,15 +260,14 @@ def witness_binette_suite(dim=4, samples=1000, seed=42, environment=None):
     form of the bound that holds unconditionally (no positivity condition
     on the states is needed), so the suite must pass at near machine
     precision; it certifies the witness construction and the bound
-    evaluation jointly.
+    evaluation jointly.  Pairs come from the environment-doubled Ginibre
+    ensemble (rank 2 dim), as in :func:`reverse_pinsker_suite`.
     """
-    if environment is None:
-        environment = 2 * dim
     gens = [builtin_generator(name) for name in ("kl", "chi2", "tv")]
     worst = 0.0
     skipped = 0
     for i in range(samples):
-        rho, sigma = random_pair(dim, substream(seed, i), rank=environment)
+        rho, sigma = random_pair(dim, substream(seed, i), rank=2 * dim)
         w = build_witness(rho, sigma)
         m = float(w.lambdas[0])
         big_m = float(w.lambdas[-1])
@@ -405,49 +405,3 @@ def _random_commuting_pairs(rngs, dim):
         spectra[b] = rng.dirichlet(np.ones(dim), size=2)
     mats = spectra[..., None] * np.eye(dim)
     return DensityStack(mats[:, 0]), DensityStack(mats[:, 1])
-
-
-def binette_sharpness_search(m, M, f, coarse=2000, rounds=40, seed=7):
-    """Best achieved ratio D_f(p || q) / reverse-Pinsker rhs over ternary pairs.
-
-    Candidates are q = (a, b, c), p = (m a, t, M c) with b, t fixed by
-    normalization and the middle likelihood ratio constrained to [m, M], so
-    (m, M) stay the extremes.  Coarse random search plus a shrinking-box
-    refinement around the best point; returns the best ratio found (the bound
-    is tight, so this approaches 1 from below).
-    """
-
-    def ratio(a, c):
-        b = 1.0 - a - c
-        t = 1.0 - m * a - M * c
-        if a <= 0.0 or c <= 0.0 or b <= 0.0 or t <= 0.0:
-            return -math.inf
-        mid = t / b
-        if not (m <= mid <= M):
-            return -math.inf
-        p = ClassicalDistribution(np.array([m * a, t, M * c]), tol=1e-9)
-        q = ClassicalDistribution(np.array([a, b, c]), tol=1e-9)
-        tdist = float(np.sum(np.abs(p.probs - q.probs)))
-        if tdist <= 0.0:
-            return -math.inf
-        return classical_f_div(p, q, f) / binette_rhs(m, M, tdist, f)
-
-    rng = substream(seed, 303)
-    best = -math.inf
-    best_ac = (0.25, 0.25)
-    for _ in range(coarse):
-        a, c = rng.uniform(0.0, 1.0, size=2)
-        val = ratio(a, c)
-        if val > best:
-            best, best_ac = val, (a, c)
-    radius = 0.25
-    for _ in range(rounds):
-        a0, c0 = best_ac
-        for _ in range(50):
-            a = a0 + rng.uniform(-radius, radius)
-            c = c0 + rng.uniform(-radius, radius)
-            val = ratio(a, c)
-            if val > best:
-                best, best_ac = val, (a, c)
-        radius *= 0.7
-    return best

@@ -10,14 +10,12 @@ from qfdiv.divergence import (
     classical_f_div,
     max_relative_entropy,
     quantum_chi2,
-    quantum_relative_entropy,
     trace_distance,
 )
 from qfdiv import maximal
 from qfdiv.errors import (
     DimensionMismatch,
     NegativeSpectrum,
-    NotOperatorConvex,
     SingularState,
 )
 from qfdiv.generators import FGenerator, builtin_generator
@@ -26,9 +24,6 @@ from qfdiv.maximal import (
     WITNESS_TOL,
     Witness,
     build_witness,
-    check_dpi_maximal,
-    check_maximality,
-    extremes_mM,
     maximal_f_div,
     verify_witness,
     witness_batch,
@@ -89,12 +84,6 @@ def test_witness_hand_case_report_passes():
         "kraus_completeness",
         "divergence_match",
     }
-
-
-def test_extremes_hand_case():
-    ext = extremes_mM(plus_state(), maximally_mixed())
-    assert ext.m == pytest.approx(0.0, abs=1e-12)
-    assert ext.M == pytest.approx(2.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -169,27 +158,15 @@ def test_chi2_maximal_coincides_with_standard_quantum_chi2():
     assert worst <= 1e-9
 
 
-def test_maximality_dominates_standard_divergences():
-    for i in range(100):
-        rho = random_density(4, seed=substream(45, i, 0))
-        sigma = random_density(4, seed=substream(45, i, 1))
-        rep = check_maximality(rho, sigma)
-        assert rep["kl_slack"] >= -1e-10
-        assert rep["tv_slack"] >= -1e-10
-        assert rep["chi2_mismatch"] <= 1e-9
-        assert rep["max_kl"] >= rep["relative_entropy"] - 1e-10
-        assert rep["max_tv"] >= rep["trace_distance"] - 1e-10
-
-
 def test_extremes_match_max_relative_entropy_in_both_directions():
     for i in range(50):
         rho = random_density(4, seed=substream(46, i, 0))
         sigma = random_density(4, seed=substream(46, i, 1))
-        ext = extremes_mM(rho, sigma)
-        assert math.log(ext.M) == pytest.approx(
+        lambdas = build_witness(rho, sigma).lambdas
+        assert math.log(lambdas[-1]) == pytest.approx(
             max_relative_entropy(rho, sigma), abs=1e-9
         )
-        assert -math.log(ext.m) == pytest.approx(
+        assert -math.log(lambdas[0]) == pytest.approx(
             max_relative_entropy(sigma, rho), abs=1e-9
         )
 
@@ -242,17 +219,10 @@ def test_dpi_holds_for_operator_convex_generators():
         rho = random_density(3, seed=substream(48, i, 0))
         sigma = random_density(3, seed=substream(48, i, 1))
         ch = random_channel(3, seed=substream(48, i, 2))
+        before = build_witness(rho, sigma)
+        after = build_witness(apply_channel(ch, rho), apply_channel(ch, sigma))
         for f in (KL, CHI2):
-            before, after = check_dpi_maximal(rho, sigma, ch, f)
-            assert after <= before + 1e-8
-
-
-def test_dpi_rejects_non_operator_convex_generator():
-    rho = random_density(2, seed=substream(49, 0))
-    sigma = random_density(2, seed=substream(49, 1))
-    ch = random_channel(2, seed=substream(49, 2))
-    with pytest.raises(NotOperatorConvex):
-        check_dpi_maximal(rho, sigma, ch, TV)
+            assert after.f_divergence(f) <= before.f_divergence(f) + 1e-8
 
 
 def test_witness_channel_attains_dpi_equality():
@@ -262,9 +232,11 @@ def test_witness_channel_attains_dpi_equality():
         rho = random_density(4, seed=substream(50, i, 0))
         sigma = random_density(4, seed=substream(50, i, 1))
         w = build_witness(rho, sigma)
-        before, after = check_dpi_maximal(
-            diagonal_state(w.r), diagonal_state(w.s), w.channel, KL
-        )
+        diag_r, diag_s = diagonal_state(w.r), diagonal_state(w.s)
+        before = build_witness(diag_r, diag_s).f_divergence(KL)
+        after = build_witness(
+            apply_channel(w.channel, diag_r), apply_channel(w.channel, diag_s)
+        ).f_divergence(KL)
         assert after == pytest.approx(before, abs=1e-9)
         assert before == pytest.approx(w.f_divergence(KL), abs=1e-9)
 

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from qfdiv import maximal, verify
+from qfdiv.bounds import binette_rhs
+from qfdiv.divergence import classical_f_div
 from qfdiv.generators import builtin_generator
-from qfdiv.states import substream
+from qfdiv.states import ClassicalDistribution, QuantumChannel, substream
 from qfdiv.verify import (
     _random_commuting_pairs,
-    binette_sharpness_search,
     condition_rate,
     dpi_suite,
     maximality_suite,
@@ -23,6 +25,49 @@ from qfdiv.verify import (
 KL = builtin_generator("kl")
 CHI2 = builtin_generator("chi2")
 TV = builtin_generator("tv")
+
+
+def _count_witness_builds(monkeypatch):
+    calls = []
+    real = maximal.witness_batch
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(maximal, "witness_batch", counting)
+    return calls
+
+
+def test_witness_suite_builds_two_witnesses_per_pair(monkeypatch):
+    # one verify_witness report per pair: its own build plus the one behind
+    # the divergence_match residual
+    calls = _count_witness_builds(monkeypatch)
+    witness_suite(dims=(2, 3), pairs_per_dim=3, seed=42)
+    assert len(calls) == 2 * 6
+
+
+def test_dpi_suite_builds_each_distinct_pair_once(monkeypatch):
+    # (rho, sigma), the channel outputs, (diag r, diag s) and its recovery
+    calls = _count_witness_builds(monkeypatch)
+    result = dpi_suite(dim=3, trials=3, seed=42)
+    assert result.extras["skipped"] == 0
+    assert len(calls) == 4 * 3
+
+
+def test_dpi_suite_skips_trials_whose_channel_output_is_singular(monkeypatch):
+    # every Kraus operator |0><k| maps each state to |0><0|, so Phi sigma
+    # is singular and no trial reaches the equality check
+    def reset_channel(dim, seed):
+        kraus = np.zeros((dim, dim, dim), dtype=complex)
+        kraus[np.arange(dim), 0, np.arange(dim)] = 1.0
+        return QuantumChannel(kraus)
+
+    monkeypatch.setattr(verify, "random_channel", reset_channel)
+    result = dpi_suite(dim=3, trials=4, seed=42)
+    assert result.extras["skipped"] == 4
+    assert result.worst == 0.0
+    assert result.extras["equality_worst"] == 0.0
 
 
 def test_witness_suite_passes():
@@ -135,9 +180,19 @@ def test_condition_rate_is_rare_for_square_hilbert_schmidt():
 
 @pytest.mark.parametrize("f", [KL, CHI2, TV], ids=lambda f: f.name)
 def test_binette_bound_is_numerically_sharp(f):
-    best = binette_sharpness_search(0.5, 2.0, f)
-    assert best >= 1.0 - 1e-4
-    assert best <= 1.0 + 1e-9
+    # The extremal ternary pair q = (a, 1-a-c, c), p = (m a, 1-a-c, M c)
+    # with (1-m) a = (M-1) c = t/2 has total variation t and likelihood
+    # ratios m, 1, M, and attains the bound exactly.
+    t = 0.4
+    for m, M in ((0.5, 2.0), (0.1, 10.0), (0.0, 3.0)):
+        a = t / (2.0 * (1.0 - m))
+        c = t / (2.0 * (M - 1.0))
+        assert a + c < 1.0
+        q = np.array([a, 1.0 - a - c, c])
+        p = np.array([m * a, 1.0 - a - c, M * c])
+        div = classical_f_div(ClassicalDistribution(p), ClassicalDistribution(q), f)
+        rhs = binette_rhs(m, M, float(np.abs(p - q).sum()), f)
+        assert div / rhs == pytest.approx(1.0, rel=0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("samples, rate", [(1000, 0.814), (10000, 0.805)])
