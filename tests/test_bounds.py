@@ -32,7 +32,6 @@ from qfdiv.errors import (
 from qfdiv.generators import builtin_generator
 from qfdiv.maximal import build_witness
 from qfdiv.states import (
-    ClassicalDistribution,
     diagonal_state,
     random_density,
     satisfies_abs_condition,

@@ -42,6 +42,16 @@ def test_config_validates_its_fields():
         ExperimentConfig(lam=0.0)
     with pytest.raises(OutOfRange):
         ExperimentConfig(quad_tol=-1e-9)
+    with pytest.raises(OutOfRange):
+        ExperimentConfig(seed=-1)
+
+
+@pytest.mark.parametrize("command", ["condition-rate", "fig2", "verify"])
+def test_negative_seed_is_an_invalid_configuration(tmp_path, capsys, command):
+    assert run_cli(command, "--samples", 10, "--seed", -1, "--out", tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration: seed must be nonnegative")
+    assert "Traceback" not in err
 
 
 def test_state_file_round_trip_is_bit_exact(tmp_path):

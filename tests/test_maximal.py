@@ -22,7 +22,6 @@ from qfdiv.generators import FGenerator, builtin_generator
 from qfdiv.linalg import hermitian_eig, inv_sqrt_psd, matrix_polynomial
 from qfdiv.maximal import (
     WITNESS_TOL,
-    Witness,
     build_witness,
     maximal_f_div,
     verify_witness,

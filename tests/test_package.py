@@ -1,9 +1,56 @@
-"""Tests for the package's public namespace."""
+"""Tests for the package's public namespace, its import cost, and its imports."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import qfdiv
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_every_export_resolves_once():
     assert len(set(qfdiv.__all__)) == len(qfdiv.__all__)
     missing = [name for name in qfdiv.__all__ if getattr(qfdiv, name, None) is None]
     assert missing == []
+
+
+def test_importing_the_cli_loads_neither_numpy_random_nor_the_seeding_hash():
+    code = ("import sys\n"
+            "import qfdiv.cli\n"
+            "print(sorted(m for m in ('numpy.random', 'qfdiv._seeding') if m in sys.modules))\n")
+    out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                         text=True, cwd=ROOT, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert out.stdout.strip() == "[]"
+
+
+def _unread_imports(path):
+    """Names a module imports but never reads; lines marked ``# noqa: F401``
+    and names listed in ``__all__`` count as read."""
+    source = path.read_text()
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if "# noqa: F401" in lines[node.end_lineno - 1]:
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            read |= {elt.value for elt in node.value.elts}
+    return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+def test_every_import_in_src_and_tests_is_read():
+    files = sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").rglob("*.py")])
+    unread = {str(p.relative_to(ROOT)): _unread_imports(p) for p in files}
+    assert {p: names for p, names in unread.items() if names} == {}

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from conftest import maximally_mixed, plus_state
 
+from qfdiv import _seeding
 from qfdiv.errors import (
     BadRank,
     DimensionMismatch,
@@ -12,6 +13,7 @@ from qfdiv.errors import (
 )
 from qfdiv.states import (
     CHANNEL_TOL,
+    MAX_INDEX,
     ClassicalDistribution,
     DensityMatrix,
     DensityStack,
@@ -27,6 +29,7 @@ from qfdiv.states import (
     regularize,
     satisfies_abs_condition,
     substream,
+    substreams,
 )
 
 
@@ -162,6 +165,37 @@ def test_substream_is_deterministic_and_keyed():
     c = random_density(4, seed=substream(5, 4)).mat
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+ORACLE_INDICES = [*range(300), MAX_INDEX]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42, 2**31 - 2, 2**32, 2**64 + 3])
+@pytest.mark.parametrize("prefix", [(), (4,), (0, 3), (2**33,)])
+def test_substreams_match_one_seed_sequence_per_index(seed, prefix):
+    words = _seeding.seed_states(seed, prefix, np.array(ORACLE_INDICES, dtype=np.uint32))
+    rngs = substreams(seed, prefix, ORACLE_INDICES)
+    assert len(rngs) == len(ORACLE_INDICES)
+    for b, i in enumerate(ORACLE_INDICES):
+        expected = np.random.SeedSequence(seed, spawn_key=(*prefix, i))
+        assert np.array_equal(words[b], expected.generate_state(4, np.uint64))
+        oracle = substream(seed, *prefix, i)
+        assert rngs[b].bit_generator.state == oracle.bit_generator.state
+        assert np.array_equal(rngs[b].standard_normal(17), oracle.standard_normal(17))
+
+
+def test_substreams_reject_what_one_index_word_cannot_hold():
+    for indices in ([MAX_INDEX + 1], [0, 2**64 + 3], [-1], [0.5]):
+        with pytest.raises(OutOfRange):
+            substreams(1, (), indices)
+
+
+@pytest.mark.parametrize("seed, key", [(-1, ()), (3, (-2,)), (3, (0, -1)), (None, (0,))])
+def test_substream_and_substreams_reject_negative_seeds_and_keys(seed, key):
+    with pytest.raises(OutOfRange):
+        substream(seed, *key)
+    with pytest.raises(OutOfRange):
+        substreams(seed, key, [0, 1])
 
 
 @pytest.mark.parametrize("n,k", [(2, 1), (2, 2), (3, 4)])
