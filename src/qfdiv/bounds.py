@@ -17,9 +17,8 @@ from .errors import (
     NoSecondDerivative,
     OutOfRange,
     QuadratureFailure,
-    SingularState,
 )
-from .linalg import SINGULAR_EPS, raise_first_failure
+from .linalg import _scalar, raise_first_failure, singular_check
 from .maximal import build_witness
 from .states import abs_condition_rows
 
@@ -40,18 +39,26 @@ class BoundReport:
     condition_met: bool = True
 
 
+def _trace_distance_check(t):
+    return (~((0.0 <= t) & (t <= 2.0)), lambda i, where: OutOfRange(
+        f"{where}trace distance {t.flat[i]} outside [0, 2]"))
+
+
+def _extremes_check(m, M):
+    return (~((0.0 <= m) & (m < 1.0) & (1.0 < M)), lambda i, where: DegenerateExtremes(
+        f"{where}need 0 <= m < 1 < M, got m={m.flat[i]}, M={M.flat[i]}"))
+
+
 def pinsker_chi2_lower(t):
-    """Sharp lower envelope of the chi-squared divergence at trace distance t.
+    """Sharp lower envelope of the chi-squared divergence at trace distance t,
+    entrywise.
 
     Piecewise: t^2 on [0, 1], t / (2 - t) on (1, 2]; unbounded as t -> 2.
     """
-    if not 0.0 <= t <= 2.0:
-        raise OutOfRange(f"trace distance {t} outside [0, 2]")
-    if t <= 1.0:
-        return t * t
-    if t == 2.0:
-        return math.inf
-    return t / (2.0 - t)
+    t = np.asarray(t, dtype=float)
+    raise_first_failure([_trace_distance_check(t)])
+    with np.errstate(divide="ignore"):
+        return _scalar(np.where(t <= 1.0, t * t, t / (2.0 - t)))
 
 
 def check_quantum_pinsker_chi2(rho, sigma):
@@ -87,12 +94,14 @@ def decoherence_bounds(chi2_0, lam, t):
 
 
 def binette_rhs(m, M, t, f):
-    """Reverse-Pinsker right side (t/2) ``zeta1_closed(m, M, f)``.
+    """Reverse-Pinsker right side (t/2) ``zeta1_closed(m, M, f)``, entrywise
+    over arrays of one shape.
 
-    Needs t in [0, 2] and non-degenerate extremes 0 <= m < 1 < M.
+    Needs t in [0, 2] and non-degenerate extremes 0 <= m < 1 < M; arrays
+    raise for their lowest bad entry.
     """
-    if not 0.0 <= t <= 2.0:
-        raise OutOfRange(f"trace distance {t} outside [0, 2]")
+    m, M, t = (np.asarray(x, dtype=float) for x in (m, M, t))
+    raise_first_failure([_trace_distance_check(t), _extremes_check(m, M)])
     return (t / 2.0) * zeta1_closed(m, M, f)
 
 
@@ -109,18 +118,9 @@ def check_reverse_pinsker_quantum(rho, sigma, f):
     recovery channel, with strict inequality for non-commuting pairs,
     condition or not (for f(x) = |x - 1| the left side IS ||r - s||_1 and
     the right side is exactly ||rho - sigma||_1, so violations there are
-    generic).  Two forms do hold:
-
-    * Binette's classical inequality on the witness pair itself,
-      rhs = binette_rhs(m, M, ||r - s||_1, f); see
-      ``verify.witness_binette_suite``;
-    * the trace-distance form for the Umegaki relative entropy,
-      D(rho||sigma) <= binette_rhs(m, M, ||rho - sigma||_1, kl).  In the
-      hockey-stick integral D = int_1^inf E_g(rho||sigma)/g +
-      E_g(sigma||rho)/g^2 dg, each E_g(a||b) = tr(a - g b)_+ is convex in
-      g, equals t/2 at g = 1 and vanishes for g >= M (resp. g >= 1/m); the
-      chord bound then gives (t/2) ``zeta1_integral(m, M, kl)``, which is
-      ``zeta1_closed(m, M, kl)``.
+    generic).  Two forms do hold, Binette's inequality on the witness pair
+    itself and the trace-distance form for the Umegaki relative entropy;
+    ``verify.reverse_pinsker_and_binette`` checks both and says why.
 
     Coinciding states short-circuit to the trivial report 0 <= 0 without
     building a witness.  The condition and t come from one
@@ -150,10 +150,11 @@ def reverse_pinsker_report(witness, t, condition, f):
 
 
 def zeta1_closed(m, M, f):
-    """Closed form f(M)/(M-1) + f(m)/(1-m) of the unit-radius bound."""
-    if not (0.0 <= m < 1.0 < M):
-        raise DegenerateExtremes(f"need 0 <= m < 1 < M, got m={m}, M={M}")
-    return f.at(M) / (M - 1.0) + f.at(m) / (1.0 - m)
+    """Closed form f(M)/(M-1) + f(m)/(1-m) of the unit-radius bound,
+    entrywise over arrays of one shape."""
+    m, M = (np.asarray(x, dtype=float) for x in (m, M))
+    raise_first_failure([_extremes_check(m, M)])
+    return f.values(M) / (M - 1.0) + f.values(m) / (1.0 - m)
 
 
 def zeta1_integral(m, M, f, quad_tol=DEFAULT_QUAD_TOL):
@@ -226,8 +227,7 @@ def audenaert_eisert_rows(t, alpha, beta):
     least eigenvalues alpha of rho and beta of sigma (see
     :func:`audenaert_eisert_bound`)."""
     t, alpha, beta = (np.asarray(x, dtype=float) for x in (t, alpha, beta))
-    raise_first_failure([(beta <= SINGULAR_EPS, lambda i, where: SingularState(
-        f"{where}sigma has min eigenvalue {beta[i]:.3e}"))])
+    raise_first_failure([singular_check(beta)])
     alpha = np.maximum(alpha, 0.0)
     first = (beta + t / 2.0) * np.log1p(t / (2.0 * beta))
     kept = alpha >= AE_ALPHA_FLOOR

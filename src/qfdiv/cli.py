@@ -17,6 +17,7 @@ import numpy as np
 
 from . import verify as suites
 from .bounds import (
+    DEFAULT_QUAD_TOL,
     audenaert_eisert_rows,
     binette_rhs,
     decoherence_bounds,
@@ -39,7 +40,6 @@ from .generators import BUILTIN_NAMES, builtin_generator
 from .maximal import build_witness, verify_witness, witness_batch  # noqa: F401
 from .states import (
     CHUNK_ROWS,
-    CONDITION_TOL,
     DensityMatrix,
     abs_condition_rows,
     random_pairs,
@@ -62,7 +62,7 @@ class ExperimentConfig:
     seed: int = 42
     lam: float = 0.1
     chi2_0_list: tuple = DEFAULT_CHI0
-    quad_tol: float = 1e-8
+    quad_tol: float = DEFAULT_QUAD_TOL
     out_dir: Path = field(default_factory=lambda: Path("."))
 
     def __post_init__(self):
@@ -88,7 +88,7 @@ def parse_state_file(path):
     """Read a density matrix from the plain-text state format.
 
     Line 1 holds the dimension n; each of the next n lines holds n entries
-    formatted "re,im" separated by whitespace.
+    formatted "re,im" separated by whitespace.  Every number must be finite.
     """
     try:
         with open(path, "r", encoding="ascii") as fh:
@@ -122,8 +122,12 @@ def parse_state_file(path):
             except ValueError as exc:
                 raise ParseError(f"bad number in entry {j}: {token!r}",
                                  line=lineno) from exc
-    mat = np.array(values).view(np.complex128).reshape(n, n)
-    return DensityMatrix(mat)
+    values = np.array(values)
+    finite = np.isfinite(values)
+    if not finite.all():
+        k = int(finite.argmin())  # 2 n numbers per line
+        raise ParseError(f"entry {k % (2 * n) // 2 + 1} is not finite", line=k // (2 * n) + 2)
+    return DensityMatrix(values.view(np.complex128).reshape(n, n))
 
 
 def write_state_file(path, rho):
@@ -278,10 +282,8 @@ def cmd_verify(config):
     results = [
         suites.witness_suite(pairs_per_dim=max(1, small // 10), seed=config.seed),
         suites.dpi_suite(dim=config.dim, trials=max(1, small // 10), seed=config.seed),
-        suites.maximality_suite(dim=config.dim, samples=small, seed=config.seed),
-        suites.pinsker_suite(dim=config.dim, samples=small, seed=config.seed),
-        suites.reverse_pinsker_suite(dim=config.dim, samples=small, seed=config.seed),
-        suites.witness_binette_suite(dim=config.dim, samples=small, seed=config.seed),
+        *suites.maximality_and_pinsker(dim=config.dim, samples=small, seed=config.seed),
+        *suites.reverse_pinsker_and_binette(dim=config.dim, samples=small, seed=config.seed),
         suites.zeta1_suite(quad_tol=config.quad_tol),
         suites.trace_identity_suite(trials=max(1, small // 10), seed=config.seed),
         suites.operator_jensen_suite(trials=max(1, small // 10), seed=config.seed),
@@ -367,7 +369,7 @@ def _accepted_pairs(config, start, stop, draws):
             )
         r, s = random_pairs([rngs[k] for k in pending], n, 2 * n)
         draws += pending.size
-        holds, diff_spectra = abs_condition_rows(r.mats, s.mats, CONDITION_TOL)
+        holds, diff_spectra = abs_condition_rows(r.mats, s.mats)
         keep = pending[holds]
         rho[keep] = r.mats[holds]
         sigma[keep] = s.mats[holds]
@@ -393,7 +395,7 @@ def cmd_fig2(config):
     The reverse-Pinsker column ``binette_bound_kl`` uses the trace distance,
     a form that holds for the Umegaki relative entropy (hockey-stick
     integral plus a chord bound on each E_g; see
-    ``bounds.check_reverse_pinsker_quantum``) but not for the maximal
+    ``verify.reverse_pinsker_and_binette``) but not for the maximal
     divergence in ``max_relent_div``.
 
     Samples are processed in stacks of ``CHUNK_ROWS``; per kept pair every
@@ -411,7 +413,7 @@ def cmd_fig2(config):
         t = np.sum(np.abs(diff_spec), axis=-1)
         m = w.lambdas[:, 0]
         big_m = w.lambdas[:, -1]
-        binette = [binette_rhs(*row, kl) for row in zip(m.tolist(), big_m.tolist(), t.tolist())]
+        binette = binette_rhs(m, big_m, t, kl)
         ae = audenaert_eisert_rows(t, rho_spec[:, 0], sigma_spec[:, 0])
         relent = relative_entropy_rows(rho, rho_spec, w.sigma)
         dmax_kl = w.f_divergence(kl)
@@ -566,7 +568,7 @@ def build_parser():
     common.add_argument("--chi0", action="append", type=float, default=None,
                         help="initial chi-squared value (repeatable; "
                              "default 1, 4, 16)")
-    common.add_argument("--quad-tol", type=float, default=1e-8,
+    common.add_argument("--quad-tol", type=float, default=DEFAULT_QUAD_TOL,
                         help="adaptive quadrature tolerance")
     common.add_argument("--out", type=Path, default=None,
                         help="output directory (default: $QFDIV_OUT or .)")

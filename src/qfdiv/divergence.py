@@ -13,12 +13,13 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatch, SingularState, ZeroReference
+from .errors import DimensionMismatch, ZeroReference
 from .linalg import (
-    SINGULAR_EPS,
+    adjoint,
     hermitian_eig,
     inv_sqrt_psd,
     raise_first_failure,
+    singular_check,
     trace_norm_hermitian,
 )
 
@@ -50,8 +51,7 @@ def relative_entropy_rows(rho_mats, rho_spectra, sigma_eig):
     must be invertible.  Zero eigenvalues of rho contribute nothing.
     """
     w = sigma_eig.eigenvalues
-    raise_first_failure([(w[:, 0] <= SINGULAR_EPS, lambda i, where: SingularState(
-        f"{where}sigma has min eigenvalue {w[i, 0]:.3e}"))])
+    raise_first_failure([singular_check(w[:, 0])])
     p = np.asarray(rho_spectra)
     positive = p > 0.0
     entropy = np.sum(np.where(positive, p * np.log(np.where(positive, p, 1.0)), 0.0),
@@ -72,14 +72,29 @@ def quantum_relative_entropy(rho, sigma):
     return float(relative_entropy_rows(rho.mat[None], rho.spectrum[None], eig_s)[0])
 
 
+def _ratio_rows(rho_mats, sigma_mats):
+    """sigma^{-1/2} rho sigma^{-1/2}, symmetrized, of each row pair, from
+    sigma's own eigendecomposition (not a witness's); sigma must be
+    invertible."""
+    s = inv_sqrt_psd(sigma_mats)
+    x = s @ rho_mats @ s
+    return (x + adjoint(x)) / 2
+
+
+def chi2_rows(rho_mats, sigma_mats):
+    """Chi-squared divergence tr((sigma^{-1/2} rho sigma^{-1/2})^2 sigma) - 1
+    of each row pair: a route to the maximal chi2 independent of the
+    witness."""
+    x = _ratio_rows(rho_mats, sigma_mats)
+    return np.trace(x @ x @ sigma_mats, axis1=-2, axis2=-1).real - 1.0
+
+
 def quantum_chi2(rho, sigma):
-    """Chi-squared divergence tr((sigma^{-1/2} rho sigma^{-1/2})^2 sigma) - 1."""
+    """Chi-squared divergence of one pair; the one-row view of
+    :func:`chi2_rows`."""
     if rho.dim != sigma.dim:
         raise DimensionMismatch(f"dimensions {rho.dim} and {sigma.dim} differ")
-    s = inv_sqrt_psd(sigma.mat)
-    x = s @ rho.mat @ s
-    x = (x + x.conj().T) / 2
-    return float(np.trace(x @ x @ sigma.mat).real) - 1.0
+    return float(chi2_rows(rho.mat[None], sigma.mat[None])[0])
 
 
 def trace_distance(rho, sigma):
@@ -94,8 +109,4 @@ def max_relative_entropy(rho, sigma):
     sigma^{-1/2} rho sigma^{-1/2}, in nats."""
     if rho.dim != sigma.dim:
         raise DimensionMismatch(f"dimensions {rho.dim} and {sigma.dim} differ")
-    s = inv_sqrt_psd(sigma.mat)
-    x = s @ rho.mat @ s
-    x = (x + x.conj().T) / 2
-    top = float(np.linalg.eigvalsh(x)[-1])
-    return math.log(top)
+    return math.log(float(np.linalg.eigvalsh(_ratio_rows(rho.mat, sigma.mat))[-1]))

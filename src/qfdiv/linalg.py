@@ -53,6 +53,14 @@ def raise_first_failure(checks):
         raise make(i, f"row {i}: " if rows > 1 else "")
 
 
+def singular_check(min_eigenvalues):
+    """The ``raise_first_failure`` check that sigma is singular: its least
+    eigenvalue, one per row, is at or below ``SINGULAR_EPS``."""
+    low = np.asarray(min_eigenvalues)
+    return (low <= SINGULAR_EPS, lambda i, where: SingularState(
+        f"{where}sigma has min eigenvalue {low.flat[i]:.3e}"))
+
+
 def adjoint(a):
     """Conjugate transpose of a matrix, or of each matrix in a stack."""
     return a.conj().swapaxes(-1, -2)
@@ -83,12 +91,13 @@ def hermiticity_defect(a):
     return _scalar(_defects(np.asarray(a)))
 
 
-def require_hermitian(a, tol=HERMITIAN_TOL):
-    """Validate Hermiticity within ``tol`` and return the symmetrized copy."""
+def require_hermitian(a):
+    """Validate Hermiticity within ``HERMITIAN_TOL`` and return the
+    symmetrized copy."""
     m = as_complex_matrix(a)
     defect = _defects(m)
-    raise_first_failure([(defect > tol, lambda i, where: NotHermitian(
-        f"{where}max |A - A^dag| = {defect.flat[i]:.3e} exceeds {tol:.1e}"))])
+    raise_first_failure([(defect > HERMITIAN_TOL, lambda i, where: NotHermitian(
+        f"{where}max |A - A^dag| = {defect.flat[i]:.3e} exceeds {HERMITIAN_TOL:.1e}"))])
     return (m + adjoint(m)) / 2
 
 
@@ -118,10 +127,10 @@ def _fix_phases(u):
     return u * (lead.conj() / np.abs(lead)).reshape(u.shape[:-2] + (1, n))
 
 
-def hermitian_eig(a, tol=HERMITIAN_TOL):
+def hermitian_eig(a):
     """Eigendecomposition of a Hermitian matrix, or of each matrix in a
     stack, with deterministic phases."""
-    m = require_hermitian(a, tol)
+    m = require_hermitian(a)
     try:
         w, u = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
@@ -129,13 +138,13 @@ def hermitian_eig(a, tol=HERMITIAN_TOL):
     return HermitianEigen(w, _fix_phases(u))
 
 
-def matrix_function_psd(a, f, tol=HERMITIAN_TOL):
+def matrix_function_psd(a, f):
     """Apply a scalar function to a PSD Hermitian matrix through its spectrum.
 
     Eigenvalues in ``[-PSD_CLAMP_TOL, 0)`` are clamped to zero first; anything
     more negative raises :class:`NegativeSpectrum`.
     """
-    eig = hermitian_eig(a, tol)
+    eig = hermitian_eig(a)
     w = eig.eigenvalues
     if w[0] < -PSD_CLAMP_TOL:
         raise NegativeSpectrum(
@@ -151,13 +160,11 @@ def matrix_function_psd(a, f, tol=HERMITIAN_TOL):
     return eig.compose(fw)
 
 
-def inv_sqrt_psd(a, eps=SINGULAR_EPS):
-    """Inverse square root A^{-1/2} of a positive definite Hermitian matrix."""
+def inv_sqrt_psd(a):
+    """Inverse square root A^{-1/2} of a positive definite Hermitian matrix,
+    or of each matrix in a stack."""
     eig = hermitian_eig(a)
-    if eig.eigenvalues[0] <= eps:
-        raise SingularState(
-            f"min eigenvalue {eig.eigenvalues[0]:.3e} not above {eps:.1e}"
-        )
+    raise_first_failure([singular_check(eig.eigenvalues[..., 0])])
     return eig.compose(eig.eigenvalues ** -0.5)
 
 

@@ -30,11 +30,11 @@ from .errors import (
 )
 from .linalg import (
     PSD_CLAMP_TOL,
-    SINGULAR_EPS,
     HermitianEigen,
     adjoint,
     hermitian_eig,
     raise_first_failure,
+    singular_check,
 )
 from .states import (
     ClassicalDistribution,
@@ -129,9 +129,9 @@ def witness_batch(rho_mats, sigma_mats):
         )
     eig_s = hermitian_eig(sigma_mats)
     w = eig_s.eigenvalues
-    singular = w[:, 0] <= SINGULAR_EPS
+    sigma_check = singular_check(w[:, 0])
     # singular rows get a stand-in spectrum so the other rows can proceed
-    w_safe = np.where(singular[:, None], 1.0, w)
+    w_safe = np.where(sigma_check[0][:, None], 1.0, w)
     inv_sqrt = eig_s.compose(w_safe ** -0.5)
     sqrt_s = eig_s.compose(w_safe ** 0.5)
 
@@ -151,8 +151,7 @@ def witness_batch(rho_mats, sigma_mats):
     s_gap = np.abs(s_vec.sum(axis=-1) - 1.0)
     raise_first_failure(
         [
-            (singular, lambda i, where: SingularState(
-                f"{where}sigma has min eigenvalue {w[i, 0]:.3e}")),
+            sigma_check,
             (low < -PSD_CLAMP_TOL, lambda i, where: NegativeSpectrum(
                 f"{where}ratio matrix has eigenvalue {low[i]:.3e}")),
             (s_min <= 0.0, lambda i, where: SingularState(

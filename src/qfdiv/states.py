@@ -290,8 +290,9 @@ def diagonal_state(p):
     return DensityMatrix(np.diag(p.probs.astype(np.complex128)), p.tol)
 
 
-def abs_condition_rows(rho_mats, sigma_mats, tol=CONDITION_TOL):
-    """Row-wise test of |rho - sigma| <= rho + sigma on two state stacks.
+def abs_condition_rows(rho_mats, sigma_mats):
+    """Row-wise test of |rho - sigma| <= rho + sigma, up to ``CONDITION_TOL``
+    on the spectrum, on two state stacks.
 
     Returns the per-row verdicts and the ascending spectra of rho - sigma,
     whose absolute sums are the trace distances.
@@ -302,14 +303,14 @@ def abs_condition_rows(rho_mats, sigma_mats, tol=CONDITION_TOL):
         )
     eig = linalg.hermitian_eig(rho_mats - sigma_mats)
     gap = eig.compose(np.abs(eig.eigenvalues))
-    return linalg.loewner_geq(rho_mats + sigma_mats, gap, tol), eig.eigenvalues
+    return linalg.loewner_geq(rho_mats + sigma_mats, gap, CONDITION_TOL), eig.eigenvalues
 
 
-def satisfies_abs_condition(rho, sigma, tol=CONDITION_TOL):
+def satisfies_abs_condition(rho, sigma):
     """Whether |rho - sigma| <= rho + sigma in the Loewner order."""
     if rho.dim != sigma.dim:
         raise DimensionMismatch(f"dimensions {rho.dim} and {sigma.dim} differ")
-    holds, _ = abs_condition_rows(rho.mat[None], sigma.mat[None], tol)
+    holds, _ = abs_condition_rows(rho.mat[None], sigma.mat[None])
     return bool(holds[0])
 
 

@@ -14,16 +14,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import (
+    DEFAULT_QUAD_TOL,
+    EQUAL_STATES_EPS,
     binette_rhs,
-    check_quantum_pinsker_chi2,
+    pinsker_chi2_lower,
     zeta1_closed,
     zeta1_integral,
 )
-from .divergence import quantum_chi2, quantum_relative_entropy, trace_distance
+from .divergence import chi2_rows, relative_entropy_rows
 from .errors import SingularState
 from .generators import builtin_generator
-from .linalg import matrix_function_psd, matrix_polynomial
-from .maximal import WITNESS_TOL, build_witness, verify_witness
+from .linalg import matrix_function_psd, matrix_polynomial, trace_norm_hermitian
+from .maximal import WITNESS_TOL, build_witness, verify_witness, witness_batch
 from .states import (
     CHUNK_ROWS,
     DensityStack,
@@ -32,7 +34,6 @@ from .states import (
     diagonal_state,
     random_channel,
     random_pairs,
-    satisfies_abs_condition,
     substream,
     substreams,
 )
@@ -142,61 +143,66 @@ def dpi_suite(dim=4, trials=100, seed=42):
     )
 
 
-def maximality_suite(dim=4, samples=1000, seed=42):
-    """Standard divergences never exceed their maximal counterparts.
+def _witness_chunks(dim, samples, seed, rank=None):
+    """Sample i's pair from ``substream(seed, i)``, in stacks of
+    ``CHUNK_ROWS``: yields the rho and sigma stacks and their witnesses."""
+    for start in range(0, samples, CHUNK_ROWS):
+        rngs = substreams(seed, (), range(start, min(start + CHUNK_ROWS, samples)))
+        rho, sigma = random_pairs(rngs, dim, rank)
+        yield rho, sigma, witness_batch(rho.mats, sigma.mats)
 
-    ``worst`` collects the largest of: relative entropy above maximal kl,
-    trace distance above maximal tv, and the chi-squared mismatch (which must
-    vanish).  The mismatch is an identity check, so it is measured relative
-    to the chi-squared magnitude (floored at 1); the two inequality slacks
-    stay absolute.
+
+def _worst(current, gaps):
+    """The larger of ``current`` and the entries of ``gaps`` (maybe none)."""
+    return max(current, float(np.max(gaps, initial=-math.inf)))
+
+
+def maximality_and_pinsker(dim=4, samples=1000, seed=42):
+    """The maximality and pinsker suites on one Hilbert-Schmidt ensemble.
+
+    maximality: standard divergences never exceed their maximal
+    counterparts.  ``worst`` collects the largest of: relative entropy above
+    maximal kl, trace distance above maximal tv, and the chi-squared
+    mismatch (which must vanish).  The mismatch is an identity check, so it
+    is measured relative to the chi-squared magnitude (floored at 1); the
+    two inequality slacks stay absolute.  The chi-squared divergence comes
+    from :func:`chi2_rows`, not from the witness.
+
+    pinsker: chi-squared never drops below its trace-distance envelope.
     """
-    kl = builtin_generator("kl")
-    chi2 = builtin_generator("chi2")
-    tv = builtin_generator("tv")
-    worst = 0.0
-    for i in range(samples):
-        rho, sigma = random_pair(dim, substream(seed, i))
-        w = build_witness(rho, sigma)
+    kl, chi2, tv = (builtin_generator(name) for name in ("kl", "chi2", "tv"))
+    maximality = 0.0
+    pinsker = 0.0
+    for rho, sigma, w in _witness_chunks(dim, samples, seed):
+        t = trace_norm_hermitian(rho.mats - sigma.mats)
+        chi2_std = chi2_rows(rho.mats, sigma.mats)
         max_chi2 = w.f_divergence(chi2)
-        worst = max(
-            worst,
-            quantum_relative_entropy(rho, sigma) - w.f_divergence(kl),
-            trace_distance(rho, sigma) - w.f_divergence(tv),
-            abs(quantum_chi2(rho, sigma) - max_chi2) / max(1.0, abs(max_chi2)),
-        )
-    return SuiteResult("maximality", worst, INEQUALITY_TOL)
+        relent = relative_entropy_rows(rho.mats, rho.spectra, w.sigma)
+        maximality = _worst(maximality, relent - w.f_divergence(kl))
+        maximality = _worst(maximality, t - w.f_divergence(tv))
+        maximality = _worst(
+            maximality, np.abs(chi2_std - max_chi2) / np.maximum(1.0, np.abs(max_chi2)))
+        pinsker = _worst(pinsker, -(chi2_std - pinsker_chi2_lower(t)))
+    return (SuiteResult("maximality", maximality, INEQUALITY_TOL),
+            SuiteResult("pinsker", pinsker, INEQUALITY_TOL))
 
 
-def pinsker_suite(dim=4, samples=1000, seed=42):
-    """Chi-squared never drops below its trace-distance envelope."""
-    worst = 0.0
-    for i in range(samples):
-        rho, sigma = random_pair(dim, substream(seed, i))
-        report = check_quantum_pinsker_chi2(rho, sigma)
-        worst = max(worst, -report.slack)
-    return SuiteResult("pinsker", worst, INEQUALITY_TOL)
+def reverse_pinsker_and_binette(dim=4, samples=1000, seed=42):
+    """The reverse-pinsker and witness-binette suites on one
+    environment-doubled Ginibre ensemble (rank 2 dim), where the condition
+    |rho - sigma| <= rho + sigma holds for most pairs.
 
-
-def reverse_pinsker_suite(dim=4, samples=1000, seed=42):
-    """Trace-distance reverse-Pinsker bound on condition-satisfying pairs.
-
-    Pairs come from the environment-doubled Ginibre ensemble (rank 2 dim),
-    where the condition |rho - sigma| <= rho + sigma holds for most pairs.
-    Only condition-satisfying pairs enter ``worst``.
-
-    ``worst`` measures the trace-distance form for the MAXIMAL divergence,
-    ``D_f^max <= binette_rhs(m, M, ||rho - sigma||_1, f)``, and this suite
-    is expected to FAIL: that form is false on condition-satisfying pairs.
-    For f = tv its left side is ||r - s||_1 and its right side is exactly
-    t = ||rho - sigma||_1, while data processing through the recovery
-    channel gives ||r - s||_1 >= t, strictly for non-commuting pairs.
-
-    Two forms of the bound are theorems, and both ride along in ``extras``:
+    reverse-pinsker skips pairs closer than ``EQUAL_STATES_EPS`` in trace
+    distance t.  Its ``worst`` is the trace-distance form for the MAXIMAL
+    divergence, ``D_f^max <= binette_rhs(m, M, t, f)``, on the
+    condition-satisfying pairs, with per-generator violation counts in
+    ``extras``.  It is expected to FAIL: for f = tv the left side is
+    ||r - s||_1, which data processing through the recovery channel puts at
+    or above t, strictly for non-commuting pairs.  Two forms that are
+    theorems ride along in ``extras``:
 
     * ``witness_form_worst`` — Binette's bound on the witness pair itself,
-      ``D_f(r||s) <= binette_rhs(m, M, ||r - s||_1, f)``, over all pairs
-      and all three builtins (see also ``witness_binette_suite``);
+      ``D_f(r||s) <= binette_rhs(m, M, ||r - s||_1, f)``, for kl, chi2, tv;
     * ``relent_form_worst`` — the trace-distance form for the Umegaki
       relative entropy, ``D(rho||sigma) <= binette_rhs(m, M, t, kl)``, over
       the condition-satisfying pairs (``-inf`` when there are none).  In
@@ -207,86 +213,56 @@ def reverse_pinsker_suite(dim=4, samples=1000, seed=42):
       bound puts it under (t/2) times ``zeta1_integral(m, M, kl)``, which
       equals ``zeta1_closed(m, M, kl)``.
 
-    Per-generator violation counts of the trace-distance form are reported
-    in ``extras`` too.
+    witness-binette is the witness form over every pair with m < 1 < M
+    (the others are counted in ``extras['skipped']``) at ``WITNESS_TOL``:
+    it holds unconditionally, so it certifies the witness construction and
+    the bound evaluation jointly at near machine precision.
     """
     gens = [builtin_generator(name) for name in ("kl", "chi2", "tv")]
-    kl = gens[0]
     worst = 0.0
     met = 0
     violations = {f.name: 0 for f in gens}
     witness_form_worst = 0.0
     relent_form_worst = -math.inf
-    for i in range(samples):
-        rho, sigma = random_pair(dim, substream(seed, i), rank=2 * dim)
-        w = build_witness(rho, sigma)
-        t = trace_distance(rho, sigma)
-        if t < 1e-8:
-            continue
-        m = float(w.lambdas[0])
-        big_m = float(w.lambdas[-1])
-        rs_l1 = float(np.abs(w.r.probs - w.s.probs).sum())
-        condition = satisfies_abs_condition(rho, sigma)
-        if condition:
-            met += 1
-            relent_form_worst = max(
-                relent_form_worst,
-                quantum_relative_entropy(rho, sigma) - binette_rhs(m, big_m, t, kl),
-            )
+    binette_worst = 0.0
+    skipped = 0
+    for rho, sigma, w in _witness_chunks(dim, samples, seed, rank=2 * dim):
+        t = trace_norm_hermitian(rho.mats - sigma.mats)
+        condition, _ = abs_condition_rows(rho.mats, sigma.mats)
+        m, big_m = w.lambdas[:, 0], w.lambdas[:, -1]
+        rs_l1 = np.abs(w.r - w.s).sum(axis=-1)
+        proper = (m < 1.0) & (big_m > 1.0)
+        skipped += int(np.count_nonzero(~proper))
+        keep = t >= EQUAL_STATES_EPS
+        met_kept = condition[keep]
+        met += int(np.count_nonzero(met_kept))
+        relent = relative_entropy_rows(rho.mats, rho.spectra, w.sigma)[keep]
         for f in gens:
             lhs = w.f_divergence(f)
-            witness_form_worst = max(
-                witness_form_worst, lhs - binette_rhs(m, big_m, rs_l1, f)
-            )
-            if condition:
-                gap = lhs - binette_rhs(m, big_m, t, f)
-                if gap > worst:
-                    worst = gap
-                if gap > INEQUALITY_TOL:
-                    violations[f.name] += 1
+            # raises for kept rows without m < 1 < M, so keep implies proper
+            rhs = binette_rhs(m[keep], big_m[keep], t[keep], f)
+            if f.name == "kl":
+                relent_form_worst = _worst(relent_form_worst, (relent - rhs)[met_kept])
+            gap = (lhs[keep] - rhs)[met_kept]
+            worst = _worst(worst, gap)
+            violations[f.name] += int(np.count_nonzero(gap > INEQUALITY_TOL))
+            witness_gap = lhs[proper] - binette_rhs(
+                m[proper], big_m[proper], rs_l1[proper], f)
+            witness_form_worst = _worst(witness_form_worst, witness_gap[keep[proper]])
+            binette_worst = _worst(binette_worst, witness_gap)
     extras = {
         "condition_met": met,
         "witness_form_worst": witness_form_worst,
         "relent_form_worst": relent_form_worst,
     }
     extras.update({f"violations_{k}": v for k, v in violations.items()})
-    return SuiteResult("reverse-pinsker", worst, INEQUALITY_TOL, extras=extras)
+    return (SuiteResult("reverse-pinsker", worst, INEQUALITY_TOL, extras=extras),
+            SuiteResult("witness-binette", binette_worst, WITNESS_TOL,
+                        extras={"skipped": skipped}))
 
 
-def witness_binette_suite(dim=4, samples=1000, seed=42):
-    """Sharp classical reverse-Pinsker bound evaluated on the witness pair.
-
-    For every pair, ``D_f(r||s) <= binette_rhs(m, M, ||r - s||_1, f)`` where
-    (m, M) bracket the likelihood ratios r_i / s_i exactly.  This is the
-    form of the bound that holds unconditionally (no positivity condition
-    on the states is needed), so the suite must pass at near machine
-    precision; it certifies the witness construction and the bound
-    evaluation jointly.  Pairs come from the environment-doubled Ginibre
-    ensemble (rank 2 dim), as in :func:`reverse_pinsker_suite`.
-    """
-    gens = [builtin_generator(name) for name in ("kl", "chi2", "tv")]
-    worst = 0.0
-    skipped = 0
-    for i in range(samples):
-        rho, sigma = random_pair(dim, substream(seed, i), rank=2 * dim)
-        w = build_witness(rho, sigma)
-        m = float(w.lambdas[0])
-        big_m = float(w.lambdas[-1])
-        if m >= 1.0 or big_m <= 1.0:
-            skipped += 1
-            continue
-        rs_l1 = float(np.abs(w.r.probs - w.s.probs).sum())
-        for f in gens:
-            worst = max(worst, w.f_divergence(f) - binette_rhs(m, big_m, rs_l1, f))
-    return SuiteResult(
-        "witness-binette",
-        worst,
-        WITNESS_TOL,
-        extras={"skipped": skipped},
-    )
-
-
-def zeta1_suite(m_grid=DEFAULT_M_GRID, M_grid=DEFAULT_M_UPPER_GRID, quad_tol=1e-8):
+def zeta1_suite(m_grid=DEFAULT_M_GRID, M_grid=DEFAULT_M_UPPER_GRID,
+                quad_tol=DEFAULT_QUAD_TOL):
     """Integral and closed forms of the unit-radius bound must agree."""
     worst = 0.0
     for name in ("kl", "chi2"):

@@ -41,11 +41,10 @@ from qfdiv.states import random_density, substream
 from qfdiv.verify import (
     condition_rate,
     dpi_suite,
-    maximality_suite,
+    maximality_and_pinsker,
     operator_jensen_suite,
-    pinsker_suite,
     random_pair,
-    reverse_pinsker_suite,
+    reverse_pinsker_and_binette,
     trace_identity_suite,
     witness_suite,
     zeta1_suite,
@@ -114,7 +113,7 @@ def test_criterion_04_maximality():
     # divergence and trace distance never exceeds the maximal tv divergence,
     # no violation beyond 1e-8 (the suite also carries the chi-squared
     # identity residual, measured relative to its magnitude).
-    result = maximality_suite(dim=4, samples=10000, seed=42)
+    result, _ = maximality_and_pinsker(dim=4, samples=10000, seed=42)
     _report(4, "maximality over standard divergences", result.worst <= 1e-8,
             f"worst {result.worst:.3e}")
     assert result.worst <= 1e-8
@@ -123,7 +122,7 @@ def test_criterion_04_maximality():
 def test_criterion_05_improved_pinsker():
     # chi-squared >= envelope(trace distance) with zero violations over
     # 10^4 random 4x4 pairs; the hand case has chi2 = 1 = T^2 exactly.
-    result = pinsker_suite(dim=4, samples=10000, seed=42)
+    _, result = maximality_and_pinsker(dim=4, samples=10000, seed=42)
     rep = check_quantum_pinsker_chi2(plus_state(), maximally_mixed())
     hand = max(abs(rep.lhs - 1.0), abs(rep.rhs - 1.0))
     ok = result.worst <= 1e-10 and hand <= 1e-10
@@ -183,7 +182,7 @@ def test_criterion_07_reverse_pinsker():
     # maximal divergence (the suite's ``worst``) is false there, since
     # ||r - s||_1 > ||rho - sigma||_1 for non-commuting pairs; its violation
     # counts are reported, not asserted.
-    result = reverse_pinsker_suite(dim=4, samples=10000, seed=42)
+    result, _ = reverse_pinsker_and_binette(dim=4, samples=10000, seed=42)
     e = result.extras
     ok = (
         e["condition_met"] > 0

@@ -1,6 +1,7 @@
 """Tests for Pinsker-type bounds, reverse bounds, quadrature, and envelopes."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from qfdiv.errors import (
     DegenerateExtremes,
     NoSecondDerivative,
     OutOfRange,
+    QfdivError,
     QuadratureFailure,
     SingularState,
 )
@@ -154,6 +156,54 @@ def test_binette_rhs_rejects_degenerate_extremes():
         binette_rhs(0.5, 1.0, 1.0, KL)
     with pytest.raises(OutOfRange):
         binette_rhs(0.5, 2.0, 2.5, KL)
+
+
+def test_entrywise_bounds_match_scalar_calls():
+    rng = substream(92)
+    m = rng.uniform(0.0, 1.0, size=12)
+    m[0] = 0.0  # the limit f(0) is used
+    big_m = rng.uniform(1.001, 20.0, size=12)
+    t = rng.uniform(0.0, 2.0, size=12)
+    t[1], t[2] = 1.0, 2.0  # both branches of the chi-squared envelope
+    for f in (KL, CHI2, TV):
+        zeta = zeta1_closed(m, big_m, f)
+        rhs = binette_rhs(m, big_m, t, f)
+        for i, (a, b, c) in enumerate(zip(m.tolist(), big_m.tolist(), t.tolist())):
+            assert zeta[i] == zeta1_closed(a, b, f)
+            assert zeta[i] == f.at(b) / (b - 1.0) + f.at(a) / (1.0 - a)
+            assert rhs[i] == binette_rhs(a, b, c, f)
+    lower = pinsker_chi2_lower(t)
+    for i, c in enumerate(t.tolist()):
+        assert lower[i] == pinsker_chi2_lower(c)
+    assert lower[2] == math.inf
+
+
+def _raises_like_the_first_failing_scalar_call(fn, columns, *rest):
+    for i, row in enumerate(zip(*columns)):
+        try:
+            fn(*row, *rest)
+        except QfdivError as exc:
+            with pytest.raises(type(exc), match="^" + re.escape(f"row {i}: {exc}") + "$"):
+                fn(*(np.array(c) for c in columns), *rest)
+            return
+    raise AssertionError("no entry fails")
+
+
+@pytest.mark.parametrize("m, big_m, t", [
+    ([0.5, 0.5, 1.0, 0.5], [2.0, 2.0, 2.0, 1.0], [1.0, 1.0, 1.0, 1.0]),
+    ([0.5, 0.5, 1.0, 0.5], [2.0, 2.0, 2.0, 1.0], [1.0, 2.5, 1.0, 1.0]),
+    # an entry failing both checks reports the trace distance first
+    ([0.5, 0.5, 1.0, 0.5], [2.0, 2.0, 2.0, 1.0], [1.0, 1.0, -0.5, 1.0]),
+    ([0.5, -0.1, 0.5], [2.0, 2.0, 0.5], [1.0, 1.0, 1.0]),
+])
+def test_binette_rhs_raises_for_the_lowest_bad_entry(m, big_m, t):
+    _raises_like_the_first_failing_scalar_call(binette_rhs, (m, big_m, t), KL)
+
+
+def test_zeta1_closed_and_the_envelope_raise_for_the_lowest_bad_entry():
+    _raises_like_the_first_failing_scalar_call(
+        zeta1_closed, ([0.5, 0.5, 1.0, -0.1], [2.0, 0.9, 2.0, 2.0]), KL)
+    _raises_like_the_first_failing_scalar_call(pinsker_chi2_lower, ([1.0, 0.5, 2.5, -1.0],))
 
 
 def test_zeta1_closed_hand_values():

@@ -209,8 +209,8 @@ def test_fig2_integer_outputs_are_pinned(tmp_path, capsys, argv, summary):
 
 
 def test_fig2_draw_budget_stops_a_condition_that_never_holds(tmp_path, capsys, monkeypatch):
-    def never(rho_mats, sigma_mats, tol):
-        holds, spectra = real(rho_mats, sigma_mats, tol)
+    def never(rho_mats, sigma_mats):
+        holds, spectra = real(rho_mats, sigma_mats)
         return np.zeros_like(holds), spectra
 
     real = cli.abs_condition_rows
@@ -391,6 +391,21 @@ def test_invalid_state_exits_two(tmp_path, capsys):
     _, sigma_path = _write_pair(tmp_path)
     assert run_cli("witness", bad, sigma_path, "--out", tmp_path) == 2
     assert "trace" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["witness", "compare-bounds"])
+@pytest.mark.parametrize("token, line, entry", [
+    ("nan,0", 2, 1), ("0,inf", 3, 2), ("1e400,0", 3, 1), ("0,-inf", 2, 2),
+])
+def test_non_finite_state_file_exits_two(tmp_path, capsys, command, token, line, entry):
+    # a parse error, not a suite failure (exit 1)
+    rows = [["0.5,0", "0,0"], ["0,0", "0.5,0"]]
+    rows[line - 2][entry - 1] = token
+    bad = tmp_path / "bad.txt"
+    bad.write_text("2\n" + "\n".join(" ".join(row) for row in rows) + "\n")
+    _, sigma_path = _write_pair(tmp_path)
+    assert run_cli(command, bad, sigma_path, "--out", tmp_path) == 2
+    assert f"line {line}: entry {entry} is not finite" in capsys.readouterr().err
 
 
 def test_out_dir_env_var_is_honored(tmp_path, monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 from conftest import maximally_mixed, plus_state
 
 from qfdiv.divergence import (
+    chi2_rows,
     classical_f_div,
     f_div_rows,
     max_relative_entropy,
@@ -20,6 +21,7 @@ from qfdiv.generators import builtin_generator
 from qfdiv.linalg import hermitian_eig
 from qfdiv.states import (
     ClassicalDistribution,
+    DensityMatrix,
     diagonal_state,
     random_density,
     random_pairs,
@@ -195,3 +197,19 @@ def test_relative_entropy_rows_match_the_single_pair_entropy():
     rows = relative_entropy_rows(rho.mats, rho.spectra, hermitian_eig(sigma.mats))
     for i in range(6):
         assert rows[i] == quantum_relative_entropy(rho.row(i), sigma.row(i))
+
+
+def test_chi2_rows_match_the_single_pair_chi2():
+    rho, sigma = random_pairs([substream(82, i) for i in range(6)], 3)
+    rows = chi2_rows(rho.mats, sigma.mats)
+    for i in range(6):
+        assert rows[i] == quantum_chi2(rho.row(i), sigma.row(i))
+    # the stack raises what its lowest singular row raises alone
+    sigma_mats = np.array(sigma.mats)
+    sigma_mats[2] = np.diag([0.5, 0.5, 0.0])
+    sigma_mats[4] = np.diag([1.0, 0.0, 0.0])
+    with pytest.raises(SingularState, match="^sigma has min eigenvalue") as one:
+        quantum_chi2(rho.row(2), DensityMatrix(sigma_mats[2]))
+    with pytest.raises(SingularState) as stacked:
+        chi2_rows(rho.mats, sigma_mats)
+    assert str(stacked.value) == f"row 2: {one.value}"

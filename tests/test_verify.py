@@ -12,12 +12,10 @@ from qfdiv.verify import (
     _random_commuting_pairs,
     condition_rate,
     dpi_suite,
-    maximality_suite,
+    maximality_and_pinsker,
     operator_jensen_suite,
-    pinsker_suite,
-    reverse_pinsker_suite,
+    reverse_pinsker_and_binette,
     trace_identity_suite,
-    witness_binette_suite,
     witness_suite,
     zeta1_suite,
 )
@@ -28,6 +26,7 @@ TV = builtin_generator("tv")
 
 
 def _count_witness_builds(monkeypatch):
+    # build_witness calls maximal's binding, the stacked passes verify's
     calls = []
     real = maximal.witness_batch
 
@@ -36,6 +35,7 @@ def _count_witness_builds(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(maximal, "witness_batch", counting)
+    monkeypatch.setattr(verify, "witness_batch", counting)
     return calls
 
 
@@ -70,6 +70,35 @@ def test_dpi_suite_skips_trials_whose_channel_output_is_singular(monkeypatch):
     assert result.extras["equality_worst"] == 0.0
 
 
+@pytest.mark.parametrize("run", [maximality_and_pinsker, reverse_pinsker_and_binette],
+                         ids=lambda run: run.__name__)
+def test_stacked_passes_build_one_witness_batch_per_chunk(monkeypatch, run):
+    # 600 samples are three stacks of at most CHUNK_ROWS = 256 pairs
+    calls = _count_witness_builds(monkeypatch)
+    run(dim=4, samples=600, seed=42)
+    assert [len(rho) for rho, _ in calls] == [256, 256, 88]
+
+
+def test_stacked_passes_are_pinned_at_seed_42():
+    # the values the one-pair-at-a-time suites gave, bit for bit
+    maximality, pinsker = maximality_and_pinsker(dim=4, samples=1000, seed=42)
+    assert maximality.worst == 5.716598767286497e-12
+    assert pinsker.worst == 0.0
+    reverse, binette = reverse_pinsker_and_binette(dim=4, samples=1000, seed=42)
+    assert reverse.worst == 0.11700883357355885
+    assert reverse.extras == {
+        "condition_met": 814,
+        "witness_form_worst": 4.440892098500626e-16,
+        "relent_form_worst": -0.023791067451230774,
+        "violations_kl": 11,
+        "violations_chi2": 35,
+        "violations_tv": 814,
+    }
+    assert binette.name == "witness-binette"
+    assert binette.worst == 4.440892098500626e-16
+    assert binette.extras == {"skipped": 0}
+
+
 def test_witness_suite_passes():
     result = witness_suite(dims=(2, 3, 4), pairs_per_dim=15, seed=42)
     assert result.name == "witness"
@@ -86,13 +115,13 @@ def test_dpi_suite_passes_with_equality_through_recovery_channel():
 
 
 def test_maximality_suite_passes():
-    result = maximality_suite(dim=4, samples=100, seed=42)
+    result, _ = maximality_and_pinsker(dim=4, samples=100, seed=42)
     assert result.name == "maximality"
     assert result.passed
 
 
 def test_pinsker_suite_passes():
-    result = pinsker_suite(dim=4, samples=100, seed=42)
+    _, result = maximality_and_pinsker(dim=4, samples=100, seed=42)
     assert result.name == "pinsker"
     assert result.passed
 
@@ -103,7 +132,7 @@ def test_reverse_pinsker_trace_distance_suite_fails_as_documented():
     # suite exists to measure the violation.  The two forms it carries that
     # are theorems (witness total variation, and trace distance for the
     # Umegaki relative entropy) must hold.
-    result = reverse_pinsker_suite(dim=4, samples=100, seed=42)
+    result, _ = reverse_pinsker_and_binette(dim=4, samples=100, seed=42)
     assert result.name == "reverse-pinsker"
     assert not result.passed
     assert result.worst > result.tol
@@ -114,14 +143,14 @@ def test_reverse_pinsker_trace_distance_suite_fails_as_documented():
 
 
 def test_reverse_pinsker_suite_is_deterministic():
-    a = reverse_pinsker_suite(dim=4, samples=50, seed=42)
-    b = reverse_pinsker_suite(dim=4, samples=50, seed=42)
+    a, _ = reverse_pinsker_and_binette(dim=4, samples=50, seed=42)
+    b, _ = reverse_pinsker_and_binette(dim=4, samples=50, seed=42)
     assert a.worst == b.worst
     assert a.extras == b.extras
 
 
 def test_witness_binette_suite_passes():
-    result = witness_binette_suite(dim=4, samples=200, seed=42)
+    _, result = reverse_pinsker_and_binette(dim=4, samples=200, seed=42)
     assert result.name == "witness-binette"
     assert result.passed
     assert result.worst <= 1e-9
