@@ -347,7 +347,8 @@ def _accepted_pairs(config, start, stop, draws):
     satisfies the positivity condition; each round draws once for every
     pending sample.  ``draws`` counts the pairs drawn before this call.
     Returns the kept rho and sigma stacks, the spectra of rho, sigma and
-    rho - sigma, in sample order, and the updated draw count.  Raises
+    rho - sigma, in sample order, and the updated draw count.  The rho and
+    sigma spectra come from one ``eigvalsh`` of each kept stack.  Raises
     :class:`SamplingBudgetExceeded` rather than draw more than
     ``FIG2_DRAWS_PER_PAIR`` pairs per requested sample in all.
     """
@@ -357,7 +358,7 @@ def _accepted_pairs(config, start, stop, draws):
     budget = FIG2_DRAWS_PER_PAIR * config.samples
     rho = np.empty((size, n, n), dtype=np.complex128)
     sigma = np.empty_like(rho)
-    spectra = np.empty((3, size, n))  # rho, sigma, rho - sigma
+    diff_spec = np.empty((size, n))
     pending = np.arange(size)
     while pending.size:
         if draws + pending.size > budget:
@@ -373,10 +374,9 @@ def _accepted_pairs(config, start, stop, draws):
         keep = pending[holds]
         rho[keep] = r.mats[holds]
         sigma[keep] = s.mats[holds]
-        spectra[0, keep] = r.spectra[holds]
-        spectra[1, keep] = s.spectra[holds]
-        spectra[2, keep] = diff_spectra[holds]
+        diff_spec[keep] = diff_spectra[holds]
         pending = pending[~holds]
+    spectra = (np.linalg.eigvalsh(rho), np.linalg.eigvalsh(sigma), diff_spec)
     return rho, sigma, spectra, draws
 
 
@@ -399,8 +399,10 @@ def cmd_fig2(config):
     divergence in ``max_relent_div``.
 
     Samples are processed in stacks of ``CHUNK_ROWS``; per kept pair every
-    column comes from one eigendecomposition each of rho, sigma,
-    rho - sigma and the likelihood-ratio operator.
+    column comes from the spectra of rho and sigma (one ``eigvalsh`` of each
+    kept stack), the eigendecomposition of rho - sigma from the condition
+    test, and the witness's eigendecompositions of sigma and the
+    likelihood-ratio operator.
     """
     kl = builtin_generator("kl")
     rows = []
@@ -453,8 +455,8 @@ def cmd_condition_rate(config, commuting=False):
         seed=config.seed,
         commuting=commuting,
     )
-    rate = res.extras["rate"]
-    environment = res.extras["environment"]
+    rate = res.rate
+    environment = res.environment
     mode = "commuting-diagonal" if commuting else f"ginibre(env={environment})"
     print(f"condition rate: {rate:.4f} over {config.samples} pairs at "
           f"dim={config.dim} ({mode})")

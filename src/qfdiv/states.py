@@ -9,6 +9,11 @@ every generator is in exactly the state that :func:`substream` gives.  Each
 generator makes one Gaussian draw straight into a preallocated stack, in the
 order that one-at-a-time sampling would draw, so a stack holds exactly the
 states that one-at-a-time sampling would give.
+
+Every state built, sampled or parsed, is checked for positivity at its
+``tol`` by one Cholesky factorization of ``m + tol I`` per stack; the
+eigensolver runs only when that factorization fails, to name the failing
+row.  Spectra are computed where they are read, on first access.
 """
 
 from __future__ import annotations
@@ -90,72 +95,102 @@ class ClassicalDistribution:
 
 def _check_states(m, tol):
     """Symmetrize a complex ``(B, n, n)`` stack and check each row is a
-    state within ``tol``; returns the read-only stack and its ascending
-    spectra, or raises for the lowest failing row."""
+    state within ``tol``; returns the read-only stack, or raises for the
+    lowest failing row.
+
+    One Cholesky factorization of ``m + tol I`` over the whole stack
+    certifies that no least eigenvalue lies below ``-tol``.  Only when it
+    fails does ``eigvalsh`` run, and its least eigenvalues decide which
+    rows fail; a stack with none is accepted.  The two agree up to
+    rounding at the boundary.
+    """
     defect = linalg.hermiticity_defect(m)
     m = (m + linalg.adjoint(m)) / 2
     tr_gap = np.abs(m.trace(axis1=1, axis2=2).real - 1.0)
-    spectra = np.linalg.eigvalsh(m)
-    low = spectra[:, 0]
-    linalg.raise_first_failure(
-        [
-            (defect > tol, lambda i, where: InvariantViolation(
-                "hermiticity", f"{where}max |A - A^dag| = {defect[i]:.3e}")),
-            (tr_gap > tol, lambda i, where: InvariantViolation(
-                "trace", f"{where}|tr - 1| = {tr_gap[i]:.3e}")),
-            (low < -tol, lambda i, where: InvariantViolation(
-                "positivity", f"{where}min eigenvalue {low[i]:.3e}")),
-        ]
-    )
+    checks = [
+        (defect > tol, lambda i, where: InvariantViolation(
+            "hermiticity", f"{where}max |A - A^dag| = {defect[i]:.3e}")),
+        (tr_gap > tol, lambda i, where: InvariantViolation(
+            "trace", f"{where}|tr - 1| = {tr_gap[i]:.3e}")),
+    ]
+    try:
+        np.linalg.cholesky(m + tol * np.eye(m.shape[-1]))
+    except np.linalg.LinAlgError:
+        low = np.linalg.eigvalsh(m)[:, 0]
+        checks.append((low < -tol, lambda i, where: InvariantViolation(
+            "positivity", f"{where}min eigenvalue {low[i]:.3e}")))
+    linalg.raise_first_failure(checks)
     m.flags.writeable = False
-    spectra.flags.writeable = False
-    return m, spectra
+    return m
+
+
+def _spectra(m):
+    """Read-only ascending eigenvalues of a matrix or of each row of a stack."""
+    w = np.linalg.eigvalsh(m)
+    w.flags.writeable = False
+    return w
 
 
 class DensityStack:
     """Stack of density matrices, each Hermitian PSD with unit trace.
 
-    ``mats`` is the symmetrized ``(B, n, n)`` stack and ``spectra`` the
-    ascending eigenvalues found by the positivity check, one row per state.
-    A failing stack raises for its lowest failing row.
+    ``mats`` is the symmetrized ``(B, n, n)`` stack.  Positivity is
+    certified by one Cholesky factorization of the stack, with ``eigvalsh``
+    only when that fails; a failing stack raises for its lowest failing
+    row.  ``spectra``, the ascending eigenvalues with one row per state, is
+    computed on first read and cached.
     """
 
-    __slots__ = ("mats", "spectra", "tol")
+    __slots__ = ("mats", "tol", "_spectra")
 
     def __init__(self, mats, tol=STATE_TOL):
         m = linalg.as_complex_matrix(mats)
         if m.ndim != 3:
             raise DimensionMismatch(f"expected a (B, n, n) stack, got shape {m.shape}")
-        self.mats, self.spectra = _check_states(m, tol)
+        self.mats = _check_states(m, tol)
         self.tol = tol
+        self._spectra = None
+
+    @property
+    def spectra(self):
+        if self._spectra is None:
+            self._spectra = _spectra(self.mats)
+        return self._spectra
 
     def row(self, i):
-        """Row ``i`` as a :class:`DensityMatrix`, without checking it again."""
+        """Row ``i`` as a :class:`DensityMatrix`, without checking it again;
+        it shares the stack's spectra if they were already computed."""
         rho = object.__new__(DensityMatrix)
         rho.mat = self.mats[i]
-        rho.spectrum = self.spectra[i]
         rho.tol = self.tol
+        rho._spectrum = None if self._spectra is None else self._spectra[i]
         return rho
 
 
 class DensityMatrix:
     """Hermitian PSD matrix with unit trace; the carrier for quantum states.
 
-    Checked as a one-row :class:`DensityStack`: ``spectrum`` holds the
-    ascending eigenvalues from the positivity check, and ``tol`` the
-    tolerance the state was checked at.
+    Checked as a one-row :class:`DensityStack`, so positivity is certified
+    by Cholesky; ``tol`` is the tolerance the state was checked at.
+    ``spectrum``, the ascending eigenvalues, is computed on first read and
+    cached.
     """
 
-    __slots__ = ("mat", "spectrum", "tol")
+    __slots__ = ("mat", "tol", "_spectrum")
 
     def __init__(self, mat, tol=STATE_TOL):
         m = linalg.as_complex_matrix(mat)
         if m.ndim != 2:
             raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-        mats, spectra = _check_states(m[None], tol)
-        self.mat = mats[0]
-        self.spectrum = spectra[0]
+        self.mat = _check_states(m[None], tol)[0]
         self.tol = tol
+        self._spectrum = None
+
+    @property
+    def spectrum(self):
+        if self._spectrum is None:
+            self._spectrum = _spectra(self.mat)
+        return self._spectrum
 
     @property
     def dim(self):

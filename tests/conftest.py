@@ -1,5 +1,7 @@
 """Shared helpers for the test suite."""
 
+from collections import Counter
+
 import numpy as np
 
 from qfdiv.states import DensityMatrix
@@ -25,3 +27,15 @@ def plus_state():
 def maximally_mixed(n=2):
     """Maximally mixed state I/n."""
     return DensityMatrix(np.eye(n) / n)
+
+
+def count_eig_calls(monkeypatch):
+    """Count calls of numpy's Hermitian eigensolvers, by name, from now on."""
+    calls = Counter()
+    for name in ("eigh", "eigvalsh"):
+        def counted(*args, _name=name, _solver=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _solver(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls

@@ -263,13 +263,13 @@ def test_criterion_10_condition_rate():
     # samples of the environment-doubled ensemble; a rate in (0.75, 0.80]
     # warns instead of failing (ensemble ambiguity).
     result = condition_rate(dim=4, samples=10000, seed=42)
-    rate = result.extras["rate"]
+    rate = result.rate
     _report(
         10,
         "condition satisfaction rate",
         rate > 0.75,
         f"rate {rate:.4f} on environment-doubled Ginibre "
-        f"(environment {result.extras['environment']})",
+        f"(environment {result.environment})",
     )
     if 0.75 < rate <= 0.80:
         warnings.warn(

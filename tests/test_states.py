@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import maximally_mixed, plus_state
+from conftest import count_eig_calls, maximally_mixed, plus_state
 
 from qfdiv import _seeding
 from qfdiv.errors import (
@@ -13,7 +13,9 @@ from qfdiv.errors import (
 )
 from qfdiv.states import (
     CHANNEL_TOL,
+    CHUNK_ROWS,
     MAX_INDEX,
+    STATE_TOL,
     ClassicalDistribution,
     DensityMatrix,
     DensityStack,
@@ -336,6 +338,99 @@ def test_density_stack_names_the_lowest_failing_row():
     assert str(info.value).startswith("positivity: min eigenvalue")
     with pytest.raises(DimensionMismatch):
         DensityMatrix(mats)
+
+
+# ---------------------------------------------------------------------------
+# positivity is certified by one Cholesky factorization; the eigensolver
+# runs only when it fails, and spectra are computed where they are read
+# ---------------------------------------------------------------------------
+
+
+def _state_with_least_eigenvalue(low, n=4, seed=0):
+    """A dense unit-trace Hermitian matrix whose least eigenvalue is ``low``."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    w = np.full(n, (1.0 - low) / (n - 1))
+    w[0] = low
+    return (u * w) @ u.conj().T
+
+
+def test_positivity_accepts_half_a_tolerance_below_zero(monkeypatch):
+    calls = count_eig_calls(monkeypatch)
+    mats = [_state_with_least_eigenvalue(-0.5 * STATE_TOL, seed=k) for k in range(5)]
+    DensityMatrix(mats[0])
+    DensityStack(mats)
+    assert sum(calls.values()) == 0
+
+
+def test_positivity_rejects_twice_the_tolerance_below_zero():
+    bad = _state_with_least_eigenvalue(-2.0 * STATE_TOL)
+    with pytest.raises(InvariantViolation) as info:
+        DensityMatrix(bad)
+    assert str(info.value) == "positivity: min eigenvalue -2.000e-10"
+    mats = [_state_with_least_eigenvalue(0.1, seed=k) for k in range(5)]
+    mats[3] = bad
+    with pytest.raises(InvariantViolation) as info:
+        DensityStack(mats)
+    assert str(info.value) == "positivity: row 3: min eigenvalue -2.000e-10"
+
+
+def test_positivity_failure_below_a_hermiticity_failure_is_raised_first():
+    mats = np.array([np.eye(2) / 2] * 4, dtype=complex)
+    mats[1] = np.diag([1.2, -0.2])
+    mats[2] = [[0.5, 0.5j], [0.5j, 0.5]]
+    with pytest.raises(InvariantViolation) as info:
+        DensityStack(mats)
+    assert str(info.value) == "positivity: row 1: min eigenvalue -2.000e-01"
+    mats[1] = np.eye(2) / 2
+    with pytest.raises(InvariantViolation) as info:
+        DensityStack(mats)
+    assert info.value.invariant == "hermiticity"
+
+
+def test_rank_one_state_at_dim_64_passes_without_the_eigensolver(monkeypatch):
+    rng = np.random.default_rng(3)
+    v = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    pure = np.outer(v, v.conj()) / np.vdot(v, v).real
+    calls = count_eig_calls(monkeypatch)
+    rho = DensityMatrix(pure)
+    assert sum(calls.values()) == 0
+    assert rho.spectrum[-1] == pytest.approx(1.0)
+    assert calls == {"eigvalsh": 1}
+
+
+def test_sampling_runs_no_eigensolver(monkeypatch):
+    rngs = [substream(17, i) for i in range(8)]
+    calls = count_eig_calls(monkeypatch)
+    random_pairs(rngs, 4, rank=8)
+    random_density(16, rank=1, seed=substream(17, 8))
+    assert sum(calls.values()) == 0
+
+
+def test_spectra_are_computed_once_and_read_only(monkeypatch):
+    rho, _ = random_pairs([substream(18, i) for i in range(6)], 4)
+    calls = count_eig_calls(monkeypatch)
+    spectra = rho.spectra
+    assert rho.spectra is spectra
+    row = rho.row(2)  # passes on the stack's row
+    assert np.shares_memory(row.spectrum, spectra)
+    assert calls == {"eigvalsh": 1}
+    assert not spectra.flags.writeable
+    assert not row.spectrum.flags.writeable
+    with pytest.raises(AttributeError):
+        rho.spectra = spectra
+    with pytest.raises(AttributeError):
+        row.spectrum = spectra[0]
+
+
+def test_row_spectra_match_the_stack_and_a_fresh_state():
+    rho, _ = random_pairs([substream(19, i) for i in range(CHUNK_ROWS)], 5, rank=10)
+    before = [rho.row(i).spectrum for i in range(CHUNK_ROWS)]  # each its own
+    for i in range(CHUNK_ROWS):
+        fresh = DensityMatrix(rho.mats[i]).spectrum
+        assert np.array_equal(before[i], rho.spectra[i])
+        assert np.array_equal(rho.row(i).spectrum, rho.spectra[i])
+        assert np.array_equal(fresh, rho.spectra[i])
 
 
 def test_abs_condition_rows_agree_with_the_single_pair_test():

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from conftest import count_eig_calls
 
 from qfdiv import maximal, verify
-from qfdiv.bounds import binette_rhs
+from qfdiv.bounds import EQUAL_STATES_EPS, binette_rhs
 from qfdiv.divergence import classical_f_div
 from qfdiv.generators import builtin_generator
-from qfdiv.states import ClassicalDistribution, QuantumChannel, substream
+from qfdiv.linalg import trace_norm_hermitian
+from qfdiv.states import ClassicalDistribution, QuantumChannel, random_pairs, substream
 from qfdiv.verify import (
     _random_commuting_pairs,
     condition_rate,
@@ -142,6 +144,37 @@ def test_reverse_pinsker_trace_distance_suite_fails_as_documented():
     assert result.extras["relent_form_worst"] <= 1e-8
 
 
+def _witness_form_gaps(samples, seed):
+    """Per pair of the reverse-pinsker ensemble, one at a time: the largest
+    witness-form gap D_f(r||s) - binette_rhs(m, M, ||r - s||_1, f) over kl,
+    chi2 and tv, or -inf for a pair the suite leaves out."""
+    gaps = np.full(samples, -np.inf)
+    for i in range(samples):
+        rho, sigma = random_pairs([substream(seed, i)], 4, 8)
+        rho, sigma = rho.row(0), sigma.row(0)
+        w = maximal.build_witness(rho, sigma)
+        m, big_m = w.lambdas[0], w.lambdas[-1]
+        if trace_norm_hermitian(rho.mat - sigma.mat) < EQUAL_STATES_EPS or not m < 1.0 < big_m:
+            continue
+        rs_l1 = np.abs(w.r.probs - w.s.probs).sum()
+        gaps[i] = max(w.f_divergence(f) - binette_rhs(m, big_m, rs_l1, f)
+                      for f in (KL, CHI2, TV))
+    return gaps
+
+
+def test_witness_form_worst_is_the_largest_gap_of_every_pair():
+    # The gap sits at rounding level on many pairs (tv is tight), so the
+    # seed-42 maximum 2.2e-16 is reached at row 1 and at several later rows:
+    # the 4-sample run is the one that notices a stack whose first rows
+    # are skipped.
+    gaps = _witness_form_gaps(300, seed=42)
+    for samples in (4, 300):
+        result, _ = reverse_pinsker_and_binette(dim=4, samples=samples, seed=42)
+        want = max(0.0, float(gaps[:samples].max()))
+        assert result.extras["witness_form_worst"] == want, samples
+    assert gaps[:4].max() > 0.0
+
+
 def test_reverse_pinsker_suite_is_deterministic():
     a, _ = reverse_pinsker_and_binette(dim=4, samples=50, seed=42)
     b, _ = reverse_pinsker_and_binette(dim=4, samples=50, seed=42)
@@ -177,7 +210,7 @@ def test_operator_jensen_suite_passes():
 
 def test_condition_rate_is_one_for_commuting_pairs():
     result = condition_rate(dim=4, samples=200, seed=42, commuting=True)
-    assert result.extras["rate"] == 1.0
+    assert result.rate == 1.0
     assert result.passed
 
 
@@ -196,14 +229,14 @@ def test_commuting_pairs_match_two_dirichlet_draws(dim):
 
 def test_condition_rate_exceeds_eighty_percent_for_environment_doubled():
     result = condition_rate(dim=4, samples=500, seed=42)
-    assert result.extras["environment"] == 8
-    assert result.extras["rate"] > 0.80
+    assert result.environment == 8
+    assert result.rate > 0.80
     assert result.passed
 
 
 def test_condition_rate_is_rare_for_square_hilbert_schmidt():
     result = condition_rate(dim=4, samples=300, seed=42, environment=4)
-    assert result.extras["rate"] < 0.20
+    assert result.rate < 0.20
     assert not result.passed
 
 
@@ -224,7 +257,31 @@ def test_binette_bound_is_numerically_sharp(f):
         assert div / rhs == pytest.approx(1.0, rel=0.0, abs=1e-12)
 
 
+def test_condition_rate_runs_two_eigensolvers_per_stack(monkeypatch):
+    # the eigh and the Loewner-order eigvalsh of the condition test; the
+    # state checks factor by Cholesky and read no spectrum
+    calls = count_eig_calls(monkeypatch)
+    condition_rate(dim=4, samples=256, seed=42)
+    assert sum(calls.values()) == 2
+    assert calls == {"eigh": 1, "eigvalsh": 1}
+
+
+def test_condition_rate_builds_its_states_without_an_eigensolver(monkeypatch):
+    calls = count_eig_calls(monkeypatch)
+    during = []
+
+    def building(*args):
+        before = sum(calls.values())
+        pair = random_pairs(*args)
+        during.append(sum(calls.values()) - before)
+        return pair
+
+    monkeypatch.setattr(verify, "random_pairs", building)
+    condition_rate(dim=4, samples=600, seed=42)
+    assert during == [0, 0, 0]
+
+
 @pytest.mark.parametrize("samples, rate", [(1000, 0.814), (10000, 0.805)])
 def test_condition_rate_is_pinned_at_seed_42(samples, rate):
     # seed-42 rates: stacking the draws must not change any verdict
-    assert condition_rate(dim=4, samples=samples, seed=42).extras["rate"] == rate
+    assert condition_rate(dim=4, samples=samples, seed=42).rate == rate
