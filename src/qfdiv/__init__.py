@@ -41,7 +41,6 @@ from .states import (
     diagonal_state,
     random_channel,
     random_density,
-    regularize,
     satisfies_abs_condition,
     substream,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "quantum_relative_entropy",
     "random_channel",
     "random_density",
-    "regularize",
     "reverse_pinsker_report",
     "satisfies_abs_condition",
     "substream",

@@ -2,7 +2,7 @@
 
 Plain ``numpy`` arrays in, plain arrays out; the typed state wrappers live in
 :mod:`qfdiv.states`.  The Hermiticity checks, ``hermitian_eig``,
-``abs_hermitian``, ``trace_norm_hermitian`` and ``loewner_geq`` also take a
+``inv_sqrt_psd``, ``trace_norm_hermitian`` and ``loewner_geq`` also take a
 stack of matrices, shape ``(B, n, n)``, and work row by row: a single matrix
 gives a scalar result, a stack gives one entry per row.  Eigenvector phases
 follow a fixed convention so repeated runs on identical input are
@@ -166,12 +166,6 @@ def inv_sqrt_psd(a):
     eig = hermitian_eig(a)
     raise_first_failure([singular_check(eig.eigenvalues[..., 0])])
     return eig.compose(eig.eigenvalues ** -0.5)
-
-
-def abs_hermitian(x):
-    """Operator absolute value |X| = sqrt(X^2) of a Hermitian matrix."""
-    eig = hermitian_eig(x)
-    return eig.compose(np.abs(eig.eigenvalues))
 
 
 def trace_norm_hermitian(x):

@@ -304,17 +304,21 @@ def random_channel(n, k=None, seed=None):
     return QuantumChannel([q[i * n : (i + 1) * n, :] for i in range(k)])
 
 
+def apply_channel_rows(kraus, rho_mats, tol=STATE_TOL):
+    """Apply channel b to state b of a stack: sum_i A_bi rho_b A_bi^dag for a
+    ``(B, k, m, n)`` Kraus stack and a ``(B, n, n)`` state stack, with the
+    terms added in the order of i, checked at ``tol``."""
+    kraus, rho_mats = np.asarray(kraus), np.asarray(rho_mats)
+    if kraus.ndim != 4 or rho_mats.shape != (len(kraus),) + kraus.shape[-1:] * 2:
+        raise DimensionMismatch(f"Kraus stack {kraus.shape} cannot act on {rho_mats.shape}")
+    terms = (a @ rho_mats @ linalg.adjoint(a) for a in kraus.swapaxes(0, 1))
+    return DensityStack(sum(terms), tol)
+
+
 def apply_channel(channel, rho):
     """Apply a channel to a state: sum_i A_i rho A_i^dag, checked at the
-    input state's tolerance."""
-    if channel.dim_in != rho.dim:
-        raise DimensionMismatch(
-            f"channel expects dimension {channel.dim_in}, state has {rho.dim}"
-        )
-    out = np.zeros((channel.dim_out, channel.dim_out), dtype=np.complex128)
-    for a in channel.kraus:
-        out += a @ rho.mat @ a.conj().T
-    return DensityMatrix(out, rho.tol)
+    input state's tolerance; the one-row view of :func:`apply_channel_rows`."""
+    return apply_channel_rows(channel.kraus[None], rho.mat[None], rho.tol).row(0)
 
 
 def diagonal_state(p):
@@ -348,14 +352,3 @@ def satisfies_abs_condition(rho, sigma):
     holds, _ = abs_condition_rows(rho.mat[None], sigma.mat[None])
     return bool(holds[0])
 
-
-def regularize(rho, delta):
-    """Mix a state with the maximally mixed one: (1 - delta) rho + delta I/n.
-
-    Never applied automatically; callers opt in when they need an invertible
-    state.
-    """
-    if not 0.0 < delta < 1.0:
-        raise OutOfRange(f"delta must be in (0, 1), got {delta}")
-    n = rho.dim
-    return DensityMatrix((1.0 - delta) * rho.mat + delta * np.eye(n) / n)

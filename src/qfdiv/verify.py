@@ -23,16 +23,14 @@ from .bounds import (
     zeta1_integral,
 )
 from .divergence import chi2_rows, relative_entropy_rows
-from .errors import SingularState
 from .generators import builtin_generator
-from .linalg import matrix_function_psd, matrix_polynomial, trace_norm_hermitian
-from .maximal import WITNESS_TOL, build_witness, verify_witness, witness_batch
+from .linalg import matrix_function_psd, matrix_polynomial, singular_check, trace_norm_hermitian
+from .maximal import WITNESS_TOL, witness_batch, witness_residual_rows
 from .states import (
     CHUNK_ROWS,
     DensityStack,
     abs_condition_rows,
-    apply_channel,
-    diagonal_state,
+    apply_channel_rows,
     random_channel,
     random_pairs,
     substream,
@@ -76,25 +74,20 @@ class RateResult:
         return self.rate >= MIN_CONDITION_RATE
 
 
-def random_pair(dim, rng, rank=None):
-    """Draw an independent (rho, sigma) pair from one substream."""
-    rho, sigma = random_pairs([rng], dim, rank)
-    return rho.row(0), sigma.row(0)
-
-
 def witness_suite(dims=(2, 3, 4, 8), pairs_per_dim=100, seed=42):
     """Worst witness residual over random full-rank pairs.
 
-    One :func:`verify_witness` report per pair serves every builtin
-    generator: its residuals do not depend on ``f`` (see there), so the kl
-    report is the report of each of them.
+    Pair i of dimension n draws from ``substream(seed, n, i)``, and each
+    stack of ``CHUNK_ROWS`` pairs gets one :func:`witness_residual_rows`
+    report.  Its kl report serves every builtin generator: the residuals do
+    not depend on ``f`` (see :func:`verify_witness`).
     """
     kl = builtin_generator("kl")
     worst = 0.0
     for dim in dims:
-        for i in range(pairs_per_dim):
-            rho, sigma = random_pair(dim, substream(seed, dim, i))
-            worst = max(worst, verify_witness(rho, sigma, kl).worst)
+        for rho, sigma, w in _witness_chunks(dim, pairs_per_dim, seed, prefix=(dim,)):
+            for gaps in witness_residual_rows(rho.mats, sigma.mats, w, kl).values():
+                worst = _worst(worst, gaps)
     return SuiteResult("witness", worst, WITNESS_TOL)
 
 
@@ -102,11 +95,12 @@ def dpi_suite(dim=4, trials=100, seed=42):
     """Monotonicity of the maximal divergence under random channels.
 
     Trial i draws a pair and then a channel Phi from ``substream(seed, i)``.
-    It builds the witness of each of its four distinct pairs once and reads
-    kl, chi2 and tv from it: (rho, sigma), (Phi rho, Phi sigma), the witness
-    pair (diag r, diag s), and that pair's image under the recovery channel V.
-    A trial is skipped (``extras['skipped']``) when sigma or Phi sigma is
-    too close to singular for the first two witnesses.
+    The trials run in stacks of ``CHUNK_ROWS`` with four witness builds per
+    stack, one for each of a trial's four distinct pairs, and kl, chi2 and
+    tv are read from them: (rho, sigma), (Phi rho, Phi sigma), the witness
+    pair (diag r, diag s), and that pair's image under the recovery channel
+    V.  A trial is skipped (``extras['skipped']``) when sigma or Phi sigma
+    is too close to singular for the first two witnesses.
 
     ``worst`` is the largest increase after a channel for the operator-convex
     builtins; equality through the witness recovery channel is tracked in
@@ -123,32 +117,29 @@ def dpi_suite(dim=4, trials=100, seed=42):
     equality_worst = 0.0
     skipped = 0
     tv_increases = 0
-    for i in range(trials):
-        rng = substream(seed, i)
-        rho, sigma = random_pair(dim, rng)
-        channel = random_channel(dim, seed=rng)
-        try:
-            before = build_witness(rho, sigma)
-            after = build_witness(
-                apply_channel(channel, rho), apply_channel(channel, sigma)
-            )
-        except SingularState:
-            skipped += 1
-            continue
+    for start in range(0, trials, CHUNK_ROWS):
+        rngs = substreams(seed, (), range(start, min(start + CHUNK_ROWS, trials)))
+        rho, sigma = random_pairs(rngs, dim)
+        kraus = np.stack([random_channel(dim, seed=rng).kraus for rng in rngs])
+        out_rho = apply_channel_rows(kraus, rho.mats, rho.tol)
+        out_sigma = apply_channel_rows(kraus, sigma.mats, sigma.tol)
+        singular, _ = singular_check(np.minimum(sigma.spectra[:, 0], out_sigma.spectra[:, 0]))
+        skipped += int(np.count_nonzero(singular))
+        keep = ~singular
+        before = witness_batch(rho.mats[keep], sigma.mats[keep])
+        after = witness_batch(out_rho.mats[keep], out_sigma.mats[keep])
         for f in convex:
-            worst = max(worst, after.f_divergence(f) - before.f_divergence(f))
-        if after.f_divergence(tv) > before.f_divergence(tv) + INEQUALITY_TOL:
-            tv_increases += 1
-        diag_r = diagonal_state(before.r)
-        diag_s = diagonal_state(before.s)
-        classical = build_witness(diag_r, diag_s)
-        recovered = build_witness(
-            apply_channel(before.channel, diag_r), apply_channel(before.channel, diag_s)
-        )
+            worst = _worst(worst, after.f_divergence(f) - before.f_divergence(f))
+        tv_increases += int(np.count_nonzero(
+            after.f_divergence(tv) > before.f_divergence(tv) + INEQUALITY_TOL))
+        eye = np.eye(dim)
+        classical = witness_batch(before.r[..., None] * eye, before.s[..., None] * eye)
+        back_r, back_s = before.recovered()
+        recovered = witness_batch(back_r.mats, back_s.mats)
         for f in convex:
             d = classical.f_divergence(f)
-            gap = abs(recovered.f_divergence(f) - d) / max(1.0, abs(d))
-            equality_worst = max(equality_worst, gap)
+            gap = np.abs(recovered.f_divergence(f) - d) / np.maximum(1.0, np.abs(d))
+            equality_worst = _worst(equality_worst, gap)
     return SuiteResult(
         "dpi",
         worst,
@@ -161,11 +152,11 @@ def dpi_suite(dim=4, trials=100, seed=42):
     )
 
 
-def _witness_chunks(dim, samples, seed, rank=None):
-    """Sample i's pair from ``substream(seed, i)``, in stacks of
+def _witness_chunks(dim, samples, seed, rank=None, prefix=()):
+    """Sample i's pair from ``substream(seed, *prefix, i)``, in stacks of
     ``CHUNK_ROWS``: yields the rho and sigma stacks and their witnesses."""
     for start in range(0, samples, CHUNK_ROWS):
-        rngs = substreams(seed, (), range(start, min(start + CHUNK_ROWS, samples)))
+        rngs = substreams(seed, prefix, range(start, min(start + CHUNK_ROWS, samples)))
         rho, sigma = random_pairs(rngs, dim, rank)
         yield rho, sigma, witness_batch(rho.mats, sigma.mats)
 

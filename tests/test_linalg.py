@@ -51,11 +51,6 @@ def test_inv_sqrt_of_diagonal():
     assert np.allclose(out, np.diag([2.0, 2.0, math.sqrt(2.0)]), atol=1e-12)
 
 
-def test_abs_of_indefinite_diagonal():
-    out = linalg.abs_hermitian(np.diag([1.0, -2.0]))
-    assert np.allclose(out, np.diag([1.0, 2.0]), atol=1e-12)
-
-
 def test_trace_norm_of_indefinite_diagonal():
     assert linalg.trace_norm_hermitian(np.diag([1.0, -2.0])) == pytest.approx(3.0)
 
@@ -81,7 +76,8 @@ def test_loewner_order_incomparable_projectors():
 def test_loewner_sum_dominates_absolute_difference_for_qubit_pair():
     rho = plus_state().mat
     sigma = maximally_mixed().mat
-    gap = linalg.abs_hermitian(rho - sigma)
+    eig = linalg.hermitian_eig(rho - sigma)
+    gap = eig.compose(np.abs(eig.eigenvalues))
     assert linalg.loewner_geq(rho + sigma, gap)
 
 
@@ -142,17 +138,6 @@ def test_eigendecomposition_is_deterministic():
     e2 = linalg.hermitian_eig(a.copy())
     assert np.array_equal(e1.eigenvalues, e2.eigenvalues)
     assert np.array_equal(e1.vectors, e2.vectors)
-
-
-def test_abs_hermitian_squares_to_the_square():
-    rng = np.random.default_rng(13)
-    for n in (2, 4, 6):
-        for _ in range(50):
-            x = random_hermitian(n, rng)
-            lhs = linalg.abs_hermitian(x) @ linalg.abs_hermitian(x)
-            rhs = x @ x
-            scale = max(1.0, float(np.max(np.abs(rhs))))
-            assert np.max(np.abs(lhs - rhs)) <= 1e-8 * scale
 
 
 def test_matrix_polynomial_matches_direct_powers():
@@ -288,7 +273,6 @@ def test_stacked_checks_return_one_entry_per_row():
     assert norms.shape == (4,)
     for i in range(4):
         assert norms[i] == linalg.trace_norm_hermitian(xs[i])
-        assert np.array_equal(linalg.abs_hermitian(xs)[i], linalg.abs_hermitian(xs[i]))
     geq = linalg.loewner_geq(np.abs(xs).sum() * np.eye(3)[None] + 0 * xs, xs)
     assert geq.dtype == bool and geq.all()
     assert isinstance(linalg.loewner_geq(np.eye(2), np.eye(2)), bool)

@@ -26,17 +26,19 @@ from qfdiv.maximal import (
     maximal_f_div,
     verify_witness,
     witness_batch,
+    witness_residual_rows,
 )
 from qfdiv.states import (
     ClassicalDistribution,
+    QuantumChannel,
     apply_channel,
+    apply_channel_rows,
     diagonal_state,
     random_channel,
     random_density,
     random_pairs,
     substream,
 )
-from qfdiv.verify import random_pair
 
 KL = builtin_generator("kl")
 CHI2 = builtin_generator("chi2")
@@ -284,6 +286,29 @@ def test_build_witness_is_bit_identical_to_its_batch_row(dim):
         assert w.f_divergence(KL) == batch.f_divergence(KL)[i]
 
 
+@pytest.mark.parametrize("dim", [2, 3, 4, 8])
+def test_stacked_residuals_match_the_one_row_and_kraus_routes(dim):
+    rngs = [substream(64, dim, i) for i in range(6)]
+    rho, sigma = random_pairs(rngs, dim)
+    batch = witness_batch(rho.mats, sigma.mats)
+    rows = witness_residual_rows(rho.mats, sigma.mats, batch, KL)
+    back_r, back_s = batch.recovered()
+    kraus = np.stack([random_channel(dim, seed=rng).kraus for rng in rngs])
+    out = apply_channel_rows(kraus, rho.mats, rho.tol)
+    for b in range(6):
+        report = verify_witness(rho.row(b), sigma.row(b), KL)
+        assert report.residuals == {k: float(v[b]) for k, v in rows.items()}
+        # the Kraus route of the recovery channel is the independent oracle
+        w = batch.row(b)
+        for back, p in ((back_r, w.r), (back_s, w.s)):
+            oracle = apply_channel(w.channel, diagonal_state(p)).mat
+            assert np.max(np.abs(back.mats[b] - oracle)) <= 1e-12
+        one = apply_channel(QuantumChannel(kraus[b]), rho.row(b)).mat
+        loop = sum(a @ rho.mats[b] @ a.conj().T for a in kraus[b])
+        assert np.array_equal(one, out.mats[b])
+        assert np.array_equal(one, (loop + loop.conj().T) / 2)
+
+
 def test_batched_witness_of_commuting_pairs_is_the_diagonals():
     rng = substream(61)
     for dim in (2, 3, 5):
@@ -343,7 +368,7 @@ def test_recovery_channel_is_assembled_on_first_read(monkeypatch):
 
 
 def test_witness_is_complete_for_a_nearly_singular_sigma():
-    rho, sigma = random_pair(8, substream(568437518, 8, 7))
+    rho, sigma = (x.row(0) for x in random_pairs([substream(568437518, 8, 7)], 8))
     assert sigma.spectrum[0] < 1e-8
     w = build_witness(rho, sigma)
     comp = np.einsum("kij,kil->jl", w.channel.kraus.conj(), w.channel.kraus)
@@ -353,7 +378,7 @@ def test_witness_is_complete_for_a_nearly_singular_sigma():
 
 
 def test_witness_r_defect_shows_as_its_residual():
-    rho, sigma = random_pair(2, substream(568657945, 2, 9))
+    rho, sigma = (x.row(0) for x in random_pairs([substream(568657945, 2, 9)], 2))
     report = verify_witness(rho, sigma, KL)
     assert 1e-10 < report.residuals["r_normalization"] <= WITNESS_TOL
     assert report.passed

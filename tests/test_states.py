@@ -22,13 +22,13 @@ from qfdiv.states import (
     QuantumChannel,
     abs_condition_rows,
     apply_channel,
+    apply_channel_rows,
     completeness_defect,
     diagonal_state,
     ginibre_states,
     random_channel,
     random_density,
     random_pairs,
-    regularize,
     satisfies_abs_condition,
     substream,
     substreams,
@@ -219,12 +219,15 @@ def test_single_kraus_channel_is_unitary():
 
 def test_apply_channel_checks_dimensions():
     ch = random_channel(2, seed=substream(8, 0))
+    rho = random_density(3, seed=substream(8, 1))
     with pytest.raises(DimensionMismatch):
-        apply_channel(ch, random_density(3, seed=substream(8, 1)))
+        apply_channel(ch, rho)
+    with pytest.raises(DimensionMismatch):
+        apply_channel_rows(ch.kraus[None], rho.mat[None])
 
 
 # ---------------------------------------------------------------------------
-# diagonal embedding, regularization, and the absolute-value condition
+# diagonal embedding and the absolute-value condition
 # ---------------------------------------------------------------------------
 
 
@@ -234,17 +237,6 @@ def test_diagonal_state_accepts_distribution_or_vector():
     assert np.allclose(rho.mat, np.diag([0.75, 0.25]))
     rho2 = diagonal_state([0.75, 0.25])
     assert np.array_equal(rho.mat, rho2.mat)
-
-
-def test_regularize_mixes_toward_maximally_mixed():
-    rho = diagonal_state([1.0, 0.0])
-    out = regularize(rho, 0.1)
-    assert np.allclose(out.mat, np.diag([0.95, 0.05]))
-    assert np.linalg.eigvalsh(out.mat)[0] > 0.0
-    with pytest.raises(OutOfRange):
-        regularize(rho, 0.0)
-    with pytest.raises(OutOfRange):
-        regularize(rho, 1.0)
 
 
 def test_abs_condition_holds_for_the_qubit_hand_pair():

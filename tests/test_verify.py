@@ -42,34 +42,57 @@ def _count_witness_builds(monkeypatch):
 
 
 def test_witness_suite_builds_two_witnesses_per_pair(monkeypatch):
-    # one verify_witness report per pair: its own build plus the one behind
-    # the divergence_match residual
+    # per stack, the witnesses and the second build behind the
+    # divergence_match residual; 300 pairs per dim are stacks of 256 and 44
     calls = _count_witness_builds(monkeypatch)
-    witness_suite(dims=(2, 3), pairs_per_dim=3, seed=42)
-    assert len(calls) == 2 * 6
+    witness_suite(dims=(2, 3), pairs_per_dim=300, seed=42)
+    assert [len(rho) for rho, _ in calls] == [256, 256, 44, 44] * 2
 
 
 def test_dpi_suite_builds_each_distinct_pair_once(monkeypatch):
     # (rho, sigma), the channel outputs, (diag r, diag s) and its recovery
     calls = _count_witness_builds(monkeypatch)
-    result = dpi_suite(dim=3, trials=3, seed=42)
+    result = dpi_suite(dim=3, trials=300, seed=42)
     assert result.extras["skipped"] == 0
-    assert len(calls) == 4 * 3
+    assert [len(rho) for rho, _ in calls] == [256] * 4 + [44] * 4
+
+
+def _reset_channel(dim, seed):
+    # every Kraus operator |0><k| maps each state to |0><0|
+    kraus = np.zeros((dim, dim, dim), dtype=complex)
+    kraus[np.arange(dim), 0, np.arange(dim)] = 1.0
+    return QuantumChannel(kraus)
 
 
 def test_dpi_suite_skips_trials_whose_channel_output_is_singular(monkeypatch):
-    # every Kraus operator |0><k| maps each state to |0><0|, so Phi sigma
-    # is singular and no trial reaches the equality check
-    def reset_channel(dim, seed):
-        kraus = np.zeros((dim, dim, dim), dtype=complex)
-        kraus[np.arange(dim), 0, np.arange(dim)] = 1.0
-        return QuantumChannel(kraus)
-
-    monkeypatch.setattr(verify, "random_channel", reset_channel)
+    # Phi sigma is singular, so no trial reaches the equality check
+    monkeypatch.setattr(verify, "random_channel", _reset_channel)
     result = dpi_suite(dim=3, trials=4, seed=42)
     assert result.extras["skipped"] == 4
     assert result.worst == 0.0
     assert result.extras["equality_worst"] == 0.0
+
+
+def test_dpi_suite_skips_only_the_singular_rows_of_a_stack(monkeypatch):
+    # the reset channel on odd calls only: those trials are skipped and the
+    # even ones still reach all four witness builds
+    real = verify.random_channel
+    calls = []
+
+    def every_other(dim, seed):
+        calls.append(dim)
+        return (_reset_channel if len(calls) % 2 == 0 else real)(dim, seed=seed)
+
+    monkeypatch.setattr(verify, "random_channel", every_other)
+    builds = _count_witness_builds(monkeypatch)
+    result = dpi_suite(dim=3, trials=7, seed=42)
+    assert result.extras["skipped"] == 3
+    rho, sigma = random_pairs([substream(42, i) for i in range(7)], 3)
+    assert np.array_equal(builds[0][0], rho.mats[0::2])
+    assert np.array_equal(builds[0][1], sigma.mats[0::2])
+    assert [len(r) for r, _ in builds] == [4] * 4
+    assert 0.0 < result.extras["equality_worst"] <= 1e-9
+    assert result.passed
 
 
 @pytest.mark.parametrize("run", [maximality_and_pinsker, reverse_pinsker_and_binette],
@@ -82,7 +105,19 @@ def test_stacked_passes_build_one_witness_batch_per_chunk(monkeypatch, run):
 
 
 def test_stacked_passes_are_pinned_at_seed_42():
-    # the values the one-pair-at-a-time suites gave, bit for bit
+    # maximality_and_pinsker and reverse_pinsker_and_binette give the values
+    # of the one-pair-at-a-time suites, bit for bit; the stacked witness and
+    # dpi suites reconstruct V(diag r) as C diag(lambda) C^dag, which moves
+    # their rounding-level residuals in the last digits
+    assert witness_suite(dims=(2, 3, 4, 8), pairs_per_dim=100, seed=42).worst == (
+        3.2744860600553934e-13)
+    dpi = dpi_suite(dim=4, trials=1000, seed=42)
+    assert dpi.worst == 0.0
+    assert dpi.extras == {
+        "equality_worst": 6.146087801989867e-12,
+        "skipped": 0,
+        "tv_increase_rate": 0.0,
+    }
     maximality, pinsker = maximality_and_pinsker(dim=4, samples=1000, seed=42)
     assert maximality.worst == 5.716598767286497e-12
     assert pinsker.worst == 0.0
