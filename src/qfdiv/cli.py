@@ -11,6 +11,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -88,7 +89,8 @@ def parse_state_file(path):
     """Read a density matrix from the plain-text state format.
 
     Line 1 holds the dimension n; each of the next n lines holds n entries
-    formatted "re,im" separated by whitespace.  Every number must be finite.
+    formatted "re,im" separated by whitespace.  Every number must be finite,
+    and every line after row n blank.
     """
     try:
         with open(path, "r", encoding="ascii") as fh:
@@ -127,6 +129,9 @@ def parse_state_file(path):
     if not finite.all():
         k = int(finite.argmin())  # 2 n numbers per line
         raise ParseError(f"entry {k % (2 * n) // 2 + 1} is not finite", line=k // (2 * n) + 2)
+    for lineno, line in enumerate(lines[n + 1:], start=n + 2):
+        if line.strip():
+            raise ParseError(f"unexpected content after row {n}: {line!r}", line=lineno)
     return DensityMatrix(values.view(np.complex128).reshape(n, n))
 
 
@@ -147,21 +152,21 @@ def write_state_file(path, rho):
 # CSV / SVG output
 
 
-def _fmt(x):
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return f"{float(x):.17g}"
+_CSV_FORMATS = {"f": "%.17g", "b": "%d", "i": "%d", "u": "%d"}
 
 
-def write_csv(path, header, rows):
+def write_csv(path, header, columns):
+    """Write equal-length ``columns``, each of one type, under ``header``.
+
+    Floats are written ``%.17g``, booleans 1/0, ints and strings as ``str``
+    gives them.  Each column's format follows its numpy dtype, and the table
+    is formatted by one ``%`` of a repeated row template.
+    """
+    columns = [np.asarray(col) for col in columns]
+    row = ",".join([_CSV_FORMATS.get(col.dtype.kind, "%s") for col in columns]) + "\n"
+    values = tuple(chain.from_iterable(zip(*[col.tolist() for col in columns])))
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+        fh.write(",".join(header) + "\n" + row * len(columns[0]) % values)
 
 
 def _axis_ticks(lo, hi, count=5):
@@ -237,19 +242,21 @@ class _SvgCanvas:
             f'transform="rotate(-90 14 {(t + b) / 2:.2f})">{ylabel}</text>'
         )
 
+    def _points(self, xs, ys, template):
+        xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+        return map(template.__mod__, zip(self.px(xs).tolist(), self.py(ys).tolist()))
+
     def polyline(self, xs, ys, color):
-        pts = " ".join(f"{self.px(x):.2f},{self.py(y):.2f}" for x, y in zip(xs, ys))
+        pts = " ".join(self._points(xs, ys, "%.2f,%.2f"))
         self.parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
             'stroke-width="1.5"/>'
         )
 
     def scatter(self, xs, ys, color, radius=2.0):
-        for x, y in zip(xs, ys):
-            self.parts.append(
-                f'<circle cx="{self.px(x):.2f}" cy="{self.py(y):.2f}" '
-                f'r="{radius}" fill="{color}" fill-opacity="0.55"/>'
-            )
+        self.parts.extend(self._points(
+            xs, ys, f'<circle cx="%.2f" cy="%.2f" r="{radius}" fill="{color}" '
+                    'fill-opacity="0.55"/>'))
 
     def legend(self, entries):
         x = self.margin_l + 12
@@ -288,14 +295,13 @@ def cmd_verify(config):
         suites.trace_identity_suite(trials=max(1, small // 10), seed=config.seed),
         suites.operator_jensen_suite(trials=max(1, small // 10), seed=config.seed),
     ]
-    rows = []
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         extras = " ".join(f"{k}={v}" for k, v in sorted(res.extras.items()))
         print(f"{status}  {res.name:<18} worst={res.worst:.3e}  tol={res.tol:.1e}"
               + (f"  [{extras}]" if extras else ""))
-        rows.append((res.name, res.worst, res.tol, res.passed))
-    write_csv(config.out_dir / "verify.csv", ("suite", "worst", "tol", "passed"), rows)
+    columns = zip(*((res.name, res.worst, res.tol, res.passed) for res in results))
+    write_csv(config.out_dir / "verify.csv", ("suite", "worst", "tol", "passed"), columns)
     failed = [res.name for res in results if not res.passed]
     if failed == ["reverse-pinsker"]:
         print("note: only the trace-distance form of the reverse-Pinsker bound "
@@ -309,34 +315,28 @@ def cmd_fig1(config):
     """Decoherence envelopes over time for each configured chi2_0."""
     t_max = 10.0 / config.lam
     ts = np.linspace(0.0, t_max, FIG1_POINTS)
-    rows = []
-    curves = []
-    for idx, chi0 in enumerate(config.chi2_0_list):
-        temme_vals = []
-        improved_vals = []
-        for t in ts:
-            temme, improved = decoherence_bounds(chi0, config.lam, float(t))
-            rows.append((float(t), chi0, temme, improved))
-            temme_vals.append(temme)
-            improved_vals.append(improved)
-        curves.append((f"classical, chi2_0={chi0:g}", temme_vals,
-                       PALETTE[(2 * idx) % len(PALETTE)]))
-        curves.append((f"improved, chi2_0={chi0:g}", improved_vals,
-                       PALETTE[(2 * idx + 1) % len(PALETTE)]))
+    chi0s = config.chi2_0_list
+    # bounds[k, j] = (temme, improved) for chi0s[k] at ts[j]
+    bounds = np.array([[decoherence_bounds(chi0, config.lam, t) for t in ts.tolist()]
+                       for chi0 in chi0s])
     write_csv(
         config.out_dir / "fig1.csv",
         ("t", "chi2_0", "temme_bound", "improved_bound"),
-        rows,
+        [np.tile(ts, len(chi0s)), np.repeat(chi0s, FIG1_POINTS),
+         *bounds.reshape(-1, 2).T],
     )
-    top = max(max(vals) for _, vals, _ in curves)
-    canvas = _SvgCanvas((0.0, t_max), (0.0, top * 1.05),
+    canvas = _SvgCanvas((0.0, t_max), (0.0, bounds.max() * 1.05),
                         "time", "trace-distance bound")
-    for label, vals, color in curves:
-        canvas.polyline(ts, vals, color)
-    canvas.legend([(label, color) for label, _, color in curves])
+    legend = []
+    for k, (chi0, curve) in enumerate(zip(chi0s, bounds)):
+        for j, (kind, vals) in enumerate(zip(("classical", "improved"), curve.T)):
+            color = PALETTE[(2 * k + j) % len(PALETTE)]
+            canvas.polyline(ts, vals, color)
+            legend.append((f"{kind}, chi2_0={chi0:g}", color))
+    canvas.legend(legend)
     canvas.write(config.out_dir / "fig1.svg")
-    print(f"fig1: wrote {len(rows)} rows for chi2_0 in "
-          f"{tuple(config.chi2_0_list)} at rate {config.lam:g}")
+    print(f"fig1: wrote {FIG1_POINTS * len(chi0s)} rows for chi2_0 in "
+          f"{tuple(chi0s)} at rate {config.lam:g}")
     return 0
 
 
@@ -405,7 +405,7 @@ def cmd_fig2(config):
     likelihood-ratio operator.
     """
     kl = builtin_generator("kl")
-    rows = []
+    stacks = []
     draws = 0
     for start in range(0, config.samples, CHUNK_ROWS):
         stop = min(start + CHUNK_ROWS, config.samples)
@@ -419,17 +419,16 @@ def cmd_fig2(config):
         ae = audenaert_eisert_rows(t, rho_spec[:, 0], sigma_spec[:, 0])
         relent = relative_entropy_rows(rho, rho_spec, w.sigma)
         dmax_kl = w.f_divergence(kl)
-        rows.extend(zip(t, m, big_m, binette, ae, relent, dmax_kl))
-    rejected = draws - len(rows)
+        stacks.append((t, m, big_m, binette, ae, relent, dmax_kl))
+    columns = [np.concatenate(col) for col in zip(*stacks)]
     write_csv(
         config.out_dir / "fig2.csv",
         ("trace_distance", "m", "M", "binette_bound_kl", "ae_bound",
          "relent", "max_relent_div"),
-        rows,
+        columns,
     )
-    aes = [row[4] for row in rows]
-    binettes = [row[3] for row in rows]
-    hi = max(max(aes), max(binettes)) * 1.05
+    binettes, aes = columns[3], columns[4]
+    hi = max(aes.max(), binettes.max()) * 1.05
     canvas = _SvgCanvas((0.0, hi), (0.0, hi),
                         "trace-distance + least-eigenvalue bound",
                         "reverse-Pinsker bound (kl)")
@@ -440,10 +439,10 @@ def cmd_fig2(config):
     )
     canvas.scatter(aes, binettes, PALETTE[0])
     canvas.write(config.out_dir / "fig2.svg")
-    below = sum(1 for b, a in zip(binettes, aes) if b < a)
-    print(f"fig2: kept {len(rows)} pairs, rejected {rejected}; "
+    below = np.count_nonzero(binettes < aes)
+    print(f"fig2: kept {config.samples} pairs, rejected {draws - config.samples}; "
           f"reverse-Pinsker bound tighter on {below}, "
-          f"looser on {len(rows) - below}")
+          f"looser on {config.samples - below}")
     return 0
 
 
@@ -463,8 +462,8 @@ def cmd_condition_rate(config, commuting=False):
     write_csv(
         config.out_dir / "condition_rate.csv",
         ("dim", "samples", "seed", "environment", "commuting", "satisfied", "rate"),
-        [(config.dim, config.samples, config.seed, environment,
-          commuting, round(rate * config.samples), rate)],
+        [[config.dim], [config.samples], [config.seed], [environment],
+         [commuting], [round(rate * config.samples)], [rate]],
     )
     if commuting or config.dim != 4 or config.samples < 1000:
         return 0

@@ -67,6 +67,9 @@ def test_state_file_parses_hand_written_qubit(tmp_path):
     path.write_text("2\n0.5,0 0.5,0\n0.5,0 0.5,0\n")
     rho = parse_state_file(path)
     assert np.allclose(rho.mat, plus_state().mat)
+    # trailing blank lines are accepted
+    path.write_text("2\n0.5,0 0.5,0\n0.5,0 0.5,0\n\n \n\t\n")
+    assert np.array_equal(parse_state_file(path).mat, rho.mat)
 
 
 def test_state_file_reports_the_offending_line(tmp_path):
@@ -82,6 +85,11 @@ def test_state_file_reports_the_offending_line(tmp_path):
     ("2\n1,2,3 4\n0.5,0 0.5,0\n", 2, "entry 1 is not 're,im': '1,2,3'"),
     ("2\n0.5,0 0,0\n0.5,0 0.5,x\n", 3, "bad number in entry 2: '0.5,x'"),
     ("2\n0.5,0 0,0\n0.5,0\n", 3, "expected 2 entries, got 1"),
+    # the first non-blank line after row n is named, not a blank one before it
+    ("2\n0.5,0 0,0\n0,0 0.5,0\ngarbage here\n1,2,3\n", 4,
+     "unexpected content after row 2: 'garbage here'"),
+    ("2\n0.5,0 0,0\n0,0 0.5,0\n\n \n1,2,3\n", 6,
+     "unexpected content after row 2: '1,2,3'"),
 ])
 def test_state_file_names_the_bad_entry_and_line(tmp_path, text, line, message):
     path = tmp_path / "bad.txt"
