@@ -189,8 +189,8 @@ class WitnessReport:
     """Named residuals from replaying the witness construction, and the
     witness they were measured on."""
 
-    residuals: dict = field(default_factory=dict)
-    witness: Witness | None = field(default=None, repr=False)
+    residuals: dict
+    witness: Witness = field(repr=False)
 
     @property
     def worst(self):

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import (
-    DEFAULT_QUAD_TOL,
     EQUAL_STATES_EPS,
     binette_rhs,
     pinsker_chi2_lower,
@@ -41,11 +40,14 @@ INEQUALITY_TOL = 1e-8
 IDENTITY_TOL = 1e-8
 ZETA1_TOL = 1e-7
 
-# the environment-doubled dim-4 ensemble satisfies the condition this often
+# the environment-doubled dim-4 ensemble satisfies the condition more often
+# than this; a rate above the floor but not above the minimum is a warning
 MIN_CONDITION_RATE = 0.80
+CONDITION_RATE_FLOOR = 0.75
 
-DEFAULT_M_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
-DEFAULT_M_UPPER_GRID = (1.1, 1.5, 2.0, 3.0, 5.0, 7.0, 10.0)
+# the (m, M) grid of the zeta1 suite
+ZETA1_M_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+ZETA1_M_UPPER_GRID = (1.1, 1.5, 2.0, 3.0, 5.0, 7.0, 10.0)
 
 
 @dataclass(frozen=True)
@@ -71,7 +73,7 @@ class RateResult:
 
     @property
     def passed(self):
-        return self.rate >= MIN_CONDITION_RATE
+        return self.rate > MIN_CONDITION_RATE
 
 
 def witness_suite(dims=(2, 3, 4, 8), pairs_per_dim=100, seed=42):
@@ -270,15 +272,15 @@ def reverse_pinsker_and_binette(dim=4, samples=1000, seed=42):
                         extras={"skipped": skipped}))
 
 
-def zeta1_suite(m_grid=DEFAULT_M_GRID, M_grid=DEFAULT_M_UPPER_GRID,
-                quad_tol=DEFAULT_QUAD_TOL):
-    """Integral and closed forms of the unit-radius bound must agree."""
+def zeta1_suite():
+    """Integral and closed forms of the unit-radius bound must agree on the
+    ``ZETA1_M_GRID`` x ``ZETA1_M_UPPER_GRID`` grid."""
     worst = 0.0
     for name in ("kl", "chi2"):
         f = builtin_generator(name)
-        for m in m_grid:
-            for M in M_grid:
-                gap = abs(zeta1_integral(m, M, f, quad_tol) - zeta1_closed(m, M, f))
+        for m in ZETA1_M_GRID:
+            for M in ZETA1_M_UPPER_GRID:
+                gap = abs(zeta1_integral(m, M, f) - zeta1_closed(m, M, f))
                 worst = max(worst, gap)
     return SuiteResult("zeta1", worst, ZETA1_TOL)
 
@@ -290,10 +292,11 @@ def _random_psd(n, rng, ridge=0.1):
     return m / np.trace(m).real + ridge * np.eye(n)
 
 
-def trace_identity_suite(trials=200, seed=42, max_dim=6):
+def trace_identity_suite(trials=200, seed=42):
     """Polynomial trace identities behind the maximal-divergence formula.
 
-    For random PSD A, B and random polynomials f (degree <= 4):
+    For random PSD A, B of dimension 2 to 6 and random polynomials f
+    (degree <= 4):
     tr(A f(AB) A) = tr(A f(BA) A), and with f(x) = x g(x),
     tr(A^{-1} f(BA)) = tr(B g(AB)).  Residuals are relative to the larger
     side's magnitude (floored at 1).
@@ -301,7 +304,7 @@ def trace_identity_suite(trials=200, seed=42, max_dim=6):
     worst = 0.0
     for i in range(trials):
         rng = substream(seed, 101, i)
-        n = int(rng.integers(2, max_dim + 1))
+        n = int(rng.integers(2, 7))
         a = _random_psd(n, rng)
         b = _random_psd(n, rng)
         coeffs = rng.uniform(-1.0, 1.0, size=5)
@@ -323,10 +326,11 @@ def trace_identity_suite(trials=200, seed=42, max_dim=6):
     return SuiteResult("trace-identity", worst, IDENTITY_TOL)
 
 
-def operator_jensen_suite(trials=200, seed=42, max_dim=4):
+def operator_jensen_suite(trials=200, seed=42):
     """Operator Jensen inequality for the operator-convex builtins.
 
-    With a resolution of identity {L_i} from a random channel and points
+    With a resolution of identity {L_i} from a random channel (dimension and
+    Kraus rank 2 to 4) and points
     x_i >= 0: sum f(x_i) L_i >= f(sum x_i L_i).  ``worst`` is the most
     negative eigenvalue of the difference, sign-flipped.
     """
@@ -334,8 +338,8 @@ def operator_jensen_suite(trials=200, seed=42, max_dim=4):
     worst = 0.0
     for i in range(trials):
         rng = substream(seed, 202, i)
-        n = int(rng.integers(2, max_dim + 1))
-        k = int(rng.integers(2, max_dim + 1))
+        n = int(rng.integers(2, 5))
+        k = int(rng.integers(2, 5))
         channel = random_channel(n, k, seed=rng)
         lambdas = [a.conj().T @ a for a in channel.kraus]
         xs = rng.uniform(0.0, 3.0, size=k)

@@ -1,6 +1,9 @@
 """End-to-end tests for the command-line interface."""
 
+import argparse
 import math
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from qfdiv.divergence import max_relative_entropy, quantum_relative_entropy, tra
 from qfdiv.errors import InvariantViolation, OutOfRange, ParseError
 from qfdiv.generators import BUILTIN_NAMES, builtin_generator
 from qfdiv.states import random_density, satisfies_abs_condition, substream
+from qfdiv.verify import RateResult
 
 
 def run_cli(*argv):
@@ -40,8 +44,6 @@ def test_config_validates_its_fields():
         ExperimentConfig(samples=0)
     with pytest.raises(OutOfRange):
         ExperimentConfig(lam=0.0)
-    with pytest.raises(OutOfRange):
-        ExperimentConfig(quad_tol=-1e-9)
     with pytest.raises(OutOfRange):
         ExperimentConfig(seed=-1)
 
@@ -421,3 +423,97 @@ def test_out_dir_env_var_is_honored(tmp_path, monkeypatch):
     monkeypatch.setenv("QFDIV_OUT", str(target))
     assert run_cli("fig1") == 0
     assert (target / "fig1.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# the options of each subcommand
+# ---------------------------------------------------------------------------
+
+# every option and positional each subcommand accepts, besides -h/--help
+OPTIONS = {
+    "verify": "--dim --samples --seed --out",
+    "fig1": "--lambda --chi0 --out",
+    "fig2": "--dim --samples --seed --out",
+    "condition-rate": "--dim --samples --seed --commuting --out",
+    "witness": "rho sigma --f --bits --out",
+    "compare-bounds": "rho sigma --bits --out",
+}
+# a value for each option that takes one, --out aside; --quad-tol is gone everywhere
+VALUES = {"--dim": "3", "--samples": "5", "--seed": "3", "--lambda": "0.2",
+          "--chi0": "2", "--quad-tol": "1e-8", "--f": "chi2", "--commuting": None,
+          "--bits": None}
+
+
+def _subparsers():
+    parser = cli.build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_each_subcommand_accepts_exactly_its_options():
+    accepted = {name: {opt for a in sub._actions if not isinstance(a, argparse._HelpAction)
+                       for opt in a.option_strings or [a.metavar]}
+                for name, sub in _subparsers().items()}
+    assert accepted == {name: set(opts.split()) for name, opts in OPTIONS.items()}
+    # 21 (subcommand, option) settings, positionals aside
+    assert sum(opt.startswith("--") for opts in accepted.values() for opt in opts) == 21
+
+
+@pytest.mark.parametrize("command, option", [
+    (command, option) for command, opts in OPTIONS.items()
+    for option in VALUES if option not in opts.split()
+])
+def test_an_option_a_subcommand_does_not_read_is_a_usage_error(
+        tmp_path, monkeypatch, capsys, command, option):
+    monkeypatch.chdir(tmp_path)
+    files = []
+    if "rho" in OPTIONS[command]:
+        files = [str(p) for p in _write_pair(tmp_path)]
+    before = sorted(tmp_path.rglob("*"))
+    value = [] if VALUES[option] is None else [VALUES[option]]
+    with pytest.raises(SystemExit) as info:
+        main([command, *files, option, *value, "--out", str(tmp_path / "out")])
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_the_parser_sets_no_setting_that_is_not_given():
+    # so ExperimentConfig holds the only defaults
+    for name, sub in _subparsers().items():
+        args = vars(sub.parse_args(["rho.txt", "sigma.txt"] if "rho" in OPTIONS[name] else []))
+        settings = set(args) & {f.name for f in fields(ExperimentConfig)}
+        assert not settings, name
+
+
+@pytest.mark.parametrize("argv, command, parsed", [
+    (("fig2", "--samples", "50", "--dim", "4", "--seed", "3"), "cmd_fig2",
+     {"samples": 50, "dim": 4, "seed": 3}),
+    (("condition-rate", "--dim", "4", "--samples", "50", "--seed", "3"),
+     "cmd_condition_rate", {"dim": 4, "samples": 50, "seed": 3, "commuting": False}),
+    (("witness", "rho.txt", "sigma.txt", "--f", "kl"), "cmd_witness",
+     {"rho_path": "rho.txt", "sigma_path": "sigma.txt", "fname": "kl", "bits": False}),
+    (("compare-bounds", "rho.txt", "sigma.txt"), "cmd_compare_bounds",
+     {"rho_path": "rho.txt", "sigma_path": "sigma.txt", "bits": False}),
+])
+def test_the_benchmark_argv_shapes_still_parse(argv, command, parsed):
+    # the benchmark appends --out to each of these calls
+    args = vars(cli.build_parser().parse_args([*argv, "--out", "bench-out"]))
+    assert args.pop("command") is getattr(cli, command)
+    assert args == {**parsed, "out_dir": Path("bench-out")}
+
+
+@pytest.mark.parametrize("rate, code, err", [
+    (0.81, 0, ""),
+    # exactly the minimum does not pass: it warns
+    (0.80, 0, "warning: rate in (0.75, 0.80]; ensemble sensitivity suspected\n"),
+    (0.75, 1, "condition rate 0.7500 fell at or below 0.75\n"),
+])
+def test_condition_rate_verdict_reads_the_rate_result(tmp_path, capsys, monkeypatch,
+                                                      rate, code, err):
+    assert RateResult(rate, 1000, 8, False).passed == (rate > 0.80)
+    monkeypatch.setattr(cli.suites, "condition_rate",
+                        lambda dim, samples, seed, commuting:
+                        RateResult(rate, samples, 2 * dim, commuting))
+    assert run_cli("condition-rate", "--samples", 1000, "--out", tmp_path) == code
+    assert capsys.readouterr().err == err
