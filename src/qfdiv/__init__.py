@@ -4,11 +4,7 @@ witnesses and numerically verified Pinsker-type bounds."""
 from .bounds import (
     BoundReport,
     adaptive_simpson,
-    audenaert_eisert_bound,
     binette_rhs,
-    check_audenaert_eisert,
-    check_quantum_pinsker_chi2,
-    check_reverse_pinsker_quantum,
     decoherence_bounds,
     pinsker_chi2_lower,
     reverse_pinsker_report,
@@ -19,8 +15,6 @@ from .divergence import (
     classical_f_div,
     max_relative_entropy,
     quantum_chi2,
-    quantum_relative_entropy,
-    trace_distance,
 )
 from .errors import QfdivError
 from .generators import BUILTIN_NAMES, FGenerator, builtin_generator
@@ -29,7 +23,6 @@ from .maximal import (
     WitnessBatch,
     WitnessReport,
     build_witness,
-    maximal_f_div,
     verify_witness,
     witness_batch,
 )
@@ -37,11 +30,7 @@ from .states import (
     ClassicalDistribution,
     DensityMatrix,
     QuantumChannel,
-    apply_channel,
-    diagonal_state,
     random_channel,
-    random_density,
-    satisfies_abs_condition,
     substream,
 )
 
@@ -59,28 +48,17 @@ __all__ = [
     "WitnessBatch",
     "WitnessReport",
     "adaptive_simpson",
-    "apply_channel",
-    "audenaert_eisert_bound",
     "binette_rhs",
     "build_witness",
     "builtin_generator",
-    "check_audenaert_eisert",
-    "check_quantum_pinsker_chi2",
-    "check_reverse_pinsker_quantum",
     "classical_f_div",
     "decoherence_bounds",
-    "diagonal_state",
     "max_relative_entropy",
-    "maximal_f_div",
     "pinsker_chi2_lower",
     "quantum_chi2",
-    "quantum_relative_entropy",
     "random_channel",
-    "random_density",
     "reverse_pinsker_report",
-    "satisfies_abs_condition",
     "substream",
-    "trace_distance",
     "verify_witness",
     "witness_batch",
     "zeta1_closed",

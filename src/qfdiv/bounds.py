@@ -1,17 +1,19 @@
 """Pinsker-type inequalities, reverse bounds, and decoherence envelopes.
 
-Each check_* function returns a :class:`BoundReport` with both sides of the
-inequality so callers can inspect slacks instead of bare booleans.
+The bounds are evaluated entrywise over arrays, one pair per entry.
+:func:`reverse_pinsker_report` returns a :class:`BoundReport` with both
+sides of the inequality, so callers can inspect slacks instead of bare
+booleans.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import quantum_chi2, quantum_relative_entropy, trace_distance
 from .errors import (
     DegenerateExtremes,
     NoSecondDerivative,
@@ -19,14 +21,13 @@ from .errors import (
     QuadratureFailure,
 )
 from .linalg import _scalar, raise_first_failure, singular_check
-from .maximal import build_witness
-from .states import abs_condition_rows
 
 EQUAL_STATES_EPS = 1e-8
 # below this least eigenvalue of rho the second Audenaert-Eisert term is 0
 AE_ALPHA_FLOOR = 1e-12
 DEFAULT_QUAD_TOL = 1e-8
 MAX_QUAD_INTERVALS = 100_000
+_LOG_MAX_FLOAT = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -61,14 +62,6 @@ def pinsker_chi2_lower(t):
         return _scalar(np.where(t <= 1.0, t * t, t / (2.0 - t)))
 
 
-def check_quantum_pinsker_chi2(rho, sigma):
-    """Pinsker-type bound: envelope(trace distance) <= chi-squared."""
-    t = trace_distance(rho, sigma)
-    lhs = pinsker_chi2_lower(t)
-    rhs = quantum_chi2(rho, sigma)
-    return BoundReport(lhs=lhs, rhs=rhs, slack=rhs - lhs)
-
-
 def decoherence_bounds(chi2_0, lam, t):
     """Trace-distance decay envelopes under decoherence at rate lam.
 
@@ -78,15 +71,16 @@ def decoherence_bounds(chi2_0, lam, t):
     and equal to the classical one after the crossover.  Always
     improved <= temme and improved <= 2.
     """
-    if chi2_0 < 0.0:
-        raise OutOfRange(f"chi2_0 must be nonnegative, got {chi2_0}")
-    if lam <= 0.0:
-        raise OutOfRange(f"decay rate must be positive, got {lam}")
-    if t < 0.0:
-        raise OutOfRange(f"time must be nonnegative, got {t}")
+    if not 0.0 <= chi2_0 < math.inf:
+        raise OutOfRange(f"chi2_0 must be finite and nonnegative, got {chi2_0}")
+    if not 0.0 < lam < math.inf:
+        raise OutOfRange(f"decay rate must be finite and positive, got {lam}")
+    if not 0.0 <= t < math.inf:
+        raise OutOfRange(f"time must be finite and nonnegative, got {t}")
     decayed = math.exp(-lam * t) * chi2_0
     temme = math.sqrt(decayed)
-    if math.exp(lam * t) < chi2_0:
+    # exp(lam t) overflows past _LOG_MAX_FLOAT, and then exceeds every chi2_0
+    if lam * t < _LOG_MAX_FLOAT and math.exp(lam * t) < chi2_0:
         improved = 2.0 * decayed / (1.0 + decayed)
     else:
         improved = temme
@@ -105,34 +99,6 @@ def binette_rhs(m, M, t, f):
     return (t / 2.0) * zeta1_closed(m, M, f)
 
 
-def check_reverse_pinsker_quantum(rho, sigma, f):
-    """Maximal f-divergence against the trace-distance reverse-Pinsker bound.
-
-    The right side is ``binette_rhs(m, M, ||rho - sigma||_1, f)`` with (m, M)
-    the extreme eigenvalues of the likelihood-ratio operator.
-    ``condition_met`` records whether |rho - sigma| <= rho + sigma holds.
-
-    Caution: even when the condition holds, the slack can be negative.  The
-    trace-distance form is not valid for the maximal divergence:
-    ||r - s||_1 >= ||rho - sigma||_1 by data processing through the
-    recovery channel, with strict inequality for non-commuting pairs,
-    condition or not (for f(x) = |x - 1| the left side IS ||r - s||_1 and
-    the right side is exactly ||rho - sigma||_1, so violations there are
-    generic).  Two forms do hold, Binette's inequality on the witness pair
-    itself and the trace-distance form for the Umegaki relative entropy;
-    ``verify.reverse_pinsker_and_binette`` checks both and says why.
-
-    Coinciding states short-circuit to the trivial report 0 <= 0 without
-    building a witness.  The condition and t come from one
-    eigendecomposition of rho - sigma; the report is
-    :func:`reverse_pinsker_report`.
-    """
-    holds, diff_spectra = abs_condition_rows(rho.mat[None], sigma.mat[None])
-    t = float(np.sum(np.abs(diff_spectra[0])))
-    w = build_witness(rho, sigma) if t >= EQUAL_STATES_EPS else None
-    return reverse_pinsker_report(w, t, bool(holds[0]), f)
-
-
 def reverse_pinsker_report(witness, t, condition, f):
     """Reverse-Pinsker report of one pair from its witness, its trace
     distance t and its positivity-condition verdict.
@@ -141,6 +107,16 @@ def reverse_pinsker_report(witness, t, condition, f):
     ``binette_rhs(m, M, t, f)`` with (m, M) the extreme likelihood ratios.
     For t below ``EQUAL_STATES_EPS`` the report is the trivial 0 <= 0 and
     ``witness`` is not read.
+
+    Caution: even when the condition holds, the slack can be negative.  The
+    trace-distance form is not valid for the maximal divergence:
+    ||r - s||_1 >= ||rho - sigma||_1 by data processing through the
+    recovery channel, with strict inequality for non-commuting pairs
+    (for f(x) = |x - 1| the left side IS ||r - s||_1 and the right side is
+    exactly ||rho - sigma||_1, so violations there are generic).  Two forms
+    do hold, Binette's inequality on the witness pair itself and the
+    trace-distance form for the Umegaki relative entropy;
+    ``verify.reverse_pinsker_and_binette`` checks both and says why.
     """
     if t < EQUAL_STATES_EPS:
         return BoundReport(lhs=0.0, rhs=0.0, slack=0.0, condition_met=condition)
@@ -223,9 +199,14 @@ def adaptive_simpson(fn, a, b, tol=DEFAULT_QUAD_TOL, max_intervals=MAX_QUAD_INTE
 
 
 def audenaert_eisert_rows(t, alpha, beta):
-    """Audenaert-Eisert bound for each row, from the trace distance t and the
-    least eigenvalues alpha of rho and beta of sigma (see
-    :func:`audenaert_eisert_bound`)."""
+    """Relative-entropy upper bound of each row from its trace distance t and
+    the least eigenvalues alpha of rho and beta of sigma (beta must exceed
+    ``SINGULAR_EPS``):
+
+        (beta + t/2) ln(1 + t/(2 beta)) - alpha ln(1 + t/(2 alpha)),
+
+    where the second term vanishes for alpha < ``AE_ALPHA_FLOOR``.
+    """
     t, alpha, beta = (np.asarray(x, dtype=float) for x in (t, alpha, beta))
     raise_first_failure([singular_check(beta)])
     alpha = np.maximum(alpha, 0.0)
@@ -234,24 +215,3 @@ def audenaert_eisert_rows(t, alpha, beta):
     safe = np.where(kept, alpha, 1.0)
     second = np.where(kept, safe * np.log1p(t / (2.0 * safe)), 0.0)
     return first - second
-
-
-def audenaert_eisert_bound(rho, sigma):
-    """Relative-entropy upper bound from trace distance and least eigenvalues.
-
-    With t the trace distance, alpha the least eigenvalue of rho, and beta
-    that of sigma (beta must exceed ``SINGULAR_EPS``):
-
-        (beta + t/2) ln(1 + t/(2 beta)) - alpha ln(1 + t/(2 alpha)),
-
-    where the second term vanishes for alpha < ``AE_ALPHA_FLOOR``.
-    """
-    t = trace_distance(rho, sigma)
-    return float(audenaert_eisert_rows([t], rho.spectrum[:1], sigma.spectrum[:1])[0])
-
-
-def check_audenaert_eisert(rho, sigma):
-    """Relative entropy against the Audenaert-Eisert upper bound."""
-    lhs = quantum_relative_entropy(rho, sigma)
-    rhs = audenaert_eisert_bound(rho, sigma)
-    return BoundReport(lhs=lhs, rhs=rhs, slack=rhs - lhs)

@@ -72,10 +72,10 @@ class ExperimentConfig:
             raise OutOfRange(f"seed must be nonnegative, got {self.seed}")
         if self.samples < 1:
             raise OutOfRange(f"samples must be at least 1, got {self.samples}")
-        if self.lam <= 0.0:
-            raise OutOfRange(f"decay rate must be positive, got {self.lam}")
-        if any(c < 0.0 for c in self.chi2_0_list):
-            raise OutOfRange("chi0 values must be nonnegative")
+        if not 0.0 < self.lam < math.inf:
+            raise OutOfRange(f"decay rate must be finite and positive, got {self.lam}")
+        if not all(0.0 <= c < math.inf for c in self.chi2_0_list):
+            raise OutOfRange("chi0 values must be finite and nonnegative")
         # --chi0 collects a list
         object.__setattr__(self, "chi2_0_list", tuple(self.chi2_0_list))
 

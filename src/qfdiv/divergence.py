@@ -1,10 +1,11 @@
 """Classical f-divergences and the standard quantum divergences.
 
 All quantum definitions here are the conventional ones (relative entropy,
-chi-squared, trace distance, max-relative entropy); the maximal f-divergence
+chi-squared, max-relative entropy); the trace distance is
+``linalg.trace_norm_hermitian`` of rho - sigma, and the maximal f-divergence
 lives in :mod:`qfdiv.maximal`.  Entropic quantities are in nats.  The
-``*_rows`` functions evaluate many pairs at once, one per row; the
-single-pair functions are their one-row views.
+``*_rows`` functions evaluate many pairs at once, one per row;
+:func:`classical_f_div` and :func:`quantum_chi2` are one-row views.
 """
 
 from __future__ import annotations
@@ -14,14 +15,7 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatch, ZeroReference
-from .linalg import (
-    adjoint,
-    hermitian_eig,
-    inv_sqrt_psd,
-    raise_first_failure,
-    singular_check,
-    trace_norm_hermitian,
-)
+from .linalg import adjoint, inv_sqrt_psd, raise_first_failure, singular_check
 
 
 def f_div_rows(p, q, f):
@@ -61,17 +55,6 @@ def relative_entropy_rows(rho_mats, rho_spectra, sigma_eig):
     return entropy - cross
 
 
-def quantum_relative_entropy(rho, sigma):
-    """Umegaki relative entropy tr rho (ln rho - ln sigma), in nats.
-
-    Zero eigenvalues of rho contribute nothing; sigma must be invertible.
-    """
-    if rho.dim != sigma.dim:
-        raise DimensionMismatch(f"dimensions {rho.dim} and {sigma.dim} differ")
-    eig_s = hermitian_eig(sigma.mat[None])
-    return float(relative_entropy_rows(rho.mat[None], rho.spectrum[None], eig_s)[0])
-
-
 def _ratio_rows(rho_mats, sigma_mats):
     """sigma^{-1/2} rho sigma^{-1/2}, symmetrized, of each row pair, from
     sigma's own eigendecomposition (not a witness's); sigma must be
@@ -95,13 +78,6 @@ def quantum_chi2(rho, sigma):
     if rho.dim != sigma.dim:
         raise DimensionMismatch(f"dimensions {rho.dim} and {sigma.dim} differ")
     return float(chi2_rows(rho.mat[None], sigma.mat[None])[0])
-
-
-def trace_distance(rho, sigma):
-    """Trace norm ||rho - sigma||_1 (lies in [0, 2])."""
-    if rho.dim != sigma.dim:
-        raise DimensionMismatch(f"dimensions {rho.dim} and {sigma.dim} differ")
-    return trace_norm_hermitian(rho.mat - sigma.mat)
 
 
 def max_relative_entropy(rho, sigma):

@@ -7,10 +7,13 @@ sum_i lambda_i |u_i><u_i|.  The classical pair
 
 together with the recovery channel V built from Kraus operators
 A_i = sigma^{1/2} |u_i><i| / sqrt(s_i) satisfies V(diag r) = rho and
-V(diag s) = sigma, and D_f(r || s) equals the maximal f-divergence of
-(rho, sigma).  The <i| reads the classical register in the computational
-basis, i.e. V prepares the input distribution in the eigenbasis of T and
-then recovers the quantum pair.  Everything downstream (bounds,
+V(diag s) = sigma.  D_f(r || s) is the maximal f-divergence of
+(rho, sigma) for operator-convex f (kl, chi2) and an upper bound on it
+otherwise: the pair is always a feasible reverse test, and Matsumoto's
+theorem (arXiv 1311.4722) makes it the optimal one for operator-convex f.
+The <i| reads the classical register in the computational basis, i.e. V
+prepares the input distribution in the eigenbasis of T and then recovers
+the quantum pair.  Everything downstream (bounds,
 experiments) consumes this construction.
 """
 
@@ -69,7 +72,8 @@ class Witness:
         return QuantumChannel(kraus)
 
     def f_divergence(self, f):
-        """D_f(r || s), which equals the maximal f-divergence of the pair."""
+        """D_f(r || s): the maximal f-divergence of the pair for
+        operator-convex f (kl, chi2), an upper bound on it otherwise."""
         return classical_f_div(self.r, self.s, f)
 
 
@@ -90,7 +94,8 @@ class WitnessBatch:
     sigma: HermitianEigen
 
     def f_divergence(self, f):
-        """D_f(r_b || s_b) for every row b."""
+        """D_f(r_b || s_b) for every row b: the maximal f-divergence for
+        operator-convex f (kl, chi2), an upper bound on it otherwise."""
         return f_div_rows(self.r, self.s, f)
 
     def recovered(self):
@@ -177,11 +182,6 @@ def build_witness(rho, sigma):
     if rho.dim != sigma.dim:
         raise DimensionMismatch(f"dimensions {rho.dim} and {sigma.dim} differ")
     return witness_batch(rho.mat[None], sigma.mat[None]).row(0)
-
-
-def maximal_f_div(rho, sigma, f):
-    """Maximal f-divergence, computed as D_f(r || s) of the witness."""
-    return build_witness(rho, sigma).f_divergence(f)
 
 
 @dataclass(frozen=True)

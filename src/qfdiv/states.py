@@ -221,14 +221,6 @@ class QuantumChannel:
         stack.flags.writeable = False
         self.kraus = stack
 
-    @property
-    def dim_in(self):
-        return self.kraus.shape[2]
-
-    @property
-    def dim_out(self):
-        return self.kraus.shape[1]
-
     def __repr__(self):
         k, out, inn = self.kraus.shape
         return f"QuantumChannel({k} Kraus ops, {inn} -> {out})"
@@ -250,41 +242,32 @@ def ginibre_states(factors):
     return DensityStack(m / m.trace(axis1=1, axis2=2).real[:, None, None])
 
 
-def random_density(n, rank=None, seed=None):
-    """Draw a random density matrix GG^dag / tr(GG^dag), G an n x rank
-    complex Gaussian.
+def random_pairs(rngs, n, rank=None):
+    """One (rho, sigma) draw from each generator, rho first, as two stacks
+    of states G G^dag / tr(G G^dag), G an n x rank complex Gaussian.
 
     rank = n (the default) is the Hilbert-Schmidt ensemble; rank < n gives
     rank-deficient states; rank > n keeps full rank but concentrates the
     measure toward the maximally mixed state (induced ensemble with an
     environment of dimension ``rank``).
     """
-    (g,) = _ginibre_factors([np.random.default_rng(seed)], 1, n, rank)
-    return ginibre_states(g).row(0)
-
-
-def random_pairs(rngs, n, rank=None):
-    """One (rho, sigma) draw from each generator, rho first, as two stacks.
-
-    Row b of the result is exactly the pair that two ``random_density``
-    calls on ``rngs[b]`` would draw.
-    """
-    rho_factors, sigma_factors = _ginibre_factors(rngs, 2, n, rank)
+    rho_factors, sigma_factors = _ginibre_factors(rngs, n, rank)
     return ginibre_states(rho_factors), ginibre_states(sigma_factors)
 
 
-def _ginibre_factors(rngs, k, n, rank):
-    """``(k, B, n, rank)`` complex Gaussian factors, rank defaulting to n.
-    Generator b makes one draw into row b of a ``(B, k, 2, n, rank)`` float
-    buffer, whose C order (real then imaginary part of each factor in turn)
-    is the order of 2k separate ``(n, rank)`` draws."""
+def _ginibre_factors(rngs, n, rank):
+    """``(2, B, n, rank)`` complex Gaussian factors of rho and sigma, rank
+    defaulting to n.  Generator b makes one draw into row b of a
+    ``(B, 2, 2, n, rank)`` float buffer, whose C order (real then imaginary
+    part of rho's factor, then of sigma's) is the order of four separate
+    ``(n, rank)`` draws."""
     rank = n if rank is None else rank
     if rank < 1:
         raise BadRank(f"rank must be at least 1, got {rank}")
-    buf = np.empty((len(rngs), k, 2, n, rank))
+    buf = np.empty((len(rngs), 2, 2, n, rank))
     for b, rng in enumerate(rngs):
         rng.standard_normal(out=buf[b])
-    g = np.empty((k, len(rngs), n, rank), dtype=np.complex128)
+    g = np.empty((2, len(rngs), n, rank), dtype=np.complex128)
     g.real, g.imag = buf.transpose(2, 1, 0, 3, 4)
     return g
 
@@ -315,20 +298,6 @@ def apply_channel_rows(kraus, rho_mats, tol=STATE_TOL):
     return DensityStack(sum(terms), tol)
 
 
-def apply_channel(channel, rho):
-    """Apply a channel to a state: sum_i A_i rho A_i^dag, checked at the
-    input state's tolerance; the one-row view of :func:`apply_channel_rows`."""
-    return apply_channel_rows(channel.kraus[None], rho.mat[None], rho.tol).row(0)
-
-
-def diagonal_state(p):
-    """Embed a classical distribution (or probability vector) as a diagonal
-    density matrix, checked at the distribution's tolerance."""
-    if not isinstance(p, ClassicalDistribution):
-        p = ClassicalDistribution(p)
-    return DensityMatrix(np.diag(p.probs.astype(np.complex128)), p.tol)
-
-
 def abs_condition_rows(rho_mats, sigma_mats):
     """Row-wise test of |rho - sigma| <= rho + sigma, up to ``CONDITION_TOL``
     on the spectrum, on two state stacks.
@@ -343,12 +312,3 @@ def abs_condition_rows(rho_mats, sigma_mats):
     eig = linalg.hermitian_eig(rho_mats - sigma_mats)
     gap = eig.compose(np.abs(eig.eigenvalues))
     return linalg.loewner_geq(rho_mats + sigma_mats, gap, CONDITION_TOL), eig.eigenvalues
-
-
-def satisfies_abs_condition(rho, sigma):
-    """Whether |rho - sigma| <= rho + sigma in the Loewner order."""
-    if rho.dim != sigma.dim:
-        raise DimensionMismatch(f"dimensions {rho.dim} and {sigma.dim} differ")
-    holds, _ = abs_condition_rows(rho.mat[None], sigma.mat[None])
-    return bool(holds[0])
-

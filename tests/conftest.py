@@ -4,7 +4,11 @@ from collections import Counter
 
 import numpy as np
 
-from qfdiv.states import DensityMatrix
+from qfdiv.bounds import EQUAL_STATES_EPS, audenaert_eisert_rows, reverse_pinsker_report
+from qfdiv.divergence import relative_entropy_rows
+from qfdiv.linalg import hermitian_eig, trace_norm_hermitian
+from qfdiv.maximal import build_witness
+from qfdiv.states import STATE_TOL, DensityMatrix, abs_condition_rows, ginibre_states
 
 
 def random_hermitian(n, rng, scale=1.0):
@@ -27,6 +31,45 @@ def plus_state():
 def maximally_mixed(n=2):
     """Maximally mixed state I/n."""
     return DensityMatrix(np.eye(n) / n)
+
+
+def diagonal_state(p, tol=STATE_TOL):
+    """The diagonal density matrix of a probability vector, checked at ``tol``."""
+    return DensityMatrix(np.diag(np.asarray(p, dtype=float)), tol)
+
+
+def random_density(n, rank=None, seed=None):
+    """One state G G^dag / tr(G G^dag), G an n x rank complex Gaussian (rank
+    defaulting to n), from one ``(2, n, rank)`` draw of ``seed``'s generator:
+    the one-at-a-time sampling that ``states.random_pairs`` reproduces row by
+    row, rho's draw first."""
+    rank = n if rank is None else rank
+    g = np.empty((1, n, rank), dtype=np.complex128)
+    g.real, g.imag = np.random.default_rng(seed).standard_normal((2, n, rank))
+    return ginibre_states(g).row(0)
+
+
+def relative_entropy(rho, sigma):
+    """Umegaki relative entropy of one pair, diagonalizing sigma on its own."""
+    eig = hermitian_eig(sigma.mat[None])
+    return float(relative_entropy_rows(rho.mat[None], rho.spectrum[None], eig)[0])
+
+
+def audenaert_eisert(rho, sigma):
+    """Audenaert-Eisert bound of one pair, with t from ``eigvalsh`` of
+    rho - sigma."""
+    t = trace_norm_hermitian(rho.mat - sigma.mat)
+    return float(audenaert_eisert_rows([t], rho.spectrum[:1], sigma.spectrum[:1])[0])
+
+
+def reverse_pinsker(rho, sigma, f):
+    """Reverse-Pinsker report of one pair, composed as ``compare-bounds``
+    composes it: the condition and t from the spectrum of rho - sigma, and
+    no witness for coinciding states."""
+    holds, diff_spectra = abs_condition_rows(rho.mat[None], sigma.mat[None])
+    t = float(np.sum(np.abs(diff_spectra[0])))
+    w = build_witness(rho, sigma) if t >= EQUAL_STATES_EPS else None
+    return reverse_pinsker_report(w, t, bool(holds[0]), f)
 
 
 def count_eig_calls(monkeypatch):

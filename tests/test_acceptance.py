@@ -25,21 +25,21 @@ import time
 import warnings
 
 import numpy as np
-from conftest import maximally_mixed, plus_state
-
-from qfdiv.bounds import (
-    audenaert_eisert_bound,
-    audenaert_eisert_rows,
-    check_quantum_pinsker_chi2,
-    check_reverse_pinsker_quantum,
-    decoherence_bounds,
+from conftest import (
+    audenaert_eisert,
+    maximally_mixed,
+    plus_state,
+    random_density,
+    reverse_pinsker,
 )
+
+from qfdiv.bounds import audenaert_eisert_rows, decoherence_bounds, pinsker_chi2_lower
 from qfdiv.cli import main as cli_main
 from qfdiv.divergence import quantum_chi2, relative_entropy_rows
 from qfdiv.generators import builtin_generator
 from qfdiv.linalg import hermitian_eig, trace_norm_hermitian
-from qfdiv.maximal import maximal_f_div
-from qfdiv.states import CHUNK_ROWS, random_density, random_pairs, substream, substreams
+from qfdiv.maximal import build_witness
+from qfdiv.states import CHUNK_ROWS, random_pairs, substream, substreams
 from qfdiv.verify import (
     condition_rate,
     dpi_suite,
@@ -86,7 +86,7 @@ def test_criterion_02_chi2_coincidence():
     for i in range(1000):
         rho = random_density(4, seed=substream(42, i, 0))
         sigma = random_density(4, seed=substream(42, i, 1))
-        gap = abs(maximal_f_div(rho, sigma, CHI2) - quantum_chi2(rho, sigma))
+        gap = abs(build_witness(rho, sigma).f_divergence(CHI2) - quantum_chi2(rho, sigma))
         worst = max(worst, gap)
     _report(2, "chi-squared coincidence", worst <= 1e-9, f"worst {worst:.3e}")
     assert worst <= 1e-9
@@ -124,8 +124,9 @@ def test_criterion_05_improved_pinsker():
     # chi-squared >= envelope(trace distance) with zero violations over
     # 10^4 random 4x4 pairs; the hand case has chi2 = 1 = T^2 exactly.
     _, result = maximality_and_pinsker(dim=4, samples=10000, seed=42)
-    rep = check_quantum_pinsker_chi2(plus_state(), maximally_mixed())
-    hand = max(abs(rep.lhs - 1.0), abs(rep.rhs - 1.0))
+    rho, sigma = plus_state(), maximally_mixed()
+    lhs = pinsker_chi2_lower(trace_norm_hermitian(rho.mat - sigma.mat))
+    hand = max(abs(lhs - 1.0), abs(quantum_chi2(rho, sigma) - 1.0))
     ok = result.worst <= 1e-10 and hand <= 1e-10
     _report(
         5,
@@ -171,7 +172,7 @@ def test_criterion_07_reverse_pinsker():
     # Equality cases hold: for the pure-vs-mixed qubit pair both sides equal
     # ln 2 (kl) and 1 (chi2) within 1e-10.
     for f, expected in ((KL, math.log(2.0)), (CHI2, 1.0)):
-        rep = check_reverse_pinsker_quantum(plus_state(), maximally_mixed(), f)
+        rep = reverse_pinsker(plus_state(), maximally_mixed(), f)
         assert abs(rep.lhs - expected) <= 1e-10
         assert abs(rep.rhs - expected) <= 1e-10
         assert rep.condition_met
@@ -225,9 +226,7 @@ def test_criterion_09_audenaert_eisert(tmp_path):
         slack = audenaert_eisert_rows(t, rho.spectra[:, 0], sigma.spectra[:, 0]) - relent
         worst = max(worst, float(np.max(-slack)))
     assert worst <= 1e-10
-    hand = abs(
-        audenaert_eisert_bound(plus_state(), maximally_mixed()) - math.log(2.0)
-    )
+    hand = abs(audenaert_eisert(plus_state(), maximally_mixed()) - math.log(2.0))
     assert hand <= 1e-10
     # Scatter clause: on every fig2 row both plotted bounds lie above the
     # relative entropy, and the reverse-Pinsker kl bound is strictly below

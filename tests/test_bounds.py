@@ -5,24 +5,28 @@ import re
 
 import numpy as np
 import pytest
-from conftest import maximally_mixed, plus_state
+from conftest import (
+    audenaert_eisert,
+    diagonal_state,
+    maximally_mixed,
+    plus_state,
+    random_density,
+    relative_entropy,
+    reverse_pinsker,
+)
 
 from qfdiv.bounds import (
     DEFAULT_QUAD_TOL,
     adaptive_simpson,
-    audenaert_eisert_bound,
     audenaert_eisert_rows,
     binette_rhs,
-    check_audenaert_eisert,
-    check_quantum_pinsker_chi2,
-    check_reverse_pinsker_quantum,
     decoherence_bounds,
     pinsker_chi2_lower,
     reverse_pinsker_report,
     zeta1_closed,
     zeta1_integral,
 )
-from qfdiv.divergence import trace_distance
+from qfdiv.divergence import chi2_rows, quantum_chi2
 from qfdiv.errors import (
     DegenerateExtremes,
     NoSecondDerivative,
@@ -32,13 +36,9 @@ from qfdiv.errors import (
     SingularState,
 )
 from qfdiv.generators import builtin_generator
+from qfdiv.linalg import trace_norm_hermitian
 from qfdiv.maximal import build_witness
-from qfdiv.states import (
-    diagonal_state,
-    random_density,
-    satisfies_abs_condition,
-    substream,
-)
+from qfdiv.states import abs_condition_rows, random_pairs, substream
 
 KL = builtin_generator("kl")
 CHI2 = builtin_generator("chi2")
@@ -71,18 +71,21 @@ def test_pinsker_lower_envelope_rejects_out_of_range():
 
 
 def test_quantum_pinsker_equality_for_pure_vs_mixed():
-    rep = check_quantum_pinsker_chi2(plus_state(), maximally_mixed())
-    assert rep.lhs == pytest.approx(1.0, abs=1e-12)
-    assert rep.rhs == pytest.approx(1.0, abs=1e-12)
-    assert abs(rep.slack) <= 1e-12
+    rho, sigma = plus_state(), maximally_mixed()
+    lhs = pinsker_chi2_lower(trace_norm_hermitian(rho.mat - sigma.mat))
+    rhs = quantum_chi2(rho, sigma)
+    assert lhs == pytest.approx(1.0, abs=1e-12)
+    assert rhs == pytest.approx(1.0, abs=1e-12)
+    assert abs(rhs - lhs) <= 1e-12
 
 
 def test_quantum_pinsker_holds_on_random_pairs():
-    for i in range(100):
-        rho = random_density(4, seed=substream(60, i, 0))
-        sigma = random_density(4, seed=substream(60, i, 1))
-        rep = check_quantum_pinsker_chi2(rho, sigma)
-        assert rep.slack >= -1e-10, (i, rep)
+    pairs = [(random_density(4, seed=substream(60, i, 0)).mat,
+              random_density(4, seed=substream(60, i, 1)).mat) for i in range(100)]
+    rho_mats, sigma_mats = (np.stack(m) for m in zip(*pairs))
+    slack = (chi2_rows(rho_mats, sigma_mats)
+             - pinsker_chi2_lower(trace_norm_hermitian(rho_mats - sigma_mats)))
+    assert slack.min() >= -1e-10, (int(slack.argmin()), slack.min())
 
 
 # ---------------------------------------------------------------------------
@@ -130,12 +133,42 @@ def test_decoherence_envelopes_decay_monotonically():
 
 
 def test_decoherence_rejects_bad_arguments():
-    with pytest.raises(OutOfRange):
-        decoherence_bounds(-1.0, 0.1, 0.0)
-    with pytest.raises(OutOfRange):
-        decoherence_bounds(1.0, 0.0, 0.0)
-    with pytest.raises(OutOfRange):
-        decoherence_bounds(1.0, 0.1, -1.0)
+    for args in ((-1.0, 0.1, 0.0), (1.0, 0.0, 0.0), (1.0, 0.1, -1.0),
+                 (math.nan, 0.1, 1.0), (math.inf, 0.1, 1.0), (1.0, math.nan, 1.0),
+                 (1.0, math.inf, 1.0), (1.0, 0.1, math.nan), (1.0, 0.1, math.inf)):
+        with pytest.raises(OutOfRange):
+            decoherence_bounds(*args)
+
+
+def test_decoherence_envelopes_vanish_where_exp_lam_t_overflows():
+    # exp(lam t) is past the largest float here; every chi2_0 is below it
+    assert decoherence_bounds(4.0, 1.0, 800.0) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("chi2_0", [1.0, 4.0, 16.0, 100.0])
+def test_improved_envelope_is_the_chi2_envelope_of_the_decayed_chi2(chi2_0):
+    # the improved bound inverts the Pinsker-type chi-squared envelope at
+    # the decayed divergence: envelope(improved) = exp(-lam t) chi2_0
+    lam = 0.1
+    for t in np.linspace(0.0, 80.0, 801).tolist():
+        _, improved = decoherence_bounds(chi2_0, lam, t)
+        decayed = math.exp(-lam * t) * chi2_0
+        assert pinsker_chi2_lower(improved) == pytest.approx(decayed, rel=1e-12, abs=0.0)
+
+
+def test_depolarizing_trajectories_stay_below_the_improved_envelope():
+    # rho_t = sigma + exp(-g t) (rho - sigma) is the depolarizing semigroup
+    # toward sigma; its chi-squared divergence decays as exp(-2 g t) chi2_0,
+    # so its trace distance sits below the improved envelope at lam = 2 g
+    g = 0.05
+    rho, sigma = random_pairs([substream(66, i) for i in range(20)], 4)
+    chi2_0 = chi2_rows(rho.mats, sigma.mats).tolist()
+    for t in np.linspace(0.0, 80.0, 81).tolist():
+        rho_t = sigma.mats + math.exp(-g * t) * (rho.mats - sigma.mats)
+        dist = trace_norm_hermitian(rho_t - sigma.mats)
+        for i, c in enumerate(chi2_0):
+            _, improved = decoherence_bounds(c, 2.0 * g, t)
+            assert dist[i] <= improved + 1e-12, (i, t)
 
 
 # ---------------------------------------------------------------------------
@@ -275,23 +308,22 @@ def test_adaptive_simpson_raises_past_the_subdivision_budget():
 
 def test_audenaert_eisert_hand_case_is_tight():
     # pure vs maximally mixed qubit: bound = ln 2 = the relative entropy
-    bound = audenaert_eisert_bound(plus_state(), maximally_mixed())
+    bound = audenaert_eisert(plus_state(), maximally_mixed())
     assert bound == pytest.approx(math.log(2.0), abs=1e-12)
-    rep = check_audenaert_eisert(plus_state(), maximally_mixed())
-    assert abs(rep.slack) <= 1e-12
+    assert abs(bound - relative_entropy(plus_state(), maximally_mixed())) <= 1e-12
 
 
 def test_audenaert_eisert_dominates_relative_entropy():
     for i in range(100):
         rho = random_density(4, seed=substream(61, i, 0))
         sigma = random_density(4, seed=substream(61, i, 1))
-        rep = check_audenaert_eisert(rho, sigma)
-        assert rep.slack >= -1e-10, (i, rep)
+        slack = audenaert_eisert(rho, sigma) - relative_entropy(rho, sigma)
+        assert slack >= -1e-10, (i, slack)
 
 
 def test_audenaert_eisert_requires_invertible_sigma():
     with pytest.raises(SingularState):
-        audenaert_eisert_bound(maximally_mixed(), diagonal_state([1.0, 0.0]))
+        audenaert_eisert(maximally_mixed(), diagonal_state([1.0, 0.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +333,7 @@ def test_audenaert_eisert_requires_invertible_sigma():
 
 def test_reverse_pinsker_equality_for_pure_vs_mixed():
     for f, expected in ((KL, math.log(2.0)), (CHI2, 1.0), (TV, 1.0)):
-        rep = check_reverse_pinsker_quantum(plus_state(), maximally_mixed(), f)
+        rep = reverse_pinsker(plus_state(), maximally_mixed(), f)
         assert rep.condition_met
         assert rep.lhs == pytest.approx(expected, abs=1e-12)
         assert rep.rhs == pytest.approx(expected, abs=1e-12)
@@ -310,25 +342,25 @@ def test_reverse_pinsker_equality_for_pure_vs_mixed():
 
 def test_reverse_pinsker_short_circuits_on_coinciding_states():
     rho = random_density(3, seed=substream(62, 0))
-    rep = check_reverse_pinsker_quantum(rho, rho, KL)
+    rep = reverse_pinsker(rho, rho, KL)
     assert rep.lhs == 0.0 and rep.rhs == 0.0 and rep.slack == 0.0
 
 
 @pytest.mark.parametrize("n", [4, 8])
 def test_reverse_pinsker_report_matches_the_single_pair_check(n):
-    # t and the condition come from the scalar routes, not from the
-    # eigendecomposition of rho - sigma that the wrapper reads
+    # t comes from eigvalsh, not from the eigendecomposition of rho - sigma
+    # that the compare-bounds composition reads
     for i in range(5):
         rho = random_density(n, rank=2 * n, seed=substream(65, n, i, 0))
         sigma = random_density(n, rank=2 * n, seed=substream(65, n, i, 1))
         pairs = [(rho, sigma), (rho, rho)] if i == 0 else [(rho, sigma)]
         for a, b in pairs:
             w = build_witness(a, b)
-            t = trace_distance(a, b)
-            cond = satisfies_abs_condition(a, b)
+            t = trace_norm_hermitian(a.mat - b.mat)
+            cond = bool(abs_condition_rows(a.mat[None], b.mat[None])[0][0])
             for f in (KL, CHI2, TV):
                 got = reverse_pinsker_report(w, t, cond, f)
-                want = check_reverse_pinsker_quantum(a, b, f)
+                want = reverse_pinsker(a, b, f)
                 assert got.condition_met == want.condition_met
                 for name in ("lhs", "rhs", "slack"):
                     assert getattr(got, name) == pytest.approx(
@@ -345,7 +377,7 @@ def test_reverse_pinsker_holds_on_commuting_pairs():
         rho = diagonal_state(p / p.sum())
         sigma = diagonal_state(q / q.sum())
         for f in (KL, CHI2, TV):
-            rep = check_reverse_pinsker_quantum(rho, sigma, f)
+            rep = reverse_pinsker(rho, sigma, f)
             assert rep.condition_met
             assert rep.slack >= -1e-10, (f.name, rep)
 
@@ -356,7 +388,7 @@ def test_reverse_pinsker_trace_distance_form_can_fail_despite_condition():
     # |rho - sigma| <= rho + sigma yet violates the bound for f = tv.
     rho = random_density(4, rank=8, seed=substream(903, 0, 0))
     sigma = random_density(4, rank=8, seed=substream(903, 0, 1))
-    rep = check_reverse_pinsker_quantum(rho, sigma, TV)
+    rep = reverse_pinsker(rho, sigma, TV)
     assert rep.condition_met
     assert rep.slack < -1e-3
 
@@ -381,14 +413,12 @@ def test_reverse_pinsker_witness_form_always_holds():
 def test_witness_total_variation_dominates_trace_distance():
     # ||r - s||_1 >= ||rho - sigma||_1: the witness map is a classical
     # refinement, so data processing runs in this direction.
-    from qfdiv.divergence import trace_distance
-
     for i in range(50):
         rho = random_density(4, rank=8, seed=substream(64, i, 0))
         sigma = random_density(4, rank=8, seed=substream(64, i, 1))
         w = build_witness(rho, sigma)
         t_witness = float(np.sum(np.abs(w.r.probs - w.s.probs)))
-        assert t_witness >= trace_distance(rho, sigma) - 1e-10
+        assert t_witness >= trace_norm_hermitian(rho.mat - sigma.mat) - 1e-10
 
 
 def test_audenaert_eisert_rows_match_the_single_pair_bound():
@@ -396,7 +426,7 @@ def test_audenaert_eisert_rows_match_the_single_pair_bound():
               random_density(3, rank=2, seed=substream(90, i, 1)) if i == 0
               else random_density(3, seed=substream(90, i, 1)))
              for i in range(5)]
-    t = [trace_distance(r, s) for r, s in pairs]
+    t = [trace_norm_hermitian(r.mat - s.mat) for r, s in pairs]
     alpha = [r.spectrum[0] for r, _ in pairs]
     beta = [s.spectrum[0] for _, s in pairs]
     beta[0] = 0.0
@@ -404,4 +434,4 @@ def test_audenaert_eisert_rows_match_the_single_pair_bound():
         audenaert_eisert_rows(t, alpha, beta)
     rows = audenaert_eisert_rows(t[1:], alpha[1:], beta[1:])
     for i, (rho, sigma) in enumerate(pairs[1:]):
-        assert rows[i] == audenaert_eisert_bound(rho, sigma)
+        assert rows[i] == audenaert_eisert(rho, sigma)

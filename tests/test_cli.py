@@ -7,24 +7,28 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import maximally_mixed, plus_state
+from conftest import (
+    audenaert_eisert,
+    maximally_mixed,
+    plus_state,
+    random_density,
+    relative_entropy,
+    reverse_pinsker,
+)
 
 from qfdiv import cli, maximal
-from qfdiv.bounds import (
-    audenaert_eisert_bound,
-    check_quantum_pinsker_chi2,
-    check_reverse_pinsker_quantum,
-)
+from qfdiv.bounds import pinsker_chi2_lower
 from qfdiv.cli import (
     ExperimentConfig,
     main,
     parse_state_file,
     write_state_file,
 )
-from qfdiv.divergence import max_relative_entropy, quantum_relative_entropy, trace_distance
+from qfdiv.divergence import max_relative_entropy, quantum_chi2
 from qfdiv.errors import InvariantViolation, OutOfRange, ParseError
 from qfdiv.generators import BUILTIN_NAMES, builtin_generator
-from qfdiv.states import random_density, satisfies_abs_condition, substream
+from qfdiv.linalg import trace_norm_hermitian
+from qfdiv.states import abs_condition_rows, substream
 from qfdiv.verify import RateResult
 
 
@@ -44,6 +48,11 @@ def test_config_validates_its_fields():
         ExperimentConfig(samples=0)
     with pytest.raises(OutOfRange):
         ExperimentConfig(lam=0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(OutOfRange):
+            ExperimentConfig(lam=bad)
+        with pytest.raises(OutOfRange):
+            ExperimentConfig(chi2_0_list=(1.0, bad))
     with pytest.raises(OutOfRange):
         ExperimentConfig(seed=-1)
 
@@ -183,6 +192,16 @@ def test_fig1_command_writes_decay_table(tmp_path, capsys):
         _, _, temme, improved = (float(x) for x in row.split(","))
         assert improved <= temme + 1e-12
     assert (tmp_path / "fig1.svg").read_text().lstrip().startswith("<svg")
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--lambda", "nan"), ("--chi0", "nan"), ("--lambda", "inf"), ("--chi0", "inf"),
+])
+def test_fig1_rejects_non_finite_settings(tmp_path, capsys, option, value):
+    assert run_cli("fig1", option, value, "--out", tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration: ") and "finite" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_fig2_command_writes_bound_scatter(tmp_path, capsys):
@@ -336,24 +355,25 @@ def test_compare_bounds_numbers_match_the_scalar_functions(
     (ae,) = seen["audenaert_eisert_rows"]
     t = float(np.sum(np.abs(diff_spectra[0])))
     dmax = math.log(float(w.lambdas[-1]))
-    pin = check_quantum_pinsker_chi2(rho, sigma)
+    t_eigvalsh = trace_norm_hermitian(rho.mat - sigma.mat)
+    pin_lhs = pinsker_chi2_lower(t_eigvalsh)
 
-    assert bool(holds[0]) == satisfies_abs_condition(rho, sigma)
-    assert t == pytest.approx(trace_distance(rho, sigma), rel=1e-12)
+    assert bool(holds[0]) == abs_condition_rows(rho.mat[None], sigma.mat[None])[0][0]
+    assert t == pytest.approx(t_eigvalsh, rel=1e-12)
     # two routes to D_max: ln M of the witness and sigma^{-1/2} rho sigma^{-1/2}
     assert dmax == pytest.approx(max_relative_entropy(rho, sigma), rel=1e-12)
-    assert envelope == pytest.approx(pin.lhs, rel=1e-12)
+    assert envelope == pytest.approx(pin_lhs, rel=1e-12)
     # the printed relative entropy reads the witness's sigma eigendecomposition;
-    # quantum_relative_entropy diagonalizes sigma on its own
+    # the reference diagonalizes sigma on its own
     ((relent,),) = seen["relative_entropy_rows"]
     assert f"\nrelative entropy: {relent:.12g} nats\n" in out
-    assert relent == pytest.approx(quantum_relative_entropy(rho, sigma), rel=1e-12)
-    assert chi2 - envelope == pytest.approx(pin.slack, rel=1e-12)
-    assert ae[0] == pytest.approx(audenaert_eisert_bound(rho, sigma), rel=1e-12)
+    assert relent == pytest.approx(relative_entropy(rho, sigma), rel=1e-12)
+    assert chi2 - envelope == pytest.approx(quantum_chi2(rho, sigma) - pin_lhs, rel=1e-12)
+    assert ae[0] == pytest.approx(audenaert_eisert(rho, sigma), rel=1e-12)
     reports = seen["reverse_pinsker_report"]
     assert len(reports) == len(BUILTIN_NAMES)
     for name, rp in zip(BUILTIN_NAMES, reports):
-        want = check_reverse_pinsker_quantum(rho, sigma, builtin_generator(name))
+        want = reverse_pinsker(rho, sigma, builtin_generator(name))
         assert rp.condition_met == want.condition_met
         assert rp.rhs == pytest.approx(want.rhs, rel=1e-12)
         assert rp.slack == pytest.approx(want.slack, rel=1e-12)

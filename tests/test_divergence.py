@@ -4,7 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from conftest import maximally_mixed, plus_state
+from conftest import (
+    diagonal_state,
+    maximally_mixed,
+    plus_state,
+    random_density,
+    relative_entropy,
+)
 
 from qfdiv.divergence import (
     chi2_rows,
@@ -12,18 +18,14 @@ from qfdiv.divergence import (
     f_div_rows,
     max_relative_entropy,
     quantum_chi2,
-    quantum_relative_entropy,
     relative_entropy_rows,
-    trace_distance,
 )
 from qfdiv.errors import DimensionMismatch, SingularState, ZeroReference
 from qfdiv.generators import builtin_generator
-from qfdiv.linalg import hermitian_eig
+from qfdiv.linalg import hermitian_eig, trace_norm_hermitian
 from qfdiv.states import (
     ClassicalDistribution,
     DensityMatrix,
-    diagonal_state,
-    random_density,
     random_pairs,
     substream,
 )
@@ -88,7 +90,7 @@ def test_classical_divergence_rejects_length_mismatch():
 
 def test_quantum_relative_entropy_pure_vs_mixed():
     # D(|+><+| || I/2) = ln 2
-    assert quantum_relative_entropy(plus_state(), maximally_mixed()) == (
+    assert relative_entropy(plus_state(), maximally_mixed()) == (
         pytest.approx(math.log(2.0), abs=1e-12)
     )
 
@@ -101,7 +103,7 @@ def test_quantum_chi2_pure_vs_mixed():
 
 
 def test_trace_distance_pure_vs_mixed():
-    assert trace_distance(plus_state(), maximally_mixed()) == pytest.approx(
+    assert trace_norm_hermitian(plus_state().mat - maximally_mixed().mat) == pytest.approx(
         1.0, abs=1e-12
     )
 
@@ -118,14 +120,14 @@ def test_quantum_divergences_reduce_to_classical_on_diagonal_states():
     for _ in range(25):
         p = ClassicalDistribution(rng.dirichlet(np.ones(4)))
         q = ClassicalDistribution(rng.dirichlet(np.ones(4) * 3.0) * 0.96 + 0.01)
-        rho, sigma = diagonal_state(p), diagonal_state(q)
-        assert quantum_relative_entropy(rho, sigma) == pytest.approx(
+        rho, sigma = diagonal_state(p.probs), diagonal_state(q.probs)
+        assert relative_entropy(rho, sigma) == pytest.approx(
             classical_f_div(p, q, KL), abs=1e-9
         )
         assert quantum_chi2(rho, sigma) == pytest.approx(
             classical_f_div(p, q, CHI2), abs=1e-9
         )
-        assert trace_distance(rho, sigma) == pytest.approx(
+        assert trace_norm_hermitian(rho.mat - sigma.mat) == pytest.approx(
             classical_f_div(p, q, TV), abs=1e-9
         )
         assert max_relative_entropy(rho, sigma) == pytest.approx(
@@ -135,9 +137,9 @@ def test_quantum_divergences_reduce_to_classical_on_diagonal_states():
 
 def test_quantum_divergences_vanish_on_equal_states():
     rho = random_density(4, seed=substream(31, 0))
-    assert quantum_relative_entropy(rho, rho) == pytest.approx(0.0, abs=1e-10)
+    assert relative_entropy(rho, rho) == pytest.approx(0.0, abs=1e-10)
     assert quantum_chi2(rho, rho) == pytest.approx(0.0, abs=1e-10)
-    assert trace_distance(rho, rho) == 0.0
+    assert trace_norm_hermitian(rho.mat - rho.mat) == 0.0
     assert max_relative_entropy(rho, rho) == pytest.approx(0.0, abs=1e-10)
 
 
@@ -145,7 +147,7 @@ def test_quantum_divergences_require_invertible_reference():
     rho = maximally_mixed()
     singular = diagonal_state([1.0, 0.0])
     with pytest.raises(SingularState):
-        quantum_relative_entropy(rho, singular)
+        relative_entropy(rho, singular)
     with pytest.raises(SingularState):
         quantum_chi2(rho, singular)
     with pytest.raises(SingularState):
@@ -155,18 +157,13 @@ def test_quantum_divergences_require_invertible_reference():
 def test_quantum_divergences_reject_dimension_mismatch():
     rho = random_density(2, seed=substream(32, 0))
     sigma = random_density(3, seed=substream(32, 1))
-    for fn in (
-        quantum_relative_entropy,
-        quantum_chi2,
-        trace_distance,
-        max_relative_entropy,
-    ):
+    for fn in (quantum_chi2, max_relative_entropy):
         with pytest.raises(DimensionMismatch):
             fn(rho, sigma)
 
 
 # ---------------------------------------------------------------------------
-# row-wise forms: the single-pair functions are their one-row views
+# row-wise forms: a stack gives each row what that row gives alone
 # ---------------------------------------------------------------------------
 
 
@@ -196,7 +193,9 @@ def test_relative_entropy_rows_match_the_single_pair_entropy():
     rho, sigma = random_pairs([substream(81, i) for i in range(6)], 3)
     rows = relative_entropy_rows(rho.mats, rho.spectra, hermitian_eig(sigma.mats))
     for i in range(6):
-        assert rows[i] == quantum_relative_entropy(rho.row(i), sigma.row(i))
+        one = relative_entropy_rows(rho.mats[i:i + 1], rho.spectra[i:i + 1],
+                                    hermitian_eig(sigma.mats[i:i + 1]))
+        assert rows[i] == one[0]
 
 
 def test_chi2_rows_match_the_single_pair_chi2():

@@ -4,14 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from conftest import maximally_mixed, plus_state
+from conftest import diagonal_state, maximally_mixed, plus_state, random_density
 
-from qfdiv.divergence import (
-    classical_f_div,
-    max_relative_entropy,
-    quantum_chi2,
-    trace_distance,
-)
+from qfdiv.divergence import classical_f_div, max_relative_entropy, quantum_chi2
 from qfdiv import maximal
 from qfdiv.errors import (
     DimensionMismatch,
@@ -19,11 +14,15 @@ from qfdiv.errors import (
     SingularState,
 )
 from qfdiv.generators import FGenerator, builtin_generator
-from qfdiv.linalg import hermitian_eig, inv_sqrt_psd, matrix_polynomial
+from qfdiv.linalg import (
+    hermitian_eig,
+    inv_sqrt_psd,
+    matrix_polynomial,
+    trace_norm_hermitian,
+)
 from qfdiv.maximal import (
     WITNESS_TOL,
     build_witness,
-    maximal_f_div,
     verify_witness,
     witness_batch,
     witness_residual_rows,
@@ -31,11 +30,8 @@ from qfdiv.maximal import (
 from qfdiv.states import (
     ClassicalDistribution,
     QuantumChannel,
-    apply_channel,
     apply_channel_rows,
-    diagonal_state,
     random_channel,
-    random_density,
     random_pairs,
     substream,
 )
@@ -43,6 +39,19 @@ from qfdiv.states import (
 KL = builtin_generator("kl")
 CHI2 = builtin_generator("chi2")
 TV = builtin_generator("tv")
+
+
+def _through(channel, states):
+    """The states sum_i A_i rho A_i^dag of a list of states, by the Kraus
+    route, checked at the first state's tolerance."""
+    mats = np.stack([rho.mat for rho in states])
+    kraus = np.broadcast_to(channel.kraus, (len(states), *channel.kraus.shape))
+    return apply_channel_rows(kraus, mats, states[0].tol)
+
+
+def _diag(p):
+    """The diagonal state of a witness distribution, at its tolerance."""
+    return diagonal_state(p.probs, p.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -67,10 +76,9 @@ def test_witness_hand_case_divergences():
 def test_witness_hand_case_reconstructs_both_states():
     rho, sigma = plus_state(), maximally_mixed()
     w = build_witness(rho, sigma)
-    back_r = apply_channel(w.channel, diagonal_state(w.r))
-    back_s = apply_channel(w.channel, diagonal_state(w.s))
-    assert trace_distance(back_r, rho) <= 1e-12
-    assert trace_distance(back_s, sigma) <= 1e-12
+    back_r, back_s = _through(w.channel, [_diag(w.r), _diag(w.s)]).mats
+    assert trace_norm_hermitian(back_r - rho.mat) <= 1e-12
+    assert trace_norm_hermitian(back_s - sigma.mat) <= 1e-12
 
 
 def test_witness_hand_case_report_passes():
@@ -97,9 +105,9 @@ def test_maximal_divergence_reduces_to_classical_on_diagonal_states():
     for _ in range(20):
         p = ClassicalDistribution(rng.dirichlet(np.ones(4)))
         q = ClassicalDistribution(rng.dirichlet(np.ones(4)) * 0.96 + 0.01)
-        rho, sigma = diagonal_state(p), diagonal_state(q)
+        w = build_witness(_diag(p), _diag(q))
         for f in (KL, CHI2, TV):
-            assert maximal_f_div(rho, sigma, f) == pytest.approx(
+            assert w.f_divergence(f) == pytest.approx(
                 classical_f_div(p, q, f), abs=1e-9
             )
 
@@ -107,7 +115,7 @@ def test_maximal_divergence_reduces_to_classical_on_diagonal_states():
 def test_witness_on_diagonal_pair_sorts_likelihood_ratios():
     p = ClassicalDistribution([0.1, 0.6, 0.3])
     q = ClassicalDistribution([0.2, 0.3, 0.5])
-    w = build_witness(diagonal_state(p), diagonal_state(q))
+    w = build_witness(_diag(p), _diag(q))
     assert np.allclose(w.lambdas, sorted([0.5, 2.0, 0.6]), atol=1e-12)
     # s collects the sigma weights in the same sorted order
     assert np.allclose(w.s.probs, [0.2, 0.5, 0.3], atol=1e-12)
@@ -154,7 +162,7 @@ def test_chi2_maximal_coincides_with_standard_quantum_chi2():
     for i in range(200):
         rho = random_density(4, seed=substream(42, i, 0))
         sigma = random_density(4, seed=substream(42, i, 1))
-        gap = abs(maximal_f_div(rho, sigma, CHI2) - quantum_chi2(rho, sigma))
+        gap = abs(build_witness(rho, sigma).f_divergence(CHI2) - quantum_chi2(rho, sigma))
         worst = max(worst, gap)
     assert worst <= 1e-9
 
@@ -207,7 +215,7 @@ def test_maximal_divergence_matches_direct_trace_formula():
             np.trace(sqrt_s @ matrix_polynomial(coeffs, t) @ sqrt_s).real
         )
         scale = max(1.0, abs(direct))
-        assert abs(maximal_f_div(rho, sigma, f) - direct) <= 1e-8 * scale
+        assert abs(build_witness(rho, sigma).f_divergence(f) - direct) <= 1e-8 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +229,8 @@ def test_dpi_holds_for_operator_convex_generators():
         sigma = random_density(3, seed=substream(48, i, 1))
         ch = random_channel(3, seed=substream(48, i, 2))
         before = build_witness(rho, sigma)
-        after = build_witness(apply_channel(ch, rho), apply_channel(ch, sigma))
+        out = _through(ch, [rho, sigma])
+        after = build_witness(out.row(0), out.row(1))
         for f in (KL, CHI2):
             assert after.f_divergence(f) <= before.f_divergence(f) + 1e-8
 
@@ -233,11 +242,10 @@ def test_witness_channel_attains_dpi_equality():
         rho = random_density(4, seed=substream(50, i, 0))
         sigma = random_density(4, seed=substream(50, i, 1))
         w = build_witness(rho, sigma)
-        diag_r, diag_s = diagonal_state(w.r), diagonal_state(w.s)
+        diag_r, diag_s = _diag(w.r), _diag(w.s)
         before = build_witness(diag_r, diag_s).f_divergence(KL)
-        after = build_witness(
-            apply_channel(w.channel, diag_r), apply_channel(w.channel, diag_s)
-        ).f_divergence(KL)
+        out = _through(w.channel, [diag_r, diag_s])
+        after = build_witness(out.row(0), out.row(1)).f_divergence(KL)
         assert after == pytest.approx(before, abs=1e-9)
         assert before == pytest.approx(w.f_divergence(KL), abs=1e-9)
 
@@ -301,9 +309,9 @@ def test_stacked_residuals_match_the_one_row_and_kraus_routes(dim):
         # the Kraus route of the recovery channel is the independent oracle
         w = batch.row(b)
         for back, p in ((back_r, w.r), (back_s, w.s)):
-            oracle = apply_channel(w.channel, diagonal_state(p)).mat
+            oracle = _through(w.channel, [_diag(p)]).mats[0]
             assert np.max(np.abs(back.mats[b] - oracle)) <= 1e-12
-        one = apply_channel(QuantumChannel(kraus[b]), rho.row(b)).mat
+        one = _through(QuantumChannel(kraus[b]), [rho.row(b)]).mats[0]
         loop = sum(a @ rho.mats[b] @ a.conj().T for a in kraus[b])
         assert np.array_equal(one, out.mats[b])
         assert np.array_equal(one, (loop + loop.conj().T) / 2)

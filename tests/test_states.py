@@ -2,7 +2,13 @@
 
 import numpy as np
 import pytest
-from conftest import count_eig_calls, maximally_mixed, plus_state
+from conftest import (
+    count_eig_calls,
+    diagonal_state,
+    maximally_mixed,
+    plus_state,
+    random_density,
+)
 
 from qfdiv import _seeding
 from qfdiv.errors import (
@@ -21,15 +27,11 @@ from qfdiv.states import (
     DensityStack,
     QuantumChannel,
     abs_condition_rows,
-    apply_channel,
     apply_channel_rows,
     completeness_defect,
-    diagonal_state,
     ginibre_states,
     random_channel,
-    random_density,
     random_pairs,
-    satisfies_abs_condition,
     substream,
     substreams,
 )
@@ -120,9 +122,8 @@ def test_quantum_channel_rejects_completeness_just_past_its_tolerance():
 def test_quantum_channel_accepts_unitary_kraus():
     hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
     ch = QuantumChannel([hadamard])
-    assert ch.dim_in == 2 and ch.dim_out == 2
-    out = apply_channel(ch, plus_state())
-    assert np.allclose(out.mat, np.diag([1.0, 0.0]), atol=1e-12)
+    out = apply_channel_rows(ch.kraus[None], plus_state().mat[None])
+    assert np.allclose(out.mats[0], np.diag([1.0, 0.0]), atol=1e-12)
 
 
 def test_quantum_channel_rejects_mixed_shapes():
@@ -137,7 +138,7 @@ def test_quantum_channel_rejects_mixed_shapes():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 8])
 def test_random_density_is_a_valid_state(n):
-    rho = random_density(n, seed=substream(1, n))
+    rho = random_pairs([substream(1, n)], n)[0].row(0)
     assert rho.dim == n
     w = np.linalg.eigvalsh(rho.mat)
     assert w[0] >= -1e-12
@@ -145,20 +146,20 @@ def test_random_density_is_a_valid_state(n):
 
 
 def test_random_density_rank_one_is_pure():
-    rho = random_density(4, rank=1, seed=substream(2, 0))
+    rho = random_pairs([substream(2, 0)], 4, rank=1)[0].row(0)
     purity = float(np.trace(rho.mat @ rho.mat).real)
     assert purity == pytest.approx(1.0, abs=1e-12)
 
 
 def test_random_density_respects_requested_rank():
-    rho = random_density(5, rank=2, seed=substream(2, 1))
+    rho = random_pairs([substream(2, 1)], 5, rank=2)[0].row(0)
     w = np.linalg.eigvalsh(rho.mat)
     assert np.sum(w > 1e-12) == 2
 
 
 def test_random_density_rejects_bad_rank():
     with pytest.raises(BadRank):
-        random_density(3, rank=0)
+        random_pairs([substream(2, 2)], 3, rank=0)
 
 
 def test_substream_is_deterministic_and_keyed():
@@ -207,8 +208,8 @@ def test_random_channel_is_trace_preserving(n, k):
     comp = sum(a.conj().T @ a for a in ch.kraus)
     assert np.max(np.abs(comp - np.eye(n))) <= 1e-9
     rho = random_density(n, seed=substream(6, 99, n, k))
-    out = apply_channel(ch, rho)
-    assert float(out.mat.trace().real) == pytest.approx(1.0, abs=1e-10)
+    out = apply_channel_rows(ch.kraus[None], rho.mat[None])
+    assert float(out.mats[0].trace().real) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_single_kraus_channel_is_unitary():
@@ -221,8 +222,6 @@ def test_apply_channel_checks_dimensions():
     ch = random_channel(2, seed=substream(8, 0))
     rho = random_density(3, seed=substream(8, 1))
     with pytest.raises(DimensionMismatch):
-        apply_channel(ch, rho)
-    with pytest.raises(DimensionMismatch):
         apply_channel_rows(ch.kraus[None], rho.mat[None])
 
 
@@ -231,16 +230,12 @@ def test_apply_channel_checks_dimensions():
 # ---------------------------------------------------------------------------
 
 
-def test_diagonal_state_accepts_distribution_or_vector():
-    p = ClassicalDistribution([0.75, 0.25])
-    rho = diagonal_state(p)
-    assert np.allclose(rho.mat, np.diag([0.75, 0.25]))
-    rho2 = diagonal_state([0.75, 0.25])
-    assert np.array_equal(rho.mat, rho2.mat)
+def _holds(rho, sigma):
+    return bool(abs_condition_rows(rho.mat[None], sigma.mat[None])[0][0])
 
 
 def test_abs_condition_holds_for_the_qubit_hand_pair():
-    assert satisfies_abs_condition(plus_state(), maximally_mixed())
+    assert _holds(plus_state(), maximally_mixed())
 
 
 def test_abs_condition_holds_for_any_commuting_pair():
@@ -248,37 +243,35 @@ def test_abs_condition_holds_for_any_commuting_pair():
     for _ in range(25):
         p = rng.dirichlet(np.ones(4))
         q = rng.dirichlet(np.ones(4))
-        assert satisfies_abs_condition(diagonal_state(p), diagonal_state(q))
+        assert _holds(diagonal_state(p), diagonal_state(q))
 
 
 def test_abs_condition_fails_for_a_generic_hilbert_schmidt_pair():
     rho = random_density(4, seed=substream(900, 0, 0))
     sigma = random_density(4, seed=substream(900, 0, 1))
-    assert not satisfies_abs_condition(rho, sigma)
+    assert not _holds(rho, sigma)
 
 
 def test_abs_condition_examples_with_frozen_seeds():
     # a square-ensemble pair that does satisfy the condition
     rho = random_density(4, seed=substream(900, 17, 0))
     sigma = random_density(4, seed=substream(900, 17, 1))
-    assert satisfies_abs_condition(rho, sigma)
+    assert _holds(rho, sigma)
     # an environment-doubled pair (rank 2n) drawn closer to the center
     rho = random_density(4, rank=8, seed=substream(901, 0, 0))
     sigma = random_density(4, rank=8, seed=substream(901, 0, 1))
-    assert satisfies_abs_condition(rho, sigma)
+    assert _holds(rho, sigma)
 
 
 def test_abs_condition_checks_dimensions():
     with pytest.raises(DimensionMismatch):
-        satisfies_abs_condition(
-            random_density(2, seed=substream(11, 0)),
-            random_density(3, seed=substream(11, 1)),
-        )
+        _holds(random_density(2, seed=substream(11, 0)),
+               random_density(3, seed=substream(11, 1)))
 
 
 # ---------------------------------------------------------------------------
-# stacks of states: DensityMatrix and satisfies_abs_condition are one-row
-# views of the stacked checks
+# stacks of states: DensityMatrix is a one-row view of the stacked check, and
+# a stack gives each row what that row gives alone
 # ---------------------------------------------------------------------------
 
 
@@ -395,7 +388,7 @@ def test_sampling_runs_no_eigensolver(monkeypatch):
     rngs = [substream(17, i) for i in range(8)]
     calls = count_eig_calls(monkeypatch)
     random_pairs(rngs, 4, rank=8)
-    random_density(16, rank=1, seed=substream(17, 8))
+    random_pairs([substream(17, 8)], 16, rank=1)
     assert sum(calls.values()) == 0
 
 
@@ -430,18 +423,16 @@ def test_abs_condition_rows_agree_with_the_single_pair_test():
     holds, diff_spectra = abs_condition_rows(rho.mats, sigma.mats)
     assert 0 < holds.sum() < 40  # both outcomes occur in the square ensemble
     for i in range(40):
-        assert holds[i] == satisfies_abs_condition(rho.row(i), sigma.row(i))
+        assert holds[i] == abs_condition_rows(rho.mats[i:i + 1], sigma.mats[i:i + 1])[0][0]
         assert np.allclose(diff_spectra[i],
                            np.linalg.eigvalsh(rho.mats[i] - sigma.mats[i]),
                            atol=1e-14)
 
 
-def test_states_built_from_a_distribution_keep_its_tolerance():
-    # a witness-style distribution, normalized only to 5e-10
-    p = ClassicalDistribution([0.5, 0.5 + 5e-10], tol=1e-9)
-    rho = diagonal_state(p)
-    assert rho.tol == 1e-9
+def test_apply_channel_rows_checks_at_the_given_tolerance():
+    # a witness-style state, normalized only to 5e-10
+    m = np.diag([0.5, 0.5 + 5e-10])[None]
     ch = random_channel(2, seed=substream(14))
-    assert apply_channel(ch, rho).tol == 1e-9
+    assert apply_channel_rows(ch.kraus[None], m, 1e-9).tol == 1e-9
     with pytest.raises(InvariantViolation):
-        diagonal_state(p.probs)
+        apply_channel_rows(ch.kraus[None], m)
