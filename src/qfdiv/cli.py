@@ -46,6 +46,8 @@ from .states import (
 )
 
 FIG1_POINTS = 500
+# fig1 plots the times [0, FIG1_HORIZON / lam]
+FIG1_HORIZON = 10.0
 # fig2 gives up after this many candidate pairs per requested pair
 FIG2_DRAWS_PER_PAIR = 100
 PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b")
@@ -72,8 +74,9 @@ class ExperimentConfig:
             raise OutOfRange(f"seed must be nonnegative, got {self.seed}")
         if self.samples < 1:
             raise OutOfRange(f"samples must be at least 1, got {self.samples}")
-        if not 0.0 < self.lam < math.inf:
-            raise OutOfRange(f"decay rate must be finite and positive, got {self.lam}")
+        if not (0.0 < self.lam < math.inf and math.isfinite(FIG1_HORIZON / self.lam)):
+            raise OutOfRange(f"decay rate must be positive, with a finite fig1 horizon "
+                             f"{FIG1_HORIZON:g}/lambda, got {self.lam}")
         if not all(0.0 <= c < math.inf for c in self.chi2_0_list):
             raise OutOfRange("chi0 values must be finite and nonnegative")
         # --chi0 collects a list
@@ -315,7 +318,7 @@ def cmd_verify(config):
 
 def cmd_fig1(config):
     """Decoherence envelopes over time for each configured chi2_0."""
-    t_max = 10.0 / config.lam
+    t_max = FIG1_HORIZON / config.lam
     ts = np.linspace(0.0, t_max, FIG1_POINTS)
     chi0s = config.chi2_0_list
     # bounds[k, j] = (temme, improved) for chi0s[k] at ts[j]

@@ -2,7 +2,7 @@
 
 Plain ``numpy`` arrays in, plain arrays out; the typed state wrappers live in
 :mod:`qfdiv.states`.  The Hermiticity checks, ``hermitian_eig``,
-``inv_sqrt_psd``, ``trace_norm_hermitian`` and ``loewner_geq`` also take a
+``inv_sqrt_psd``, ``trace_norm_hermitian`` and ``psd_rows`` also take a
 stack of matrices, shape ``(B, n, n)``, and work row by row: a single matrix
 gives a scalar result, a stack gives one entry per row.  Eigenvector phases
 follow a fixed convention so repeated runs on identical input are
@@ -174,13 +174,49 @@ def trace_norm_hermitian(x):
     return _scalar(np.sum(np.abs(np.linalg.eigvalsh(m)), axis=-1))
 
 
-def loewner_geq(x, y, tol=HERMITIAN_TOL):
-    """Whether X >= Y in the Loewner order, up to ``-tol`` on the spectrum."""
-    mx = require_hermitian(x)
-    my = require_hermitian(y)
-    if mx.shape != my.shape:
-        raise DimensionMismatch(f"shape mismatch {mx.shape} vs {my.shape}")
-    return _scalar(np.linalg.eigvalsh(mx - my)[..., 0] >= -tol)
+def psd_rows(a, tol):
+    """Whether ``a + tol I`` is positive definite, per row: whether its
+    Cholesky factorization completes.
+
+    Reads only the lower triangle of each row, as LAPACK does; for a
+    Hermitian row the verdict is ``lambda_min > -tol``, up to rounding at
+    the boundary.  A stack with at least n rows runs n column steps over
+    the whole stack; a shorter one factors each row with one LAPACK call,
+    which is cheaper when the steps would outnumber the rows.
+    """
+    m = np.asarray(a)
+    n = m.shape[-1]
+    stack = m.reshape((-1, n, n)) + tol * np.eye(n)
+    if len(stack) < n:
+        ok = np.array([_cholesky_completes(row) for row in stack], dtype=bool)
+    else:
+        ok = _cholesky_columns(stack)
+    return _scalar(ok.reshape(m.shape[:-2]))
+
+
+def _cholesky_completes(a):
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _cholesky_columns(w):
+    # Right-looking Cholesky of every row of the stack at once, overwriting
+    # the lower triangle of w; a row fails at its first pivot that is not
+    # positive, and from then on divides by 1 so its values stay finite.
+    # Upper-triangle entries are updated too but never read.
+    ok = np.ones(len(w), dtype=bool)
+    # a failed row, or one past a subnormal pivot, may overflow into inf
+    # or nan, which fails its later pivots; that must not warn
+    with np.errstate(all="ignore"):
+        for j in range(w.shape[-1]):
+            pivot = w[:, j, j].real
+            ok &= pivot > 0.0
+            col = w[:, j + 1:, j] / np.sqrt(np.where(ok, pivot, 1.0))[:, None]
+            w[:, j + 1:, j + 1:] -= col[:, :, None] * col[:, None, :].conj()
+    return ok
 
 
 def matrix_polynomial(coeffs, x):

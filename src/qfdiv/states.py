@@ -13,7 +13,9 @@ states that one-at-a-time sampling would give.
 Every state built, sampled or parsed, is checked for positivity at its
 ``tol`` by one Cholesky factorization of ``m + tol I`` per stack; the
 eigensolver runs only when that factorization fails, to name the failing
-row.  Spectra are computed where they are read, on first access.
+row.  Spectra are computed where they are read, on first access.  The
+condition |rho - sigma| <= rho + sigma (:func:`abs_condition_rows`) runs one
+eigensolver, on rho - sigma, and decides by Cholesky too.
 """
 
 from __future__ import annotations
@@ -302,8 +304,12 @@ def abs_condition_rows(rho_mats, sigma_mats):
     """Row-wise test of |rho - sigma| <= rho + sigma, up to ``CONDITION_TOL``
     on the spectrum, on two state stacks.
 
-    Returns the per-row verdicts and the ascending spectra of rho - sigma,
-    whose absolute sums are the trace distances.
+    One eigendecomposition of the stack rho - sigma gives both its spectra
+    and |rho - sigma|; the verdict is whether the Cholesky factorization of
+    rho + sigma - |rho - sigma| + ``CONDITION_TOL`` I completes
+    (:func:`linalg.psd_rows`), so no second eigensolver runs.  Returns the
+    per-row verdicts and the ascending spectra of rho - sigma, whose
+    absolute sums are the trace distances.
     """
     if np.shape(rho_mats) != np.shape(sigma_mats):
         raise DimensionMismatch(
@@ -311,4 +317,5 @@ def abs_condition_rows(rho_mats, sigma_mats):
         )
     eig = linalg.hermitian_eig(rho_mats - sigma_mats)
     gap = eig.compose(np.abs(eig.eigenvalues))
-    return linalg.loewner_geq(rho_mats + sigma_mats, gap, CONDITION_TOL), eig.eigenvalues
+    slack = linalg.require_hermitian(rho_mats + sigma_mats) - gap
+    return linalg.psd_rows(slack, CONDITION_TOL), eig.eigenvalues

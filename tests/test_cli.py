@@ -2,6 +2,7 @@
 
 import argparse
 import math
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -48,6 +49,8 @@ def test_config_validates_its_fields():
         ExperimentConfig(samples=0)
     with pytest.raises(OutOfRange):
         ExperimentConfig(lam=0.0)
+    with pytest.raises(OutOfRange):  # finite, but the fig1 horizon 10 / lam is not
+        ExperimentConfig(lam=1e-320)
     for bad in (math.nan, math.inf):
         with pytest.raises(OutOfRange):
             ExperimentConfig(lam=bad)
@@ -196,9 +199,12 @@ def test_fig1_command_writes_decay_table(tmp_path, capsys):
 
 @pytest.mark.parametrize("option, value", [
     ("--lambda", "nan"), ("--chi0", "nan"), ("--lambda", "inf"), ("--chi0", "inf"),
+    ("--lambda", "1e-320"),  # finite, but the horizon 10 / lam is not
 ])
 def test_fig1_rejects_non_finite_settings(tmp_path, capsys, option, value):
-    assert run_cli("fig1", option, value, "--out", tmp_path) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("fig1", option, value, "--out", tmp_path) == 2
     err = capsys.readouterr().err
     assert err.startswith("invalid configuration: ") and "finite" in err
     assert list(tmp_path.iterdir()) == []

@@ -1,6 +1,7 @@
 """Tests for the dense Hermitian linear-algebra primitives."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -60,17 +61,22 @@ def test_trace_norm_of_pure_vs_mixed_difference():
     assert linalg.trace_norm_hermitian(diff) == pytest.approx(1.0, abs=1e-12)
 
 
+def _geq(x, y):
+    """X >= Y in the Loewner order, up to ``-HERMITIAN_TOL`` on the spectrum."""
+    return linalg.psd_rows(np.asarray(x) - np.asarray(y), linalg.HERMITIAN_TOL)
+
+
 def test_loewner_order_comparable_pair():
     eye = np.eye(3)
-    assert linalg.loewner_geq(2.0 * eye, eye)
-    assert not linalg.loewner_geq(eye, 2.0 * eye)
+    assert _geq(2.0 * eye, eye)
+    assert not _geq(eye, 2.0 * eye)
 
 
 def test_loewner_order_incomparable_projectors():
     p = np.diag([1.0, 0.0])
     q = np.diag([0.0, 1.0])
-    assert not linalg.loewner_geq(p, q)
-    assert not linalg.loewner_geq(q, p)
+    assert not _geq(p, q)
+    assert not _geq(q, p)
 
 
 def test_loewner_sum_dominates_absolute_difference_for_qubit_pair():
@@ -78,7 +84,7 @@ def test_loewner_sum_dominates_absolute_difference_for_qubit_pair():
     sigma = maximally_mixed().mat
     eig = linalg.hermitian_eig(rho - sigma)
     gap = eig.compose(np.abs(eig.eigenvalues))
-    assert linalg.loewner_geq(rho + sigma, gap)
+    assert _geq(rho + sigma, gap)
 
 
 # ---------------------------------------------------------------------------
@@ -233,11 +239,6 @@ def test_non_finite_entries_are_rejected():
         linalg.as_complex_matrix(np.array([[1.0, np.inf], [np.inf, 1.0]]))
 
 
-def test_loewner_shape_mismatch_is_rejected():
-    with pytest.raises(DimensionMismatch):
-        linalg.loewner_geq(np.eye(2), np.eye(3))
-
-
 def test_eigensolver_failure_is_wrapped(monkeypatch):
     def boom(_):
         raise np.linalg.LinAlgError("forced failure")
@@ -273,9 +274,9 @@ def test_stacked_checks_return_one_entry_per_row():
     assert norms.shape == (4,)
     for i in range(4):
         assert norms[i] == linalg.trace_norm_hermitian(xs[i])
-    geq = linalg.loewner_geq(np.abs(xs).sum() * np.eye(3)[None] + 0 * xs, xs)
+    geq = _geq(np.abs(xs).sum() * np.eye(3)[None] + 0 * xs, xs)
     assert geq.dtype == bool and geq.all()
-    assert isinstance(linalg.loewner_geq(np.eye(2), np.eye(2)), bool)
+    assert isinstance(_geq(np.eye(2), np.eye(2)), bool)
 
 
 def test_stacked_hermiticity_check_names_the_lowest_failing_row():
@@ -287,3 +288,87 @@ def test_stacked_hermiticity_check_names_the_lowest_failing_row():
         linalg.require_hermitian(stack)
     with pytest.raises(NotHermitian, match="^max"):
         linalg.require_hermitian(stack[1])
+
+
+# ---------------------------------------------------------------------------
+# psd_rows against the least eigenvalue
+# ---------------------------------------------------------------------------
+
+
+def _spectra_near_the_boundary(n, tol, rng):
+    """Spectra whose least eigenvalue is -tol (1 -+ 1e-3), so that ``a + tol I``
+    is just definite or just indefinite: generic, rank-deficient (zeros
+    besides the least eigenvalue) and repeated (the least eigenvalue and the
+    rest in pairs), each with both signs of the margin."""
+    out = []
+    for margin in (1e-3, -1e-3):
+        low = -tol * (1.0 - margin)
+        rest = [
+            rng.uniform(0.0, 1.0, n - 1),
+            np.r_[np.zeros(n - 2), 1.0][: n - 1],
+            np.full(n - 1, low),
+            np.repeat(rng.uniform(0.1, 1.0, n), 2)[: n - 1],
+            np.zeros(n - 1),
+        ]
+        out += [np.r_[low, r] for r in rest]
+    return out
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-6])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_psd_rows_gives_the_eigvalsh_verdict_on_both_paths(monkeypatch, n, tol):
+    lapack_calls = []
+
+    def counted(a, _cholesky=np.linalg.cholesky):
+        lapack_calls.append(1)
+        return _cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    rng = np.random.default_rng(60 + n)
+    spectra = _spectra_near_the_boundary(n, tol, rng) * 3
+    unitaries = [_random_unitary(n, rng) for _ in spectra]
+    stack = np.array([(u * w) @ u.conj().T for w, u in zip(spectra, unitaries)])
+    expected = np.linalg.eigvalsh(stack)[:, 0] > -tol
+    # the construction puts every row on the side its margin says
+    assert expected.tolist() == [w[0] > -tol for w in spectra]
+    assert 0 < expected.sum() < len(stack)
+    assert np.array_equal(linalg.psd_rows(stack, tol), expected)  # column steps
+    assert lapack_calls == []
+    assert np.array_equal(linalg.psd_rows(stack[:n - 1], tol), expected[:n - 1])
+    for i in range(len(stack)):
+        assert linalg.psd_rows(stack[i], tol) is bool(expected[i])
+    assert len(lapack_calls) == n - 1 + len(stack)  # one LAPACK call per row
+
+
+def test_psd_rows_keeps_a_row_failed_after_its_first_bad_pivot():
+    a = np.array([np.diag([-1.0, 1.0, 1.0]), np.diag([1.0, -1.0, 1.0]), np.eye(3)])
+    assert linalg.psd_rows(a, 0.5).tolist() == [False, False, True]
+    assert [linalg.psd_rows(x, 0.5) for x in a] == [False, False, True]
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_psd_rows_of_an_empty_stack_is_empty(n):
+    out = linalg.psd_rows(np.zeros((0, n, n), dtype=complex), 1e-9)
+    assert out.shape == (0,) and out.dtype == bool
+
+
+def test_psd_rows_reads_only_the_lower_triangle():
+    a = np.array([[[4.0, 100.0], [1.0, 4.0]], [[4.0, 1.0], [100.0, 4.0]]])
+    assert linalg.psd_rows(a, 0.0).tolist() == [True, False]
+    assert [linalg.psd_rows(x, 0.0) for x in a] == [True, False]
+
+
+def test_psd_rows_emits_no_warning_on_adversarial_rows():
+    # a subnormal pivot at tol = 0 overflows the next column; a failed
+    # first pivot keeps huge entries in play; neither may warn
+    rows = np.array([
+        [[1e-320, 1.0], [1.0, 1.0]],
+        [[1e-320, 0.0], [0.0, 1.0]],
+        [[-1e300, 1e300], [1e300, 1e300]],
+        [[1e300, 0.0], [1e300, -1e300]],
+    ], dtype=complex)
+    expected = [False, True, False, False]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert linalg.psd_rows(rows, 0.0).tolist() == expected
+        assert [linalg.psd_rows(x, 0.0) for x in rows] == expected

@@ -429,6 +429,11 @@ def test_abs_condition_rows_agree_with_the_single_pair_test():
                            atol=1e-14)
 
 
+def test_abs_condition_rows_rejects_a_shape_mismatch():
+    with pytest.raises(DimensionMismatch):
+        abs_condition_rows(np.eye(2)[None], np.eye(3)[None])
+
+
 def test_apply_channel_rows_checks_at_the_given_tolerance():
     # a witness-style state, normalized only to 5e-10
     m = np.diag([0.5, 0.5 + 5e-10])[None]
