@@ -94,14 +94,28 @@ def parse_state_file(path):
     """Read a density matrix from the plain-text state format.
 
     Line 1 holds the dimension n; each of the next n lines holds n entries
-    formatted "re,im" separated by whitespace.  Every number must be finite,
-    and every line after row n blank.
+    formatted "re,im" separated by whitespace.  The file must be ASCII,
+    every number finite, and every line after row n blank.
+    """
+    return DensityMatrix(_read_matrix(path))
+
+
+def _read_matrix(path):
+    """The complex n x n matrix of a state file, not yet checked as a state.
+
+    All 2 n^2 numbers are converted in one pass once the rows are certified;
+    only a file that fails there is walked entry by entry, to name its first
+    bad entry and line.
     """
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            lines = fh.read().splitlines()
+        with open(path, "rb") as fh:
+            text = fh.read().decode("ascii", "replace")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    lines = text.splitlines()
+    if "\ufffd" in text:  # what decoding made of each non-ASCII byte
+        lineno = next(i for i, line in enumerate(lines, start=1) if "\ufffd" in line)
+        raise ParseError("non-ASCII byte in a state file", line=lineno)
     if not lines:
         raise ParseError("empty state file", line=1)
     try:
@@ -113,23 +127,26 @@ def parse_state_file(path):
     if len(lines) < n + 1:
         raise ParseError(f"expected {n} matrix rows, file has {len(lines) - 1}",
                          line=len(lines))
-    values = []  # re, im of each entry in row-major order
-    for lineno, line in enumerate(lines[1:n + 1], start=2):
-        tokens = line.split()
-        if len(tokens) != n:
-            raise ParseError(f"expected {n} entries, got {len(tokens)}", line=lineno)
-        for j, token in enumerate(tokens, start=1):
-            parts = token.split(",")
-            if len(parts) != 2:
-                raise ParseError(f"entry {j} is not 're,im': {token!r}",
-                                 line=lineno)
-            try:
-                values.append(float(parts[0]))
-                values.append(float(parts[1]))
-            except ValueError as exc:
-                raise ParseError(f"bad number in entry {j}: {token!r}",
-                                 line=lineno) from exc
-    values = np.array(values)
+    rows = lines[1:n + 1]
+    values = _convert_rows(rows, n)  # re, im of each entry in row-major order
+    if values is None:
+        values = []
+        for lineno, line in enumerate(rows, start=2):
+            tokens = line.split()
+            if len(tokens) != n:
+                raise ParseError(f"expected {n} entries, got {len(tokens)}", line=lineno)
+            for j, token in enumerate(tokens, start=1):
+                parts = token.split(",")
+                if len(parts) != 2:
+                    raise ParseError(f"entry {j} is not 're,im': {token!r}",
+                                     line=lineno)
+                try:
+                    values.append(float(parts[0]))
+                    values.append(float(parts[1]))
+                except ValueError as exc:
+                    raise ParseError(f"bad number in entry {j}: {token!r}",
+                                     line=lineno) from exc
+        values = np.array(values)
     finite = np.isfinite(values)
     if not finite.all():
         k = int(finite.argmin())  # 2 n numbers per line
@@ -137,7 +154,23 @@ def parse_state_file(path):
     for lineno, line in enumerate(lines[n + 1:], start=n + 2):
         if line.strip():
             raise ParseError(f"unexpected content after row {n}: {line!r}", line=lineno)
-    return DensityMatrix(values.view(np.complex128).reshape(n, n))
+    return values.view(np.complex128).reshape(n, n)
+
+
+def _convert_rows(rows, n):
+    """The 2 n^2 numbers of ``rows`` from one ``float`` pass, or None unless
+    every row holds n entries of one comma each and every number parses."""
+    tokens = [row.split() for row in rows]
+    entries = list(chain.from_iterable(tokens))
+    numbers = ",".join(entries).split(",")
+    # n^2 commas among n^2 entries are one each when no entry lacks one
+    if ({len(row) for row in tokens} != {n} or len(numbers) != 2 * n * n
+            or not all("," in entry for entry in entries)):
+        return None
+    try:
+        return np.fromiter(map(float, numbers), float, len(numbers))
+    except ValueError:
+        return None
 
 
 def write_state_file(path, rho):
@@ -557,61 +590,81 @@ def _vec(values):
 # argument parsing
 
 
-def build_parser():
+def _setting(cmd, *flags, **kwargs):
+    # a setting is absent from the parsed namespace unless given, so it keeps
+    # its ExperimentConfig default
+    cmd.add_argument(*flags, default=argparse.SUPPRESS, **kwargs)
+
+
+def _sampling(cmd):
+    _setting(cmd, "--dim", type=int, help="state dimension")
+    _setting(cmd, "--samples", type=int, help="Monte Carlo sample count")
+    _setting(cmd, "--seed", type=int, help="base RNG seed")
+
+
+def _decay(cmd):
+    _setting(cmd, "--lambda", dest="lam", type=float, help="decoherence decay rate")
+    _setting(cmd, "--chi0", dest="chi2_0_list", action="append", type=float, metavar="CHI0",
+             help="initial chi-squared value (repeatable)")
+
+
+def _pair(cmd):
+    cmd.add_argument("rho_path", metavar="rho", help="state file for rho")
+    cmd.add_argument("sigma_path", metavar="sigma", help="state file for sigma")
+    cmd.add_argument("--bits", action="store_true", help="display entropic quantities in bits")
+
+
+def _out(cmd):
+    _setting(cmd, "--out", dest="out_dir", type=Path, metavar="OUT",
+             help="output directory (default: $QFDIV_OUT, else the working directory)")
+
+
+def _commuting(cmd):
+    cmd.add_argument("--commuting", action="store_true", help="sample commuting (diagonal) pairs")
+
+
+def _generator(cmd):
+    cmd.add_argument("--f", dest="fname", choices=BUILTIN_NAMES, default="kl",
+                     help="generator to evaluate")
+
+
+def build_parser(command=None):
     """The ``qfdiv`` parser.  Each subcommand accepts exactly the options it
-    reads; a setting not given is absent from the parsed namespace, so it
-    keeps its :class:`ExperimentConfig` default."""
+    reads, in the order its help lists them.
+
+    If ``command`` names a subcommand, only that one is built: parsing an argv
+    that starts with it prints the same help, usage and errors as the full
+    tree.  Any other ``command`` builds every subcommand.
+    """
     parser = argparse.ArgumentParser(
         prog="qfdiv",
         description="Classical and quantum f-divergence toolkit: witness "
                     "construction, bound verification, and experiments.",
     )
-
-    def settings():
-        return argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
-
-    out = settings()
-    out.add_argument("--out", dest="out_dir", type=Path, metavar="OUT",
-                     help="output directory (default: $QFDIV_OUT, else the working directory)")
-    sampling = settings()
-    sampling.add_argument("--dim", type=int, help="state dimension")
-    sampling.add_argument("--samples", type=int, help="Monte Carlo sample count")
-    sampling.add_argument("--seed", type=int, help="base RNG seed")
-    decay = settings()
-    decay.add_argument("--lambda", dest="lam", type=float, help="decoherence decay rate")
-    decay.add_argument("--chi0", dest="chi2_0_list", action="append", type=float, metavar="CHI0",
-                       help="initial chi-squared value (repeatable)")
-    pair = argparse.ArgumentParser(add_help=False)
-    pair.add_argument("rho_path", metavar="rho", help="state file for rho")
-    pair.add_argument("sigma_path", metavar="sigma", help="state file for sigma")
-    pair.add_argument("--bits", action="store_true",
-                      help="display entropic quantities in bits")
-
     sub = parser.add_subparsers(metavar="command", required=True)
-
-    def command(name, run, parents, summary):
-        cmd = sub.add_parser(name, parents=[*parents, out], help=summary)
+    commands = {
+        "verify": (cmd_verify, "run every verification suite", (_sampling, _out)),
+        "fig1": (cmd_fig1, "decoherence envelope curves (CSV + SVG)", (_decay, _out)),
+        "fig2": (cmd_fig2, "bound-comparison scatter (CSV + SVG)", (_sampling, _out)),
+        "condition-rate": (cmd_condition_rate, "positivity-condition satisfaction rate",
+                           (_sampling, _out, _commuting)),
+        "witness": (cmd_witness, "witness distributions for two state files",
+                    (_pair, _out, _generator)),
+        "compare-bounds": (cmd_compare_bounds, "all divergences and bounds for two state files",
+                           (_pair, _out)),
+    }
+    for name in [command] if command in commands else commands:
+        run, summary, options = commands[name]
+        cmd = sub.add_parser(name, help=summary)
         cmd.set_defaults(command=run)
-        return cmd
-
-    command("verify", cmd_verify, [sampling], "run every verification suite")
-    command("fig1", cmd_fig1, [decay], "decoherence envelope curves (CSV + SVG)")
-    command("fig2", cmd_fig2, [sampling], "bound-comparison scatter (CSV + SVG)")
-    cond = command("condition-rate", cmd_condition_rate, [sampling],
-                   "positivity-condition satisfaction rate")
-    cond.add_argument("--commuting", action="store_true",
-                      help="sample commuting (diagonal) pairs")
-    wit = command("witness", cmd_witness, [pair],
-                  "witness distributions for two state files")
-    wit.add_argument("--f", dest="fname", choices=BUILTIN_NAMES, default="kl",
-                     help="generator to evaluate")
-    command("compare-bounds", cmd_compare_bounds, [pair],
-            "all divergences and bounds for two state files")
+        for add in options:
+            add(cmd)
     return parser
 
 
 def main(argv=None):
-    args = vars(build_parser().parse_args(argv))
+    argv = sys.argv[1:] if argv is None else argv
+    args = vars(build_parser(argv[0] if argv else None).parse_args(argv))
     command = args.pop("command")
     try:
         config = ExperimentConfig(**{name: args.pop(name) for name in args.keys() & _SETTINGS})
@@ -619,9 +672,11 @@ def main(argv=None):
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
     try:
+        if "rho_path" in args:
+            # the state-file commands write nothing: --out is accepted, never made
+            return command(**args)
         config.out_dir.mkdir(parents=True, exist_ok=True)
-        # the state-file commands read no setting but --out, which is made here
-        return command(**args) if "rho_path" in args else command(config, **args)
+        return command(config, **args)
     except (ParseError, InvariantViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

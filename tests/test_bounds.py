@@ -171,6 +171,32 @@ def test_depolarizing_trajectories_stay_below_the_improved_envelope():
             assert dist[i] <= improved + 1e-12, (i, t)
 
 
+def test_amplitude_damping_trajectories_stay_below_the_improved_envelope():
+    # qubit generalized amplitude damping toward sigma = diag(p, 1 - p):
+    # populations relax at rate g and coherences at g / 2, so chi2_t <=
+    # exp(-g t) chi2_0 and the trace distance sits below the improved
+    # envelope at lam = g
+    g = 0.05
+    rho, _ = random_pairs([substream(67, i) for i in range(200)], 2)
+    p = substream(68).uniform(0.05, 0.95, size=200)
+    sigma = np.zeros((200, 2, 2), dtype=complex)
+    sigma[:, 0, 0], sigma[:, 1, 1] = p, 1.0 - p
+    chi2_0 = chi2_rows(rho.mats, sigma)
+    ratios = []
+    for t in np.linspace(0.0, 80.0, 81).tolist():
+        pop, coh = math.exp(-g * t), math.exp(-g * t / 2.0)
+        rho_t = sigma + np.array([[pop, coh], [coh, pop]]) * (rho.mats - sigma)
+        assert np.all(chi2_rows(rho_t, sigma) <= pop * chi2_0 * (1.0 + 1e-12)), t
+        dist = trace_norm_hermitian(rho_t - sigma)
+        for i, c in enumerate(chi2_0.tolist()):
+            _, improved = decoherence_bounds(c, g, t)
+            assert dist[i] <= improved + 1e-12, (i, t)
+            ratios.append(dist[i] / improved)
+    # nearly tight (0.999998 at t = 0, 0.9998 at t = 1), so the check has no
+    # room to spare
+    assert max(ratios) > 0.999
+
+
 # ---------------------------------------------------------------------------
 # reverse-Pinsker right side and the unit-radius coefficient
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """End-to-end tests for the command-line interface."""
 
 import argparse
+import contextlib
+import io
 import math
 import warnings
 from dataclasses import fields
@@ -104,10 +106,13 @@ def test_state_file_reports_the_offending_line(tmp_path):
      "unexpected content after row 2: 'garbage here'"),
     ("2\n0.5,0 0,0\n0,0 0.5,0\n\n \n1,2,3\n", 6,
      "unexpected content after row 2: '1,2,3'"),
+    # the first non-ASCII byte is named before anything else is read
+    ("2\n0.5,0 0,0\n0,0 0.5,0\u00b5\n", 3, "non-ASCII byte in a state file"),
+    ("2\n0.5,0 oops\n0,0 0.5,0\n\n# \u00b5\n", 5, "non-ASCII byte in a state file"),
 ])
 def test_state_file_names_the_bad_entry_and_line(tmp_path, text, line, message):
     path = tmp_path / "bad.txt"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     with pytest.raises(ParseError, match=message) as info:
         parse_state_file(path)
     assert info.value.line == line
@@ -421,6 +426,15 @@ def test_corrupt_state_file_exits_two(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_non_ascii_state_file_exits_two(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"2\n0.5,0 0,0\n0,0 0.5,0\xc2\xb5\n")
+    _, sigma_path = _write_pair(tmp_path)
+    for command in ("witness", "compare-bounds"):
+        assert run_cli(command, bad, sigma_path) == 2
+        assert capsys.readouterr().err == "error: line 3: non-ASCII byte in a state file\n"
+
+
 def test_invalid_state_exits_two(tmp_path, capsys):
     bad = tmp_path / "trace.txt"
     bad.write_text("2\n0.5,0 0,0\n0,0 0.4,0\n")
@@ -442,6 +456,15 @@ def test_non_finite_state_file_exits_two(tmp_path, capsys, command, token, line,
     _, sigma_path = _write_pair(tmp_path)
     assert run_cli(command, bad, sigma_path, "--out", tmp_path) == 2
     assert f"line {line}: entry {entry} is not finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["witness", "compare-bounds"])
+def test_state_file_commands_make_no_out_directory(tmp_path, monkeypatch, command):
+    # --out is accepted, because the benchmark appends it to every call
+    monkeypatch.chdir(tmp_path)
+    rho_path, sigma_path = _write_pair(tmp_path)
+    assert run_cli(command, rho_path, sigma_path, "--out", "new/dir") == 0
+    assert not (tmp_path / "new").exists()
 
 
 def test_out_dir_env_var_is_honored(tmp_path, monkeypatch):
@@ -510,6 +533,60 @@ def test_the_parser_sets_no_setting_that_is_not_given():
         args = vars(sub.parse_args(["rho.txt", "sigma.txt"] if "rho" in OPTIONS[name] else []))
         settings = set(args) & {f.name for f in fields(ExperimentConfig)}
         assert not settings, name
+
+
+def _run_parser(argv):
+    """(exit code, stdout, stderr) of ``main(argv)``; an argparse exit gives
+    its status as the code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+# argvs whose help, usage or error text comes from the parser: the bare
+# program, top-level help, an unknown command, each subcommand's help, each
+# missing positional, and each option a subcommand does not read
+PARSER_TEXTS = [[], ["-h"], ["bogus"], ["--out", "x"]]
+PARSER_TEXTS += [[command, "-h"] for command in OPTIONS]
+PARSER_TEXTS += [[command, *files] for command in ("witness", "compare-bounds")
+                 for files in ([], ["rho.txt"])]
+PARSER_TEXTS += [[command, *(["rho.txt", "sigma.txt"] if "rho" in opts else []), option,
+                  *([] if VALUES[option] is None else [VALUES[option]])]
+                 for command, opts in OPTIONS.items()
+                 for option in VALUES if option not in opts.split()]
+
+
+def test_one_subcommand_parser_prints_what_the_full_parser_prints(monkeypatch):
+    one = [_run_parser(argv) for argv in PARSER_TEXTS]
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert one == [_run_parser(argv) for argv in PARSER_TEXTS]
+    assert {code for code, _, _ in one} == {0, 2}
+    assert all(out or err for _, out, err in one)
+
+
+@pytest.mark.parametrize("argv, built", [
+    (["fig1"], ["fig1"]),
+    (["witness", "-h"], ["witness"]),
+    (["-h"], list(OPTIONS)),
+    ([], list(OPTIONS)),
+    (["bogus"], list(OPTIONS)),
+])
+def test_main_builds_only_the_subcommand_its_argv_names(tmp_path, monkeypatch, argv, built):
+    names = []
+    real = argparse._SubParsersAction.add_parser
+
+    def spy(self, name, **kwargs):
+        names.append(name)
+        return real(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    _run_parser([*argv, "--out", str(tmp_path)] if argv == ["fig1"] else argv)
+    assert names == built
 
 
 @pytest.mark.parametrize("argv, command, parsed", [

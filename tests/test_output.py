@@ -9,8 +9,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import random_density
+
 from qfdiv import cli
-from qfdiv.cli import main, write_csv
+from qfdiv.cli import main, write_csv, write_state_file
+from qfdiv.states import substream
 
 # sha256 of stdout and of every file a command writes, recorded with the
 # per-value CSV writer and per-point SVG writer that the column-wise ones
@@ -59,6 +62,51 @@ def test_commands_write_their_recorded_bytes(tmp_path, capsys, argv):
     got = {"stdout": capsys.readouterr().out.encode()}
     got.update((name, (tmp_path / name).read_bytes()) for name in want if name != "stdout")
     assert {name: hashlib.sha256(data).hexdigest() for name, data in got.items()} == want
+
+
+# (exit code, sha256 of stdout) of the state-file commands on one seeded pair
+# per dimension (rank 2n, written by write_state_file), recorded with the
+# entry-by-entry reader and the full argument parser that the one-pass
+# conversion and the one-subcommand parser replaced (numpy 2.4, x86-64)
+GOLDEN_PAIRS = {
+    4: {
+        "witness --f kl":
+            (0, "1c2327cf4919533bad66005426cc528938be71f1724c34d3c53a237a642687b4"),
+        "witness --f chi2":
+            (0, "a355868795172e9581bdfe797b052c2d0c8083c91e2a7ae6f6e0f2b7f6ce56a4"),
+        "witness --f tv":
+            (0, "33d88740dabea4b4013ffd7861586adb5bf188e3792f7126ff1f3192c6099e84"),
+        "compare-bounds":
+            (0, "4c9733b8932aa81723635c12f8c850fa52b12a711cb743cddce1db44cf378dd9"),
+        "compare-bounds --bits":
+            (0, "4a72e0ed60a4f70a3f7f597521d9e4ff07fab9641601e5f01286d8c413517158"),
+    },
+    32: {
+        "witness --f kl":
+            (0, "65114194463610ad283b82cf70c13f534e477329d7514058587f84e89715f662"),
+        "witness --f chi2":
+            (0, "7c0bb079b2fd85f9effb2f6bbc8a16e8c4b8cfaef35bb8a80c398785d96bf0d8"),
+        "witness --f tv":
+            (0, "dde8be14632556b557582875af532a413e117ed11e867157926e3e00a1423236"),
+        "compare-bounds":
+            (0, "b06a006c8479c3805a71d0518f80115d0d16a77c842cb49825ec14a4d7c447bb"),
+        "compare-bounds --bits":
+            (0, "4f71565f8754cd7c0e7a9190e7b8acc340beb132f8caac52fec710fbf90389ee"),
+    },
+}
+
+
+@pytest.mark.parametrize("n, argv", [(n, argv) for n, runs in GOLDEN_PAIRS.items()
+                                     for argv in runs])
+def test_state_file_commands_print_their_recorded_bytes(tmp_path, capsys, n, argv):
+    paths = []
+    for k in range(2):
+        paths.append(str(tmp_path / f"state{k}.txt"))
+        write_state_file(paths[-1], random_density(n, rank=2 * n, seed=substream(80, n, k)))
+    command, *options = argv.split()
+    code = main([command, *paths, *options])
+    assert (code, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()) == \
+        GOLDEN_PAIRS[n][argv]
 
 
 # ---------------------------------------------------------------------------
