@@ -16,8 +16,10 @@ import numpy as np
 
 from .errors import (
     DegenerateExtremes,
+    DomainError,
     NoSecondDerivative,
     OutOfRange,
+    QfdivError,
     QuadratureFailure,
 )
 from .linalg import _scalar, raise_first_failure, singular_check
@@ -46,8 +48,9 @@ def _trace_distance_check(t):
 
 
 def _extremes_check(m, M):
-    return (~((0.0 <= m) & (m < 1.0) & (1.0 < M)), lambda i, where: DegenerateExtremes(
-        f"{where}need 0 <= m < 1 < M, got m={m.flat[i]}, M={M.flat[i]}"))
+    return (~((0.0 <= m) & (m < 1.0) & (1.0 < M) & (M < math.inf)),
+            lambda i, where: DegenerateExtremes(
+                f"{where}need 0 <= m < 1 < M < inf, got m={m.flat[i]}, M={M.flat[i]}"))
 
 
 def pinsker_chi2_lower(t):
@@ -143,8 +146,8 @@ def zeta1_integral(m, M, f, quad_tol=DEFAULT_QUAD_TOL):
     """
     if f.second_derivative is None:
         raise NoSecondDerivative(f"generator {f.name} has no second derivative")
-    if not (0.0 < m < 1.0 < M):
-        raise DegenerateExtremes(f"need 0 < m < 1 < M, got m={m}, M={M}")
+    if not (0.0 < m < 1.0 < M < math.inf):
+        raise DegenerateExtremes(f"need 0 < m < 1 < M < inf, got m={m}, M={M}")
     fpp = f.second_derivative
     upper = adaptive_simpson(
         lambda g: (M - g) / (M - 1.0) * fpp(g), 1.0, M, quad_tol
@@ -164,10 +167,21 @@ def adaptive_simpson(fn, a, b, tol=DEFAULT_QUAD_TOL, max_intervals=MAX_QUAD_INTE
 
     Interval bisection with an explicit stack; each accepted panel gets the
     Richardson correction (S2 - S1)/15 and the tolerance halves per split.
-    Raises :class:`QuadratureFailure` past ``max_intervals`` subintervals.
+    Raises :class:`QuadratureFailure` past ``max_intervals`` subintervals,
+    and :class:`DomainError` where fn raises an ``ArithmeticError`` or a
+    ``ValueError``.
     """
     if a == b:
         return 0.0
+    try:
+        return _simpson(fn, a, b, tol, max_intervals)
+    except QfdivError:
+        raise
+    except (ArithmeticError, ValueError) as exc:
+        raise DomainError(f"integrand undefined on [{a}, {b}]: {exc}") from exc
+
+
+def _simpson(fn, a, b, tol, max_intervals):
     fa, fb = fn(a), fn(b)
     mid = (a + b) / 2.0
     fm = fn(mid)

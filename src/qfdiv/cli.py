@@ -25,7 +25,7 @@ from .bounds import (
     reverse_pinsker_report,
 )
 from .divergence import (
-    quantum_chi2,
+    chi2_rows,
     relative_entropy_rows,
 )
 from .errors import (
@@ -541,9 +541,10 @@ def cmd_compare_bounds(rho_path, sigma_path, bits):
     """Print every divergence and bound for two state files.
 
     One witness supplies (m, M), every maximal divergence, D_max = ln M and,
-    via its sigma eigendecomposition, the relative entropy.  That of rho - sigma
-    gives the positivity condition and the trace distance t, read by the
-    reverse-Pinsker rows, the Pinsker envelope and the Audenaert-Eisert bound.
+    via its sigma eigendecomposition, the relative entropy and the
+    chi-squared divergence.  That of rho - sigma gives the positivity
+    condition and the trace distance t, read by the reverse-Pinsker rows, the
+    Pinsker envelope and the Audenaert-Eisert bound.
     """
     rho = parse_state_file(rho_path)
     sigma = parse_state_file(sigma_path)
@@ -555,7 +556,7 @@ def cmd_compare_bounds(rho_path, sigma_path, bits):
     holds, diff_spectra = abs_condition_rows(rho.mat[None], sigma.mat[None])
     cond = bool(holds[0])
     t = float(np.sum(np.abs(diff_spectra[0])))
-    chi2 = quantum_chi2(rho, sigma)
+    chi2 = float(chi2_rows(rho.mat[None], sigma.mat[None], batch.sigma)[0])
     print(f"trace distance: {t:.12g}")
     print(f"m: {float(w.lambdas[0]):.12g}   M: {float(w.lambdas[-1]):.12g}")
     print(f"positivity condition |rho-sigma| <= rho+sigma: "

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatch, ZeroReference
-from .linalg import adjoint, inv_sqrt_psd, raise_first_failure, singular_check
+from .linalg import adjoint, hermitian_eig, inv_sqrt_psd, raise_first_failure, singular_check
 
 
 def f_div_rows(p, q, f):
@@ -55,20 +55,19 @@ def relative_entropy_rows(rho_mats, rho_spectra, sigma_eig):
     return entropy - cross
 
 
-def _ratio_rows(rho_mats, sigma_mats):
+def _ratio_rows(rho_mats, inv_sqrt):
     """sigma^{-1/2} rho sigma^{-1/2}, symmetrized, of each row pair, from
-    sigma's own eigendecomposition (not a witness's); sigma must be
-    invertible."""
-    s = inv_sqrt_psd(sigma_mats)
-    x = s @ rho_mats @ s
+    the rows' sigma^{-1/2}."""
+    x = inv_sqrt @ rho_mats @ inv_sqrt
     return (x + adjoint(x)) / 2
 
 
-def chi2_rows(rho_mats, sigma_mats):
+def chi2_rows(rho_mats, sigma_mats, sigma_eig):
     """Chi-squared divergence tr((sigma^{-1/2} rho sigma^{-1/2})^2 sigma) - 1
-    of each row pair: a route to the maximal chi2 independent of the
-    witness."""
-    x = _ratio_rows(rho_mats, sigma_mats)
+    of each row pair, with ``sigma_eig`` the stacked eigendecomposition of
+    the sigma rows (a witness's ``sigma`` serves): a route to the maximal
+    chi2 that does not go through the witness's T."""
+    x = _ratio_rows(rho_mats, sigma_eig.inv_sqrt())
     return np.trace(x @ x @ sigma_mats, axis1=-2, axis2=-1).real - 1.0
 
 
@@ -77,7 +76,8 @@ def quantum_chi2(rho, sigma):
     :func:`chi2_rows`."""
     if rho.dim != sigma.dim:
         raise DimensionMismatch(f"dimensions {rho.dim} and {sigma.dim} differ")
-    return float(chi2_rows(rho.mat[None], sigma.mat[None])[0])
+    sigma_mats = sigma.mat[None]
+    return float(chi2_rows(rho.mat[None], sigma_mats, hermitian_eig(sigma_mats))[0])
 
 
 def max_relative_entropy(rho, sigma):
@@ -85,4 +85,5 @@ def max_relative_entropy(rho, sigma):
     sigma^{-1/2} rho sigma^{-1/2}, in nats."""
     if rho.dim != sigma.dim:
         raise DimensionMismatch(f"dimensions {rho.dim} and {sigma.dim} differ")
-    return math.log(float(np.linalg.eigvalsh(_ratio_rows(rho.mat, sigma.mat))[-1]))
+    ratio = _ratio_rows(rho.mat, inv_sqrt_psd(sigma.mat))
+    return math.log(float(np.linalg.eigvalsh(ratio)[-1]))

@@ -1,12 +1,13 @@
 """Dense Hermitian linear algebra on small complex matrices.
 
 Plain ``numpy`` arrays in, plain arrays out; the typed state wrappers live in
-:mod:`qfdiv.states`.  The Hermiticity checks, ``hermitian_eig``,
-``inv_sqrt_psd``, ``trace_norm_hermitian`` and ``psd_rows`` also take a
-stack of matrices, shape ``(B, n, n)``, and work row by row: a single matrix
-gives a scalar result, a stack gives one entry per row.  Eigenvector phases
-follow a fixed convention so repeated runs on identical input are
-bit-identical.
+:mod:`qfdiv.states`.  The Hermiticity checks, ``hermitian_part``,
+``hermitian_eig``, ``inv_sqrt_psd``, ``trace_norm_hermitian`` and
+``psd_rows`` also take a stack of matrices, shape ``(B, n, n)``, and work row
+by row: a single matrix gives a scalar result, a stack gives one entry per
+row.  Eigenvector phases follow a fixed convention so repeated runs on
+identical input are bit-identical.  Finite input near the largest float gives
+finite results or a typed error, never a warning or nan.
 """
 
 from __future__ import annotations
@@ -83,7 +84,25 @@ def as_complex_matrix(a):
 
 
 def _defects(a):
-    return np.abs(a - adjoint(a)).max(axis=(-2, -1))
+    # entries near the largest float can overflow into inf, which fails
+    # every tolerance; that must not warn
+    with np.errstate(over="ignore"):
+        return np.abs(a - adjoint(a)).max(axis=(-2, -1))
+
+
+def hermitian_part(m):
+    """(m + m^dag) / 2, of a matrix or of each matrix in a stack.
+
+    Where that sum overflows, every entry is halved before adding instead,
+    so the result is finite for finite input; elsewhere its bits are those
+    of (m + m^dag) / 2.
+    """
+    # an overflowed entry is inf, and halving a complex inf gives nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = (m + adjoint(m)) / 2
+    if np.isfinite(h).all():
+        return h
+    return m / 2 + adjoint(m) / 2
 
 
 def hermiticity_defect(a):
@@ -98,7 +117,7 @@ def require_hermitian(a):
     defect = _defects(m)
     raise_first_failure([(defect > HERMITIAN_TOL, lambda i, where: NotHermitian(
         f"{where}max |A - A^dag| = {defect.flat[i]:.3e} exceeds {HERMITIAN_TOL:.1e}"))])
-    return (m + adjoint(m)) / 2
+    return hermitian_part(m)
 
 
 @dataclass(frozen=True)
@@ -115,7 +134,17 @@ class HermitianEigen:
 
     def compose(self, values):
         """V diag(values) V^dag, with ``values`` shaped like the eigenvalues."""
-        return (self.vectors * values[..., None, :]) @ adjoint(self.vectors)
+        return _compose(self.vectors, values)
+
+    def inv_sqrt(self):
+        """V diag(w^{-1/2}) V^dag; raises :class:`SingularState` for the
+        lowest row whose least eigenvalue is at or below ``SINGULAR_EPS``."""
+        raise_first_failure([singular_check(self.eigenvalues[..., 0])])
+        return self.compose(self.eigenvalues ** -0.5)
+
+
+def _compose(vectors, values):
+    return (vectors * values[..., None, :]) @ adjoint(vectors)
 
 
 def _fix_phases(u):
@@ -127,14 +156,30 @@ def _fix_phases(u):
     return u * (lead.conj() / np.abs(lead)).reshape(u.shape[:-2] + (1, n))
 
 
-def hermitian_eig(a):
-    """Eigendecomposition of a Hermitian matrix, or of each matrix in a
-    stack, with deterministic phases."""
-    m = require_hermitian(a)
+def _eigh(m):
+    # the one eigensolver call: m must be Hermitian already, and is not checked
     try:
         w, u = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigensolver failed: {exc}") from exc
+    # a finite matrix near the largest float can have an eigenvalue past it
+    if not np.isfinite(w).all():
+        raise DomainError("eigenvalues overflow the float range")
+    return w, u
+
+
+def _abs_part(m):
+    """|m| = V |w| V^dag of a Hermitian matrix or stack, which is not
+    checked, and its ascending eigenvalues w.  |m| does not depend on the
+    phases of V, so none are fixed."""
+    w, u = _eigh(m)
+    return _compose(u, np.abs(w)), w
+
+
+def hermitian_eig(a):
+    """Eigendecomposition of a Hermitian matrix, or of each matrix in a
+    stack, with deterministic phases."""
+    w, u = _eigh(require_hermitian(a))
     return HermitianEigen(w, _fix_phases(u))
 
 
@@ -163,9 +208,7 @@ def matrix_function_psd(a, f):
 def inv_sqrt_psd(a):
     """Inverse square root A^{-1/2} of a positive definite Hermitian matrix,
     or of each matrix in a stack."""
-    eig = hermitian_eig(a)
-    raise_first_failure([singular_check(eig.eigenvalues[..., 0])])
-    return eig.compose(eig.eigenvalues ** -0.5)
+    return hermitian_eig(a).inv_sqrt()
 
 
 def trace_norm_hermitian(x):

@@ -15,7 +15,12 @@ Every state built, sampled or parsed, is checked for positivity at its
 eigensolver runs only when that factorization fails, to name the failing
 row.  Spectra are computed where they are read, on first access.  The
 condition |rho - sigma| <= rho + sigma (:func:`abs_condition_rows`) runs one
-eigensolver, on rho - sigma, and decides by Cholesky too.
+eigensolver, on rho - sigma, and decides by Cholesky too.  Where only the
+verdicts are read (:func:`abs_condition_holds`), a Cholesky factorization of
+the anticommutator rho sigma + sigma rho certifies most rows first, since
+(rho + sigma)^2 - (rho - sigma)^2 = 2 (rho sigma + sigma rho) and the square
+root is operator monotone; the eigensolver runs only on the rows it leaves
+open.
 """
 
 from __future__ import annotations
@@ -107,8 +112,10 @@ def _check_states(m, tol):
     rounding at the boundary.
     """
     defect = linalg.hermiticity_defect(m)
-    m = (m + linalg.adjoint(m)) / 2
-    tr_gap = np.abs(m.trace(axis1=1, axis2=2).real - 1.0)
+    m = linalg.hermitian_part(m)
+    # a trace near the largest float overflows into inf, which fails
+    with np.errstate(over="ignore"):
+        tr_gap = np.abs(m.trace(axis1=1, axis2=2).real - 1.0)
     checks = [
         (defect > tol, lambda i, where: InvariantViolation(
             "hermiticity", f"{where}max |A - A^dag| = {defect[i]:.3e}")),
@@ -119,7 +126,8 @@ def _check_states(m, tol):
         np.linalg.cholesky(m + tol * np.eye(m.shape[-1]))
     except np.linalg.LinAlgError:
         low = np.linalg.eigvalsh(m)[:, 0]
-        checks.append((low < -tol, lambda i, where: InvariantViolation(
+        # a least eigenvalue the solver could not give (nan) fails too
+        checks.append((~(low >= -tol), lambda i, where: InvariantViolation(
             "positivity", f"{where}min eigenvalue {low[i]:.3e}")))
     linalg.raise_first_failure(checks)
     m.flags.writeable = False
@@ -304,18 +312,50 @@ def abs_condition_rows(rho_mats, sigma_mats):
     """Row-wise test of |rho - sigma| <= rho + sigma, up to ``CONDITION_TOL``
     on the spectrum, on two state stacks.
 
-    One eigendecomposition of the stack rho - sigma gives both its spectra
-    and |rho - sigma|; the verdict is whether the Cholesky factorization of
-    rho + sigma - |rho - sigma| + ``CONDITION_TOL`` I completes
-    (:func:`linalg.psd_rows`), so no second eigensolver runs.  Returns the
-    per-row verdicts and the ascending spectra of rho - sigma, whose
-    absolute sums are the trace distances.
+    The stacks are the ``mats`` of state stacks, which are Hermitian to the
+    last bit, and are not checked again.  One eigendecomposition of the
+    stack rho - sigma gives both its spectra and |rho - sigma|, with no
+    phase fixed (|rho - sigma| does not depend on them); the verdict is
+    whether the Cholesky factorization of rho + sigma - |rho - sigma| +
+    ``CONDITION_TOL`` I completes (:func:`linalg.psd_rows`), so no second
+    eigensolver runs.  Returns the per-row verdicts and the ascending
+    spectra of rho - sigma, whose absolute sums are the trace distances.
     """
+    _check_shapes(rho_mats, sigma_mats)
+    gap, spectra = linalg._abs_part(rho_mats - sigma_mats)
+    return linalg.psd_rows(rho_mats + sigma_mats - gap, CONDITION_TOL), spectra
+
+
+def abs_condition_holds(rho_mats, sigma_mats):
+    """The verdicts of :func:`abs_condition_rows`, on the same stacks,
+    without the spectra, and with the eigensolver run only on the rows that
+    the anticommutator leaves open.
+
+    (rho + sigma)^2 - (rho - sigma)^2 = 2 (rho sigma + sigma rho), so where
+    rho sigma + sigma rho >= 0, (rho - sigma)^2 <= (rho + sigma)^2 and, the
+    square root being operator monotone, |rho - sigma| <= rho + sigma.  A
+    row is certified when the Cholesky factorization of
+    rho sigma + sigma rho - ``CONDITION_TOL`` I completes, a margin far
+    above rounding, so a certified row satisfies the condition exactly and
+    gets the verdict the exact route would give it.
+    """
+    _check_shapes(rho_mats, sigma_mats)
+    holds = _anticommutator_certifies(rho_mats, sigma_mats)
+    rest = ~holds
+    if rest.any():
+        holds[rest] = abs_condition_rows(rho_mats[rest], sigma_mats[rest])[0]
+    return holds
+
+
+def _anticommutator_certifies(rho_mats, sigma_mats):
+    """Per row, whether rho sigma + sigma rho - ``CONDITION_TOL`` I is
+    positive definite."""
+    p = rho_mats @ sigma_mats
+    return linalg.psd_rows(p + linalg.adjoint(p), -CONDITION_TOL)
+
+
+def _check_shapes(rho_mats, sigma_mats):
     if np.shape(rho_mats) != np.shape(sigma_mats):
         raise DimensionMismatch(
             f"stack shapes {np.shape(rho_mats)} and {np.shape(sigma_mats)} differ"
         )
-    eig = linalg.hermitian_eig(rho_mats - sigma_mats)
-    gap = eig.compose(np.abs(eig.eigenvalues))
-    slack = linalg.require_hermitian(rho_mats + sigma_mats) - gap
-    return linalg.psd_rows(slack, CONDITION_TOL), eig.eigenvalues

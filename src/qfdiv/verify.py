@@ -28,6 +28,7 @@ from .maximal import WITNESS_TOL, witness_batch, witness_residual_rows
 from .states import (
     CHUNK_ROWS,
     DensityStack,
+    abs_condition_holds,
     abs_condition_rows,
     apply_channel_rows,
     random_channel,
@@ -186,7 +187,7 @@ def maximality_and_pinsker(dim=4, samples=1000, seed=42):
     pinsker = 0.0
     for rho, sigma, w in _witness_chunks(dim, samples, seed):
         t = trace_norm_hermitian(rho.mats - sigma.mats)
-        chi2_std = chi2_rows(rho.mats, sigma.mats)
+        chi2_std = chi2_rows(rho.mats, sigma.mats, w.sigma)
         max_chi2 = w.f_divergence(chi2)
         relent = relative_entropy_rows(rho.mats, rho.spectra, w.sigma)
         maximality = _worst(maximality, relent - w.f_divergence(kl))
@@ -371,8 +372,7 @@ def condition_rate(dim=4, samples=1000, seed=42, commuting=False, environment=No
             rho, sigma = _random_commuting_pairs(rngs, dim)
         else:
             rho, sigma = random_pairs(rngs, dim, environment)
-        holds, _ = abs_condition_rows(rho.mats, sigma.mats)
-        hits += int(np.count_nonzero(holds))
+        hits += int(np.count_nonzero(abs_condition_holds(rho.mats, sigma.mats)))
     rate = hits / samples if samples else 0.0
     return RateResult(rate, samples, environment, commuting)
 

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from qfdiv.bounds import (
 from qfdiv.divergence import chi2_rows, quantum_chi2
 from qfdiv.errors import (
     DegenerateExtremes,
+    DomainError,
     NoSecondDerivative,
     OutOfRange,
     QfdivError,
@@ -36,7 +38,7 @@ from qfdiv.errors import (
     SingularState,
 )
 from qfdiv.generators import builtin_generator
-from qfdiv.linalg import trace_norm_hermitian
+from qfdiv.linalg import hermitian_eig, trace_norm_hermitian
 from qfdiv.maximal import build_witness
 from qfdiv.states import abs_condition_rows, random_pairs, substream
 
@@ -83,7 +85,7 @@ def test_quantum_pinsker_holds_on_random_pairs():
     pairs = [(random_density(4, seed=substream(60, i, 0)).mat,
               random_density(4, seed=substream(60, i, 1)).mat) for i in range(100)]
     rho_mats, sigma_mats = (np.stack(m) for m in zip(*pairs))
-    slack = (chi2_rows(rho_mats, sigma_mats)
+    slack = (chi2_rows(rho_mats, sigma_mats, hermitian_eig(sigma_mats))
              - pinsker_chi2_lower(trace_norm_hermitian(rho_mats - sigma_mats)))
     assert slack.min() >= -1e-10, (int(slack.argmin()), slack.min())
 
@@ -162,7 +164,7 @@ def test_depolarizing_trajectories_stay_below_the_improved_envelope():
     # so its trace distance sits below the improved envelope at lam = 2 g
     g = 0.05
     rho, sigma = random_pairs([substream(66, i) for i in range(20)], 4)
-    chi2_0 = chi2_rows(rho.mats, sigma.mats).tolist()
+    chi2_0 = chi2_rows(rho.mats, sigma.mats, hermitian_eig(sigma.mats)).tolist()
     for t in np.linspace(0.0, 80.0, 81).tolist():
         rho_t = sigma.mats + math.exp(-g * t) * (rho.mats - sigma.mats)
         dist = trace_norm_hermitian(rho_t - sigma.mats)
@@ -181,12 +183,13 @@ def test_amplitude_damping_trajectories_stay_below_the_improved_envelope():
     p = substream(68).uniform(0.05, 0.95, size=200)
     sigma = np.zeros((200, 2, 2), dtype=complex)
     sigma[:, 0, 0], sigma[:, 1, 1] = p, 1.0 - p
-    chi2_0 = chi2_rows(rho.mats, sigma)
+    sigma_eig = hermitian_eig(sigma)
+    chi2_0 = chi2_rows(rho.mats, sigma, sigma_eig)
     ratios = []
     for t in np.linspace(0.0, 80.0, 81).tolist():
         pop, coh = math.exp(-g * t), math.exp(-g * t / 2.0)
         rho_t = sigma + np.array([[pop, coh], [coh, pop]]) * (rho.mats - sigma)
-        assert np.all(chi2_rows(rho_t, sigma) <= pop * chi2_0 * (1.0 + 1e-12)), t
+        assert np.all(chi2_rows(rho_t, sigma, sigma_eig) <= pop * chi2_0 * (1.0 + 1e-12)), t
         dist = trace_norm_hermitian(rho_t - sigma)
         for i, c in enumerate(chi2_0.tolist()):
             _, improved = decoherence_bounds(c, g, t)
@@ -296,6 +299,19 @@ def test_zeta1_integral_requires_positive_m():
         zeta1_integral(0.0, 2.0, KL)
 
 
+@pytest.mark.parametrize("bound", [
+    lambda: zeta1_closed(0.5, math.inf, KL),
+    lambda: binette_rhs(0.5, math.inf, 1.0, KL),
+    lambda: zeta1_integral(0.5, math.inf, KL),
+], ids=["zeta1_closed", "binette_rhs", "zeta1_integral"])
+def test_an_infinite_upper_extreme_is_degenerate(bound):
+    # at M = inf, f(M) / (M - 1) is inf / inf: nan with a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateExtremes, match="M=inf"):
+            bound()
+
+
 def test_zeta1_integral_requires_second_derivative():
     with pytest.raises(NoSecondDerivative):
         zeta1_integral(0.5, 2.0, TV)
@@ -320,6 +336,13 @@ def test_adaptive_simpson_on_smooth_integrands():
 
 def test_adaptive_simpson_degenerate_interval_is_zero():
     assert adaptive_simpson(math.exp, 2.0, 2.0) == 0.0
+
+
+@pytest.mark.parametrize("fn", [lambda x: 1.0 / x, math.log], ids=["reciprocal", "log"])
+def test_an_integrand_undefined_on_the_interval_raises_domain_error(fn):
+    # 1 / 0 raises ZeroDivisionError and math.log(0) ValueError
+    with pytest.raises(DomainError, match=r"integrand undefined on \[0.0, 1.0\]"):
+        adaptive_simpson(fn, 0.0, 1.0)
 
 
 def test_adaptive_simpson_raises_past_the_subdivision_budget():

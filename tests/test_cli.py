@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from conftest import (
     audenaert_eisert,
+    count_eig_calls,
     maximally_mixed,
     plus_state,
     random_density,
@@ -335,6 +336,15 @@ def test_single_pair_commands_count_their_witness_builds(
     assert len(calls) == builds
 
 
+def test_compare_bounds_diagonalizes_sigma_once(tmp_path, monkeypatch):
+    # eigh of sigma and of T in the witness, and of rho - sigma in the
+    # condition test; chi2 reads the witness's sigma eigendecomposition
+    _, _, rho_path, sigma_path = _write_random_pair(tmp_path, 32, 75)
+    calls = count_eig_calls(monkeypatch)
+    assert run_cli("compare-bounds", rho_path, sigma_path) == 0
+    assert calls["eigh"] == 3
+
+
 @pytest.mark.parametrize("n, seed", [(4, 73), (8, 74)])
 def test_compare_bounds_numbers_match_the_scalar_functions(
         tmp_path, monkeypatch, capsys, n, seed):
@@ -352,7 +362,7 @@ def test_compare_bounds_numbers_match_the_scalar_functions(
         monkeypatch.setattr(cli, name, record)
 
     for name in ("witness_batch", "relative_entropy_rows", "abs_condition_rows",
-                 "quantum_chi2", "reverse_pinsker_report", "pinsker_chi2_lower",
+                 "chi2_rows", "reverse_pinsker_report", "pinsker_chi2_lower",
                  "audenaert_eisert_rows"):
         spy(name)
     assert run_cli("compare-bounds", rho_path, sigma_path, "--out", tmp_path) == 0
@@ -361,7 +371,7 @@ def test_compare_bounds_numbers_match_the_scalar_functions(
     (batch,) = seen["witness_batch"]
     w = batch.row(0)
     ((holds, diff_spectra),) = seen["abs_condition_rows"]
-    (chi2,) = seen["quantum_chi2"]
+    ((chi2,),) = seen["chi2_rows"]
     (envelope,) = seen["pinsker_chi2_lower"]
     (ae,) = seen["audenaert_eisert_rows"]
     t = float(np.sum(np.abs(diff_spectra[0])))

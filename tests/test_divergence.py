@@ -23,6 +23,7 @@ from qfdiv.divergence import (
 from qfdiv.errors import DimensionMismatch, SingularState, ZeroReference
 from qfdiv.generators import builtin_generator
 from qfdiv.linalg import hermitian_eig, trace_norm_hermitian
+from qfdiv.maximal import witness_batch
 from qfdiv.states import (
     ClassicalDistribution,
     DensityMatrix,
@@ -200,9 +201,12 @@ def test_relative_entropy_rows_match_the_single_pair_entropy():
 
 def test_chi2_rows_match_the_single_pair_chi2():
     rho, sigma = random_pairs([substream(82, i) for i in range(6)], 3)
-    rows = chi2_rows(rho.mats, sigma.mats)
+    rows = chi2_rows(rho.mats, sigma.mats, hermitian_eig(sigma.mats))
     for i in range(6):
         assert rows[i] == quantum_chi2(rho.row(i), sigma.row(i))
+    # a witness's sigma eigendecomposition gives the same bits
+    witness_sigma = witness_batch(rho.mats, sigma.mats).sigma
+    assert np.array_equal(chi2_rows(rho.mats, sigma.mats, witness_sigma), rows)
     # the stack raises what its lowest singular row raises alone
     sigma_mats = np.array(sigma.mats)
     sigma_mats[2] = np.diag([0.5, 0.5, 0.0])
@@ -210,5 +214,5 @@ def test_chi2_rows_match_the_single_pair_chi2():
     with pytest.raises(SingularState, match="^sigma has min eigenvalue") as one:
         quantum_chi2(rho.row(2), DensityMatrix(sigma_mats[2]))
     with pytest.raises(SingularState) as stacked:
-        chi2_rows(rho.mats, sigma_mats)
+        chi2_rows(rho.mats, sigma_mats, hermitian_eig(sigma_mats))
     assert str(stacked.value) == f"row 2: {one.value}"

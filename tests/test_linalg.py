@@ -239,6 +239,29 @@ def test_non_finite_entries_are_rejected():
         linalg.as_complex_matrix(np.array([[1.0, np.inf], [np.inf, 1.0]]))
 
 
+def test_entries_near_the_largest_float_give_finite_results_or_typed_errors():
+    # (m + m^dag) / 2 overflows into inf here, and eigh of inf is nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        eig = linalg.hermitian_eig(np.diag([1e308, 1e308]))
+        assert eig.eigenvalues.tolist() == [1e308, 1e308]
+        assert np.array_equal(eig.vectors, np.eye(2))
+        big = np.array([[1e308, 1e308j], [-1e308j, 1e308]])
+        assert np.array_equal(linalg.require_hermitian(big), big)
+        with pytest.raises(NotHermitian, match="= inf exceeds"):
+            linalg.require_hermitian(np.array([[0.0, 1e308], [-1e308, 0.0]]))
+        # a finite matrix whose largest eigenvalue (2e308) is past the largest float
+        with pytest.raises(DomainError, match="overflow"):
+            linalg.hermitian_eig(np.full((2, 2), 1e308))
+
+
+def test_in_range_symmetrization_keeps_the_bits_of_the_halved_sum():
+    # Hermitian within HERMITIAN_TOL, not to the last bit
+    m = RNG.standard_normal((6, 4, 4)) + 1j * RNG.standard_normal((6, 4, 4))
+    m = (m + linalg.adjoint(m)) / 2 + 1e-12 * RNG.standard_normal((6, 4, 4))
+    assert np.array_equal(linalg.require_hermitian(m), (m + linalg.adjoint(m)) / 2)
+
+
 def test_eigensolver_failure_is_wrapped(monkeypatch):
     def boom(_):
         raise np.linalg.LinAlgError("forced failure")

@@ -1,5 +1,7 @@
 """Tests for typed states, channels, and the random ensembles."""
 
+import warnings
+
 import numpy as np
 import pytest
 from conftest import (
@@ -10,7 +12,7 @@ from conftest import (
     random_density,
 )
 
-from qfdiv import _seeding
+from qfdiv import _seeding, verify
 from qfdiv.errors import (
     BadRank,
     DimensionMismatch,
@@ -20,12 +22,15 @@ from qfdiv.errors import (
 from qfdiv.states import (
     CHANNEL_TOL,
     CHUNK_ROWS,
+    CONDITION_TOL,
     MAX_INDEX,
     STATE_TOL,
     ClassicalDistribution,
     DensityMatrix,
     DensityStack,
     QuantumChannel,
+    _anticommutator_certifies,
+    abs_condition_holds,
     abs_condition_rows,
     apply_channel_rows,
     completeness_defect,
@@ -77,12 +82,23 @@ def test_density_matrix_accepts_valid_states():
         ([[0.5, 0.5j], [0.5j, 0.5]], "hermiticity"),
         ([[0.5, 0.0], [0.0, 0.4]], "trace"),
         ([[1.5, 0.0], [0.0, -0.5]], "positivity"),
+        # (m + m^dag) / 2 overflows on these
+        ([[0.5, 1e308], [1e308, 0.5]], "positivity"),
+        ([[1e308, 0.0], [0.0, 1e308]], "trace"),
     ],
 )
 def test_density_matrix_invariants(mat, invariant):
-    with pytest.raises(InvariantViolation) as info:
-        DensityMatrix(np.array(mat))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvariantViolation) as info:
+            DensityMatrix(np.array(mat))
     assert info.value.invariant == invariant
+
+
+def test_a_least_eigenvalue_the_solver_cannot_give_fails_positivity(monkeypatch):
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: np.full(m.shape[:-1], np.nan))
+    with pytest.raises(InvariantViolation, match="^positivity: min eigenvalue nan$"):
+        DensityMatrix(np.diag([1.5, -0.5]))
 
 
 def test_quantum_channel_requires_completeness():
@@ -432,6 +448,57 @@ def test_abs_condition_rows_agree_with_the_single_pair_test():
 def test_abs_condition_rows_rejects_a_shape_mismatch():
     with pytest.raises(DimensionMismatch):
         abs_condition_rows(np.eye(2)[None], np.eye(3)[None])
+    with pytest.raises(DimensionMismatch):
+        abs_condition_holds(np.eye(2)[None], np.eye(3)[None])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
+def test_the_anticommutator_certifies_only_rows_the_exact_test_accepts(n):
+    # ranks 1 (pure), n (Hilbert-Schmidt) and 2n (environment-doubled), and
+    # commuting pairs, on which rho sigma + sigma rho = 2 rho sigma
+    stacks = [random_pairs(substreams(71, (n, rank), range(CHUNK_ROWS)), n, rank)
+              for rank in (1, n, 2 * n)]
+    stacks.append(verify._random_commuting_pairs(substreams(72, (n,), range(CHUNK_ROWS)), n))
+    certified_rows = 0
+    for rho, sigma in stacks:
+        exact, _ = abs_condition_rows(rho.mats, sigma.mats)
+        certified = _anticommutator_certifies(rho.mats, sigma.mats)
+        assert not (certified & ~exact).any()
+        assert np.array_equal(abs_condition_holds(rho.mats, sigma.mats), exact)
+        certified_rows += int(certified.sum())
+    assert certified_rows >= CHUNK_ROWS
+
+
+def _least_slack(rho, sigma):
+    """Least eigenvalue of rho + sigma - |rho - sigma|, row by row."""
+    w, v = np.linalg.eigh(rho - sigma)
+    gap = (v * np.abs(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return np.linalg.eigvalsh(rho + sigma - gap)[..., 0]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_the_anticommutator_certifies_no_row_at_the_condition_boundary(n):
+    # Mixing a pair with the maximally mixed state, rho_s = s rho + (1 - s) I/n,
+    # scales rho - sigma by s, so the slack rho + sigma - |rho - sigma| is
+    # s slack + 2 (1 - s) I/n and its least eigenvalue is linear in s: each
+    # failing pair is mixed so that it reads -CONDITION_TOL (1 -+ 1e-3).
+    # The true slack stays negative, so no row may be certified.
+    rho, sigma = random_pairs(substreams(73, (n,), range(64)), n)
+    low = _least_slack(rho.mats, sigma.mats)
+    failing = low < -0.1
+    assert failing.sum() >= 8
+    eye = np.eye(n) / n
+    for side, verdict in ((1.0 - 1e-3, True), (1.0 + 1e-3, False)):
+        target = -side * CONDITION_TOL
+        s = ((target - 2.0 / n) / (low[failing] - 2.0 / n))[:, None, None]
+        mixed = [DensityStack(s * m[failing] + (1.0 - s) * eye).mats
+                 for m in (rho.mats, sigma.mats)]
+        reached = _least_slack(*mixed)
+        assert np.allclose(reached, target, rtol=1e-5, atol=0.0)
+        assert not _anticommutator_certifies(*mixed).any()
+        exact, _ = abs_condition_rows(*mixed)
+        assert exact.tolist() == [verdict] * len(exact)
+        assert np.array_equal(abs_condition_holds(*mixed), exact)
 
 
 def test_apply_channel_rows_checks_at_the_given_tolerance():

@@ -293,12 +293,21 @@ def test_binette_bound_is_numerically_sharp(f):
 
 
 def test_condition_rate_runs_one_eigensolver_per_stack(monkeypatch):
-    # the eigh of rho - sigma in the condition test, which decides its
-    # verdict by Cholesky; the state checks factor by Cholesky too and read
-    # no spectrum
+    # the eigh of rho - sigma in the exact condition test, which decides its
+    # verdict by Cholesky, on only the rows the anticommutator leaves open;
+    # the state checks factor by Cholesky too and read no spectrum
     calls = count_eig_calls(monkeypatch)
+    rows = []
+    counted = np.linalg.eigh
+
+    def recorded(a, *args, **kwargs):
+        rows.append(len(a))
+        return counted(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
     condition_rate(dim=4, samples=256, seed=42)
     assert calls == {"eigh": 1}
+    assert rows[0] < 0.4 * 256
 
 
 def test_condition_rate_builds_its_states_without_an_eigensolver(monkeypatch):
