@@ -355,7 +355,8 @@ def _anticommutator_certifies(rho_mats, sigma_mats):
 
 
 def _check_shapes(rho_mats, sigma_mats):
-    if np.shape(rho_mats) != np.shape(sigma_mats):
+    if np.ndim(rho_mats) != 3 or np.shape(rho_mats) != np.shape(sigma_mats):
         raise DimensionMismatch(
-            f"stack shapes {np.shape(rho_mats)} and {np.shape(sigma_mats)} differ"
+            f"expected two (B, n, n) stacks of one shape, got "
+            f"{np.shape(rho_mats)} and {np.shape(sigma_mats)}"
         )

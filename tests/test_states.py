@@ -450,6 +450,9 @@ def test_abs_condition_rows_rejects_a_shape_mismatch():
         abs_condition_rows(np.eye(2)[None], np.eye(3)[None])
     with pytest.raises(DimensionMismatch):
         abs_condition_holds(np.eye(2)[None], np.eye(3)[None])
+    for test in (abs_condition_rows, abs_condition_holds):
+        with pytest.raises(DimensionMismatch, match=r"got \(2, 2\) and \(2, 2\)"):
+            test(np.eye(2) / 2, np.eye(2) / 2)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
