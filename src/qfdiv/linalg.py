@@ -6,8 +6,9 @@ Plain ``numpy`` arrays in, plain arrays out; the typed state wrappers live in
 ``psd_rows`` also take a stack of matrices, shape ``(B, n, n)``, and work row
 by row: a single matrix gives a scalar result, a stack gives one entry per
 row.  Eigenvector phases follow a fixed convention so repeated runs on
-identical input are bit-identical.  Finite input near the largest float gives
-finite results or a typed error, never a warning or nan.
+identical input are bit-identical.  On finite input near the largest float,
+``require_hermitian`` and ``hermitian_eig`` return finite values or raise a
+typed error, and emit no warning.
 """
 
 from __future__ import annotations
