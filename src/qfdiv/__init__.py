@@ -14,7 +14,6 @@ from .bounds import (
 from .divergence import (
     classical_f_div,
     max_relative_entropy,
-    quantum_chi2,
 )
 from .errors import QfdivError
 from .generators import BUILTIN_NAMES, FGenerator, builtin_generator
@@ -55,7 +54,6 @@ __all__ = [
     "decoherence_bounds",
     "max_relative_entropy",
     "pinsker_chi2_lower",
-    "quantum_chi2",
     "random_channel",
     "reverse_pinsker_report",
     "substream",

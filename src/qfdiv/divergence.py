@@ -5,7 +5,7 @@ chi-squared, max-relative entropy); the trace distance is
 ``linalg.trace_norm_hermitian`` of rho - sigma, and the maximal f-divergence
 lives in :mod:`qfdiv.maximal`.  Entropic quantities are in nats.  The
 ``*_rows`` functions evaluate many pairs at once, one per row;
-:func:`classical_f_div` and :func:`quantum_chi2` are one-row views.
+:func:`classical_f_div` is the one-row view of :func:`f_div_rows`.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatch, ZeroReference
-from .linalg import adjoint, hermitian_eig, inv_sqrt_psd, raise_first_failure, singular_check
+from .linalg import adjoint, inv_sqrt_psd, raise_first_failure, singular_check
 
 
 def f_div_rows(p, q, f):
@@ -69,15 +69,6 @@ def chi2_rows(rho_mats, sigma_mats, sigma_eig):
     chi2 that does not go through the witness's T."""
     x = _ratio_rows(rho_mats, sigma_eig.inv_sqrt())
     return np.trace(x @ x @ sigma_mats, axis1=-2, axis2=-1).real - 1.0
-
-
-def quantum_chi2(rho, sigma):
-    """Chi-squared divergence of one pair; the one-row view of
-    :func:`chi2_rows`."""
-    if rho.dim != sigma.dim:
-        raise DimensionMismatch(f"dimensions {rho.dim} and {sigma.dim} differ")
-    sigma_mats = sigma.mat[None]
-    return float(chi2_rows(rho.mat[None], sigma_mats, hermitian_eig(sigma_mats))[0])
 
 
 def max_relative_entropy(rho, sigma):

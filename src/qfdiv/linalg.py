@@ -92,18 +92,9 @@ def _defects(a):
 
 
 def hermitian_part(m):
-    """(m + m^dag) / 2, of a matrix or of each matrix in a stack.
-
-    Where that sum overflows, every entry is halved before adding instead,
-    so the result is finite for finite input; elsewhere its bits are those
-    of (m + m^dag) / 2.
-    """
-    # an overflowed entry is inf, and halving a complex inf gives nan
-    with np.errstate(over="ignore", invalid="ignore"):
-        h = (m + adjoint(m)) / 2
-    if np.isfinite(h).all():
-        return h
-    return m / 2 + adjoint(m) / 2
+    """(m + m^dag) / 2, of a matrix or of each matrix in a stack, formed as
+    m / 2 + m^dag / 2 so that it is finite for finite input."""
+    return m * 0.5 + adjoint(m) * 0.5
 
 
 def hermiticity_defect(a):
@@ -126,8 +117,10 @@ class HermitianEigen:
     """Spectral decomposition A = V diag(w) V^dag, of one matrix or a stack.
 
     ``eigenvalues`` are real and ascending along the last axis; column k of
-    ``vectors`` is the eigenvector for ``eigenvalues[..., k]``, phase-fixed
-    so its largest-modulus component is real and positive.
+    ``vectors`` is the eigenvector for ``eigenvalues[..., k]``.
+    :func:`hermitian_eig` fixes each column's phase so its largest-modulus
+    component is real and positive; the class itself fixes none, and
+    :meth:`compose` does not depend on them.
     """
 
     eigenvalues: np.ndarray
@@ -135,17 +128,13 @@ class HermitianEigen:
 
     def compose(self, values):
         """V diag(values) V^dag, with ``values`` shaped like the eigenvalues."""
-        return _compose(self.vectors, values)
+        return (self.vectors * values[..., None, :]) @ adjoint(self.vectors)
 
     def inv_sqrt(self):
         """V diag(w^{-1/2}) V^dag; raises :class:`SingularState` for the
         lowest row whose least eigenvalue is at or below ``SINGULAR_EPS``."""
         raise_first_failure([singular_check(self.eigenvalues[..., 0])])
         return self.compose(self.eigenvalues ** -0.5)
-
-
-def _compose(vectors, values):
-    return (vectors * values[..., None, :]) @ adjoint(vectors)
 
 
 def _fix_phases(u):
@@ -167,14 +156,6 @@ def _eigh(m):
     if not np.isfinite(w).all():
         raise DomainError("eigenvalues overflow the float range")
     return w, u
-
-
-def _abs_part(m):
-    """|m| = V |w| V^dag of a Hermitian matrix or stack, which is not
-    checked, and its ascending eigenvalues w.  |m| does not depend on the
-    phases of V, so none are fixed."""
-    w, u = _eigh(m)
-    return _compose(u, np.abs(w)), w
 
 
 def hermitian_eig(a):

@@ -322,8 +322,9 @@ def abs_condition_rows(rho_mats, sigma_mats):
     spectra of rho - sigma, whose absolute sums are the trace distances.
     """
     _check_shapes(rho_mats, sigma_mats)
-    gap, spectra = linalg._abs_part(rho_mats - sigma_mats)
-    return linalg.psd_rows(rho_mats + sigma_mats - gap, CONDITION_TOL), spectra
+    w, u = linalg._eigh(rho_mats - sigma_mats)
+    gap = linalg.HermitianEigen(w, u).compose(np.abs(w))
+    return linalg.psd_rows(rho_mats + sigma_mats - gap, CONDITION_TOL), w
 
 
 def abs_condition_holds(rho_mats, sigma_mats):

@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 
 from qfdiv.bounds import EQUAL_STATES_EPS, audenaert_eisert_rows, reverse_pinsker_report
-from qfdiv.divergence import relative_entropy_rows
+from qfdiv.divergence import chi2_rows, relative_entropy_rows
 from qfdiv.linalg import hermitian_eig, trace_norm_hermitian
 from qfdiv.maximal import build_witness
 from qfdiv.states import STATE_TOL, DensityMatrix, abs_condition_rows, ginibre_states
@@ -53,6 +53,12 @@ def relative_entropy(rho, sigma):
     """Umegaki relative entropy of one pair, diagonalizing sigma on its own."""
     eig = hermitian_eig(sigma.mat[None])
     return float(relative_entropy_rows(rho.mat[None], rho.spectrum[None], eig)[0])
+
+
+def quantum_chi2(rho, sigma):
+    """Chi-squared divergence of one pair, diagonalizing sigma on its own."""
+    sigma_mats = sigma.mat[None]
+    return float(chi2_rows(rho.mat[None], sigma_mats, hermitian_eig(sigma_mats))[0])
 
 
 def audenaert_eisert(rho, sigma):

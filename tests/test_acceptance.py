@@ -29,13 +29,14 @@ from conftest import (
     audenaert_eisert,
     maximally_mixed,
     plus_state,
+    quantum_chi2,
     random_density,
     reverse_pinsker,
 )
 
 from qfdiv.bounds import audenaert_eisert_rows, decoherence_bounds, pinsker_chi2_lower
 from qfdiv.cli import main as cli_main
-from qfdiv.divergence import quantum_chi2, relative_entropy_rows
+from qfdiv.divergence import relative_entropy_rows
 from qfdiv.generators import builtin_generator
 from qfdiv.linalg import hermitian_eig, trace_norm_hermitian
 from qfdiv.maximal import build_witness

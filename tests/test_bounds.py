@@ -11,6 +11,7 @@ from conftest import (
     diagonal_state,
     maximally_mixed,
     plus_state,
+    quantum_chi2,
     random_density,
     relative_entropy,
     reverse_pinsker,
@@ -27,7 +28,7 @@ from qfdiv.bounds import (
     zeta1_closed,
     zeta1_integral,
 )
-from qfdiv.divergence import chi2_rows, quantum_chi2
+from qfdiv.divergence import chi2_rows
 from qfdiv.errors import (
     DegenerateExtremes,
     DomainError,

@@ -15,6 +15,7 @@ from conftest import (
     count_eig_calls,
     maximally_mixed,
     plus_state,
+    quantum_chi2,
     random_density,
     relative_entropy,
     reverse_pinsker,
@@ -28,7 +29,7 @@ from qfdiv.cli import (
     parse_state_file,
     write_state_file,
 )
-from qfdiv.divergence import max_relative_entropy, quantum_chi2
+from qfdiv.divergence import max_relative_entropy
 from qfdiv.errors import InvariantViolation, OutOfRange, ParseError
 from qfdiv.generators import BUILTIN_NAMES, builtin_generator
 from qfdiv.linalg import trace_norm_hermitian

@@ -4,9 +4,15 @@ import math
 
 import numpy as np
 import pytest
-from conftest import diagonal_state, maximally_mixed, plus_state, random_density
+from conftest import (
+    diagonal_state,
+    maximally_mixed,
+    plus_state,
+    quantum_chi2,
+    random_density,
+)
 
-from qfdiv.divergence import classical_f_div, max_relative_entropy, quantum_chi2
+from qfdiv.divergence import classical_f_div, max_relative_entropy
 from qfdiv import maximal
 from qfdiv.errors import (
     DimensionMismatch,

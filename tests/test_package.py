@@ -61,8 +61,6 @@ UNREAD_BY_DESIGN = {
     "build_witness": "the library entry point of the README example",
     "write_state_file": "writes the state files that replay a worst case",
     "max_relative_entropy": "the route to M independent of the witness, for checks",
-    "quantum_chi2": "the one-pair chi2 of the public API; compare-bounds reads "
-                    "chi2_rows with its witness's sigma decomposition",
 }
 
 
