@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatch, ZeroReference
-from .linalg import adjoint, inv_sqrt_psd, raise_first_failure, singular_check
+from .linalg import hermitian_eig, hermitian_part, raise_first_failure, singular_check
 
 
 def f_div_rows(p, q, f):
@@ -58,8 +58,7 @@ def relative_entropy_rows(rho_mats, rho_spectra, sigma_eig):
 def _ratio_rows(rho_mats, inv_sqrt):
     """sigma^{-1/2} rho sigma^{-1/2}, symmetrized, of each row pair, from
     the rows' sigma^{-1/2}."""
-    x = inv_sqrt @ rho_mats @ inv_sqrt
-    return (x + adjoint(x)) / 2
+    return hermitian_part(inv_sqrt @ rho_mats @ inv_sqrt)
 
 
 def chi2_rows(rho_mats, sigma_mats, sigma_eig):
@@ -76,5 +75,5 @@ def max_relative_entropy(rho, sigma):
     sigma^{-1/2} rho sigma^{-1/2}, in nats."""
     if rho.dim != sigma.dim:
         raise DimensionMismatch(f"dimensions {rho.dim} and {sigma.dim} differ")
-    ratio = _ratio_rows(rho.mat, inv_sqrt_psd(sigma.mat))
+    ratio = _ratio_rows(rho.mat, hermitian_eig(sigma.mat).inv_sqrt())
     return math.log(float(np.linalg.eigvalsh(ratio)[-1]))

@@ -1,7 +1,7 @@
 """Convex generator functions f for f-divergences.
 
 A generator is convex on (0, inf) with f(1) = 0; the value at 0 is supplied
-explicitly as the continuous limit.  Builtins:
+explicitly as the continuous limit.  Builtins, each built once at import:
 
     kl    f(x) = x ln x          (nats)
     chi2  f(x) = x^2 - 1
@@ -83,33 +83,20 @@ class FGenerator:
         return float(self.value(x))
 
 
+_BUILTINS = {f.name: f for f in (
+    FGenerator(name="kl", value=lambda x: x * np.log(x), value_at_zero=0.0,
+               second_derivative=lambda x: 1.0 / x, operator_convex=True),
+    FGenerator(name="chi2", value=lambda x: x * x - 1.0, value_at_zero=-1.0,
+               second_derivative=lambda x: 2.0, operator_convex=True),
+    FGenerator(name="tv", value=lambda x: np.abs(x - 1.0), value_at_zero=1.0,
+               second_derivative=None, operator_convex=False),
+)}
+BUILTIN_NAMES = tuple(_BUILTINS)
+
+
 def builtin_generator(name):
-    """Return one of the builtin generators by name: kl, chi2, or tv."""
-    if name == "kl":
-        return FGenerator(
-            name="kl",
-            value=lambda x: x * np.log(x),
-            value_at_zero=0.0,
-            second_derivative=lambda x: 1.0 / x,
-            operator_convex=True,
-        )
-    if name == "chi2":
-        return FGenerator(
-            name="chi2",
-            value=lambda x: x * x - 1.0,
-            value_at_zero=-1.0,
-            second_derivative=lambda x: 2.0,
-            operator_convex=True,
-        )
-    if name == "tv":
-        return FGenerator(
-            name="tv",
-            value=lambda x: np.abs(x - 1.0),
-            value_at_zero=1.0,
-            second_derivative=None,
-            operator_convex=False,
-        )
-    raise UnknownGenerator(name)
-
-
-BUILTIN_NAMES = ("kl", "chi2", "tv")
+    """Return one of the builtin generators by name: kl, chi2, or tv; the
+    same (frozen) instance on every call."""
+    if name not in BUILTIN_NAMES:
+        raise UnknownGenerator(name)
+    return _BUILTINS[name]

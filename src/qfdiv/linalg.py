@@ -2,11 +2,14 @@
 
 Plain ``numpy`` arrays in, plain arrays out; the typed state wrappers live in
 :mod:`qfdiv.states`.  The Hermiticity checks, ``hermitian_part``,
-``hermitian_eig``, ``inv_sqrt_psd``, ``trace_norm_hermitian`` and
-``psd_rows`` also take a stack of matrices, shape ``(B, n, n)``, and work row
-by row: a single matrix gives a scalar result, a stack gives one entry per
-row.  Eigenvector phases follow a fixed convention so repeated runs on
-identical input are bit-identical.  On finite input near the largest float,
+``hermitian_eig``, ``trace_norm_hermitian`` and ``psd_rows`` also take a
+stack of matrices, shape ``(B, n, n)``, and work row by row: a single matrix
+gives a scalar result, a stack gives one entry per row.  Eigenvector phases
+follow a fixed convention so repeated runs on identical input are
+bit-identical.  A matrix is checked where it enters: ``require_hermitian``
+(or a state carrier of :mod:`qfdiv.states`) returns it symmetrized, and
+``hermitian_eig`` and ``trace_norm_hermitian`` take that Hermitian input as
+given and check nothing.  On finite input near the largest float,
 ``require_hermitian`` and ``hermitian_eig`` return finite values or raise a
 typed error, and emit no warning.
 """
@@ -75,8 +78,8 @@ def _scalar(x):
 
 def as_complex_matrix(a):
     """Coerce input to a complex128 square matrix, or stack of them, with
-    finite entries."""
-    m = np.array(a, dtype=np.complex128)
+    finite entries; complex128 input is returned as is, not copied."""
+    m = np.asarray(a, dtype=np.complex128)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] < 1:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
@@ -160,18 +163,20 @@ def _eigh(m):
 
 def hermitian_eig(a):
     """Eigendecomposition of a Hermitian matrix, or of each matrix in a
-    stack, with deterministic phases."""
-    w, u = _eigh(require_hermitian(a))
+    stack, with deterministic phases.  ``a`` must be Hermitian already (see
+    :func:`require_hermitian`) and is not checked."""
+    w, u = _eigh(a)
     return HermitianEigen(w, _fix_phases(u))
 
 
 def matrix_function_psd(a, f):
     """Apply a scalar function to a PSD Hermitian matrix through its spectrum.
 
-    Eigenvalues in ``[-PSD_CLAMP_TOL, 0)`` are clamped to zero first; anything
-    more negative raises :class:`NegativeSpectrum`.
+    ``a`` is checked by :func:`require_hermitian`.  Eigenvalues in
+    ``[-PSD_CLAMP_TOL, 0)`` are clamped to zero first; anything more
+    negative raises :class:`NegativeSpectrum`.
     """
-    eig = hermitian_eig(a)
+    eig = hermitian_eig(require_hermitian(a))
     w = eig.eigenvalues
     if w[0] < -PSD_CLAMP_TOL:
         raise NegativeSpectrum(
@@ -187,16 +192,11 @@ def matrix_function_psd(a, f):
     return eig.compose(fw)
 
 
-def inv_sqrt_psd(a):
-    """Inverse square root A^{-1/2} of a positive definite Hermitian matrix,
-    or of each matrix in a stack."""
-    return hermitian_eig(a).inv_sqrt()
-
-
 def trace_norm_hermitian(x):
-    """Trace norm of a Hermitian matrix: sum of absolute eigenvalues."""
-    m = require_hermitian(x)
-    return _scalar(np.sum(np.abs(np.linalg.eigvalsh(m)), axis=-1))
+    """Trace norm of a Hermitian matrix, or of each matrix in a stack: sum
+    of absolute eigenvalues.  ``x`` must be Hermitian already and is not
+    checked."""
+    return _scalar(np.sum(np.abs(np.linalg.eigvalsh(x)), axis=-1))
 
 
 def psd_rows(a, tol):

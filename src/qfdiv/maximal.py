@@ -36,7 +36,9 @@ from .linalg import (
     HermitianEigen,
     adjoint,
     hermitian_eig,
+    hermitian_part,
     raise_first_failure,
+    require_hermitian,
     singular_check,
     trace_norm_hermitian,
 )
@@ -120,7 +122,9 @@ class WitnessBatch:
 def witness_batch(rho_mats, sigma_mats):
     """Witness distributions of every pair in two ``(B, n, n)`` state stacks.
 
-    Each sigma must be invertible (min eigenvalue above ``SINGULAR_EPS``).
+    The stacks need not be checked states: each sigma must be Hermitian
+    within ``HERMITIAN_TOL`` (checked here, raising :class:`NotHermitian`)
+    and invertible (min eigenvalue above ``SINGULAR_EPS``).
     Eigenvalues of the ratio matrix in [-1e-8, 0) are clamped to zero
     (rank-deficient rho); anything more negative raises
     :class:`NegativeSpectrum`.  s_i = ||sigma^{1/2} u_i||^2 is read off the
@@ -135,7 +139,7 @@ def witness_batch(rho_mats, sigma_mats):
         raise DimensionMismatch(
             f"stack shapes {rho_mats.shape} and {sigma_mats.shape} differ"
         )
-    eig_s = hermitian_eig(sigma_mats)
+    eig_s = hermitian_eig(require_hermitian(sigma_mats))
     w = eig_s.eigenvalues
     sigma_check = singular_check(w[:, 0])
     # singular rows get a stand-in spectrum so the other rows can proceed
@@ -143,9 +147,7 @@ def witness_batch(rho_mats, sigma_mats):
     inv_sqrt = eig_s.compose(w_safe ** -0.5)
     sqrt_s = eig_s.compose(w_safe ** 0.5)
 
-    t = inv_sqrt @ rho_mats @ inv_sqrt
-    t = (t + adjoint(t)) / 2
-    eig_t = hermitian_eig(t)
+    eig_t = hermitian_eig(hermitian_part(inv_sqrt @ rho_mats @ inv_sqrt))
     lam = eig_t.eigenvalues
     low = lam[:, 0]
     lam = np.where(lam < 0.0, 0.0, lam)

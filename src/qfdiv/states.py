@@ -144,7 +144,7 @@ def _spectra(m):
 class DensityStack:
     """Stack of density matrices, each Hermitian PSD with unit trace.
 
-    ``mats`` is the symmetrized ``(B, n, n)`` stack.  Positivity is
+    ``mats`` is a new, read-only, symmetrized stack.  Positivity is
     certified by one Cholesky factorization of the stack, with ``eigvalsh``
     only when that fails; a failing stack raises for its lowest failing
     row.  ``spectra``, the ascending eigenvalues with one row per state, is
@@ -247,8 +247,7 @@ def completeness_defect(kraus):
 def ginibre_states(factors):
     """The states G G^dag / tr(G G^dag) of a ``(B, n, rank)`` factor stack."""
     g = np.asarray(factors)
-    m = g @ linalg.adjoint(g)
-    m = (m + linalg.adjoint(m)) / 2
+    m = linalg.hermitian_part(g @ linalg.adjoint(g))
     return DensityStack(m / m.trace(axis1=1, axis2=2).real[:, None, None])
 
 

@@ -23,7 +23,8 @@ from .bounds import (
 )
 from .divergence import chi2_rows, relative_entropy_rows
 from .generators import builtin_generator
-from .linalg import matrix_function_psd, matrix_polynomial, singular_check, trace_norm_hermitian
+from .linalg import (hermitian_part, matrix_function_psd, matrix_polynomial, singular_check,
+                     trace_norm_hermitian)
 from .maximal import WITNESS_TOL, witness_batch, witness_residual_rows
 from .states import (
     CHUNK_ROWS,
@@ -288,8 +289,7 @@ def zeta1_suite():
 
 def _random_psd(n, rng, ridge=0.1):
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    m = g @ g.conj().T
-    m = (m + m.conj().T) / 2
+    m = hermitian_part(g @ g.conj().T)
     return m / np.trace(m).real + ridge * np.eye(n)
 
 

@@ -12,6 +12,8 @@ def test_builtin_names_are_exactly_the_three_generators():
     assert BUILTIN_NAMES == ("kl", "chi2", "tv")
     for name in BUILTIN_NAMES:
         assert builtin_generator(name).name == name
+        # built once, at import, and shared: it is frozen
+        assert builtin_generator(name) is builtin_generator(name)
 
 
 def test_kl_generator_values():

@@ -48,7 +48,7 @@ def test_quadratic_on_singular_diagonal():
 
 
 def test_inv_sqrt_of_diagonal():
-    out = linalg.inv_sqrt_psd(np.diag([0.25, 0.25, 0.5]))
+    out = linalg.hermitian_eig(np.diag([0.25, 0.25, 0.5])).inv_sqrt()
     assert np.allclose(out, np.diag([2.0, 2.0, math.sqrt(2.0)]), atol=1e-12)
 
 
@@ -224,7 +224,7 @@ def test_function_producing_nan_raises_domain_error():
 
 def test_inv_sqrt_rejects_near_singular_input():
     with pytest.raises(SingularState):
-        linalg.inv_sqrt_psd(np.diag([1.0, 1e-12]))
+        linalg.hermitian_eig(np.diag([1.0, 1e-12])).inv_sqrt()
 
 
 def test_non_square_input_is_rejected():
@@ -256,10 +256,28 @@ def test_entries_near_the_largest_float_give_finite_results_or_typed_errors():
 
 
 def test_in_range_symmetrization_keeps_the_bits_of_the_halved_sum():
+    def halved_sum(m):
+        return (m + linalg.adjoint(m)) / 2
+
     # Hermitian within HERMITIAN_TOL, not to the last bit
     m = RNG.standard_normal((6, 4, 4)) + 1j * RNG.standard_normal((6, 4, 4))
-    m = (m + linalg.adjoint(m)) / 2 + 1e-12 * RNG.standard_normal((6, 4, 4))
-    assert np.array_equal(linalg.require_hermitian(m), (m + linalg.adjoint(m)) / 2)
+    m = halved_sum(m) + 1e-12 * RNG.standard_normal((6, 4, 4))
+    assert np.array_equal(linalg.require_hermitian(m), halved_sum(m))
+    # Ginibre products G G^dag, as states are sampled, and T-shaped products
+    # sigma^{-1/2} rho sigma^{-1/2}, as the witness forms them
+    rng = np.random.default_rng(34)
+    inexact = {"gram": 0, "t": 0}
+    for n in (2, 3, 4, 8, 32):
+        g = rng.standard_normal((2, 32, n, 2 * n)) + 1j * rng.standard_normal((2, 32, n, 2 * n))
+        gram = g @ linalg.adjoint(g)
+        rho, sigma = linalg.hermitian_part(gram)
+        inv_sqrt = linalg.hermitian_eig(sigma).inv_sqrt()
+        for name, x in (("gram", gram), ("t", inv_sqrt @ rho @ inv_sqrt)):
+            inexact[name] += int(np.count_nonzero(linalg.hermiticity_defect(x) > 0.0))
+            assert np.array_equal(linalg.hermitian_part(x), halved_sum(x))
+            assert np.array_equal(linalg.require_hermitian(x), halved_sum(x))
+    # the products are not Hermitian to the last bit, so the halving is tested
+    assert inexact["gram"] > 0 and inexact["t"] > 0
 
 
 def test_eigensolver_failure_is_wrapped(monkeypatch):

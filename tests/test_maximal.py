@@ -13,16 +13,16 @@ from conftest import (
 )
 
 from qfdiv.divergence import classical_f_div, max_relative_entropy
-from qfdiv import maximal
+from qfdiv import linalg, maximal
 from qfdiv.errors import (
     DimensionMismatch,
     NegativeSpectrum,
+    NotHermitian,
     SingularState,
 )
 from qfdiv.generators import FGenerator, builtin_generator
 from qfdiv.linalg import (
     hermitian_eig,
-    inv_sqrt_psd,
     matrix_polynomial,
     trace_norm_hermitian,
 )
@@ -213,8 +213,8 @@ def test_maximal_divergence_matches_direct_trace_formula():
         coeffs = c1 * base[1] + c2 * base[2] + c4 * base[4]
         rho = random_density(4, seed=substream(47, i, 0))
         sigma = random_density(4, seed=substream(47, i, 1))
-        inv_sqrt = inv_sqrt_psd(sigma.mat)
         eig = hermitian_eig(sigma.mat)
+        inv_sqrt = eig.inv_sqrt()
         sqrt_s = (eig.vectors * eig.eigenvalues**0.5) @ eig.vectors.conj().T
         t = inv_sqrt @ rho.mat @ inv_sqrt
         direct = float(
@@ -264,6 +264,42 @@ def test_witness_channel_attains_dpi_equality():
 def test_witness_requires_invertible_sigma():
     with pytest.raises(SingularState):
         build_witness(maximally_mixed(), diagonal_state([1.0, 0.0]))
+
+
+def test_witness_batch_names_the_lowest_non_hermitian_sigma_row():
+    # sigma_mats is public input, so witness_batch checks it itself
+    rho, sigma = random_pairs([substream(52, i) for i in range(4)], 3)
+    bad = np.array(sigma.mats)
+    bad[3, 0, 1] += 1e-3
+    bad[1, 2, 0] += 1e-3j
+    with pytest.raises(NotHermitian, match="^row 1: max"):
+        witness_batch(rho.mats, bad)
+    with pytest.raises(NotHermitian, match="^max"):
+        witness_batch(rho.mats[1:2], bad[1:2])
+    near = np.array(sigma.mats[:1])
+    near[0, 2, 0] += 1e-11  # within HERMITIAN_TOL: accepted and symmetrized
+    assert np.array_equal(witness_batch(rho.mats[:1], near).sigma.eigenvalues,
+                          hermitian_eig(linalg.hermitian_part(near)).eigenvalues)
+
+
+def test_require_hermitian_runs_once_per_witness_batch_and_twice_per_verify_witness(
+        monkeypatch):
+    # state stacks are checked where they are built, and T is symmetrized
+    # where it is formed; only the public sigma argument is checked again
+    calls = []
+
+    def spy(a, _check=linalg.require_hermitian):
+        calls.append(np.shape(a))
+        return _check(a)
+
+    for module in (linalg, maximal):
+        monkeypatch.setattr(module, "require_hermitian", spy, raising=False)
+    rho, sigma = random_pairs([substream(53, i) for i in range(5)], 3)
+    witness_batch(rho.mats, sigma.mats)
+    assert calls == [(5, 3, 3)]
+    calls.clear()
+    verify_witness(rho.row(0), sigma.row(0), KL)
+    assert calls == [(1, 3, 3)] * 2
 
 
 def test_witness_rejects_dimension_mismatch():

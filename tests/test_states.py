@@ -424,6 +424,20 @@ def test_spectra_are_computed_once_and_read_only(monkeypatch):
         row.spectrum = spectra[0]
 
 
+def test_state_carriers_neither_alias_nor_freeze_their_input():
+    rho, _ = random_pairs([substream(20, i) for i in range(3)], 3)
+    arr = np.array(rho.mats)
+    arr[:, 0, 1] += 1e-13  # within STATE_TOL, so symmetrizing changes it
+    before = arr.copy()
+    stack, one = DensityStack(arr), DensityMatrix(arr[1])
+    for mats, given in ((stack.mats, arr), (one.mat, arr[1])):
+        assert not np.shares_memory(mats, arr)
+        assert not mats.flags.writeable
+        assert not np.array_equal(mats, given)
+    assert arr.dtype == np.complex128 and arr.flags.writeable
+    assert np.array_equal(arr, before)
+
+
 def test_row_spectra_match_the_stack_and_a_fresh_state():
     rho, _ = random_pairs([substream(19, i) for i in range(CHUNK_ROWS)], 5, rank=10)
     before = [rho.row(i).spectrum for i in range(CHUNK_ROWS)]  # each its own
