@@ -122,9 +122,9 @@ class WitnessBatch:
 def witness_batch(rho_mats, sigma_mats):
     """Witness distributions of every pair in two ``(B, n, n)`` state stacks.
 
-    The stacks need not be checked states: each sigma must be Hermitian
-    within ``HERMITIAN_TOL`` (checked here, raising :class:`NotHermitian`)
-    and invertible (min eigenvalue above ``SINGULAR_EPS``).
+    The rho rows are taken as states.  Each sigma must be Hermitian within
+    ``HERMITIAN_TOL`` (checked here, raising :class:`NotHermitian`) and
+    invertible (min eigenvalue above ``SINGULAR_EPS``).
     Eigenvalues of the ratio matrix in [-1e-8, 0) are clamped to zero
     (rank-deficient rho); anything more negative raises
     :class:`NegativeSpectrum`.  s_i = ||sigma^{1/2} u_i||^2 is read off the
