@@ -40,6 +40,7 @@ from .maximal import verify_witness, witness_batch
 from .states import (
     CHUNK_ROWS,
     DensityMatrix,
+    DensityStack,
     abs_condition_rows,
     random_pairs,
     substreams,
@@ -384,38 +385,35 @@ def _accepted_pairs(config, start, stop, draws):
     Sample i draws (rho, sigma) from ``substream(seed, i)`` until the pair
     satisfies the positivity condition; each round draws once for every
     pending sample.  ``draws`` counts the pairs drawn before this call.
-    Returns the kept rho and sigma stacks, the spectra of rho, sigma and
-    rho - sigma, in sample order, and the updated draw count.  The rho and
-    sigma spectra come from one ``eigvalsh`` of each kept stack.  Raises
-    :class:`SamplingBudgetExceeded` rather than draw more than
+    Returns the kept rho and sigma rows, in sample order, as the state
+    stacks they were checked in when drawn (not checked again), the spectra
+    of rho - sigma from the condition test, and the updated draw count.
+    Raises :class:`SamplingBudgetExceeded` rather than draw more than
     ``FIG2_DRAWS_PER_PAIR`` pairs per requested sample in all.
     """
     rngs = substreams(config.seed, (), range(start, stop))
-    n = config.dim
     size = stop - start
     budget = FIG2_DRAWS_PER_PAIR * config.samples
-    rho = np.empty((size, n, n), dtype=np.complex128)
-    sigma = np.empty_like(rho)
-    diff_spec = np.empty((size, n))
+    kept = []  # per round: sample positions, rho rows, sigma rows, diff spectra
     pending = np.arange(size)
     while pending.size:
         if draws + pending.size > budget:
-            kept = start + size - pending.size
+            done = start + size - pending.size
             raise SamplingBudgetExceeded(
-                f"fig2 drew {draws} candidate pairs and kept {kept} of "
-                f"{config.samples} (acceptance rate {kept / max(draws, 1):.4f}); "
+                f"fig2 drew {draws} candidate pairs and kept {done} of "
+                f"{config.samples} (acceptance rate {done / max(draws, 1):.4f}); "
                 f"the budget is {FIG2_DRAWS_PER_PAIR} draws per requested pair"
             )
-        r, s = random_pairs([rngs[k] for k in pending], n, 2 * n)
+        r, s = random_pairs([rngs[k] for k in pending], config.dim, 2 * config.dim)
         draws += pending.size
         holds, diff_spectra = abs_condition_rows(r.mats, s.mats)
-        keep = pending[holds]
-        rho[keep] = r.mats[holds]
-        sigma[keep] = s.mats[holds]
-        diff_spec[keep] = diff_spectra[holds]
+        kept.append((pending[holds], r.take(holds), s.take(holds), diff_spectra[holds]))
         pending = pending[~holds]
-    spectra = (np.linalg.eigvalsh(rho), np.linalg.eigvalsh(sigma), diff_spec)
-    return rho, sigma, spectra, draws
+    positions, rho, sigma, diff_spec = zip(*kept)
+    order = np.argsort(np.concatenate(positions))
+    return (DensityStack.concatenate(rho).take(order),
+            DensityStack.concatenate(sigma).take(order),
+            np.concatenate(diff_spec)[order], draws)
 
 
 def cmd_fig2(config):
@@ -436,26 +434,28 @@ def cmd_fig2(config):
     ``verify.reverse_pinsker_and_binette``) but not for the maximal
     divergence in ``max_relent_div``.
 
-    Samples are processed in stacks of ``CHUNK_ROWS``; per kept pair every
-    column comes from the spectra of rho and sigma (one ``eigvalsh`` of each
-    kept stack), the eigendecomposition of rho - sigma from the condition
-    test, and the witness's eigendecompositions of sigma and the
-    likelihood-ratio operator.
+    Samples are processed in stacks of ``CHUNK_ROWS``.  Each candidate
+    stack is checked as states once, when it is drawn, and the kept rows
+    are not checked again.  Per kept pair every column comes from three
+    decompositions and one spectrum: the eigendecomposition of rho - sigma
+    from the condition test, the witness's eigendecompositions of sigma
+    (which also give sigma's least eigenvalue) and of the likelihood-ratio
+    operator, and the spectrum of rho (one ``eigvalsh`` of each kept
+    stack).
     """
     kl = builtin_generator("kl")
     stacks = []
     draws = 0
     for start in range(0, config.samples, CHUNK_ROWS):
         stop = min(start + CHUNK_ROWS, config.samples)
-        rho, sigma, (rho_spec, sigma_spec, diff_spec), draws = _accepted_pairs(
-            config, start, stop, draws)
+        rho, sigma, diff_spec, draws = _accepted_pairs(config, start, stop, draws)
         w = witness_batch(rho, sigma)
         t = np.sum(np.abs(diff_spec), axis=-1)
         m = w.lambdas[:, 0]
         big_m = w.lambdas[:, -1]
         binette = binette_rhs(m, big_m, t, kl)
-        ae = audenaert_eisert_rows(t, rho_spec[:, 0], sigma_spec[:, 0])
-        relent = relative_entropy_rows(rho, rho_spec, w.sigma)
+        ae = audenaert_eisert_rows(t, rho.spectra[:, 0], w.sigma.eigenvalues[:, 0])
+        relent = relative_entropy_rows(rho.mats, rho.spectra, w.sigma)
         dmax_kl = w.f_divergence(kl)
         stacks.append((t, m, big_m, binette, ae, relent, dmax_kl))
     columns = [np.concatenate(col) for col in zip(*stacks)]
@@ -541,22 +541,23 @@ def cmd_compare_bounds(rho_path, sigma_path, bits):
     """Print every divergence and bound for two state files.
 
     One witness supplies (m, M), every maximal divergence, D_max = ln M and,
-    via its sigma eigendecomposition, the relative entropy and the
-    chi-squared divergence.  That of rho - sigma gives the positivity
-    condition and the trace distance t, read by the reverse-Pinsker rows, the
-    Pinsker envelope and the Audenaert-Eisert bound.
+    via its sigma eigendecomposition, the relative entropy, the chi-squared
+    divergence and sigma's least eigenvalue.  That of rho - sigma gives the
+    positivity condition and the trace distance t, read by the
+    reverse-Pinsker rows, the Pinsker envelope and the Audenaert-Eisert
+    bound.  Rho's spectrum is the one ``eigvalsh`` call.
     """
-    rho = parse_state_file(rho_path)
-    sigma = parse_state_file(sigma_path)
+    rho = parse_state_file(rho_path).as_stack()
+    sigma = parse_state_file(sigma_path).as_stack()
     scale = 1.0 / math.log(2.0) if bits else 1.0
     unit = "bits" if bits else "nats"
-    batch = witness_batch(rho.mat[None], sigma.mat[None])
+    batch = witness_batch(rho, sigma)
     w = batch.row(0)
-    relent = float(relative_entropy_rows(rho.mat[None], rho.spectrum[None], batch.sigma)[0])
-    holds, diff_spectra = abs_condition_rows(rho.mat[None], sigma.mat[None])
+    relent = float(relative_entropy_rows(rho.mats, rho.spectra, batch.sigma)[0])
+    holds, diff_spectra = abs_condition_rows(rho.mats, sigma.mats)
     cond = bool(holds[0])
     t = float(np.sum(np.abs(diff_spectra[0])))
-    chi2 = float(chi2_rows(rho.mat[None], sigma.mat[None], batch.sigma)[0])
+    chi2 = float(chi2_rows(rho.mats, sigma.mats, batch.sigma)[0])
     print(f"trace distance: {t:.12g}")
     print(f"m: {float(w.lambdas[0]):.12g}   M: {float(w.lambdas[-1]):.12g}")
     print(f"positivity condition |rho-sigma| <= rho+sigma: "
@@ -578,7 +579,7 @@ def cmd_compare_bounds(rho_path, sigma_path, bits):
     envelope = pinsker_chi2_lower(t)
     print(f"Pinsker-type lower envelope of chi-squared: {envelope:.12g} "
           f"(slack {chi2 - envelope:.3e})")
-    ae = float(audenaert_eisert_rows([t], rho.spectrum[:1], sigma.spectrum[:1])[0])
+    ae = float(audenaert_eisert_rows([t], rho.spectra[:, 0], batch.sigma.eigenvalues[:, 0])[0])
     print(f"Audenaert-Eisert upper bound: {ae * scale:.12g} {unit}")
     return 0
 

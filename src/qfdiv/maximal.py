@@ -38,7 +38,6 @@ from .linalg import (
     hermitian_eig,
     hermitian_part,
     raise_first_failure,
-    require_hermitian,
     singular_check,
     trace_norm_hermitian,
 )
@@ -119,27 +118,28 @@ class WitnessBatch:
         )
 
 
-def witness_batch(rho_mats, sigma_mats):
-    """Witness distributions of every pair in two ``(B, n, n)`` state stacks.
+def witness_batch(rho, sigma):
+    """Witness distributions of every pair in two state stacks
+    (:class:`DensityStack`), rho first.
 
-    The rho rows are taken as states.  Each sigma must be Hermitian within
-    ``HERMITIAN_TOL`` (checked here, raising :class:`NotHermitian`) and
-    invertible (min eigenvalue above ``SINGULAR_EPS``).
+    Both stacks were checked as states where they were built, so nothing is
+    checked again here; each sigma must also be invertible (min eigenvalue
+    above ``SINGULAR_EPS``).
     Eigenvalues of the ratio matrix in [-1e-8, 0) are clamped to zero
     (rank-deficient rho); anything more negative raises
     :class:`NegativeSpectrum`.  s_i = ||sigma^{1/2} u_i||^2 is read off the
     same columns the Kraus operators use, so the recovery channel is
     complete to rounding even for nearly singular sigma.  r and s must be
     normalized within ``WITNESS_TOL``.  When rows fail, the error is the one
-    the lowest failing row raises.
+    the lowest failing row raises.  The batch's ``sigma`` holds the sigma
+    spectra, so callers read them there rather than diagonalize again.
     """
-    rho_mats = np.asarray(rho_mats)
-    sigma_mats = np.asarray(sigma_mats)
-    if rho_mats.ndim != 3 or rho_mats.shape != sigma_mats.shape:
+    rho_mats, sigma_mats = rho.mats, sigma.mats
+    if rho_mats.shape != sigma_mats.shape:
         raise DimensionMismatch(
             f"stack shapes {rho_mats.shape} and {sigma_mats.shape} differ"
         )
-    eig_s = hermitian_eig(require_hermitian(sigma_mats))
+    eig_s = hermitian_eig(sigma_mats)
     w = eig_s.eigenvalues
     sigma_check = singular_check(w[:, 0])
     # singular rows get a stand-in spectrum so the other rows can proceed
@@ -179,11 +179,10 @@ def witness_batch(rho_mats, sigma_mats):
 
 
 def build_witness(rho, sigma):
-    """Construct the witness distributions and recovery channel of one pair;
-    the one-row view of :func:`witness_batch`."""
-    if rho.dim != sigma.dim:
-        raise DimensionMismatch(f"dimensions {rho.dim} and {sigma.dim} differ")
-    return witness_batch(rho.mat[None], sigma.mat[None]).row(0)
+    """Construct the witness distributions and recovery channel of one pair
+    of :class:`DensityMatrix` states; the one-row view of
+    :func:`witness_batch`."""
+    return witness_batch(rho.as_stack(), sigma.as_stack()).row(0)
 
 
 @dataclass(frozen=True)
@@ -203,20 +202,20 @@ class WitnessReport:
         return self.worst <= WITNESS_TOL
 
 
-def witness_residual_rows(rho_mats, sigma_mats, w, f):
-    """The :func:`verify_witness` residuals of two ``(B, n, n)`` state stacks
-    with witnesses ``w``, each a ``(B,)`` array.  The reconstructions are
-    :meth:`WitnessBatch.recovered`; sum_i A_i^dag A_i is diagonal, with entry
-    i equal to ||sigma^{1/2} u_i||^2 / s_i."""
+def witness_residual_rows(rho, sigma, w, f):
+    """The :func:`verify_witness` residuals of two state stacks
+    (:class:`DensityStack`) with witnesses ``w``, each a ``(B,)`` array.
+    The reconstructions are :meth:`WitnessBatch.recovered`; sum_i A_i^dag
+    A_i is diagonal, with entry i equal to ||sigma^{1/2} u_i||^2 / s_i."""
     back_r, back_s = w.recovered()
     kraus_cols = w.columns / np.sqrt(w.s)[:, None, :]
     kraus_diag = np.sum(kraus_cols.real ** 2 + kraus_cols.imag ** 2, axis=-2)
-    again = witness_batch(rho_mats, sigma_mats)
+    again = witness_batch(rho, sigma)
     return {
         "r_normalization": np.abs(w.r.sum(axis=-1) - 1.0),
         "s_normalization": np.abs(w.s.sum(axis=-1) - 1.0),
-        "reconstruct_rho": trace_norm_hermitian(back_r.mats - rho_mats),
-        "reconstruct_sigma": trace_norm_hermitian(back_s.mats - sigma_mats),
+        "reconstruct_rho": trace_norm_hermitian(back_r.mats - rho.mats),
+        "reconstruct_sigma": trace_norm_hermitian(back_s.mats - sigma.mats),
         "kraus_completeness": np.max(np.abs(kraus_diag - 1.0), axis=-1),
         "divergence_match": np.abs(w.f_divergence(f) - again.f_divergence(f)),
     }
@@ -235,8 +234,8 @@ def verify_witness(rho, sigma, f):
     when every residual is within ``WITNESS_TOL``.  The report carries the
     witness.
     """
-    rho_mats, sigma_mats = rho.mat[None], sigma.mat[None]
-    w = witness_batch(rho_mats, sigma_mats)
-    rows = witness_residual_rows(rho_mats, sigma_mats, w, f)
+    rho_rows, sigma_rows = rho.as_stack(), sigma.as_stack()
+    w = witness_batch(rho_rows, sigma_rows)
+    rows = witness_residual_rows(rho_rows, sigma_rows, w, f)
     return WitnessReport(residuals={k: float(v[0]) for k, v in rows.items()},
                          witness=w.row(0))

@@ -100,6 +100,11 @@ class ClassicalDistribution:
         return f"ClassicalDistribution({self.probs.tolist()})"
 
 
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
 def _check_states(m, tol):
     """Symmetrize a complex ``(B, n, n)`` stack and check each row is a
     state within ``tol``; returns the read-only stack, or raises for the
@@ -130,15 +135,12 @@ def _check_states(m, tol):
         checks.append((~(low >= -tol), lambda i, where: InvariantViolation(
             "positivity", f"{where}min eigenvalue {low[i]:.3e}")))
     linalg.raise_first_failure(checks)
-    m.flags.writeable = False
-    return m
+    return _read_only(m)
 
 
 def _spectra(m):
     """Read-only ascending eigenvalues of a matrix or of each row of a stack."""
-    w = np.linalg.eigvalsh(m)
-    w.flags.writeable = False
-    return w
+    return _read_only(np.linalg.eigvalsh(m))
 
 
 class DensityStack:
@@ -148,7 +150,9 @@ class DensityStack:
     certified by one Cholesky factorization of the stack, with ``eigvalsh``
     only when that fails; a failing stack raises for its lowest failing
     row.  ``spectra``, the ascending eigenvalues with one row per state, is
-    computed on first read and cached.
+    computed on first read and cached.  Rows taken from checked stacks
+    (:meth:`take`, :meth:`concatenate`, :meth:`DensityMatrix.as_stack`)
+    stay checked and are not checked again.
     """
 
     __slots__ = ("mats", "tol", "_spectra")
@@ -176,6 +180,28 @@ class DensityStack:
         rho._spectrum = None if self._spectra is None else self._spectra[i]
         return rho
 
+    def take(self, rows):
+        """The rows ``rows`` (an index array, a slice or a boolean mask) as a
+        stack, without checking them again; it keeps their spectra if they
+        were already computed."""
+        spectra = None if self._spectra is None else _read_only(self._spectra[rows])
+        return _checked_stack(_read_only(self.mats[rows]), self.tol, spectra)
+
+    @staticmethod
+    def concatenate(stacks):
+        """The rows of ``stacks`` in order, as one stack checked at the
+        largest of their tolerances, without checking them again; its
+        spectra are computed on first read."""
+        return _checked_stack(_read_only(np.concatenate([s.mats for s in stacks])),
+                              max(s.tol for s in stacks))
+
+
+def _checked_stack(mats, tol, spectra=None):
+    """A :class:`DensityStack` of read-only rows already checked at ``tol``."""
+    stack = object.__new__(DensityStack)
+    stack.mats, stack.tol, stack._spectra = mats, tol, spectra
+    return stack
+
 
 class DensityMatrix:
     """Hermitian PSD matrix with unit trace; the carrier for quantum states.
@@ -201,6 +227,12 @@ class DensityMatrix:
         if self._spectrum is None:
             self._spectrum = _spectra(self.mat)
         return self._spectrum
+
+    def as_stack(self):
+        """This state as a one-row :class:`DensityStack`, without checking
+        it again; the stack shares the spectrum if it was already computed."""
+        spectra = None if self._spectrum is None else self._spectrum[None]
+        return _checked_stack(self.mat[None], self.tol, spectra)
 
     @property
     def dim(self):

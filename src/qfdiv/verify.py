@@ -90,7 +90,7 @@ def witness_suite(dims=(2, 3, 4, 8), pairs_per_dim=100, seed=42):
     worst = 0.0
     for dim in dims:
         for rho, sigma, w in _witness_chunks(dim, pairs_per_dim, seed, prefix=(dim,)):
-            for gaps in witness_residual_rows(rho.mats, sigma.mats, w, kl).values():
+            for gaps in witness_residual_rows(rho, sigma, w, kl).values():
                 worst = _worst(worst, gaps)
     return SuiteResult("witness", worst, WITNESS_TOL)
 
@@ -130,16 +130,18 @@ def dpi_suite(dim=4, trials=100, seed=42):
         singular, _ = singular_check(np.minimum(sigma.spectra[:, 0], out_sigma.spectra[:, 0]))
         skipped += int(np.count_nonzero(singular))
         keep = ~singular
-        before = witness_batch(rho.mats[keep], sigma.mats[keep])
-        after = witness_batch(out_rho.mats[keep], out_sigma.mats[keep])
+        before = witness_batch(rho.take(keep), sigma.take(keep))
+        after = witness_batch(out_rho.take(keep), out_sigma.take(keep))
         for f in convex:
             worst = _worst(worst, after.f_divergence(f) - before.f_divergence(f))
         tv_increases += int(np.count_nonzero(
             after.f_divergence(tv) > before.f_divergence(tv) + INEQUALITY_TOL))
+        # r and s are normalized to WITNESS_TOL, so diag r and diag s are
+        # states at that tolerance
         eye = np.eye(dim)
-        classical = witness_batch(before.r[..., None] * eye, before.s[..., None] * eye)
-        back_r, back_s = before.recovered()
-        recovered = witness_batch(back_r.mats, back_s.mats)
+        classical = witness_batch(DensityStack(before.r[..., None] * eye, WITNESS_TOL),
+                                  DensityStack(before.s[..., None] * eye, WITNESS_TOL))
+        recovered = witness_batch(*before.recovered())
         for f in convex:
             d = classical.f_divergence(f)
             gap = np.abs(recovered.f_divergence(f) - d) / np.maximum(1.0, np.abs(d))
@@ -162,7 +164,7 @@ def _witness_chunks(dim, samples, seed, rank=None, prefix=()):
     for start in range(0, samples, CHUNK_ROWS):
         rngs = substreams(seed, prefix, range(start, min(start + CHUNK_ROWS, samples)))
         rho, sigma = random_pairs(rngs, dim, rank)
-        yield rho, sigma, witness_batch(rho.mats, sigma.mats)
+        yield rho, sigma, witness_batch(rho, sigma)
 
 
 def _worst(current, gaps):
@@ -206,8 +208,9 @@ def reverse_pinsker_and_binette(dim=4, samples=1000, seed=42):
     |rho - sigma| <= rho + sigma holds for most pairs.
 
     reverse-pinsker skips pairs closer than ``EQUAL_STATES_EPS`` in trace
-    distance t.  Its ``worst`` is the trace-distance form for the MAXIMAL
-    divergence, ``D_f^max <= binette_rhs(m, M, t, f)``, on the
+    distance t, the absolute sum of the spectrum of rho - sigma that the
+    condition test computes.  Its ``worst`` is the trace-distance form for
+    the MAXIMAL divergence, ``D_f^max <= binette_rhs(m, M, t, f)``, on the
     condition-satisfying pairs, with per-generator violation counts in
     ``extras``.  It is expected to FAIL: for f = tv the left side is
     ||r - s||_1, which data processing through the recovery channel puts at
@@ -240,8 +243,8 @@ def reverse_pinsker_and_binette(dim=4, samples=1000, seed=42):
     binette_worst = 0.0
     skipped = 0
     for rho, sigma, w in _witness_chunks(dim, samples, seed, rank=2 * dim):
-        t = trace_norm_hermitian(rho.mats - sigma.mats)
-        condition, _ = abs_condition_rows(rho.mats, sigma.mats)
+        condition, diff_spectra = abs_condition_rows(rho.mats, sigma.mats)
+        t = np.sum(np.abs(diff_spectra), axis=-1)
         m, big_m = w.lambdas[:, 0], w.lambdas[:, -1]
         rs_l1 = np.abs(w.r - w.s).sum(axis=-1)
         proper = (m < 1.0) & (big_m > 1.0)

@@ -40,8 +40,8 @@ from qfdiv.errors import (
 )
 from qfdiv.generators import builtin_generator
 from qfdiv.linalg import hermitian_eig, trace_norm_hermitian
-from qfdiv.maximal import build_witness
-from qfdiv.states import abs_condition_rows, random_pairs, substream
+from qfdiv.maximal import build_witness, witness_batch
+from qfdiv.states import DensityStack, abs_condition_rows, random_pairs, substream
 
 KL = builtin_generator("kl")
 CHI2 = builtin_generator("chi2")
@@ -80,6 +80,21 @@ def test_quantum_pinsker_equality_for_pure_vs_mixed():
     assert lhs == pytest.approx(1.0, abs=1e-12)
     assert rhs == pytest.approx(1.0, abs=1e-12)
     assert abs(rhs - lhs) <= 1e-12
+
+
+def test_binary_commuting_pairs_attain_the_pinsker_envelope_at_every_t():
+    # q = (1/2, 1/2), p = q + (t/2, -t/2) has chi2 = t^2 for t <= 1, and
+    # q = (1 - t/2, t/2), p = (1, 0) has chi2 = t / (2 - t) for t > 1
+    t = np.linspace(0.05, 1.95, 39)
+    low = t <= 1.0
+    q = np.where(low[:, None], 0.5, np.stack([1.0 - t / 2, t / 2], axis=-1))
+    p = np.where(low[:, None], q + np.stack([t / 2, -t / 2], axis=-1), [1.0, 0.0])
+    assert np.allclose(np.abs(p - q).sum(axis=-1), t, rtol=1e-15, atol=0.0)
+    eye = np.eye(2)
+    w = witness_batch(DensityStack(p[..., None] * eye), DensityStack(q[..., None] * eye))
+    chi2 = w.f_divergence(CHI2)
+    envelope = np.array([pinsker_chi2_lower(x) for x in t.tolist()])
+    assert np.allclose(chi2, envelope, rtol=1e-12, atol=0.0)
 
 
 def test_quantum_pinsker_holds_on_random_pairs():

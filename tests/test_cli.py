@@ -21,7 +21,7 @@ from conftest import (
     reverse_pinsker,
 )
 
-from qfdiv import cli, maximal
+from qfdiv import cli, linalg, maximal, states
 from qfdiv.bounds import pinsker_chi2_lower
 from qfdiv.cli import (
     ExperimentConfig,
@@ -264,6 +264,38 @@ def test_fig2_draw_budget_stops_a_condition_that_never_holds(tmp_path, capsys, m
     assert not (tmp_path / "fig2.csv").exists()
 
 
+def test_fig2_checks_and_diagonalizes_each_kept_pair_once(tmp_path, capsys, monkeypatch):
+    # each round's candidate stacks are checked once, when drawn (rho and
+    # sigma); the kept rows are not checked again, sigma's least eigenvalue
+    # comes from the witness's eigh, and eigvalsh runs once, on kept rho
+    rounds = []
+    checks = []
+    hermitian = []
+
+    def spy(module, name, calls):
+        real = getattr(module, name)
+
+        def record(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, record)
+
+    spy(cli, "random_pairs", rounds)
+    spy(states, "_check_states", checks)
+    for module in (linalg, maximal, states, cli):
+        if hasattr(module, "require_hermitian"):
+            spy(module, "require_hermitian", hermitian)
+    eig = count_eig_calls(monkeypatch)
+    assert run_cli("fig2", "--samples", 200, "--seed", 7, "--out", tmp_path) == 0
+    assert capsys.readouterr().out.startswith("fig2: kept 200 pairs, rejected 44;")
+    assert len(rounds) > 1
+    assert len(checks) == 2 * len(rounds)
+    assert hermitian == []
+    # eigh: one of rho - sigma per round, and sigma and T in the witness
+    assert dict(eig) == {"eigh": len(rounds) + 2, "eigvalsh": 1}
+
+
 def test_fig2_output_is_deterministic(tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
@@ -339,11 +371,12 @@ def test_single_pair_commands_count_their_witness_builds(
 
 def test_compare_bounds_diagonalizes_sigma_once(tmp_path, monkeypatch):
     # eigh of sigma and of T in the witness, and of rho - sigma in the
-    # condition test; chi2 reads the witness's sigma eigendecomposition
+    # condition test; chi2 and the Audenaert-Eisert bound read the witness's
+    # sigma eigendecomposition, and eigvalsh gives only rho's spectrum
     _, _, rho_path, sigma_path = _write_random_pair(tmp_path, 32, 75)
     calls = count_eig_calls(monkeypatch)
     assert run_cli("compare-bounds", rho_path, sigma_path) == 0
-    assert calls["eigh"] == 3
+    assert dict(calls) == {"eigh": 3, "eigvalsh": 1}
 
 
 @pytest.mark.parametrize("n, seed", [(4, 73), (8, 74)])

@@ -204,7 +204,7 @@ def test_chi2_rows_match_the_single_pair_chi2():
     for i in range(6):
         assert rows[i] == quantum_chi2(rho.row(i), sigma.row(i))
     # a witness's sigma eigendecomposition gives the same bits
-    witness_sigma = witness_batch(rho.mats, sigma.mats).sigma
+    witness_sigma = witness_batch(rho, sigma).sigma
     assert np.array_equal(chi2_rows(rho.mats, sigma.mats, witness_sigma), rows)
     # the stack raises what its lowest singular row raises alone
     sigma_mats = np.array(sigma.mats)

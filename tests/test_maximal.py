@@ -16,8 +16,8 @@ from qfdiv.divergence import classical_f_div, max_relative_entropy
 from qfdiv import linalg, maximal
 from qfdiv.errors import (
     DimensionMismatch,
+    InvariantViolation,
     NegativeSpectrum,
-    NotHermitian,
     SingularState,
 )
 from qfdiv.generators import FGenerator, builtin_generator
@@ -35,6 +35,7 @@ from qfdiv.maximal import (
 )
 from qfdiv.states import (
     ClassicalDistribution,
+    DensityStack,
     QuantumChannel,
     apply_channel_rows,
     random_channel,
@@ -267,25 +268,49 @@ def test_witness_requires_invertible_sigma():
 
 
 def test_witness_batch_names_the_lowest_non_hermitian_sigma_row():
-    # sigma_mats is public input, so witness_batch checks it itself
+    # witness_batch takes state stacks, so the carrier checks sigma where
+    # the stack is built and names the lowest bad row
     rho, sigma = random_pairs([substream(52, i) for i in range(4)], 3)
     bad = np.array(sigma.mats)
     bad[3, 0, 1] += 1e-3
     bad[1, 2, 0] += 1e-3j
-    with pytest.raises(NotHermitian, match="^row 1: max"):
-        witness_batch(rho.mats, bad)
-    with pytest.raises(NotHermitian, match="^max"):
-        witness_batch(rho.mats[1:2], bad[1:2])
+    with pytest.raises(InvariantViolation, match="^hermiticity: row 1: max"):
+        witness_batch(rho, DensityStack(bad))
+    with pytest.raises(InvariantViolation, match="^hermiticity: max"):
+        witness_batch(rho.take([1]), DensityStack(bad[1:2]))
     near = np.array(sigma.mats[:1])
-    near[0, 2, 0] += 1e-11  # within HERMITIAN_TOL: accepted and symmetrized
-    assert np.array_equal(witness_batch(rho.mats[:1], near).sigma.eigenvalues,
+    near[0, 2, 0] += 1e-11  # within STATE_TOL: accepted and symmetrized
+    assert np.array_equal(witness_batch(rho.take([0]), DensityStack(near)).sigma.eigenvalues,
                           hermitian_eig(linalg.hermitian_part(near)).eigenvalues)
 
 
-def test_require_hermitian_runs_once_per_witness_batch_and_twice_per_verify_witness(
-        monkeypatch):
-    # state stacks are checked where they are built, and T is symmetrized
-    # where it is formed; only the public sigma argument is checked again
+def _spoil(mats, rows, defect):
+    """A copy of a dim-3 state stack whose rows ``rows`` have the named
+    defect."""
+    bad = np.array(mats)
+    for row in rows:
+        if defect == "hermiticity":
+            bad[row, 2, 0] += 1e-3
+        elif defect == "trace":
+            bad[row] *= 1.01
+        else:
+            bad[row] = np.diag([1.1, 0.0, -0.1])
+    return bad
+
+
+@pytest.mark.parametrize("defect", ["hermiticity", "trace", "positivity"])
+def test_a_bad_rho_row_raises_the_carriers_error_for_the_lowest_row(defect):
+    # rho is checked as a state stack, like sigma: a rho row that is not
+    # Hermitian, has the wrong trace or is not positive is named
+    rho, sigma = random_pairs([substream(54, i) for i in range(4)], 3)
+    bad = _spoil(rho.mats, (3, 1), defect)
+    with pytest.raises(InvariantViolation, match=f"^{defect}: row 1: "):
+        witness_batch(DensityStack(bad), sigma)
+
+
+def test_require_hermitian_never_runs_in_witness_batch_or_verify_witness(monkeypatch):
+    # every state stack is checked where it is built, the one-row views reuse
+    # the checked rows, and T is symmetrized where it is formed
     calls = []
 
     def spy(a, _check=linalg.require_hermitian):
@@ -295,11 +320,10 @@ def test_require_hermitian_runs_once_per_witness_batch_and_twice_per_verify_witn
     for module in (linalg, maximal):
         monkeypatch.setattr(module, "require_hermitian", spy, raising=False)
     rho, sigma = random_pairs([substream(53, i) for i in range(5)], 3)
-    witness_batch(rho.mats, sigma.mats)
-    assert calls == [(5, 3, 3)]
-    calls.clear()
+    witness_batch(rho, sigma)
+    assert calls == []
     verify_witness(rho.row(0), sigma.row(0), KL)
-    assert calls == [(1, 3, 3)] * 2
+    assert calls == []
 
 
 def test_witness_rejects_dimension_mismatch():
@@ -318,7 +342,7 @@ def test_witness_rejects_dimension_mismatch():
 @pytest.mark.parametrize("dim", [2, 3, 4, 8])
 def test_build_witness_is_bit_identical_to_its_batch_row(dim):
     rho, sigma = random_pairs([substream(60, dim, i) for i in range(7)], dim)
-    batch = witness_batch(rho.mats, sigma.mats)
+    batch = witness_batch(rho, sigma)
     assert batch.lambdas.shape == (7, dim)
     for i in range(7):
         w = build_witness(rho.row(i), sigma.row(i))
@@ -340,8 +364,8 @@ def test_build_witness_is_bit_identical_to_its_batch_row(dim):
 def test_stacked_residuals_match_the_one_row_and_kraus_routes(dim):
     rngs = [substream(64, dim, i) for i in range(6)]
     rho, sigma = random_pairs(rngs, dim)
-    batch = witness_batch(rho.mats, sigma.mats)
-    rows = witness_residual_rows(rho.mats, sigma.mats, batch, KL)
+    batch = witness_batch(rho, sigma)
+    rows = witness_residual_rows(rho, sigma, batch, KL)
     back_r, back_s = batch.recovered()
     kraus = np.stack([random_channel(dim, seed=rng).kraus for rng in rngs])
     out = apply_channel_rows(kraus, rho.mats, rho.tol)
@@ -368,7 +392,7 @@ def test_batched_witness_of_commuting_pairs_is_the_diagonals():
         diag[:, np.arange(dim), np.arange(dim)] = p
         rho_mats = diag.copy()
         diag[:, np.arange(dim), np.arange(dim)] = q
-        batch = witness_batch(rho_mats, diag)
+        batch = witness_batch(DensityStack(rho_mats), DensityStack(diag))
         for i in range(6):
             # the witness lists the pairs (p_j, q_j) in ascending ratio order
             order = np.argsort(p[i] / q[i])
@@ -383,16 +407,18 @@ def test_witness_batch_raises_for_the_lowest_failing_row():
     sigma_mats = np.array(sigma.mats)
     sigma_mats[2] = np.diag([0.5, 0.5, 0.0])
     with pytest.raises(SingularState, match="^row 2: sigma has min eigenvalue"):
-        witness_batch(rho_mats, sigma_mats)
-    # an earlier row that fails a later check still comes first
+        witness_batch(DensityStack(rho_mats), DensityStack(sigma_mats))
+    # an earlier row that fails a later check still comes first; rho is
+    # checked as a state at a tolerance that lets its -0.1 through
     rho_mats[1] = np.diag([1.1, 0.0, -0.1])
     with pytest.raises(NegativeSpectrum, match="^row 1: ratio matrix"):
-        witness_batch(rho_mats, sigma_mats)
+        witness_batch(DensityStack(rho_mats, tol=0.2), DensityStack(sigma_mats))
 
 
 def test_witness_batch_rejects_mismatched_stacks():
     with pytest.raises(DimensionMismatch):
-        witness_batch(np.zeros((2, 3, 3)), np.zeros((2, 4, 4)))
+        witness_batch(*(random_pairs([substream(65, i) for i in range(2)], n)[0]
+                        for n in (3, 4)))
 
 
 def test_recovery_channel_is_assembled_on_first_read(monkeypatch):

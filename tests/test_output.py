@@ -19,16 +19,19 @@ from qfdiv.states import substream
 # per-value CSV writer and per-point SVG writer that the column-wise ones
 # replaced (numpy 2.4, x86-64).  test_fig2_output_is_deterministic compares
 # two runs of one build, so a formatting change that applies to both passes
-# it; it cannot pass these.
+# it; it cannot pass these.  Re-recorded since: fig2.csv, when its ae_bound
+# took sigma's least eigenvalue from the witness's eigh (last-bit moves in
+# 325 of 600 and 126 of 200 rows), and verify.csv and the seed-42 verify
+# stdout, when reverse-pinsker took t from its condition test's spectrum.
 GOLDEN = {
     "fig2 --samples 600 --seed 42": (0, {
         "stdout": "08f56ce98d41be01dced5dabdf9a4a5afe38e57d93b99a763fc61d8672d1cd04",
-        "fig2.csv": "b3b59ece7964d301fefbd0e4dca429888991fc2e06578cb9b364d07d1a58183a",
+        "fig2.csv": "535321161bea46cb106aac3f340b34b37fd63b933645a3df254f526a5c67f043",
         "fig2.svg": "91fa23ebbe4af6f93a313ea7838a6cbea2c685b537b43859eec3128bd1867274",
     }),
     "fig2 --samples 200 --seed 7": (0, {
         "stdout": "ea311c488a242c2a62ae9de41c56c43871b09ac985b309e6d92a1781b0c7d9aa",
-        "fig2.csv": "0e7ed4f33d3525f49c3ecba35f74bb8344343e95851e8e66df657443b7bb31f4",
+        "fig2.csv": "668061ea9d3b76321ae34cd1bf430a833244b0b24510bc9481822a6a452cb8ed",
         "fig2.svg": "5d99237b52ab77b5428bf43175ba36ce49fa4188bfafe5a96ed78ff839dbfd4a",
     }),
     "fig1": (0, {
@@ -45,12 +48,12 @@ GOLDEN = {
         "condition_rate.csv": "9bf72d65c47b9d3bc581dacbee7423220b23a5e0fc640b3e675839252c800e0b",
     }),
     "verify --samples 1000 --seed 42": (1, {
-        "stdout": "8873cea70c901485860f3e89179b29aaf763af511dd449cf0df70f2fe27e8cd6",
-        "verify.csv": "3ece8e2c3cfd8c59ec9680e5e1b6c65328ec6c120653dec6cd3dbcca93934965",
+        "stdout": "070d14ac55c20d35ff183bccc46a1c828019d176ad31d596b1dab53ee1d5dee8",
+        "verify.csv": "28b8116b14ac18502a3bd60ba601e1492f1259a8c0808a05451e28d4f14e8798",
     }),
     "verify --samples 1000 --seed 7": (1, {
         "stdout": "302fd3b71f5fa2978e623804eab9c45ac1d3023cfe06f82d038dbb58d3d627bf",
-        "verify.csv": "285c9493dff43acef3848e5c118955d55d33afc4d7f81347db53e346b1faef5c",
+        "verify.csv": "e17ada49ac737e9dafc44f72d487e79079746c1cac106e1321df3066a50eefe9",
     }),
 }
 

@@ -12,7 +12,7 @@ from conftest import (
     random_density,
 )
 
-from qfdiv import _seeding, verify
+from qfdiv import _seeding, states, verify
 from qfdiv.errors import (
     BadRank,
     DimensionMismatch,
@@ -436,6 +436,29 @@ def test_state_carriers_neither_alias_nor_freeze_their_input():
         assert not np.array_equal(mats, given)
     assert arr.dtype == np.complex128 and arr.flags.writeable
     assert np.array_equal(arr, before)
+
+
+def test_selected_rows_stay_checked_and_keep_their_spectra(monkeypatch):
+    # take, concatenate and as_stack wrap rows that were checked already:
+    # no second check runs, and the selected rows are read-only
+    rho, sigma = random_pairs([substream(23, i) for i in range(6)], 3)
+    wide = DensityStack(rho.mats, tol=1e-9)
+    spectra = rho.spectra
+    checks = []
+    monkeypatch.setattr(states, "_check_states", lambda *args: checks.append(args))
+    picked = rho.take([4, 1])
+    joined = DensityStack.concatenate(
+        [picked, sigma.take(np.arange(6) < 2), wide.take(slice(5, 6))])
+    one = rho.row(3).as_stack()
+    assert checks == []
+    assert np.array_equal(picked.mats, rho.mats[[4, 1]])
+    assert np.array_equal(picked.spectra, spectra[[4, 1]]) and picked.tol == STATE_TOL
+    assert np.array_equal(joined.mats, np.concatenate([rho.mats[[4, 1]], sigma.mats[:2],
+                                                       rho.mats[5:]]))
+    assert joined.tol == 1e-9
+    assert np.array_equal(one.mats, rho.mats[3:4]) and np.array_equal(one.spectra, spectra[3:4])
+    for stack in (picked, joined, one):
+        assert not stack.mats.flags.writeable and not stack.spectra.flags.writeable
 
 
 def test_row_spectra_match_the_stack_and_a_fresh_state():

@@ -46,7 +46,7 @@ def test_witness_suite_builds_two_witnesses_per_pair(monkeypatch):
     # divergence_match residual; 300 pairs per dim are stacks of 256 and 44
     calls = _count_witness_builds(monkeypatch)
     witness_suite(dims=(2, 3), pairs_per_dim=300, seed=42)
-    assert [len(rho) for rho, _ in calls] == [256, 256, 44, 44] * 2
+    assert [len(rho.mats) for rho, _ in calls] == [256, 256, 44, 44] * 2
 
 
 def test_dpi_suite_builds_each_distinct_pair_once(monkeypatch):
@@ -54,7 +54,7 @@ def test_dpi_suite_builds_each_distinct_pair_once(monkeypatch):
     calls = _count_witness_builds(monkeypatch)
     result = dpi_suite(dim=3, trials=300, seed=42)
     assert result.extras["skipped"] == 0
-    assert [len(rho) for rho, _ in calls] == [256] * 4 + [44] * 4
+    assert [len(rho.mats) for rho, _ in calls] == [256] * 4 + [44] * 4
 
 
 def _reset_channel(dim, seed):
@@ -88,9 +88,9 @@ def test_dpi_suite_skips_only_the_singular_rows_of_a_stack(monkeypatch):
     result = dpi_suite(dim=3, trials=7, seed=42)
     assert result.extras["skipped"] == 3
     rho, sigma = random_pairs([substream(42, i) for i in range(7)], 3)
-    assert np.array_equal(builds[0][0], rho.mats[0::2])
-    assert np.array_equal(builds[0][1], sigma.mats[0::2])
-    assert [len(r) for r, _ in builds] == [4] * 4
+    assert np.array_equal(builds[0][0].mats, rho.mats[0::2])
+    assert np.array_equal(builds[0][1].mats, sigma.mats[0::2])
+    assert [len(r.mats) for r, _ in builds] == [4] * 4
     assert 0.0 < result.extras["equality_worst"] <= 1e-9
     assert result.passed
 
@@ -101,7 +101,7 @@ def test_stacked_passes_build_one_witness_batch_per_chunk(monkeypatch, run):
     # 600 samples are three stacks of at most CHUNK_ROWS = 256 pairs
     calls = _count_witness_builds(monkeypatch)
     run(dim=4, samples=600, seed=42)
-    assert [len(rho) for rho, _ in calls] == [256, 256, 88]
+    assert [len(rho.mats) for rho, _ in calls] == [256, 256, 88]
 
 
 def test_stacked_passes_are_pinned_at_seed_42():
