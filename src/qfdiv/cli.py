@@ -540,9 +540,9 @@ def cmd_witness(rho_path, sigma_path, fname, bits):
 def cmd_compare_bounds(rho_path, sigma_path, bits):
     """Print every divergence and bound for two state files.
 
-    One witness supplies (m, M), every maximal divergence, D_max = ln M and,
-    via its sigma eigendecomposition, the relative entropy, the chi-squared
-    divergence and sigma's least eigenvalue.  That of rho - sigma gives the
+    One witness supplies (m, M), every maximal divergence, D_max = ln M and
+    sigma's least eigenvalue; the relative entropy and chi-squared value
+    share only its sigma eigendecomposition.  That of rho - sigma gives the
     positivity condition and the trace distance t, read by the
     reverse-Pinsker rows, the Pinsker envelope and the Audenaert-Eisert
     bound.  Rho's spectrum is the one ``eigvalsh`` call.
@@ -557,7 +557,7 @@ def cmd_compare_bounds(rho_path, sigma_path, bits):
     holds, diff_spectra = abs_condition_rows(rho.mats, sigma.mats)
     cond = bool(holds[0])
     t = float(np.sum(np.abs(diff_spectra[0])))
-    chi2 = float(chi2_rows(rho.mats, sigma.mats, batch.sigma)[0])
+    chi2 = float(chi2_rows(rho.mats, batch.sigma)[0])
     print(f"trace distance: {t:.12g}")
     print(f"m: {float(w.lambdas[0]):.12g}   M: {float(w.lambdas[-1]):.12g}")
     print(f"positivity condition |rho-sigma| <= rho+sigma: "

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatch, ZeroReference
-from .linalg import hermitian_eig, hermitian_part, raise_first_failure, singular_check
+from .linalg import adjoint, hermitian_eig, raise_first_failure, singular_check
 
 
 def f_div_rows(p, q, f):
@@ -32,48 +32,49 @@ def f_div_rows(p, q, f):
 
 def classical_f_div(p, q, f):
     """D_f(p || q) = sum_i q_i f(p_i / q_i); q must be strictly positive."""
-    if len(p) != len(q):
-        raise DimensionMismatch(f"lengths {len(p)} and {len(q)} differ")
     return float(f_div_rows(p.probs[None], q.probs[None], f)[0])
 
 
-def relative_entropy_rows(rho_mats, rho_spectra, sigma_eig):
-    """Umegaki relative entropy of each row pair, from precomputed spectra.
+def _sigma_frame(rho_mats, sigma_eig):
+    """P = V^dag rho of each row pair, where sigma = V diag(w) V^dag must be
+    invertible.  The reference divergences read sigma only through P and w,
+    so they form neither sigma^{-1/2} nor T."""
+    raise_first_failure([singular_check(sigma_eig.eigenvalues[..., 0])])
+    return adjoint(sigma_eig.vectors) @ rho_mats
 
-    ``rho_spectra`` are the eigenvalues of the ``rho_mats`` rows and
-    ``sigma_eig`` the stacked eigendecomposition of the sigma rows, which
-    must be invertible.  Zero eigenvalues of rho contribute nothing.
-    """
-    w = sigma_eig.eigenvalues
-    raise_first_failure([singular_check(w[:, 0])])
+
+def relative_entropy_rows(rho_mats, rho_spectra, sigma_eig):
+    """Umegaki relative entropy of each row pair, from rho's spectra and
+    sigma's stacked eigendecomposition (a witness's ``sigma`` serves).  Zero
+    eigenvalues of rho contribute nothing; tr(rho ln sigma) is
+    sum_k ln(w_k) (P V)_kk."""
+    frame = _sigma_frame(rho_mats, sigma_eig)
     p = np.asarray(rho_spectra)
     positive = p > 0.0
     entropy = np.sum(np.where(positive, p * np.log(np.where(positive, p, 1.0)), 0.0),
                      axis=-1)
-    log_s = sigma_eig.compose(np.log(w))
-    cross = np.trace(rho_mats @ log_s, axis1=-2, axis2=-1).real
-    return entropy - cross
+    diagonal = np.einsum("...kj,...jk->...k", frame, sigma_eig.vectors).real
+    return entropy - np.sum(np.log(sigma_eig.eigenvalues) * diagonal, axis=-1)
 
 
-def _ratio_rows(rho_mats, inv_sqrt):
-    """sigma^{-1/2} rho sigma^{-1/2}, symmetrized, of each row pair, from
-    the rows' sigma^{-1/2}."""
-    return hermitian_part(inv_sqrt @ rho_mats @ inv_sqrt)
-
-
-def chi2_rows(rho_mats, sigma_mats, sigma_eig):
-    """Chi-squared divergence tr((sigma^{-1/2} rho sigma^{-1/2})^2 sigma) - 1
-    of each row pair, with ``sigma_eig`` the stacked eigendecomposition of
-    the sigma rows (a witness's ``sigma`` serves): a route to the maximal
-    chi2 that does not go through the witness's T."""
-    x = _ratio_rows(rho_mats, sigma_eig.inv_sqrt())
-    return np.trace(x @ x @ sigma_mats, axis1=-2, axis2=-1).real - 1.0
+def chi2_rows(rho_mats, sigma_eig):
+    """Chi-squared divergence tr(rho sigma^{-1} rho) - 1 of each row pair,
+    as sum_kj |P_kj|^2 / w_k - 1, from sigma's stacked eigendecomposition (a
+    witness's ``sigma`` serves): the maximal chi2 by a route that shares
+    only that eigendecomposition with the witness."""
+    frame = _sigma_frame(rho_mats, sigma_eig)
+    weights = np.sum(frame.real ** 2 + frame.imag ** 2, axis=-1)
+    return np.sum(weights / sigma_eig.eigenvalues, axis=-1) - 1.0
 
 
 def max_relative_entropy(rho, sigma):
-    """D_max(rho || sigma) = ln of the largest eigenvalue of
-    sigma^{-1/2} rho sigma^{-1/2}, in nats."""
+    """D_max(rho || sigma) in nats: ln of the largest eigenvalue of
+    W^{-1/2} V^dag rho V W^{-1/2}, for sigma = V W V^dag.  That matrix has
+    T's spectrum but is not T, so this route to ln M shares only sigma's
+    eigendecomposition with the witness."""
     if rho.dim != sigma.dim:
         raise DimensionMismatch(f"dimensions {rho.dim} and {sigma.dim} differ")
-    ratio = _ratio_rows(rho.mat, hermitian_eig(sigma.mat).inv_sqrt())
-    return math.log(float(np.linalg.eigvalsh(ratio)[-1]))
+    eig = hermitian_eig(sigma.mat[None])
+    rotated = _sigma_frame(rho.mat[None], eig)[0] @ eig.vectors[0]
+    scale = eig.eigenvalues[0] ** -0.5
+    return math.log(float(np.linalg.eigvalsh(scale[:, None] * rotated * scale)[-1]))

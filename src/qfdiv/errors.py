@@ -80,6 +80,10 @@ class ParseError(QfdivError, ValueError):
         super().__init__(message)
 
 
+class NotAState(QfdivError, TypeError):
+    """An argument that must be a checked state carrier is of another type."""
+
+
 class InvariantViolation(QfdivError, ValueError):
     """A typed object failed one of its construction invariants."""
 

@@ -133,12 +133,6 @@ class HermitianEigen:
         """V diag(values) V^dag, with ``values`` shaped like the eigenvalues."""
         return (self.vectors * values[..., None, :]) @ adjoint(self.vectors)
 
-    def inv_sqrt(self):
-        """V diag(w^{-1/2}) V^dag; raises :class:`SingularState` for the
-        lowest row whose least eigenvalue is at or below ``SINGULAR_EPS``."""
-        raise_first_failure([singular_check(self.eigenvalues[..., 0])])
-        return self.compose(self.eigenvalues ** -0.5)
-
 
 def _fix_phases(u):
     # rotate each column so its largest-modulus entry is real positive

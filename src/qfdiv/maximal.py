@@ -29,6 +29,7 @@ from .errors import (
     DimensionMismatch,
     InvariantViolation,
     NegativeSpectrum,
+    NotAState,
     SingularState,
 )
 from .linalg import (
@@ -51,14 +52,13 @@ class Witness:
     """Classical witness (r, s) and recovery channel for a state pair.
 
     ``lambdas`` are the ascending eigenvalues of sigma^{-1/2} rho sigma^{-1/2}
-    (the likelihood-ratio spectrum); column i of ``basis`` is its eigenvector
-    u_i, and column i of ``columns`` is sigma^{1/2} u_i, whose squared norm
+    (the likelihood-ratio spectrum), and column i of ``columns`` is
+    sigma^{1/2} u_i, with u_i the eigenvector of lambda_i; its squared norm
     is s_i.  The recovery channel is assembled when ``channel`` is first
     read.
     """
 
     lambdas: np.ndarray
-    basis: np.ndarray
     r: ClassicalDistribution
     s: ClassicalDistribution
     columns: np.ndarray = field(repr=False)
@@ -82,13 +82,12 @@ class Witness:
 class WitnessBatch:
     """Witnesses of a stack of pairs: row b of each array belongs to pair b.
 
-    ``lambdas``, ``r`` and ``s`` are ``(B, n)``; ``basis`` and ``columns``
-    are ``(B, n, n)`` as in :class:`Witness`; ``sigma`` is the stacked
+    ``lambdas``, ``r`` and ``s`` are ``(B, n)``; ``columns`` is
+    ``(B, n, n)`` as in :class:`Witness`; ``sigma`` is the stacked
     eigendecomposition of the sigma rows.
     """
 
     lambdas: np.ndarray
-    basis: np.ndarray
     r: np.ndarray
     s: np.ndarray
     columns: np.ndarray
@@ -111,7 +110,6 @@ class WitnessBatch:
         """The :class:`Witness` of pair ``i``."""
         return Witness(
             lambdas=self.lambdas[i],
-            basis=self.basis[i],
             r=ClassicalDistribution(self.r[i], tol=WITNESS_TOL),
             s=ClassicalDistribution(self.s[i], tol=WITNESS_TOL),
             columns=self.columns[i],
@@ -122,11 +120,11 @@ def witness_batch(rho, sigma):
     """Witness distributions of every pair in two state stacks
     (:class:`DensityStack`), rho first.
 
-    Both stacks were checked as states where they were built, so nothing is
-    checked again here; each sigma must also be invertible (min eigenvalue
-    above ``SINGULAR_EPS``).
-    Eigenvalues of the ratio matrix in [-1e-8, 0) are clamped to zero
-    (rank-deficient rho); anything more negative raises
+    Both stacks were checked as states where they were built (any other
+    argument type raises :class:`NotAState`), so nothing is checked again
+    here; each sigma must also be invertible (min eigenvalue above
+    ``SINGULAR_EPS``).  Eigenvalues of the ratio matrix in [-1e-8, 0) are
+    clamped to zero (rank-deficient rho); anything more negative raises
     :class:`NegativeSpectrum`.  s_i = ||sigma^{1/2} u_i||^2 is read off the
     same columns the Kraus operators use, so the recovery channel is
     complete to rounding even for nearly singular sigma.  r and s must be
@@ -134,6 +132,9 @@ def witness_batch(rho, sigma):
     the lowest failing row raises.  The batch's ``sigma`` holds the sigma
     spectra, so callers read them there rather than diagonalize again.
     """
+    for name, stack in (("rho", rho), ("sigma", sigma)):
+        if not isinstance(stack, DensityStack):
+            raise NotAState(f"{name} must be a DensityStack, got {type(stack).__name__}")
     rho_mats, sigma_mats = rho.mats, sigma.mats
     if rho_mats.shape != sigma_mats.shape:
         raise DimensionMismatch(
@@ -151,9 +152,8 @@ def witness_batch(rho, sigma):
     lam = eig_t.eigenvalues
     low = lam[:, 0]
     lam = np.where(lam < 0.0, 0.0, lam)
-    u = eig_t.vectors
 
-    columns = sqrt_s @ u
+    columns = sqrt_s @ eig_t.vectors
     s_vec = np.sum(columns.real ** 2 + columns.imag ** 2, axis=-2)
     r_vec = lam * s_vec
     s_min = s_vec.min(axis=-1)
@@ -172,10 +172,9 @@ def witness_batch(rho, sigma):
                 "normalization", f"{where}s: |sum - 1| = {s_gap[i]:.3e}")),
         ]
     )
-    for a in (lam, u, r_vec, s_vec, columns):
+    for a in (lam, r_vec, s_vec, columns):
         a.flags.writeable = False
-    return WitnessBatch(lambdas=lam, basis=u, r=r_vec, s=s_vec,
-                        columns=columns, sigma=eig_s)
+    return WitnessBatch(lambdas=lam, r=r_vec, s=s_vec, columns=columns, sigma=eig_s)
 
 
 def build_witness(rho, sigma):
@@ -206,7 +205,8 @@ def witness_residual_rows(rho, sigma, w, f):
     """The :func:`verify_witness` residuals of two state stacks
     (:class:`DensityStack`) with witnesses ``w``, each a ``(B,)`` array.
     The reconstructions are :meth:`WitnessBatch.recovered`; sum_i A_i^dag
-    A_i is diagonal, with entry i equal to ||sigma^{1/2} u_i||^2 / s_i."""
+    A_i is diagonal, with entry i equal to ||sigma^{1/2} u_i||^2 / s_i.
+    Arguments that are not state stacks raise :class:`NotAState`."""
     back_r, back_s = w.recovered()
     kraus_cols = w.columns / np.sqrt(w.s)[:, None, :]
     kraus_diag = np.sum(kraus_cols.real ** 2 + kraus_cols.imag ** 2, axis=-2)

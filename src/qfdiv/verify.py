@@ -181,7 +181,7 @@ def maximality_and_pinsker(dim=4, samples=1000, seed=42):
     mismatch (which must vanish).  The mismatch is an identity check, so it
     is measured relative to the chi-squared magnitude (floored at 1); the
     two inequality slacks stay absolute.  The chi-squared divergence comes
-    from :func:`chi2_rows`, not from the witness.
+    from :func:`chi2_rows`, which reads only the witness's ``sigma``.
 
     pinsker: chi-squared never drops below its trace-distance envelope.
     """
@@ -190,7 +190,7 @@ def maximality_and_pinsker(dim=4, samples=1000, seed=42):
     pinsker = 0.0
     for rho, sigma, w in _witness_chunks(dim, samples, seed):
         t = trace_norm_hermitian(rho.mats - sigma.mats)
-        chi2_std = chi2_rows(rho.mats, sigma.mats, w.sigma)
+        chi2_std = chi2_rows(rho.mats, w.sigma)
         max_chi2 = w.f_divergence(chi2)
         relent = relative_entropy_rows(rho.mats, rho.spectra, w.sigma)
         maximality = _worst(maximality, relent - w.f_divergence(kl))

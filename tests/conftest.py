@@ -57,8 +57,7 @@ def relative_entropy(rho, sigma):
 
 def quantum_chi2(rho, sigma):
     """Chi-squared divergence of one pair, diagonalizing sigma on its own."""
-    sigma_mats = sigma.mat[None]
-    return float(chi2_rows(rho.mat[None], sigma_mats, hermitian_eig(sigma_mats))[0])
+    return float(chi2_rows(rho.mat[None], hermitian_eig(sigma.mat[None]))[0])
 
 
 def audenaert_eisert(rho, sigma):

@@ -182,9 +182,13 @@ def test_criterion_07_reverse_pinsker():
     # chi2 and tv, and the trace-distance form for the Umegaki relative
     # entropy, D(rho||sigma) <= binette_rhs(m, M, ||rho - sigma||_1, kl), on
     # the condition-satisfying pairs.  The trace-distance form for the
-    # maximal divergence (the suite's ``worst``) is false there, since
-    # ||r - s||_1 > ||rho - sigma||_1 for non-commuting pairs; its violation
-    # counts are reported, not asserted.
+    # maximal divergence (the suite's ``worst``) is false there for kl and
+    # chi2, since ||r - s||_1 > ||rho - sigma||_1 for non-commuting pairs;
+    # its violation counts are reported, not asserted.  For tv the left side
+    # is the witness's tv, an upper bound on the maximal tv, which on the
+    # condition set is exactly ||rho - sigma||_1 (the Jordan decomposition
+    # of rho - sigma gives a feasible test with that tv); so the tv count
+    # measures the witness formula.
     result, _ = reverse_pinsker_and_binette(dim=4, samples=10000, seed=42)
     e = result.extras
     ok = (

@@ -101,7 +101,7 @@ def test_quantum_pinsker_holds_on_random_pairs():
     pairs = [(random_density(4, seed=substream(60, i, 0)).mat,
               random_density(4, seed=substream(60, i, 1)).mat) for i in range(100)]
     rho_mats, sigma_mats = (np.stack(m) for m in zip(*pairs))
-    slack = (chi2_rows(rho_mats, sigma_mats, hermitian_eig(sigma_mats))
+    slack = (chi2_rows(rho_mats, hermitian_eig(sigma_mats))
              - pinsker_chi2_lower(trace_norm_hermitian(rho_mats - sigma_mats)))
     assert slack.min() >= -1e-10, (int(slack.argmin()), slack.min())
 
@@ -180,7 +180,7 @@ def test_depolarizing_trajectories_stay_below_the_improved_envelope():
     # so its trace distance sits below the improved envelope at lam = 2 g
     g = 0.05
     rho, sigma = random_pairs([substream(66, i) for i in range(20)], 4)
-    chi2_0 = chi2_rows(rho.mats, sigma.mats, hermitian_eig(sigma.mats)).tolist()
+    chi2_0 = chi2_rows(rho.mats, hermitian_eig(sigma.mats)).tolist()
     for t in np.linspace(0.0, 80.0, 81).tolist():
         rho_t = sigma.mats + math.exp(-g * t) * (rho.mats - sigma.mats)
         dist = trace_norm_hermitian(rho_t - sigma.mats)
@@ -200,12 +200,12 @@ def test_amplitude_damping_trajectories_stay_below_the_improved_envelope():
     sigma = np.zeros((200, 2, 2), dtype=complex)
     sigma[:, 0, 0], sigma[:, 1, 1] = p, 1.0 - p
     sigma_eig = hermitian_eig(sigma)
-    chi2_0 = chi2_rows(rho.mats, sigma, sigma_eig)
+    chi2_0 = chi2_rows(rho.mats, sigma_eig)
     ratios = []
     for t in np.linspace(0.0, 80.0, 81).tolist():
         pop, coh = math.exp(-g * t), math.exp(-g * t / 2.0)
         rho_t = sigma + np.array([[pop, coh], [coh, pop]]) * (rho.mats - sigma)
-        assert np.all(chi2_rows(rho_t, sigma, sigma_eig) <= pop * chi2_0 * (1.0 + 1e-12)), t
+        assert np.all(chi2_rows(rho_t, sigma_eig) <= pop * chi2_0 * (1.0 + 1e-12)), t
         dist = trace_norm_hermitian(rho_t - sigma)
         for i, c in enumerate(chi2_0.tolist()):
             _, improved = decoherence_bounds(c, g, t)

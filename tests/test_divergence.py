@@ -200,12 +200,12 @@ def test_relative_entropy_rows_match_the_single_pair_entropy():
 
 def test_chi2_rows_match_the_single_pair_chi2():
     rho, sigma = random_pairs([substream(82, i) for i in range(6)], 3)
-    rows = chi2_rows(rho.mats, sigma.mats, hermitian_eig(sigma.mats))
+    rows = chi2_rows(rho.mats, hermitian_eig(sigma.mats))
     for i in range(6):
         assert rows[i] == quantum_chi2(rho.row(i), sigma.row(i))
     # a witness's sigma eigendecomposition gives the same bits
     witness_sigma = witness_batch(rho, sigma).sigma
-    assert np.array_equal(chi2_rows(rho.mats, sigma.mats, witness_sigma), rows)
+    assert np.array_equal(chi2_rows(rho.mats, witness_sigma), rows)
     # the stack raises what its lowest singular row raises alone
     sigma_mats = np.array(sigma.mats)
     sigma_mats[2] = np.diag([0.5, 0.5, 0.0])
@@ -213,5 +213,19 @@ def test_chi2_rows_match_the_single_pair_chi2():
     with pytest.raises(SingularState, match="^sigma has min eigenvalue") as one:
         quantum_chi2(rho.row(2), DensityMatrix(sigma_mats[2]))
     with pytest.raises(SingularState) as stacked:
-        chi2_rows(rho.mats, sigma_mats, hermitian_eig(sigma_mats))
+        chi2_rows(rho.mats, hermitian_eig(sigma_mats))
     assert str(stacked.value) == f"row 2: {one.value}"
+
+
+def test_one_matrix_is_read_as_a_one_row_stack():
+    rho, sigma = random_pairs([substream(83, 0)], 3)
+    one, stacked = hermitian_eig(sigma.mats[0]), hermitian_eig(sigma.mats)
+    assert chi2_rows(rho.mats[0], one) == pytest.approx(chi2_rows(rho.mats, stacked)[0],
+                                                        rel=1e-14)
+    assert relative_entropy_rows(rho.mats[0], rho.spectra[0], one) == pytest.approx(
+        relative_entropy_rows(rho.mats, rho.spectra, stacked)[0], rel=1e-14)
+    singular = hermitian_eig(np.diag([0.5, 0.5, 0.0]))
+    with pytest.raises(SingularState, match="^sigma has min eigenvalue"):
+        chi2_rows(rho.mats[0], singular)
+    with pytest.raises(SingularState, match="^sigma has min eigenvalue"):
+        relative_entropy_rows(rho.mats[0], rho.spectra[0], singular)

@@ -48,7 +48,8 @@ def test_quadratic_on_singular_diagonal():
 
 
 def test_inv_sqrt_of_diagonal():
-    out = linalg.hermitian_eig(np.diag([0.25, 0.25, 0.5])).inv_sqrt()
+    eig = linalg.hermitian_eig(np.diag([0.25, 0.25, 0.5]))
+    out = eig.compose(eig.eigenvalues ** -0.5)
     assert np.allclose(out, np.diag([2.0, 2.0, math.sqrt(2.0)]), atol=1e-12)
 
 
@@ -222,9 +223,11 @@ def test_function_producing_nan_raises_domain_error():
         linalg.matrix_function_psd(np.eye(2), lambda _: float("nan"))
 
 
-def test_inv_sqrt_rejects_near_singular_input():
-    with pytest.raises(SingularState):
-        linalg.hermitian_eig(np.diag([1.0, 1e-12])).inv_sqrt()
+def test_singular_check_rejects_a_near_singular_spectrum():
+    # the check that guards every sigma^{-1/2} and every w^{-1} in src/
+    low = linalg.hermitian_eig(np.diag([1.0, 1e-12])).eigenvalues[..., 0]
+    with pytest.raises(SingularState, match="^sigma has min eigenvalue 1.000e-12$"):
+        linalg.raise_first_failure([linalg.singular_check(low)])
 
 
 def test_non_square_input_is_rejected():
@@ -271,7 +274,8 @@ def test_in_range_symmetrization_keeps_the_bits_of_the_halved_sum():
         g = rng.standard_normal((2, 32, n, 2 * n)) + 1j * rng.standard_normal((2, 32, n, 2 * n))
         gram = g @ linalg.adjoint(g)
         rho, sigma = linalg.hermitian_part(gram)
-        inv_sqrt = linalg.hermitian_eig(sigma).inv_sqrt()
+        eig = linalg.hermitian_eig(sigma)
+        inv_sqrt = eig.compose(eig.eigenvalues ** -0.5)
         for name, x in (("gram", gram), ("t", inv_sqrt @ rho @ inv_sqrt)):
             inexact[name] += int(np.count_nonzero(linalg.hermiticity_defect(x) > 0.0))
             assert np.array_equal(linalg.hermitian_part(x), halved_sum(x))

@@ -18,6 +18,7 @@ from qfdiv.errors import (
     DimensionMismatch,
     InvariantViolation,
     NegativeSpectrum,
+    NotAState,
     SingularState,
 )
 from qfdiv.generators import FGenerator, builtin_generator
@@ -41,6 +42,7 @@ from qfdiv.states import (
     random_channel,
     random_pairs,
     substream,
+    substreams,
 )
 
 KL = builtin_generator("kl")
@@ -159,7 +161,6 @@ def test_witness_is_deterministic():
     w1 = build_witness(rho, sigma)
     w2 = build_witness(rho, sigma)
     assert np.array_equal(w1.lambdas, w2.lambdas)
-    assert np.array_equal(w1.basis, w2.basis)
     assert np.array_equal(w1.r.probs, w2.r.probs)
     assert np.array_equal(w1.channel.kraus, w2.channel.kraus)
 
@@ -215,7 +216,7 @@ def test_maximal_divergence_matches_direct_trace_formula():
         rho = random_density(4, seed=substream(47, i, 0))
         sigma = random_density(4, seed=substream(47, i, 1))
         eig = hermitian_eig(sigma.mat)
-        inv_sqrt = eig.inv_sqrt()
+        inv_sqrt = eig.compose(eig.eigenvalues ** -0.5)
         sqrt_s = (eig.vectors * eig.eigenvalues**0.5) @ eig.vectors.conj().T
         t = inv_sqrt @ rho.mat @ inv_sqrt
         direct = float(
@@ -255,6 +256,46 @@ def test_witness_channel_attains_dpi_equality():
         after = build_witness(out.row(0), out.row(1)).f_divergence(KL)
         assert after == pytest.approx(before, abs=1e-9)
         assert before == pytest.approx(w.f_divergence(KL), abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# metamorphic relations: read only the maximal divergences, on 256 pairs per
+# seed; each bound is 10 times the worst relative gap measured over seeds
+# 0-2 (3.0e-11 for kl, 7.9e-10 for chi2, 2.6e-12 under the unitary)
+# ---------------------------------------------------------------------------
+
+
+def _kron_rows(a, b):
+    n, m = a.shape[-1], b.shape[-1]
+    return np.einsum("bij,bkl->bikjl", a, b).reshape(len(a), n * m, n * m)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_maximal_kl_adds_and_one_plus_chi2_multiplies_on_tensor_products(seed):
+    rho_a, sigma_a = random_pairs(substreams(seed, (2,), range(256)), 2)
+    rho_b, sigma_b = random_pairs(substreams(seed, (4,), range(256)), 4)
+    a, b = witness_batch(rho_a, sigma_a), witness_batch(rho_b, sigma_b)
+    ab = witness_batch(DensityStack(_kron_rows(rho_a.mats, rho_b.mats)),
+                       DensityStack(_kron_rows(sigma_a.mats, sigma_b.mats)))
+    kl = a.f_divergence(KL) + b.f_divergence(KL)
+    assert np.all(np.abs(ab.f_divergence(KL) - kl) <= 3e-10 * np.maximum(1.0, kl))
+    chi2 = (1.0 + a.f_divergence(CHI2)) * (1.0 + b.f_divergence(CHI2))
+    assert np.all(np.abs(1.0 + ab.f_divergence(CHI2) - chi2) <= 8e-9 * chi2)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_maximal_kl_is_invariant_under_a_unitary_conjugation(seed):
+    rho, sigma = random_pairs(substreams(seed, (4,), range(256)), 4)
+    g = np.empty((256, 4, 4), dtype=np.complex128)
+    g.real, g.imag = substream(seed, 5).standard_normal((2, 256, 4, 4))
+    q, r = np.linalg.qr(g)
+    phases = np.diagonal(r, axis1=-2, axis2=-1)
+    u = q * (phases / np.abs(phases))[:, None, :]  # Haar-distributed
+    u_dag = linalg.adjoint(u)
+    kl = witness_batch(rho, sigma).f_divergence(KL)
+    turned = witness_batch(DensityStack(u @ rho.mats @ u_dag),
+                           DensityStack(u @ sigma.mats @ u_dag)).f_divergence(KL)
+    assert np.all(np.abs(turned - kl) <= 3e-11 * np.maximum(1.0, kl))
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +390,6 @@ def test_build_witness_is_bit_identical_to_its_batch_row(dim):
         row = batch.row(i)
         for got, want in (
             (w.lambdas, batch.lambdas[i]),
-            (w.basis, batch.basis[i]),
             (w.r.probs, batch.r[i]),
             (w.s.probs, batch.s[i]),
             (w.columns, batch.columns[i]),
@@ -419,6 +459,18 @@ def test_witness_batch_rejects_mismatched_stacks():
     with pytest.raises(DimensionMismatch):
         witness_batch(*(random_pairs([substream(65, i) for i in range(2)], n)[0]
                         for n in (3, 4)))
+
+
+def test_the_witness_core_names_the_state_stack_it_expects():
+    rho, sigma = random_pairs([substream(65, i) for i in range(2)], 3)
+    w = witness_batch(rho, sigma)
+    for args in ((rho.mats, sigma), (rho, sigma.mats), (rho.row(0), sigma.row(0))):
+        which, got = ("rho", args[0]) if args[0] is not rho else ("sigma", args[1])
+        message = f"^{which} must be a DensityStack, got {type(got).__name__}$"
+        with pytest.raises(NotAState, match=message):
+            witness_batch(*args)
+        with pytest.raises(NotAState, match=message):
+            witness_residual_rows(*args, w, KL)
 
 
 def test_recovery_channel_is_assembled_on_first_read(monkeypatch):

@@ -22,16 +22,20 @@ from qfdiv.states import substream
 # it; it cannot pass these.  Re-recorded since: fig2.csv, when its ae_bound
 # took sigma's least eigenvalue from the witness's eigh (last-bit moves in
 # 325 of 600 and 126 of 200 rows), and verify.csv and the seed-42 verify
-# stdout, when reverse-pinsker took t from its condition test's spectrum.
+# stdout, when reverse-pinsker took t from its condition test's spectrum;
+# fig2.csv (relent, last-bit moves in 338 of 600 and 106 of 200 rows) and
+# verify.csv and both verify stdouts (the maximality worst, and
+# relent_form_worst), when the relative entropy and chi2 references read rho
+# in sigma's eigenbasis.
 GOLDEN = {
     "fig2 --samples 600 --seed 42": (0, {
         "stdout": "08f56ce98d41be01dced5dabdf9a4a5afe38e57d93b99a763fc61d8672d1cd04",
-        "fig2.csv": "535321161bea46cb106aac3f340b34b37fd63b933645a3df254f526a5c67f043",
+        "fig2.csv": "559443e6a64733eb195a421dfa769be294de7f8a4da015917ece7a9bedb9b8fc",
         "fig2.svg": "91fa23ebbe4af6f93a313ea7838a6cbea2c685b537b43859eec3128bd1867274",
     }),
     "fig2 --samples 200 --seed 7": (0, {
         "stdout": "ea311c488a242c2a62ae9de41c56c43871b09ac985b309e6d92a1781b0c7d9aa",
-        "fig2.csv": "668061ea9d3b76321ae34cd1bf430a833244b0b24510bc9481822a6a452cb8ed",
+        "fig2.csv": "2a18b179718dd8ec0e9f8d2d64ef8e7fe62dfe651c33c7895fe106f7ad40f174",
         "fig2.svg": "5d99237b52ab77b5428bf43175ba36ce49fa4188bfafe5a96ed78ff839dbfd4a",
     }),
     "fig1": (0, {
@@ -48,12 +52,12 @@ GOLDEN = {
         "condition_rate.csv": "9bf72d65c47b9d3bc581dacbee7423220b23a5e0fc640b3e675839252c800e0b",
     }),
     "verify --samples 1000 --seed 42": (1, {
-        "stdout": "070d14ac55c20d35ff183bccc46a1c828019d176ad31d596b1dab53ee1d5dee8",
-        "verify.csv": "28b8116b14ac18502a3bd60ba601e1492f1259a8c0808a05451e28d4f14e8798",
+        "stdout": "351093f02ca651db6e59d4917d35ca03b7f24442d2542af47f0cc803b2d46cb6",
+        "verify.csv": "05a19de02b6d0f8e2a5b51cad060951d397572fac33acc0fe11f2cf3d5665a42",
     }),
     "verify --samples 1000 --seed 7": (1, {
-        "stdout": "302fd3b71f5fa2978e623804eab9c45ac1d3023cfe06f82d038dbb58d3d627bf",
-        "verify.csv": "e17ada49ac737e9dafc44f72d487e79079746c1cac106e1321df3066a50eefe9",
+        "stdout": "a962b63703c5f87da3f4535139d111c04d5d0c8a412a027cc4926c6bd9c26299",
+        "verify.csv": "3b4d1a9f39fc6e9ba89f30018d506f90ae99d74405473eafa194226cb52242f1",
     }),
 }
 
