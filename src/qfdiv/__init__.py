@@ -2,12 +2,10 @@
 witnesses and numerically verified Pinsker-type bounds."""
 
 from .bounds import (
-    BoundReport,
     adaptive_simpson,
     binette_rhs,
     decoherence_bounds,
     pinsker_chi2_lower,
-    reverse_pinsker_report,
     zeta1_closed,
     zeta1_integral,
 )
@@ -20,9 +18,7 @@ from .generators import BUILTIN_NAMES, FGenerator, builtin_generator
 from .maximal import (
     Witness,
     WitnessBatch,
-    WitnessReport,
     build_witness,
-    verify_witness,
     witness_batch,
 )
 from .states import (
@@ -37,7 +33,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BUILTIN_NAMES",
-    "BoundReport",
     "ClassicalDistribution",
     "DensityMatrix",
     "FGenerator",
@@ -45,7 +40,6 @@ __all__ = [
     "QuantumChannel",
     "Witness",
     "WitnessBatch",
-    "WitnessReport",
     "adaptive_simpson",
     "binette_rhs",
     "build_witness",
@@ -55,9 +49,7 @@ __all__ = [
     "max_relative_entropy",
     "pinsker_chi2_lower",
     "random_channel",
-    "reverse_pinsker_report",
     "substream",
-    "verify_witness",
     "witness_batch",
     "zeta1_closed",
     "zeta1_integral",

@@ -1,16 +1,14 @@
 """Pinsker-type inequalities, reverse bounds, and decoherence envelopes.
 
-The bounds are evaluated entrywise over arrays, one pair per entry.
-:func:`reverse_pinsker_report` returns a :class:`BoundReport` with both
-sides of the inequality, so callers can inspect slacks instead of bare
-booleans.
+The bounds are evaluated entrywise over arrays, one pair per entry, and
+return the bound itself; callers form the slacks against the side they
+compute.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,16 +28,6 @@ AE_ALPHA_FLOOR = 1e-12
 DEFAULT_QUAD_TOL = 1e-8
 MAX_QUAD_INTERVALS = 100_000
 _LOG_MAX_FLOAT = math.log(sys.float_info.max)
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """One inequality instance: lhs <= rhs with slack = rhs - lhs."""
-
-    lhs: float
-    rhs: float
-    slack: float
-    condition_met: bool = True
 
 
 def _trace_distance_check(t):
@@ -96,36 +84,20 @@ def binette_rhs(m, M, t, f):
 
     Needs t in [0, 2] and non-degenerate extremes 0 <= m < 1 < M; arrays
     raise for their lowest bad entry.
-    """
-    m, M, t = (np.asarray(x, dtype=float) for x in (m, M, t))
-    raise_first_failure([_trace_distance_check(t), _extremes_check(m, M)])
-    return (t / 2.0) * zeta1_closed(m, M, f)
 
-
-def reverse_pinsker_report(witness, t, condition, f):
-    """Reverse-Pinsker report of one pair from its witness, its trace
-    distance t and its positivity-condition verdict.
-
-    The left side is D_f(r || s) of the witness and the right side
-    ``binette_rhs(m, M, t, f)`` with (m, M) the extreme likelihood ratios.
-    For t below ``EQUAL_STATES_EPS`` the report is the trivial 0 <= 0 and
-    ``witness`` is not read.
-
-    Caution: even when the condition holds, the slack can be negative.  The
-    trace-distance form is not valid for the maximal divergence:
-    ||r - s||_1 >= ||rho - sigma||_1 by data processing through the
-    recovery channel, with strict inequality for non-commuting pairs
-    (for f(x) = |x - 1| the left side IS ||r - s||_1 and the right side is
-    exactly ||rho - sigma||_1, so violations there are generic).  Two forms
+    Caution: with (m, M) the extreme likelihood ratios of a pair and t its
+    trace distance, D_f(r || s) of the witness can exceed this right side
+    even when the positivity condition holds.  ||r - s||_1 >= ||rho -
+    sigma||_1 by data processing through the recovery channel, with strict
+    inequality for non-commuting pairs (for f(x) = |x - 1| the left side IS
+    ||r - s||_1 and the right side is exactly ||rho - sigma||_1).  Two forms
     do hold, Binette's inequality on the witness pair itself and the
     trace-distance form for the Umegaki relative entropy;
     ``verify.reverse_pinsker_and_binette`` checks both and says why.
     """
-    if t < EQUAL_STATES_EPS:
-        return BoundReport(lhs=0.0, rhs=0.0, slack=0.0, condition_met=condition)
-    lhs = witness.f_divergence(f)
-    rhs = binette_rhs(float(witness.lambdas[0]), float(witness.lambdas[-1]), t, f)
-    return BoundReport(lhs=lhs, rhs=rhs, slack=rhs - lhs, condition_met=condition)
+    m, M, t = (np.asarray(x, dtype=float) for x in (m, M, t))
+    raise_first_failure([_trace_distance_check(t), _extremes_check(m, M)])
+    return (t / 2.0) * zeta1_closed(m, M, f)
 
 
 def zeta1_closed(m, M, f):
@@ -213,16 +185,16 @@ def _simpson(fn, a, b, tol, max_intervals):
 
 
 def audenaert_eisert_rows(t, alpha, beta):
-    """Relative-entropy upper bound of each row from its trace distance t and
-    the least eigenvalues alpha of rho and beta of sigma (beta must exceed
-    ``SINGULAR_EPS``):
+    """Relative-entropy upper bound of each row from its trace distance t, in
+    [0, 2], and the least eigenvalues alpha of rho and beta of sigma (beta
+    must exceed ``SINGULAR_EPS``):
 
         (beta + t/2) ln(1 + t/(2 beta)) - alpha ln(1 + t/(2 alpha)),
 
     where the second term vanishes for alpha < ``AE_ALPHA_FLOOR``.
     """
     t, alpha, beta = (np.asarray(x, dtype=float) for x in (t, alpha, beta))
-    raise_first_failure([singular_check(beta)])
+    raise_first_failure([_trace_distance_check(t), singular_check(beta)])
     alpha = np.maximum(alpha, 0.0)
     first = (beta + t / 2.0) * np.log1p(t / (2.0 * beta))
     kept = alpha >= AE_ALPHA_FLOOR

@@ -18,11 +18,11 @@ import numpy as np
 
 from . import verify as suites
 from .bounds import (
+    EQUAL_STATES_EPS,
     audenaert_eisert_rows,
     binette_rhs,
     decoherence_bounds,
     pinsker_chi2_lower,
-    reverse_pinsker_report,
 )
 from .divergence import (
     chi2_rows,
@@ -36,7 +36,7 @@ from .errors import (
     SamplingBudgetExceeded,
 )
 from .generators import BUILTIN_NAMES, builtin_generator
-from .maximal import verify_witness, witness_batch
+from .maximal import WITNESS_TOL, witness_batch, witness_residual_rows
 from .states import (
     CHUNK_ROWS,
     DensityMatrix,
@@ -516,25 +516,26 @@ def cmd_condition_rate(config, commuting):
 
 def cmd_witness(rho_path, sigma_path, fname, bits):
     """Print the witness distributions and residuals for two state files."""
-    rho = parse_state_file(rho_path)
-    sigma = parse_state_file(sigma_path)
+    rho = parse_state_file(rho_path).as_stack()
+    sigma = parse_state_file(sigma_path).as_stack()
     f = builtin_generator(fname)
-    report = verify_witness(rho, sigma, f)
-    w = report.witness
+    w = witness_batch(rho, sigma)
+    residuals = {k: float(v[0]) for k, v in witness_residual_rows(rho, sigma, w, f).items()}
+    passed = max(residuals.values()) <= WITNESS_TOL
     unit = "bits" if bits else "nats"
     scale = 1.0 / math.log(2.0) if bits else 1.0
-    value = w.f_divergence(f)
-    print(f"likelihood-ratio eigenvalues: {_vec(w.lambdas)}")
-    print(f"r: {_vec(w.r.probs)}")
-    print(f"s: {_vec(w.s.probs)}")
+    value = float(w.f_divergence(f)[0])
+    print(f"likelihood-ratio eigenvalues: {_vec(w.lambdas[0])}")
+    print(f"r: {_vec(w.r[0])}")
+    print(f"s: {_vec(w.s[0])}")
     if f.name == "kl":
         print(f"maximal {f.name} divergence: {value * scale:.12g} {unit}")
     else:
         print(f"maximal {f.name} divergence: {value:.12g}")
-    for name, residual in report.residuals.items():
+    for name, residual in residuals.items():
         print(f"residual {name}: {residual:.3e}")
-    print("witness check:", "PASS" if report.passed else "FAIL")
-    return 0 if report.passed else 1
+    print("witness check:", "PASS" if passed else "FAIL")
+    return 0 if passed else 1
 
 
 def cmd_compare_bounds(rho_path, sigma_path, bits):
@@ -552,30 +553,33 @@ def cmd_compare_bounds(rho_path, sigma_path, bits):
     scale = 1.0 / math.log(2.0) if bits else 1.0
     unit = "bits" if bits else "nats"
     batch = witness_batch(rho, sigma)
-    w = batch.row(0)
+    m, big_m = (float(x) for x in batch.lambdas[0, [0, -1]])
     relent = float(relative_entropy_rows(rho.mats, rho.spectra, batch.sigma)[0])
     holds, diff_spectra = abs_condition_rows(rho.mats, sigma.mats)
     cond = bool(holds[0])
     t = float(np.sum(np.abs(diff_spectra[0])))
     chi2 = float(chi2_rows(rho.mats, batch.sigma)[0])
     print(f"trace distance: {t:.12g}")
-    print(f"m: {float(w.lambdas[0]):.12g}   M: {float(w.lambdas[-1]):.12g}")
+    print(f"m: {m:.12g}   M: {big_m:.12g}")
     print(f"positivity condition |rho-sigma| <= rho+sigma: "
           f"{'satisfied' if cond else 'violated'}")
     print(f"relative entropy: {relent * scale:.12g} {unit}")
-    print(f"max-relative entropy: {math.log(float(w.lambdas[-1])) * scale:.12g} {unit}")
+    print(f"max-relative entropy: {math.log(big_m) * scale:.12g} {unit}")
     print(f"chi-squared: {chi2:.12g}")
     for name in BUILTIN_NAMES:
         f = builtin_generator(name)
-        value = w.f_divergence(f)
+        value = float(batch.f_divergence(f)[0])
         shown = value * scale if name == "kl" else value
         suffix = f" {unit}" if name == "kl" else ""
         print(f"maximal {name} divergence: {shown:.12g}{suffix}")
-        rp = reverse_pinsker_report(w, t, cond, f)
-        shown_rhs = rp.rhs * scale if name == "kl" else rp.rhs
+        rhs = slack = 0.0  # coinciding states: the trivial 0 <= 0
+        if t >= EQUAL_STATES_EPS:
+            rhs = binette_rhs(m, big_m, t, f)
+            slack = rhs - value
+        shown_rhs = rhs * scale if name == "kl" else rhs
         print(f"  reverse-Pinsker rhs: {shown_rhs:.12g}{suffix}"
-              f"  (slack {rp.slack:.3e}, condition "
-              f"{'met' if rp.condition_met else 'not met'})")
+              f"  (slack {slack:.3e}, condition "
+              f"{'met' if cond else 'not met'})")
     envelope = pinsker_chi2_lower(t)
     print(f"Pinsker-type lower envelope of chi-squared: {envelope:.12g} "
           f"(slack {chi2 - envelope:.3e})")

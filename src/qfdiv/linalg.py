@@ -60,9 +60,9 @@ def raise_first_failure(checks):
 
 def singular_check(min_eigenvalues):
     """The ``raise_first_failure`` check that sigma is singular: its least
-    eigenvalue, one per row, is at or below ``SINGULAR_EPS``."""
+    eigenvalue, one per row, is at or below ``SINGULAR_EPS``, or nan."""
     low = np.asarray(min_eigenvalues)
-    return (low <= SINGULAR_EPS, lambda i, where: SingularState(
+    return (~(low > SINGULAR_EPS), lambda i, where: SingularState(
         f"{where}sigma has min eigenvalue {low.flat[i]:.3e}"))
 
 
@@ -79,7 +79,10 @@ def _scalar(x):
 def as_complex_matrix(a):
     """Coerce input to a complex128 square matrix, or stack of them, with
     finite entries; complex128 input is returned as is, not copied."""
-    m = np.asarray(a, dtype=np.complex128)
+    try:
+        m = np.asarray(a, dtype=np.complex128)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"matrix entries are not numbers: {exc}") from exc
     if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] < 1:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():

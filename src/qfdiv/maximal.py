@@ -184,29 +184,22 @@ def build_witness(rho, sigma):
     return witness_batch(rho.as_stack(), sigma.as_stack()).row(0)
 
 
-@dataclass(frozen=True)
-class WitnessReport:
-    """Named residuals from replaying the witness construction, and the
-    witness they were measured on."""
-
-    residuals: dict
-    witness: Witness = field(repr=False)
-
-    @property
-    def worst(self):
-        return max(self.residuals.values())
-
-    @property
-    def passed(self):
-        return self.worst <= WITNESS_TOL
-
-
 def witness_residual_rows(rho, sigma, w, f):
-    """The :func:`verify_witness` residuals of two state stacks
-    (:class:`DensityStack`) with witnesses ``w``, each a ``(B,)`` array.
-    The reconstructions are :meth:`WitnessBatch.recovered`; sum_i A_i^dag
-    A_i is diagonal, with entry i equal to ||sigma^{1/2} u_i||^2 / s_i.
-    Arguments that are not state stacks raise :class:`NotAState`."""
+    """Replay the witness identities of two state stacks
+    (:class:`DensityStack`) with witnesses ``w`` and return the named
+    residuals, each a ``(B,)`` array.
+
+    Residuals: normalization of r and s, trace-norm errors of the channel
+    reconstructions V(diag r) = rho and V(diag s) = sigma, Kraus
+    completeness, and the match between D_f(r || s) and the maximal
+    divergence recomputed from scratch.  Only the last one reads ``f``, and
+    it repeats the same computation on the same input, so the residuals are
+    the same for every generator; it costs one more witness build.  A row
+    passes when every residual is within ``WITNESS_TOL``.  The
+    reconstructions are :meth:`WitnessBatch.recovered`; sum_i A_i^dag A_i
+    is diagonal, with entry i equal to ||sigma^{1/2} u_i||^2 / s_i.
+    Arguments that are not state stacks raise :class:`NotAState`.
+    """
     back_r, back_s = w.recovered()
     kraus_cols = w.columns / np.sqrt(w.s)[:, None, :]
     kraus_diag = np.sum(kraus_cols.real ** 2 + kraus_cols.imag ** 2, axis=-2)
@@ -219,23 +212,3 @@ def witness_residual_rows(rho, sigma, w, f):
         "kraus_completeness": np.max(np.abs(kraus_diag - 1.0), axis=-1),
         "divergence_match": np.abs(w.f_divergence(f) - again.f_divergence(f)),
     }
-
-
-def verify_witness(rho, sigma, f):
-    """Check every witness identity numerically and report the residuals;
-    the one-row view of :func:`witness_residual_rows`.
-
-    Residuals: normalization of r and s, trace-norm errors of the channel
-    reconstructions V(diag r) = rho and V(diag s) = sigma, Kraus
-    completeness, and the match between D_f(r || s) and the maximal
-    divergence recomputed from scratch.  Only the last one reads ``f``, and
-    it repeats the same computation on the same input, so the report is the
-    same for every generator.  It costs two witness builds, and it passes
-    when every residual is within ``WITNESS_TOL``.  The report carries the
-    witness.
-    """
-    rho_rows, sigma_rows = rho.as_stack(), sigma.as_stack()
-    w = witness_batch(rho_rows, sigma_rows)
-    rows = witness_residual_rows(rho_rows, sigma_rows, w, f)
-    return WitnessReport(residuals={k: float(v[0]) for k, v in rows.items()},
-                         witness=w.row(0))

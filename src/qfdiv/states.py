@@ -25,6 +25,8 @@ open.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from . import linalg
@@ -69,6 +71,22 @@ def substreams(seed, prefix, indices):
     return _seeding.generators(int(seed), tuple(map(int, prefix)), idx.astype(np.uint32))
 
 
+def _check_tol(tol):
+    """Raise :class:`OutOfRange` unless ``tol`` is a real number in
+    [0, inf): a nan or infinite tolerance would let every check pass."""
+    if not (isinstance(tol, numbers.Real) and 0.0 <= tol < np.inf):
+        raise OutOfRange(f"tolerance must be a real number in [0, inf), got {tol!r}")
+
+
+def _numeric(a, dtype):
+    """``a`` as an array of ``dtype``, with non-numeric input a typed error
+    rather than numpy's bare ``ValueError`` or ``TypeError``."""
+    try:
+        return np.array(a, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise InvariantViolation("numeric", f"entries are not numbers: {exc}") from exc
+
+
 class ClassicalDistribution:
     """Probability vector: nonnegative entries summing to one within ``tol``.
 
@@ -79,7 +97,8 @@ class ClassicalDistribution:
     __slots__ = ("probs", "tol")
 
     def __init__(self, probs, tol=STATE_TOL):
-        p = np.array(probs, dtype=float)
+        _check_tol(tol)
+        p = _numeric(probs, float)
         if p.ndim != 1 or p.size < 1:
             raise InvariantViolation("shape", f"expected a vector, got shape {p.shape}")
         if not np.all(np.isfinite(p)):
@@ -116,6 +135,7 @@ def _check_states(m, tol):
     rows fail; a stack with none is accepted.  The two agree up to
     rounding at the boundary.
     """
+    _check_tol(tol)
     defect = linalg.hermiticity_defect(m)
     m = linalg.hermitian_part(m)
     # a trace near the largest float overflows into inf, which fails
@@ -248,7 +268,8 @@ class QuantumChannel:
     __slots__ = ("kraus",)
 
     def __init__(self, kraus, tol=CHANNEL_TOL):
-        ops = [np.array(a, dtype=np.complex128) for a in kraus]
+        _check_tol(tol)
+        ops = [_numeric(a, np.complex128) for a in kraus]
         if not ops:
             raise InvariantViolation("completeness", "empty Kraus family")
         shape = ops[0].shape
@@ -256,7 +277,8 @@ class QuantumChannel:
             raise DimensionMismatch("Kraus operators must share one 2-d shape")
         stack = np.array(ops)
         defect = completeness_defect(stack)
-        if defect > tol:
+        # a nan defect (non-finite entries) fails too
+        if not defect <= tol:
             raise InvariantViolation(
                 "completeness", f"max |sum A^dag A - I| = {defect:.3e}"
             )
@@ -277,9 +299,10 @@ def completeness_defect(kraus):
 
 
 def ginibre_states(factors):
-    """The states G G^dag / tr(G G^dag) of a ``(B, n, rank)`` factor stack."""
+    """The states G G^dag / tr(G G^dag) of a ``(B, n, rank)`` factor stack,
+    symmetrized once, by the state stack."""
     g = np.asarray(factors)
-    m = linalg.hermitian_part(g @ linalg.adjoint(g))
+    m = g @ linalg.adjoint(g)
     return DensityStack(m / m.trace(axis1=1, axis2=2).real[:, None, None])
 
 

@@ -84,7 +84,7 @@ def witness_suite(dims=(2, 3, 4, 8), pairs_per_dim=100, seed=42):
     Pair i of dimension n draws from ``substream(seed, n, i)``, and each
     stack of ``CHUNK_ROWS`` pairs gets one :func:`witness_residual_rows`
     report.  Its kl report serves every builtin generator: the residuals do
-    not depend on ``f`` (see :func:`verify_witness`).
+    not depend on ``f`` (see :func:`witness_residual_rows`).
     """
     kl = builtin_generator("kl")
     worst = 0.0

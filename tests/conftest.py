@@ -1,10 +1,10 @@
 """Shared helpers for the test suite."""
 
-from collections import Counter
+from collections import Counter, namedtuple
 
 import numpy as np
 
-from qfdiv.bounds import EQUAL_STATES_EPS, audenaert_eisert_rows, reverse_pinsker_report
+from qfdiv.bounds import EQUAL_STATES_EPS, audenaert_eisert_rows, binette_rhs
 from qfdiv.divergence import chi2_rows, relative_entropy_rows
 from qfdiv.linalg import hermitian_eig, trace_norm_hermitian
 from qfdiv.maximal import build_witness
@@ -67,14 +67,25 @@ def audenaert_eisert(rho, sigma):
     return float(audenaert_eisert_rows([t], rho.spectrum[:1], sigma.spectrum[:1])[0])
 
 
+# one reverse-Pinsker instance: lhs <= rhs with slack = rhs - lhs
+BoundCase = namedtuple("BoundCase", "lhs rhs slack condition_met")
+
+
 def reverse_pinsker(rho, sigma, f):
-    """Reverse-Pinsker report of one pair, composed as ``compare-bounds``
-    composes it: the condition and t from the spectrum of rho - sigma, and
-    no witness for coinciding states."""
+    """Reverse-Pinsker instance of one pair, composed as ``compare-bounds``
+    composes it: the condition and t from the spectrum of rho - sigma, the
+    left side D_f(r || s) of the witness and the right side ``binette_rhs``
+    at its extreme likelihood ratios, and the trivial 0 <= 0, with no
+    witness, for coinciding states."""
     holds, diff_spectra = abs_condition_rows(rho.mat[None], sigma.mat[None])
     t = float(np.sum(np.abs(diff_spectra[0])))
-    w = build_witness(rho, sigma) if t >= EQUAL_STATES_EPS else None
-    return reverse_pinsker_report(w, t, bool(holds[0]), f)
+    condition = bool(holds[0])
+    if t < EQUAL_STATES_EPS:
+        return BoundCase(0.0, 0.0, 0.0, condition)
+    w = build_witness(rho, sigma)
+    lhs = w.f_divergence(f)
+    rhs = binette_rhs(float(w.lambdas[0]), float(w.lambdas[-1]), t, f)
+    return BoundCase(lhs, rhs, rhs - lhs, condition)
 
 
 def count_eig_calls(monkeypatch):

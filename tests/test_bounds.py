@@ -24,7 +24,6 @@ from qfdiv.bounds import (
     binette_rhs,
     decoherence_bounds,
     pinsker_chi2_lower,
-    reverse_pinsker_report,
     zeta1_closed,
     zeta1_integral,
 )
@@ -41,7 +40,7 @@ from qfdiv.errors import (
 from qfdiv.generators import builtin_generator
 from qfdiv.linalg import hermitian_eig, trace_norm_hermitian
 from qfdiv.maximal import build_witness, witness_batch
-from qfdiv.states import DensityStack, abs_condition_rows, random_pairs, substream
+from qfdiv.states import DensityStack, random_pairs, substream
 
 KL = builtin_generator("kl")
 CHI2 = builtin_generator("chi2")
@@ -391,6 +390,19 @@ def test_audenaert_eisert_requires_invertible_sigma():
         audenaert_eisert(maximally_mixed(), diagonal_state([1.0, 0.0]))
 
 
+@pytest.mark.parametrize("t, beta, error, message", [
+    (0.5, math.nan, SingularState, "^sigma has min eigenvalue nan$"),
+    (math.nan, 0.25, OutOfRange, "^trace distance nan outside"),
+    (-1.0, 0.25, OutOfRange, "^trace distance -1.0 outside"),
+    (3.0, 0.25, OutOfRange, "^trace distance 3.0 outside"),
+], ids=["beta-nan", "t-nan", "t-negative", "t-above-2"])
+def test_audenaert_eisert_rows_reject_nan_and_out_of_range_inputs(t, beta, error, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=message):
+            audenaert_eisert_rows([t], [0.1], [beta])
+
+
 # ---------------------------------------------------------------------------
 # reverse-Pinsker check on quantum pairs
 # ---------------------------------------------------------------------------
@@ -418,20 +430,15 @@ def test_reverse_pinsker_report_matches_the_single_pair_check(n):
     for i in range(5):
         rho = random_density(n, rank=2 * n, seed=substream(65, n, i, 0))
         sigma = random_density(n, rank=2 * n, seed=substream(65, n, i, 1))
-        pairs = [(rho, sigma), (rho, rho)] if i == 0 else [(rho, sigma)]
-        for a, b in pairs:
-            w = build_witness(a, b)
-            t = trace_norm_hermitian(a.mat - b.mat)
-            cond = bool(abs_condition_rows(a.mat[None], b.mat[None])[0][0])
-            for f in (KL, CHI2, TV):
-                got = reverse_pinsker_report(w, t, cond, f)
-                want = reverse_pinsker(a, b, f)
-                assert got.condition_met == want.condition_met
-                for name in ("lhs", "rhs", "slack"):
-                    assert getattr(got, name) == pytest.approx(
-                        getattr(want, name), rel=1e-12, abs=1e-15), (i, f.name, name)
-    trivial = reverse_pinsker_report(None, 0.0, True, KL)
-    assert (trivial.lhs, trivial.rhs, trivial.slack) == (0.0, 0.0, 0.0)
+        w = build_witness(rho, sigma)
+        t = trace_norm_hermitian(rho.mat - sigma.mat)
+        for f in (KL, CHI2, TV):
+            rhs = binette_rhs(float(w.lambdas[0]), float(w.lambdas[-1]), t, f)
+            want = reverse_pinsker(rho, sigma, f)
+            assert w.f_divergence(f) == pytest.approx(want.lhs, rel=1e-12, abs=1e-15)
+            assert rhs == pytest.approx(want.rhs, rel=1e-12, abs=1e-15), (i, f.name)
+            assert rhs - w.f_divergence(f) == pytest.approx(
+                want.slack, rel=1e-12, abs=1e-15), (i, f.name)
 
 
 def test_reverse_pinsker_holds_on_commuting_pairs():

@@ -342,6 +342,17 @@ def test_compare_bounds_command(tmp_path, capsys):
     assert "trace distance" in out
 
 
+def test_compare_bounds_on_coinciding_states_prints_the_trivial_bound(tmp_path, capsys):
+    # the extremes m = M = 1 are degenerate, so no right side is formed
+    _, sigma_path = _write_pair(tmp_path)
+    assert run_cli("compare-bounds", sigma_path, sigma_path) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if "reverse-Pinsker" in line]
+    assert len(lines) == len(BUILTIN_NAMES)
+    for line in lines:
+        assert line.startswith("  reverse-Pinsker rhs: 0")
+        assert line.endswith("(slack 0.000e+00, condition met)")
+
+
 def _write_random_pair(tmp_path, n, seed):
     rho = random_density(n, rank=2 * n, seed=substream(seed, n, 0))
     sigma = random_density(n, rank=2 * n, seed=substream(seed, n, 1))
@@ -353,8 +364,9 @@ def _write_random_pair(tmp_path, n, seed):
 @pytest.mark.parametrize("command, builds", [("compare-bounds", 1), ("witness", 2)])
 def test_single_pair_commands_count_their_witness_builds(
         tmp_path, monkeypatch, command, builds):
-    # witness: one build in verify_witness and one in its divergence_match
-    # residual, which recomputes the maximal divergence from scratch
+    # witness: one build for the printed witness and one in the
+    # divergence_match residual, which recomputes the maximal divergence
+    # from scratch
     calls = []
     real = maximal.witness_batch
 
@@ -396,7 +408,7 @@ def test_compare_bounds_numbers_match_the_scalar_functions(
         monkeypatch.setattr(cli, name, record)
 
     for name in ("witness_batch", "relative_entropy_rows", "abs_condition_rows",
-                 "chi2_rows", "reverse_pinsker_report", "pinsker_chi2_lower",
+                 "chi2_rows", "binette_rhs", "pinsker_chi2_lower",
                  "audenaert_eisert_rows"):
         spy(name)
     assert run_cli("compare-bounds", rho_path, sigma_path, "--out", tmp_path) == 0
@@ -425,14 +437,17 @@ def test_compare_bounds_numbers_match_the_scalar_functions(
     assert relent == pytest.approx(relative_entropy(rho, sigma), rel=1e-12)
     assert chi2 - envelope == pytest.approx(quantum_chi2(rho, sigma) - pin_lhs, rel=1e-12)
     assert ae[0] == pytest.approx(audenaert_eisert(rho, sigma), rel=1e-12)
-    reports = seen["reverse_pinsker_report"]
-    assert len(reports) == len(BUILTIN_NAMES)
-    for name, rp in zip(BUILTIN_NAMES, reports):
-        want = reverse_pinsker(rho, sigma, builtin_generator(name))
-        assert rp.condition_met == want.condition_met
-        assert rp.rhs == pytest.approx(want.rhs, rel=1e-12)
-        assert rp.slack == pytest.approx(want.slack, rel=1e-12)
-        assert f"  reverse-Pinsker rhs: {rp.rhs:.12g}" in out
+    rhs_values = seen["binette_rhs"]
+    assert len(rhs_values) == len(BUILTIN_NAMES)
+    for name, rhs in zip(BUILTIN_NAMES, rhs_values):
+        f = builtin_generator(name)
+        want = reverse_pinsker(rho, sigma, f)
+        slack = rhs - batch.f_divergence(f)[0]
+        assert rhs == pytest.approx(want.rhs, rel=1e-12)
+        assert slack == pytest.approx(want.slack, rel=1e-12)
+        condition = "met" if want.condition_met else "not met"
+        assert f"  reverse-Pinsker rhs: {rhs:.12g}" in out
+        assert f"(slack {slack:.3e}, condition {condition})" in out
 
     # the printed lines show exactly the values checked above
     for line in (f"trace distance: {t:.12g}",

@@ -228,6 +228,9 @@ def test_singular_check_rejects_a_near_singular_spectrum():
     low = linalg.hermitian_eig(np.diag([1.0, 1e-12])).eigenvalues[..., 0]
     with pytest.raises(SingularState, match="^sigma has min eigenvalue 1.000e-12$"):
         linalg.raise_first_failure([linalg.singular_check(low)])
+    # a least eigenvalue the solver could not give fails too
+    with pytest.raises(SingularState, match="^row 1: sigma has min eigenvalue nan$"):
+        linalg.raise_first_failure([linalg.singular_check(np.array([0.5, np.nan]))])
 
 
 def test_non_square_input_is_rejected():

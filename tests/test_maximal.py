@@ -30,7 +30,6 @@ from qfdiv.linalg import (
 from qfdiv.maximal import (
     WITNESS_TOL,
     build_witness,
-    verify_witness,
     witness_batch,
     witness_residual_rows,
 )
@@ -38,6 +37,7 @@ from qfdiv.states import (
     ClassicalDistribution,
     DensityStack,
     QuantumChannel,
+    abs_condition_rows,
     apply_channel_rows,
     random_channel,
     random_pairs,
@@ -61,6 +61,17 @@ def _through(channel, states):
 def _diag(p):
     """The diagonal state of a witness distribution, at its tolerance."""
     return diagonal_state(p.probs, p.tol)
+
+
+def _residuals(rho, sigma, f):
+    """The witness residuals of one pair of states, from one-row stacks."""
+    rho_rows, sigma_rows = rho.as_stack(), sigma.as_stack()
+    rows = witness_residual_rows(rho_rows, sigma_rows, witness_batch(rho_rows, sigma_rows), f)
+    return {name: float(gaps[0]) for name, gaps in rows.items()}
+
+
+def _passes(rho, sigma, f):
+    return max(_residuals(rho, sigma, f).values()) <= WITNESS_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -91,10 +102,9 @@ def test_witness_hand_case_reconstructs_both_states():
 
 
 def test_witness_hand_case_report_passes():
-    report = verify_witness(plus_state(), maximally_mixed(), KL)
-    assert report.passed
-    assert report.worst <= 1e-12
-    assert set(report.residuals) == {
+    residuals = _residuals(plus_state(), maximally_mixed(), KL)
+    assert max(residuals.values()) <= 1e-12
+    assert set(residuals) == {
         "r_normalization",
         "s_normalization",
         "reconstruct_rho",
@@ -141,8 +151,8 @@ def test_witness_report_passes_on_random_pairs(dim):
     for i in range(25):
         rho = random_density(dim, seed=substream(41, dim, i, 0))
         sigma = random_density(dim, seed=substream(41, dim, i, 1))
-        report = verify_witness(rho, sigma, KL)
-        assert report.passed, report.residuals
+        residuals = _residuals(rho, sigma, KL)
+        assert max(residuals.values()) <= WITNESS_TOL, residuals
 
 
 def test_witness_handles_rank_deficient_rho():
@@ -151,8 +161,8 @@ def test_witness_handles_rank_deficient_rho():
     w = build_witness(rho, sigma)
     assert np.sum(w.lambdas <= 1e-10) == 2
     assert np.sum(w.r.probs <= 1e-10) == 2
-    assert verify_witness(rho, sigma, KL).passed
-    assert verify_witness(rho, sigma, TV).passed
+    assert _passes(rho, sigma, KL)
+    assert _passes(rho, sigma, TV)
 
 
 def test_witness_is_deterministic():
@@ -258,6 +268,36 @@ def test_witness_channel_attains_dpi_equality():
         assert before == pytest.approx(w.f_divergence(KL), abs=1e-9)
 
 
+def test_the_jordan_reverse_test_attains_the_trace_distance_under_the_condition():
+    # rho - sigma = P - N with tr P = tr N = t/2.  The three-outcome test
+    # with states P/(t/2), N/(t/2), (sigma - N)/(1 - t/2) and weights
+    # p = (t/2, 0, 1 - t/2), q = (0, t/2, 1 - t/2) is a reverse test exactly
+    # when sigma >= N, which |rho - sigma| <= rho + sigma gives; its tv is t,
+    # the least any reverse test can have, so the witness's tv is at least t.
+    rho, sigma = random_pairs(substreams(91, (4,), range(256)), 4, rank=8)
+    holds, _ = abs_condition_rows(rho.mats, sigma.mats)
+    rho, sigma = rho.take(holds), sigma.take(holds)
+    assert len(rho.mats) > 128
+    w, u = np.linalg.eigh(rho.mats - sigma.mats)
+    pos = (u * np.maximum(w, 0.0)[:, None, :]) @ u.conj().swapaxes(-1, -2)
+    neg = (u * np.maximum(-w, 0.0)[:, None, :]) @ u.conj().swapaxes(-1, -2)
+    t = np.abs(w).sum(axis=-1)
+    half = (t / 2.0)[:, None, None]
+    states = (pos / half, neg / half, (sigma.mats - neg) / (1.0 - half))
+    p = np.stack([t / 2.0, np.zeros_like(t), 1.0 - t / 2.0], axis=-1)
+    q = np.stack([np.zeros_like(t), t / 2.0, 1.0 - t / 2.0], axis=-1)
+
+    def rebuilt(weights):
+        return sum(weights[:, k, None, None] * states[k] for k in range(3))
+
+    for weights, target in ((p, rho.mats), (q, sigma.mats)):
+        gap = np.abs(np.linalg.eigvalsh(rebuilt(weights) - target)).sum(axis=-1)
+        assert gap.max() <= 1e-12
+    assert np.linalg.eigvalsh(sigma.mats - neg)[:, 0].min() >= -1e-12
+    assert np.abs(np.abs(p - q).sum(axis=-1) - t).max() <= 1e-12
+    assert np.all(witness_batch(rho, sigma).f_divergence(TV) >= t - 1e-12)
+
+
 # ---------------------------------------------------------------------------
 # metamorphic relations: read only the maximal divergences, on 256 pairs per
 # seed; each bound is 10 times the worst relative gap measured over seeds
@@ -349,9 +389,9 @@ def test_a_bad_rho_row_raises_the_carriers_error_for_the_lowest_row(defect):
         witness_batch(DensityStack(bad), sigma)
 
 
-def test_require_hermitian_never_runs_in_witness_batch_or_verify_witness(monkeypatch):
-    # every state stack is checked where it is built, the one-row views reuse
-    # the checked rows, and T is symmetrized where it is formed
+def test_require_hermitian_never_runs_in_witness_batch_or_witness_residual_rows(monkeypatch):
+    # every state stack is checked where it is built, the one-row stacks
+    # reuse the checked rows, and T is symmetrized where it is formed
     calls = []
 
     def spy(a, _check=linalg.require_hermitian):
@@ -363,7 +403,7 @@ def test_require_hermitian_never_runs_in_witness_batch_or_verify_witness(monkeyp
     rho, sigma = random_pairs([substream(53, i) for i in range(5)], 3)
     witness_batch(rho, sigma)
     assert calls == []
-    verify_witness(rho.row(0), sigma.row(0), KL)
+    _residuals(rho.row(0), sigma.row(0), KL)
     assert calls == []
 
 
@@ -410,8 +450,8 @@ def test_stacked_residuals_match_the_one_row_and_kraus_routes(dim):
     kraus = np.stack([random_channel(dim, seed=rng).kraus for rng in rngs])
     out = apply_channel_rows(kraus, rho.mats, rho.tol)
     for b in range(6):
-        report = verify_witness(rho.row(b), sigma.row(b), KL)
-        assert report.residuals == {k: float(v[b]) for k, v in rows.items()}
+        assert _residuals(rho.row(b), sigma.row(b), KL) == {
+            k: float(v[b]) for k, v in rows.items()}
         # the Kraus route of the recovery channel is the independent oracle
         w = batch.row(b)
         for back, p in ((back_r, w.r), (back_s, w.s)):
@@ -502,11 +542,11 @@ def test_witness_is_complete_for_a_nearly_singular_sigma():
     comp = np.einsum("kij,kil->jl", w.channel.kraus.conj(), w.channel.kraus)
     assert np.max(np.abs(comp - np.eye(8))) <= 1e-14
     for f in (KL, CHI2, TV):
-        assert verify_witness(rho, sigma, f).passed
+        assert _passes(rho, sigma, f)
 
 
 def test_witness_r_defect_shows_as_its_residual():
     rho, sigma = (x.row(0) for x in random_pairs([substream(568657945, 2, 9)], 2))
-    report = verify_witness(rho, sigma, KL)
-    assert 1e-10 < report.residuals["r_normalization"] <= WITNESS_TOL
-    assert report.passed
+    residuals = _residuals(rho, sigma, KL)
+    assert 1e-10 < residuals["r_normalization"] <= WITNESS_TOL
+    assert max(residuals.values()) <= WITNESS_TOL

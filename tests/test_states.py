@@ -1,5 +1,6 @@
 """Tests for typed states, channels, and the random ensembles."""
 
+import math
 import warnings
 
 import numpy as np
@@ -16,6 +17,7 @@ from qfdiv import _seeding, states, verify
 from qfdiv.errors import (
     BadRank,
     DimensionMismatch,
+    DomainError,
     InvariantViolation,
     OutOfRange,
 )
@@ -61,6 +63,8 @@ def test_classical_distribution_accepts_probability_vectors():
         ([0.5, float("nan")], "finiteness"),
         ([1.2, -0.2], "nonnegativity"),
         ([0.5, 0.4], "normalization"),
+        ("ab", "numeric"),
+        ([[0.5], [0.25, 0.25]], "numeric"),
     ],
 )
 def test_classical_distribution_invariants(probs, invariant):
@@ -95,6 +99,29 @@ def test_density_matrix_invariants(mat, invariant):
     assert info.value.invariant == invariant
 
 
+@pytest.mark.parametrize("build", [DensityMatrix, lambda m: DensityStack([m])],
+                         ids=["matrix", "stack"])
+@pytest.mark.parametrize("mat", ["abc", [["a", 0], [0, 1]], [[0.5, 0.5], [0.5]]])
+def test_non_numeric_matrices_raise_a_typed_error(build, mat):
+    with pytest.raises(DomainError, match="^matrix entries are not numbers: "):
+        build(mat)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, "1e-10"])
+@pytest.mark.parametrize("build", [
+    lambda tol: ClassicalDistribution([5.0, 2.0], tol),
+    lambda tol: DensityMatrix(np.eye(2) * 5, tol),
+    lambda tol: DensityMatrix([[1, 0], [0, -3]], tol),
+    lambda tol: DensityMatrix([[0.5, 1], [0, 0.5]], tol),
+    lambda tol: DensityStack([np.eye(2) * 5], tol),
+    lambda tol: QuantumChannel([np.eye(2) * 2], tol),
+], ids=["probs", "trace", "positivity", "hermiticity", "stack", "channel"])
+def test_a_tolerance_outside_zero_to_infinity_is_rejected(build, tol):
+    # a nan or infinite tolerance would let each of these invalid inputs pass
+    with pytest.raises(OutOfRange, match=r"^tolerance must be a real number in \[0, inf\)"):
+        build(tol)
+
+
 def test_a_least_eigenvalue_the_solver_cannot_give_fails_positivity(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: np.full(m.shape[:-1], np.nan))
     with pytest.raises(InvariantViolation, match="^positivity: min eigenvalue nan$"):
@@ -107,6 +134,11 @@ def test_quantum_channel_requires_completeness():
     assert info.value.invariant == "completeness"
     with pytest.raises(InvariantViolation):
         QuantumChannel([])
+    # non-finite entries make the defect nan, which fails too
+    with pytest.raises(InvariantViolation, match="^completeness: .* = nan$"):
+        QuantumChannel([np.eye(2) * np.nan])
+    with pytest.raises(InvariantViolation, match="^numeric: entries are not numbers: "):
+        QuantumChannel(["ab"])
 
 
 def _einsum_defect(kraus):
