@@ -386,15 +386,15 @@ def _accepted_pairs(config, start, stop, draws):
     satisfies the positivity condition; each round draws once for every
     pending sample.  ``draws`` counts the pairs drawn before this call.
     Returns the kept rho and sigma rows, in sample order, as the state
-    stacks they were checked in when drawn (not checked again), the spectra
-    of rho - sigma from the condition test, and the updated draw count.
+    stacks they were checked in when drawn (not checked again), their trace
+    distances from the condition test, and the updated draw count.
     Raises :class:`SamplingBudgetExceeded` rather than draw more than
     ``FIG2_DRAWS_PER_PAIR`` pairs per requested sample in all.
     """
     rngs = substreams(config.seed, (), range(start, stop))
     size = stop - start
     budget = FIG2_DRAWS_PER_PAIR * config.samples
-    kept = []  # per round: sample positions, rho rows, sigma rows, diff spectra
+    kept = []  # per round: sample positions, rho rows, sigma rows, trace distances
     pending = np.arange(size)
     while pending.size:
         if draws + pending.size > budget:
@@ -406,14 +406,14 @@ def _accepted_pairs(config, start, stop, draws):
             )
         r, s = random_pairs([rngs[k] for k in pending], config.dim, 2 * config.dim)
         draws += pending.size
-        holds, diff_spectra = abs_condition_rows(r.mats, s.mats)
-        kept.append((pending[holds], r.take(holds), s.take(holds), diff_spectra[holds]))
+        holds, t = abs_condition_rows(r, s)
+        kept.append((pending[holds], r.take(holds), s.take(holds), t[holds]))
         pending = pending[~holds]
-    positions, rho, sigma, diff_spec = zip(*kept)
+    positions, rho, sigma, t = zip(*kept)
     order = np.argsort(np.concatenate(positions))
     return (DensityStack.concatenate(rho).take(order),
             DensityStack.concatenate(sigma).take(order),
-            np.concatenate(diff_spec)[order], draws)
+            np.concatenate(t)[order], draws)
 
 
 def cmd_fig2(config):
@@ -437,25 +437,24 @@ def cmd_fig2(config):
     Samples are processed in stacks of ``CHUNK_ROWS``.  Each candidate
     stack is checked as states once, when it is drawn, and the kept rows
     are not checked again.  Per kept pair every column comes from three
-    decompositions and one spectrum: the eigendecomposition of rho - sigma
-    from the condition test, the witness's eigendecompositions of sigma
-    (which also give sigma's least eigenvalue) and of the likelihood-ratio
-    operator, and the spectrum of rho (one ``eigvalsh`` of each kept
-    stack).
+    decompositions and one spectrum: that of rho - sigma in the condition
+    test (the trace distance), sigma's ``eig`` (computed by the witness and
+    read again by the relative entropy and the Audenaert-Eisert bound),
+    the witness's of the likelihood-ratio operator, and rho's ``spectra``
+    (one ``eigvalsh`` of each kept stack).
     """
     kl = builtin_generator("kl")
     stacks = []
     draws = 0
     for start in range(0, config.samples, CHUNK_ROWS):
         stop = min(start + CHUNK_ROWS, config.samples)
-        rho, sigma, diff_spec, draws = _accepted_pairs(config, start, stop, draws)
+        rho, sigma, t, draws = _accepted_pairs(config, start, stop, draws)
         w = witness_batch(rho, sigma)
-        t = np.sum(np.abs(diff_spec), axis=-1)
         m = w.lambdas[:, 0]
         big_m = w.lambdas[:, -1]
         binette = binette_rhs(m, big_m, t, kl)
-        ae = audenaert_eisert_rows(t, rho.spectra[:, 0], w.sigma.eigenvalues[:, 0])
-        relent = relative_entropy_rows(rho.mats, rho.spectra, w.sigma)
+        ae = audenaert_eisert_rows(t, rho.spectra[:, 0], sigma.eig.eigenvalues[:, 0])
+        relent = relative_entropy_rows(rho, sigma)
         dmax_kl = w.f_divergence(kl)
         stacks.append((t, m, big_m, binette, ae, relent, dmax_kl))
     columns = [np.concatenate(col) for col in zip(*stacks)]
@@ -541,12 +540,12 @@ def cmd_witness(rho_path, sigma_path, fname, bits):
 def cmd_compare_bounds(rho_path, sigma_path, bits):
     """Print every divergence and bound for two state files.
 
-    One witness supplies (m, M), every maximal divergence, D_max = ln M and
-    sigma's least eigenvalue; the relative entropy and chi-squared value
-    share only its sigma eigendecomposition.  That of rho - sigma gives the
-    positivity condition and the trace distance t, read by the
-    reverse-Pinsker rows, the Pinsker envelope and the Audenaert-Eisert
-    bound.  Rho's spectrum is the one ``eigvalsh`` call.
+    One witness supplies (m, M), every maximal divergence and D_max = ln M.
+    Sigma's ``eig``, computed by the witness, is read again by the relative
+    entropy, the chi-squared value and the Audenaert-Eisert bound.  The
+    condition test gives the positivity condition and the trace distance t,
+    read by the reverse-Pinsker rows, the Pinsker envelope and the
+    Audenaert-Eisert bound.  Rho's spectrum is the one ``eigvalsh`` call.
     """
     rho = parse_state_file(rho_path).as_stack()
     sigma = parse_state_file(sigma_path).as_stack()
@@ -554,11 +553,10 @@ def cmd_compare_bounds(rho_path, sigma_path, bits):
     unit = "bits" if bits else "nats"
     batch = witness_batch(rho, sigma)
     m, big_m = (float(x) for x in batch.lambdas[0, [0, -1]])
-    relent = float(relative_entropy_rows(rho.mats, rho.spectra, batch.sigma)[0])
-    holds, diff_spectra = abs_condition_rows(rho.mats, sigma.mats)
-    cond = bool(holds[0])
-    t = float(np.sum(np.abs(diff_spectra[0])))
-    chi2 = float(chi2_rows(rho.mats, batch.sigma)[0])
+    relent = float(relative_entropy_rows(rho, sigma)[0])
+    holds, t = abs_condition_rows(rho, sigma)
+    cond, t = bool(holds[0]), float(t[0])
+    chi2 = float(chi2_rows(rho, sigma)[0])
     print(f"trace distance: {t:.12g}")
     print(f"m: {m:.12g}   M: {big_m:.12g}")
     print(f"positivity condition |rho-sigma| <= rho+sigma: "
@@ -583,7 +581,7 @@ def cmd_compare_bounds(rho_path, sigma_path, bits):
     envelope = pinsker_chi2_lower(t)
     print(f"Pinsker-type lower envelope of chi-squared: {envelope:.12g} "
           f"(slack {chi2 - envelope:.3e})")
-    ae = float(audenaert_eisert_rows([t], rho.spectra[:, 0], batch.sigma.eigenvalues[:, 0])[0])
+    ae = float(audenaert_eisert_rows([t], rho.spectra[:, 0], sigma.eig.eigenvalues[:, 0])[0])
     print(f"Audenaert-Eisert upper bound: {ae * scale:.12g} {unit}")
     return 0
 

@@ -25,16 +25,9 @@ from functools import cached_property
 import numpy as np
 
 from .divergence import classical_f_div, f_div_rows
-from .errors import (
-    DimensionMismatch,
-    InvariantViolation,
-    NegativeSpectrum,
-    NotAState,
-    SingularState,
-)
+from .errors import InvariantViolation, NegativeSpectrum, SingularState
 from .linalg import (
     PSD_CLAMP_TOL,
-    HermitianEigen,
     adjoint,
     hermitian_eig,
     hermitian_part,
@@ -42,7 +35,7 @@ from .linalg import (
     singular_check,
     trace_norm_hermitian,
 )
-from .states import ClassicalDistribution, DensityStack, QuantumChannel
+from .states import ClassicalDistribution, DensityStack, QuantumChannel, check_pair
 
 WITNESS_TOL = 1e-9
 
@@ -83,15 +76,13 @@ class WitnessBatch:
     """Witnesses of a stack of pairs: row b of each array belongs to pair b.
 
     ``lambdas``, ``r`` and ``s`` are ``(B, n)``; ``columns`` is
-    ``(B, n, n)`` as in :class:`Witness`; ``sigma`` is the stacked
-    eigendecomposition of the sigma rows.
+    ``(B, n, n)`` as in :class:`Witness`.
     """
 
     lambdas: np.ndarray
     r: np.ndarray
     s: np.ndarray
     columns: np.ndarray
-    sigma: HermitianEigen
 
     def f_divergence(self, f):
         """D_f(r_b || s_b) for every row b: the maximal f-divergence for
@@ -120,27 +111,20 @@ def witness_batch(rho, sigma):
     """Witness distributions of every pair in two state stacks
     (:class:`DensityStack`), rho first.
 
-    Both stacks were checked as states where they were built (any other
-    argument type raises :class:`NotAState`), so nothing is checked again
-    here; each sigma must also be invertible (min eigenvalue above
-    ``SINGULAR_EPS``).  Eigenvalues of the ratio matrix in [-1e-8, 0) are
+    Both stacks were checked as states where they were built
+    (:func:`states.check_pair`), so nothing is checked again here; each
+    sigma must also be invertible (min eigenvalue above ``SINGULAR_EPS``).  Eigenvalues of the ratio matrix in [-1e-8, 0) are
     clamped to zero (rank-deficient rho); anything more negative raises
     :class:`NegativeSpectrum`.  s_i = ||sigma^{1/2} u_i||^2 is read off the
     same columns the Kraus operators use, so the recovery channel is
     complete to rounding even for nearly singular sigma.  r and s must be
     normalized within ``WITNESS_TOL``.  When rows fail, the error is the one
-    the lowest failing row raises.  The batch's ``sigma`` holds the sigma
-    spectra, so callers read them there rather than diagonalize again.
+    the lowest failing row raises.  Sigma's eigendecomposition is read from
+    its stack (``sigma.eig``), so the reference divergences that read it
+    too do not diagonalize sigma again.
     """
-    for name, stack in (("rho", rho), ("sigma", sigma)):
-        if not isinstance(stack, DensityStack):
-            raise NotAState(f"{name} must be a DensityStack, got {type(stack).__name__}")
-    rho_mats, sigma_mats = rho.mats, sigma.mats
-    if rho_mats.shape != sigma_mats.shape:
-        raise DimensionMismatch(
-            f"stack shapes {rho_mats.shape} and {sigma_mats.shape} differ"
-        )
-    eig_s = hermitian_eig(sigma_mats)
+    check_pair(rho, sigma)
+    eig_s = sigma.eig
     w = eig_s.eigenvalues
     sigma_check = singular_check(w[:, 0])
     # singular rows get a stand-in spectrum so the other rows can proceed
@@ -148,7 +132,7 @@ def witness_batch(rho, sigma):
     inv_sqrt = eig_s.compose(w_safe ** -0.5)
     sqrt_s = eig_s.compose(w_safe ** 0.5)
 
-    eig_t = hermitian_eig(hermitian_part(inv_sqrt @ rho_mats @ inv_sqrt))
+    eig_t = hermitian_eig(hermitian_part(inv_sqrt @ rho.mats @ inv_sqrt))
     lam = eig_t.eigenvalues
     low = lam[:, 0]
     lam = np.where(lam < 0.0, 0.0, lam)
@@ -174,7 +158,7 @@ def witness_batch(rho, sigma):
     )
     for a in (lam, r_vec, s_vec, columns):
         a.flags.writeable = False
-    return WitnessBatch(lambdas=lam, r=r_vec, s=s_vec, columns=columns, sigma=eig_s)
+    return WitnessBatch(lambdas=lam, r=r_vec, s=s_vec, columns=columns)
 
 
 def build_witness(rho, sigma):
@@ -192,9 +176,10 @@ def witness_residual_rows(rho, sigma, w, f):
     Residuals: normalization of r and s, trace-norm errors of the channel
     reconstructions V(diag r) = rho and V(diag s) = sigma, Kraus
     completeness, and the match between D_f(r || s) and the maximal
-    divergence recomputed from scratch.  Only the last one reads ``f``, and
-    it repeats the same computation on the same input, so the residuals are
-    the same for every generator; it costs one more witness build.  A row
+    divergence recomputed by a second build.  Only the last one reads ``f``,
+    and it repeats the same computation on the same input, so the residuals
+    are the same for every generator; it costs one more eigendecomposition
+    of T (sigma's is cached on its stack).  A row
     passes when every residual is within ``WITNESS_TOL``.  The
     reconstructions are :meth:`WitnessBatch.recovered`; sum_i A_i^dag A_i
     is diagonal, with entry i equal to ||sigma^{1/2} u_i||^2 / s_i.

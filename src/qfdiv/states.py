@@ -13,7 +13,7 @@ states that one-at-a-time sampling would give.
 Every state built, sampled or parsed, is checked for positivity at its
 ``tol`` by one Cholesky factorization of ``m + tol I`` per stack; the
 eigensolver runs only when that factorization fails, to name the failing
-row.  Spectra are computed where they are read, on first access.  The
+row.  Spectra and eigendecompositions are computed on first read.  The
 condition |rho - sigma| <= rho + sigma (:func:`abs_condition_rows`) runs one
 eigensolver, on rho - sigma, and decides by Cholesky too.  Where only the
 verdicts are read (:func:`abs_condition_holds`), a Cholesky factorization of
@@ -30,7 +30,7 @@ import numbers
 import numpy as np
 
 from . import linalg
-from .errors import BadRank, DimensionMismatch, InvariantViolation, OutOfRange
+from .errors import BadRank, DimensionMismatch, InvariantViolation, NotAState, OutOfRange
 
 STATE_TOL = 1e-10
 CHANNEL_TOL = 1e-9
@@ -169,13 +169,14 @@ class DensityStack:
     ``mats`` is a new, read-only, symmetrized stack.  Positivity is
     certified by one Cholesky factorization of the stack, with ``eigvalsh``
     only when that fails; a failing stack raises for its lowest failing
-    row.  ``spectra``, the ascending eigenvalues with one row per state, is
-    computed on first read and cached.  Rows taken from checked stacks
-    (:meth:`take`, :meth:`concatenate`, :meth:`DensityMatrix.as_stack`)
-    stay checked and are not checked again.
+    row.  ``spectra`` (``eigvalsh``, one row per state) and ``eig``
+    (:func:`linalg.hermitian_eig`) are computed on first read and cached;
+    their eigenvalues differ in the last bits, so neither stands in for the
+    other.  Rows taken from checked stacks (:meth:`take`, :meth:`concatenate`,
+    :meth:`DensityMatrix.as_stack`) stay checked and are not checked again.
     """
 
-    __slots__ = ("mats", "tol", "_spectra")
+    __slots__ = ("mats", "tol", "_spectra", "_eig")
 
     def __init__(self, mats, tol=STATE_TOL):
         m = linalg.as_complex_matrix(mats)
@@ -183,13 +184,21 @@ class DensityStack:
             raise DimensionMismatch(f"expected a (B, n, n) stack, got shape {m.shape}")
         self.mats = _check_states(m, tol)
         self.tol = tol
-        self._spectra = None
+        self._spectra = self._eig = None
 
     @property
     def spectra(self):
         if self._spectra is None:
             self._spectra = _spectra(self.mats)
         return self._spectra
+
+    @property
+    def eig(self):
+        if self._eig is None:
+            self._eig = linalg.hermitian_eig(self.mats)
+            for a in (self._eig.eigenvalues, self._eig.vectors):
+                _read_only(a)
+        return self._eig
 
     def row(self, i):
         """Row ``i`` as a :class:`DensityMatrix`, without checking it again;
@@ -202,24 +211,26 @@ class DensityStack:
 
     def take(self, rows):
         """The rows ``rows`` (an index array, a slice or a boolean mask) as a
-        stack, without checking them again; it keeps their spectra if they
-        were already computed."""
+        stack, without checking them again; it keeps their spectra and
+        eigendecompositions if they were already computed."""
         spectra = None if self._spectra is None else _read_only(self._spectra[rows])
-        return _checked_stack(_read_only(self.mats[rows]), self.tol, spectra)
+        eig = None if self._eig is None else linalg.HermitianEigen(
+            *(_read_only(a[rows]) for a in (self._eig.eigenvalues, self._eig.vectors)))
+        return _checked_stack(_read_only(self.mats[rows]), self.tol, spectra, eig)
 
     @staticmethod
     def concatenate(stacks):
         """The rows of ``stacks`` in order, as one stack checked at the
         largest of their tolerances, without checking them again; its
-        spectra are computed on first read."""
+        spectra and eigendecompositions are computed on first read."""
         return _checked_stack(_read_only(np.concatenate([s.mats for s in stacks])),
                               max(s.tol for s in stacks))
 
 
-def _checked_stack(mats, tol, spectra=None):
+def _checked_stack(mats, tol, spectra=None, eig=None):
     """A :class:`DensityStack` of read-only rows already checked at ``tol``."""
     stack = object.__new__(DensityStack)
-    stack.mats, stack.tol, stack._spectra = mats, tol, spectra
+    stack.mats, stack.tol, stack._spectra, stack._eig = mats, tol, spectra, eig
     return stack
 
 
@@ -362,29 +373,39 @@ def apply_channel_rows(kraus, rho_mats, tol=STATE_TOL):
     return DensityStack(sum(terms), tol)
 
 
-def abs_condition_rows(rho_mats, sigma_mats):
+def check_pair(rho, sigma):
+    """Raise :class:`NotAState`, naming the argument, unless rho and sigma are
+    both :class:`DensityStack`, and :class:`DimensionMismatch` if their shapes differ."""
+    for name, stack in (("rho", rho), ("sigma", sigma)):
+        if not isinstance(stack, DensityStack):
+            raise NotAState(f"{name} must be a DensityStack, got {type(stack).__name__}")
+    if rho.mats.shape != sigma.mats.shape:
+        raise DimensionMismatch(f"stack shapes {rho.mats.shape} and {sigma.mats.shape} differ")
+
+
+def abs_condition_rows(rho, sigma):
     """Row-wise test of |rho - sigma| <= rho + sigma, up to ``CONDITION_TOL``
-    on the spectrum, on two state stacks.
+    on the spectrum, on two state stacks (:func:`check_pair`), whose rows
+    are Hermitian to the last bit and are not checked again.
 
-    The stacks are the ``mats`` of state stacks, which are Hermitian to the
-    last bit, and are not checked again.  One eigendecomposition of the
-    stack rho - sigma gives both its spectra and |rho - sigma|, with no
-    phase fixed (|rho - sigma| does not depend on them); the verdict is
-    whether the Cholesky factorization of rho + sigma - |rho - sigma| +
-    ``CONDITION_TOL`` I completes (:func:`linalg.psd_rows`), so no second
-    eigensolver runs.  Returns the per-row verdicts and the ascending
-    spectra of rho - sigma, whose absolute sums are the trace distances.
+    One eigendecomposition of the stack rho - sigma gives both its spectra
+    and |rho - sigma|, with no phase fixed (|rho - sigma| does not depend on
+    them); the verdict is whether the Cholesky factorization of
+    rho + sigma - |rho - sigma| + ``CONDITION_TOL`` I completes
+    (:func:`linalg.psd_rows`), so no second eigensolver runs.  Returns the
+    per-row verdicts and trace distances, the spectra's absolute sums.
     """
-    _check_shapes(rho_mats, sigma_mats)
-    w, u = linalg._eigh(rho_mats - sigma_mats)
+    check_pair(rho, sigma)
+    w, u = linalg._eigh(rho.mats - sigma.mats)
     gap = linalg.HermitianEigen(w, u).compose(np.abs(w))
-    return linalg.psd_rows(rho_mats + sigma_mats - gap, CONDITION_TOL), w
+    holds = linalg.psd_rows(rho.mats + sigma.mats - gap, CONDITION_TOL)
+    return holds, np.sum(np.abs(w), axis=-1)
 
 
-def abs_condition_holds(rho_mats, sigma_mats):
+def abs_condition_holds(rho, sigma):
     """The verdicts of :func:`abs_condition_rows`, on the same stacks,
-    without the spectra, and with the eigensolver run only on the rows that
-    the anticommutator leaves open.
+    without the trace distances, and with the eigensolver run only on the
+    rows that the anticommutator leaves open.
 
     (rho + sigma)^2 - (rho - sigma)^2 = 2 (rho sigma + sigma rho), so where
     rho sigma + sigma rho >= 0, (rho - sigma)^2 <= (rho + sigma)^2 and, the
@@ -394,11 +415,11 @@ def abs_condition_holds(rho_mats, sigma_mats):
     above rounding, so a certified row satisfies the condition exactly and
     gets the verdict the exact route would give it.
     """
-    _check_shapes(rho_mats, sigma_mats)
-    holds = _anticommutator_certifies(rho_mats, sigma_mats)
+    check_pair(rho, sigma)
+    holds = _anticommutator_certifies(rho.mats, sigma.mats)
     rest = ~holds
     if rest.any():
-        holds[rest] = abs_condition_rows(rho_mats[rest], sigma_mats[rest])[0]
+        holds[rest] = abs_condition_rows(rho.take(rest), sigma.take(rest))[0]
     return holds
 
 
@@ -407,11 +428,3 @@ def _anticommutator_certifies(rho_mats, sigma_mats):
     positive definite."""
     p = rho_mats @ sigma_mats
     return linalg.psd_rows(p + linalg.adjoint(p), -CONDITION_TOL)
-
-
-def _check_shapes(rho_mats, sigma_mats):
-    if np.ndim(rho_mats) != 3 or np.shape(rho_mats) != np.shape(sigma_mats):
-        raise DimensionMismatch(
-            f"expected two (B, n, n) stacks of one shape, got "
-            f"{np.shape(rho_mats)} and {np.shape(sigma_mats)}"
-        )

@@ -181,7 +181,8 @@ def maximality_and_pinsker(dim=4, samples=1000, seed=42):
     mismatch (which must vanish).  The mismatch is an identity check, so it
     is measured relative to the chi-squared magnitude (floored at 1); the
     two inequality slacks stay absolute.  The chi-squared divergence comes
-    from :func:`chi2_rows`, which reads only the witness's ``sigma``.
+    from :func:`chi2_rows`, which shares only sigma's ``eig`` with the
+    witness.
 
     pinsker: chi-squared never drops below its trace-distance envelope.
     """
@@ -190,9 +191,9 @@ def maximality_and_pinsker(dim=4, samples=1000, seed=42):
     pinsker = 0.0
     for rho, sigma, w in _witness_chunks(dim, samples, seed):
         t = trace_norm_hermitian(rho.mats - sigma.mats)
-        chi2_std = chi2_rows(rho.mats, w.sigma)
+        chi2_std = chi2_rows(rho, sigma)
         max_chi2 = w.f_divergence(chi2)
-        relent = relative_entropy_rows(rho.mats, rho.spectra, w.sigma)
+        relent = relative_entropy_rows(rho, sigma)
         maximality = _worst(maximality, relent - w.f_divergence(kl))
         maximality = _worst(maximality, t - w.f_divergence(tv))
         maximality = _worst(
@@ -208,8 +209,7 @@ def reverse_pinsker_and_binette(dim=4, samples=1000, seed=42):
     |rho - sigma| <= rho + sigma holds for most pairs.
 
     reverse-pinsker skips pairs closer than ``EQUAL_STATES_EPS`` in trace
-    distance t, the absolute sum of the spectrum of rho - sigma that the
-    condition test computes.  Its ``worst`` is the trace-distance form for
+    distance t, which the condition test returns.  Its ``worst`` is the trace-distance form for
     the MAXIMAL divergence, ``D_f^max <= binette_rhs(m, M, t, f)``, on the
     condition-satisfying pairs, with per-generator violation counts in
     ``extras``.  It is expected to FAIL: for f = tv the left side is
@@ -243,8 +243,7 @@ def reverse_pinsker_and_binette(dim=4, samples=1000, seed=42):
     binette_worst = 0.0
     skipped = 0
     for rho, sigma, w in _witness_chunks(dim, samples, seed, rank=2 * dim):
-        condition, diff_spectra = abs_condition_rows(rho.mats, sigma.mats)
-        t = np.sum(np.abs(diff_spectra), axis=-1)
+        condition, t = abs_condition_rows(rho, sigma)
         m, big_m = w.lambdas[:, 0], w.lambdas[:, -1]
         rs_l1 = np.abs(w.r - w.s).sum(axis=-1)
         proper = (m < 1.0) & (big_m > 1.0)
@@ -252,7 +251,7 @@ def reverse_pinsker_and_binette(dim=4, samples=1000, seed=42):
         keep = t >= EQUAL_STATES_EPS
         met_kept = condition[keep]
         met += int(np.count_nonzero(met_kept))
-        relent = relative_entropy_rows(rho.mats, rho.spectra, w.sigma)[keep]
+        relent = relative_entropy_rows(rho, sigma)[keep]
         for f in gens:
             lhs = w.f_divergence(f)
             # raises for kept rows without m < 1 < M, so keep implies proper
@@ -375,7 +374,7 @@ def condition_rate(dim=4, samples=1000, seed=42, commuting=False, environment=No
             rho, sigma = _random_commuting_pairs(rngs, dim)
         else:
             rho, sigma = random_pairs(rngs, dim, environment)
-        hits += int(np.count_nonzero(abs_condition_holds(rho.mats, sigma.mats)))
+        hits += int(np.count_nonzero(abs_condition_holds(rho, sigma)))
     rate = hits / samples if samples else 0.0
     return RateResult(rate, samples, environment, commuting)
 

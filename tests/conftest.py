@@ -6,7 +6,7 @@ import numpy as np
 
 from qfdiv.bounds import EQUAL_STATES_EPS, audenaert_eisert_rows, binette_rhs
 from qfdiv.divergence import chi2_rows, relative_entropy_rows
-from qfdiv.linalg import hermitian_eig, trace_norm_hermitian
+from qfdiv.linalg import trace_norm_hermitian
 from qfdiv.maximal import build_witness
 from qfdiv.states import STATE_TOL, DensityMatrix, abs_condition_rows, ginibre_states
 
@@ -51,13 +51,12 @@ def random_density(n, rank=None, seed=None):
 
 def relative_entropy(rho, sigma):
     """Umegaki relative entropy of one pair, diagonalizing sigma on its own."""
-    eig = hermitian_eig(sigma.mat[None])
-    return float(relative_entropy_rows(rho.mat[None], rho.spectrum[None], eig)[0])
+    return float(relative_entropy_rows(rho.as_stack(), sigma.as_stack())[0])
 
 
 def quantum_chi2(rho, sigma):
     """Chi-squared divergence of one pair, diagonalizing sigma on its own."""
-    return float(chi2_rows(rho.mat[None], hermitian_eig(sigma.mat[None]))[0])
+    return float(chi2_rows(rho.as_stack(), sigma.as_stack())[0])
 
 
 def audenaert_eisert(rho, sigma):
@@ -77,9 +76,8 @@ def reverse_pinsker(rho, sigma, f):
     left side D_f(r || s) of the witness and the right side ``binette_rhs``
     at its extreme likelihood ratios, and the trivial 0 <= 0, with no
     witness, for coinciding states."""
-    holds, diff_spectra = abs_condition_rows(rho.mat[None], sigma.mat[None])
-    t = float(np.sum(np.abs(diff_spectra[0])))
-    condition = bool(holds[0])
+    holds, t = abs_condition_rows(rho.as_stack(), sigma.as_stack())
+    t, condition = float(t[0]), bool(holds[0])
     if t < EQUAL_STATES_EPS:
         return BoundCase(0.0, 0.0, 0.0, condition)
     w = build_witness(rho, sigma)

@@ -38,7 +38,7 @@ from qfdiv.errors import (
     SingularState,
 )
 from qfdiv.generators import builtin_generator
-from qfdiv.linalg import hermitian_eig, trace_norm_hermitian
+from qfdiv.linalg import trace_norm_hermitian
 from qfdiv.maximal import build_witness, witness_batch
 from qfdiv.states import DensityStack, random_pairs, substream
 
@@ -100,7 +100,7 @@ def test_quantum_pinsker_holds_on_random_pairs():
     pairs = [(random_density(4, seed=substream(60, i, 0)).mat,
               random_density(4, seed=substream(60, i, 1)).mat) for i in range(100)]
     rho_mats, sigma_mats = (np.stack(m) for m in zip(*pairs))
-    slack = (chi2_rows(rho_mats, hermitian_eig(sigma_mats))
+    slack = (chi2_rows(DensityStack(rho_mats), DensityStack(sigma_mats))
              - pinsker_chi2_lower(trace_norm_hermitian(rho_mats - sigma_mats)))
     assert slack.min() >= -1e-10, (int(slack.argmin()), slack.min())
 
@@ -179,7 +179,7 @@ def test_depolarizing_trajectories_stay_below_the_improved_envelope():
     # so its trace distance sits below the improved envelope at lam = 2 g
     g = 0.05
     rho, sigma = random_pairs([substream(66, i) for i in range(20)], 4)
-    chi2_0 = chi2_rows(rho.mats, hermitian_eig(sigma.mats)).tolist()
+    chi2_0 = chi2_rows(rho, sigma).tolist()
     for t in np.linspace(0.0, 80.0, 81).tolist():
         rho_t = sigma.mats + math.exp(-g * t) * (rho.mats - sigma.mats)
         dist = trace_norm_hermitian(rho_t - sigma.mats)
@@ -198,13 +198,14 @@ def test_amplitude_damping_trajectories_stay_below_the_improved_envelope():
     p = substream(68).uniform(0.05, 0.95, size=200)
     sigma = np.zeros((200, 2, 2), dtype=complex)
     sigma[:, 0, 0], sigma[:, 1, 1] = p, 1.0 - p
-    sigma_eig = hermitian_eig(sigma)
-    chi2_0 = chi2_rows(rho.mats, sigma_eig)
+    sigma_stack = DensityStack(sigma)
+    chi2_0 = chi2_rows(rho, sigma_stack)
     ratios = []
     for t in np.linspace(0.0, 80.0, 81).tolist():
         pop, coh = math.exp(-g * t), math.exp(-g * t / 2.0)
         rho_t = sigma + np.array([[pop, coh], [coh, pop]]) * (rho.mats - sigma)
-        assert np.all(chi2_rows(rho_t, sigma_eig) <= pop * chi2_0 * (1.0 + 1e-12)), t
+        chi2_t = chi2_rows(DensityStack(rho_t), sigma_stack)
+        assert np.all(chi2_t <= pop * chi2_0 * (1.0 + 1e-12)), t
         dist = trace_norm_hermitian(rho_t - sigma)
         for i, c in enumerate(chi2_0.tolist()):
             _, improved = decoherence_bounds(c, g, t)

@@ -251,9 +251,9 @@ def test_fig2_integer_outputs_are_pinned(tmp_path, capsys, argv, summary):
 
 
 def test_fig2_draw_budget_stops_a_condition_that_never_holds(tmp_path, capsys, monkeypatch):
-    def never(rho_mats, sigma_mats):
-        holds, spectra = real(rho_mats, sigma_mats)
-        return np.zeros_like(holds), spectra
+    def never(rho, sigma):
+        holds, t = real(rho, sigma)
+        return np.zeros_like(holds), t
 
     real = cli.abs_condition_rows
     monkeypatch.setattr(cli, "abs_condition_rows", never)
@@ -267,7 +267,7 @@ def test_fig2_draw_budget_stops_a_condition_that_never_holds(tmp_path, capsys, m
 def test_fig2_checks_and_diagonalizes_each_kept_pair_once(tmp_path, capsys, monkeypatch):
     # each round's candidate stacks are checked once, when drawn (rho and
     # sigma); the kept rows are not checked again, sigma's least eigenvalue
-    # comes from the witness's eigh, and eigvalsh runs once, on kept rho
+    # comes from sigma's eigh in the witness, and eigvalsh runs once, on kept rho
     rounds = []
     checks = []
     hermitian = []
@@ -383,8 +383,8 @@ def test_single_pair_commands_count_their_witness_builds(
 
 def test_compare_bounds_diagonalizes_sigma_once(tmp_path, monkeypatch):
     # eigh of sigma and of T in the witness, and of rho - sigma in the
-    # condition test; chi2 and the Audenaert-Eisert bound read the witness's
-    # sigma eigendecomposition, and eigvalsh gives only rho's spectrum
+    # condition test; the relative entropy, chi2 and the Audenaert-Eisert
+    # bound read sigma's cached eig, and eigvalsh gives only rho's spectrum
     _, _, rho_path, sigma_path = _write_random_pair(tmp_path, 32, 75)
     calls = count_eig_calls(monkeypatch)
     assert run_cli("compare-bounds", rho_path, sigma_path) == 0
@@ -416,21 +416,21 @@ def test_compare_bounds_numbers_match_the_scalar_functions(
 
     (batch,) = seen["witness_batch"]
     w = batch.row(0)
-    ((holds, diff_spectra),) = seen["abs_condition_rows"]
+    ((holds, t_rows),) = seen["abs_condition_rows"]
     ((chi2,),) = seen["chi2_rows"]
     (envelope,) = seen["pinsker_chi2_lower"]
     (ae,) = seen["audenaert_eisert_rows"]
-    t = float(np.sum(np.abs(diff_spectra[0])))
+    t = float(t_rows[0])
     dmax = math.log(float(w.lambdas[-1]))
     t_eigvalsh = trace_norm_hermitian(rho.mat - sigma.mat)
     pin_lhs = pinsker_chi2_lower(t_eigvalsh)
 
-    assert bool(holds[0]) == abs_condition_rows(rho.mat[None], sigma.mat[None])[0][0]
+    assert bool(holds[0]) == abs_condition_rows(rho.as_stack(), sigma.as_stack())[0][0]
     assert t == pytest.approx(t_eigvalsh, rel=1e-12)
     # two routes to D_max: ln M of the witness and sigma^{-1/2} rho sigma^{-1/2}
     assert dmax == pytest.approx(max_relative_entropy(rho, sigma), rel=1e-12)
     assert envelope == pytest.approx(pin_lhs, rel=1e-12)
-    # the printed relative entropy reads the witness's sigma eigendecomposition;
+    # the printed relative entropy reads sigma's eig, computed by the witness;
     # the reference diagonalizes sigma on its own
     ((relent,),) = seen["relative_entropy_rows"]
     assert f"\nrelative entropy: {relent:.12g} nats\n" in out

@@ -22,11 +22,12 @@ from qfdiv.divergence import (
 )
 from qfdiv.errors import DimensionMismatch, SingularState, ZeroReference
 from qfdiv.generators import builtin_generator
-from qfdiv.linalg import hermitian_eig, trace_norm_hermitian
+from qfdiv.linalg import trace_norm_hermitian
 from qfdiv.maximal import witness_batch
 from qfdiv.states import (
     ClassicalDistribution,
     DensityMatrix,
+    DensityStack,
     random_pairs,
     substream,
 )
@@ -191,21 +192,22 @@ def test_f_div_rows_names_the_row_with_a_zero_reference():
 
 def test_relative_entropy_rows_match_the_single_pair_entropy():
     rho, sigma = random_pairs([substream(81, i) for i in range(6)], 3)
-    rows = relative_entropy_rows(rho.mats, rho.spectra, hermitian_eig(sigma.mats))
+    rows = relative_entropy_rows(rho, sigma)
     for i in range(6):
-        one = relative_entropy_rows(rho.mats[i:i + 1], rho.spectra[i:i + 1],
-                                    hermitian_eig(sigma.mats[i:i + 1]))
+        # sigma's one-row stack computes its eig alone
+        one = relative_entropy_rows(rho.row(i).as_stack(), sigma.row(i).as_stack())
         assert rows[i] == one[0]
 
 
 def test_chi2_rows_match_the_single_pair_chi2():
     rho, sigma = random_pairs([substream(82, i) for i in range(6)], 3)
-    rows = chi2_rows(rho.mats, hermitian_eig(sigma.mats))
+    rows = chi2_rows(rho, sigma)
     for i in range(6):
         assert rows[i] == quantum_chi2(rho.row(i), sigma.row(i))
-    # a witness's sigma eigendecomposition gives the same bits
-    witness_sigma = witness_batch(rho, sigma).sigma
-    assert np.array_equal(chi2_rows(rho.mats, witness_sigma), rows)
+    # sigma's eig cached by a witness gives the same bits
+    fresh = DensityStack.concatenate([sigma])
+    witness_batch(rho, fresh)
+    assert np.array_equal(chi2_rows(rho, fresh), rows)
     # the stack raises what its lowest singular row raises alone
     sigma_mats = np.array(sigma.mats)
     sigma_mats[2] = np.diag([0.5, 0.5, 0.0])
@@ -213,19 +215,19 @@ def test_chi2_rows_match_the_single_pair_chi2():
     with pytest.raises(SingularState, match="^sigma has min eigenvalue") as one:
         quantum_chi2(rho.row(2), DensityMatrix(sigma_mats[2]))
     with pytest.raises(SingularState) as stacked:
-        chi2_rows(rho.mats, hermitian_eig(sigma_mats))
+        chi2_rows(rho, DensityStack(sigma_mats))
     assert str(stacked.value) == f"row 2: {one.value}"
 
 
 def test_one_matrix_is_read_as_a_one_row_stack():
+    # one state enters as the one-row stack of its DensityMatrix
     rho, sigma = random_pairs([substream(83, 0)], 3)
-    one, stacked = hermitian_eig(sigma.mats[0]), hermitian_eig(sigma.mats)
-    assert chi2_rows(rho.mats[0], one) == pytest.approx(chi2_rows(rho.mats, stacked)[0],
-                                                        rel=1e-14)
-    assert relative_entropy_rows(rho.mats[0], rho.spectra[0], one) == pytest.approx(
-        relative_entropy_rows(rho.mats, rho.spectra, stacked)[0], rel=1e-14)
-    singular = hermitian_eig(np.diag([0.5, 0.5, 0.0]))
+    one = [DensityMatrix(x.mats[0]).as_stack() for x in (rho, sigma)]
+    assert chi2_rows(*one) == pytest.approx(chi2_rows(rho, sigma), rel=1e-14)
+    assert relative_entropy_rows(*one) == pytest.approx(
+        relative_entropy_rows(rho, sigma), rel=1e-14)
+    singular = DensityMatrix(np.diag([0.5, 0.5, 0.0])).as_stack()
     with pytest.raises(SingularState, match="^sigma has min eigenvalue"):
-        chi2_rows(rho.mats[0], singular)
+        chi2_rows(one[0], singular)
     with pytest.raises(SingularState, match="^sigma has min eigenvalue"):
-        relative_entropy_rows(rho.mats[0], rho.spectra[0], singular)
+        relative_entropy_rows(one[0], singular)

@@ -275,7 +275,7 @@ def test_the_jordan_reverse_test_attains_the_trace_distance_under_the_condition(
     # when sigma >= N, which |rho - sigma| <= rho + sigma gives; its tv is t,
     # the least any reverse test can have, so the witness's tv is at least t.
     rho, sigma = random_pairs(substreams(91, (4,), range(256)), 4, rank=8)
-    holds, _ = abs_condition_rows(rho.mats, sigma.mats)
+    holds, _ = abs_condition_rows(rho, sigma)
     rho, sigma = rho.take(holds), sigma.take(holds)
     assert len(rho.mats) > 128
     w, u = np.linalg.eigh(rho.mats - sigma.mats)
@@ -361,7 +361,9 @@ def test_witness_batch_names_the_lowest_non_hermitian_sigma_row():
         witness_batch(rho.take([1]), DensityStack(bad[1:2]))
     near = np.array(sigma.mats[:1])
     near[0, 2, 0] += 1e-11  # within STATE_TOL: accepted and symmetrized
-    assert np.array_equal(witness_batch(rho.take([0]), DensityStack(near)).sigma.eigenvalues,
+    near_stack = DensityStack(near)
+    witness_batch(rho.take([0]), near_stack)  # caches the sigma eig it read
+    assert np.array_equal(near_stack.eig.eigenvalues,
                           hermitian_eig(linalg.hermitian_part(near)).eigenvalues)
 
 

@@ -71,9 +71,8 @@ def test_routes_are_within_the_conditioning_bound_of_the_oracle(key):
     want = _oracle(rho.mats[0], sigma.mats[0])
     w = witness_batch(rho, sigma)
     got = {
-        "chi2_rows": (chi2_rows(rho.mats, w.sigma)[0], want["chi2"]),
-        "relative_entropy_rows": (
-            relative_entropy_rows(rho.mats, rho.spectra, w.sigma)[0], want["relent"]),
+        "chi2_rows": (chi2_rows(rho, sigma)[0], want["chi2"]),
+        "relative_entropy_rows": (relative_entropy_rows(rho, sigma)[0], want["relent"]),
         "max_relative_entropy": (
             max_relative_entropy(rho.row(0), sigma.row(0)), want["dmax"]),
         "witness kl": (w.f_divergence(KL)[0], want["kl"]),

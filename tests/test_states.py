@@ -19,6 +19,7 @@ from qfdiv.errors import (
     DimensionMismatch,
     DomainError,
     InvariantViolation,
+    NotAState,
     OutOfRange,
 )
 from qfdiv.states import (
@@ -279,7 +280,7 @@ def test_apply_channel_checks_dimensions():
 
 
 def _holds(rho, sigma):
-    return bool(abs_condition_rows(rho.mat[None], sigma.mat[None])[0][0])
+    return bool(abs_condition_rows(rho.as_stack(), sigma.as_stack())[0][0])
 
 
 def test_abs_condition_holds_for_the_qubit_hand_pair():
@@ -505,22 +506,23 @@ def test_row_spectra_match_the_stack_and_a_fresh_state():
 
 def test_abs_condition_rows_agree_with_the_single_pair_test():
     rho, sigma = random_pairs([substream(13, i) for i in range(40)], 4)
-    holds, diff_spectra = abs_condition_rows(rho.mats, sigma.mats)
+    holds, t = abs_condition_rows(rho, sigma)
     assert 0 < holds.sum() < 40  # both outcomes occur in the square ensemble
     for i in range(40):
-        assert holds[i] == abs_condition_rows(rho.mats[i:i + 1], sigma.mats[i:i + 1])[0][0]
-        assert np.allclose(diff_spectra[i],
-                           np.linalg.eigvalsh(rho.mats[i] - sigma.mats[i]),
-                           atol=1e-14)
+        one = slice(i, i + 1)
+        assert holds[i] == abs_condition_rows(rho.take(one), sigma.take(one))[0][0]
+        # the sum of 4 eigenvalues, each within the 1e-14 the spectra were held to
+        assert np.allclose(t[i], np.abs(np.linalg.eigvalsh(rho.mats[i] - sigma.mats[i])).sum(),
+                           atol=4e-14)
 
 
 def test_abs_condition_rows_rejects_a_shape_mismatch():
-    with pytest.raises(DimensionMismatch):
-        abs_condition_rows(np.eye(2)[None], np.eye(3)[None])
-    with pytest.raises(DimensionMismatch):
-        abs_condition_holds(np.eye(2)[None], np.eye(3)[None])
+    pair = [DensityStack(np.eye(n)[None] / n) for n in (2, 3)]
     for test in (abs_condition_rows, abs_condition_holds):
-        with pytest.raises(DimensionMismatch, match=r"got \(2, 2\) and \(2, 2\)"):
+        with pytest.raises(DimensionMismatch, match=r"shapes \(1, 2, 2\) and \(1, 3, 3\)"):
+            test(*pair)
+        # one matrix is not a stack
+        with pytest.raises(NotAState, match="^rho must be a DensityStack, got ndarray$"):
             test(np.eye(2) / 2, np.eye(2) / 2)
 
 
@@ -533,10 +535,10 @@ def test_the_anticommutator_certifies_only_rows_the_exact_test_accepts(n):
     stacks.append(verify._random_commuting_pairs(substreams(72, (n,), range(CHUNK_ROWS)), n))
     certified_rows = 0
     for rho, sigma in stacks:
-        exact, _ = abs_condition_rows(rho.mats, sigma.mats)
+        exact, _ = abs_condition_rows(rho, sigma)
         certified = _anticommutator_certifies(rho.mats, sigma.mats)
         assert not (certified & ~exact).any()
-        assert np.array_equal(abs_condition_holds(rho.mats, sigma.mats), exact)
+        assert np.array_equal(abs_condition_holds(rho, sigma), exact)
         certified_rows += int(certified.sum())
     assert certified_rows >= CHUNK_ROWS
 
@@ -563,11 +565,11 @@ def test_the_anticommutator_certifies_no_row_at_the_condition_boundary(n):
     for side, verdict in ((1.0 - 1e-3, True), (1.0 + 1e-3, False)):
         target = -side * CONDITION_TOL
         s = ((target - 2.0 / n) / (low[failing] - 2.0 / n))[:, None, None]
-        mixed = [DensityStack(s * m[failing] + (1.0 - s) * eye).mats
+        mixed = [DensityStack(s * m[failing] + (1.0 - s) * eye)
                  for m in (rho.mats, sigma.mats)]
-        reached = _least_slack(*mixed)
+        reached = _least_slack(*(x.mats for x in mixed))
         assert np.allclose(reached, target, rtol=1e-5, atol=0.0)
-        assert not _anticommutator_certifies(*mixed).any()
+        assert not _anticommutator_certifies(*(x.mats for x in mixed)).any()
         exact, _ = abs_condition_rows(*mixed)
         assert exact.tolist() == [verdict] * len(exact)
         assert np.array_equal(abs_condition_holds(*mixed), exact)
