@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import (
     DegenerateExtremes,
+    DimensionMismatch,
     DomainError,
     NoSecondDerivative,
     OutOfRange,
@@ -186,15 +187,23 @@ def _simpson(fn, a, b, tol, max_intervals):
 
 def audenaert_eisert_rows(t, alpha, beta):
     """Relative-entropy upper bound of each row from its trace distance t, in
-    [0, 2], and the least eigenvalues alpha of rho and beta of sigma (beta
-    must exceed ``SINGULAR_EPS``):
+    [0, 2], and the least eigenvalues alpha of rho, in [-1, 1], and beta of
+    sigma, in (``SINGULAR_EPS``, 1], three arrays of one shape:
 
         (beta + t/2) ln(1 + t/(2 beta)) - alpha ln(1 + t/(2 alpha)),
 
     where the second term vanishes for alpha < ``AE_ALPHA_FLOOR``.
     """
     t, alpha, beta = (np.asarray(x, dtype=float) for x in (t, alpha, beta))
-    raise_first_failure([_trace_distance_check(t), singular_check(beta)])
+    if not t.shape == alpha.shape == beta.shape:
+        raise DimensionMismatch(f"shapes {t.shape}, {alpha.shape} and {beta.shape} differ")
+    raise_first_failure([
+        _trace_distance_check(t), singular_check(beta),
+        # a state's least eigenvalue is at most 1; this fails nan and inf too
+        (~((np.abs(alpha) <= 1.0) & (beta <= 1.0)), lambda i, where: OutOfRange(
+            f"{where}least eigenvalues alpha={alpha.flat[i]}, beta={beta.flat[i]} "
+            "outside [-1, 1]")),
+    ])
     alpha = np.maximum(alpha, 0.0)
     first = (beta + t / 2.0) * np.log1p(t / (2.0 * beta))
     kept = alpha >= AE_ALPHA_FLOOR

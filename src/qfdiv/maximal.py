@@ -113,8 +113,9 @@ def witness_batch(rho, sigma):
 
     Both stacks were checked as states where they were built
     (:func:`states.check_pair`), so nothing is checked again here; each
-    sigma must also be invertible (min eigenvalue above ``SINGULAR_EPS``).  Eigenvalues of the ratio matrix in [-1e-8, 0) are
-    clamped to zero (rank-deficient rho); anything more negative raises
+    sigma must also be invertible (min eigenvalue above ``SINGULAR_EPS``).
+    Eigenvalues of the ratio matrix in [-1e-8, 0) are clamped to zero
+    (rank-deficient rho); anything more negative raises
     :class:`NegativeSpectrum`.  s_i = ||sigma^{1/2} u_i||^2 is read off the
     same columns the Kraus operators use, so the recovery channel is
     complete to rounding even for nearly singular sigma.  r and s must be
@@ -179,10 +180,10 @@ def witness_residual_rows(rho, sigma, w, f):
     divergence recomputed by a second build.  Only the last one reads ``f``,
     and it repeats the same computation on the same input, so the residuals
     are the same for every generator; it costs one more eigendecomposition
-    of T (sigma's is cached on its stack).  A row
-    passes when every residual is within ``WITNESS_TOL``.  The
-    reconstructions are :meth:`WitnessBatch.recovered`; sum_i A_i^dag A_i
-    is diagonal, with entry i equal to ||sigma^{1/2} u_i||^2 / s_i.
+    of T (sigma's is cached on its stack).  A row passes when every
+    residual is within ``WITNESS_TOL``.  The reconstructions are
+    :meth:`WitnessBatch.recovered`; sum_i A_i^dag A_i is diagonal, with
+    entry i equal to ||sigma^{1/2} u_i||^2 / s_i.
     Arguments that are not state stacks raise :class:`NotAState`.
     """
     back_r, back_s = w.recovered()

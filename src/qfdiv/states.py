@@ -280,7 +280,11 @@ class QuantumChannel:
 
     def __init__(self, kraus, tol=CHANNEL_TOL):
         _check_tol(tol)
-        ops = [_numeric(a, np.complex128) for a in kraus]
+        try:
+            ops = [_numeric(a, np.complex128) for a in kraus]
+        except TypeError as exc:  # not iterable
+            raise DimensionMismatch(f"a Kraus family is a sequence of matrices, "
+                                    f"got {type(kraus).__name__}") from exc
         if not ops:
             raise InvariantViolation("completeness", "empty Kraus family")
         shape = ops[0].shape

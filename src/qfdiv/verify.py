@@ -209,10 +209,10 @@ def reverse_pinsker_and_binette(dim=4, samples=1000, seed=42):
     |rho - sigma| <= rho + sigma holds for most pairs.
 
     reverse-pinsker skips pairs closer than ``EQUAL_STATES_EPS`` in trace
-    distance t, which the condition test returns.  Its ``worst`` is the trace-distance form for
-    the MAXIMAL divergence, ``D_f^max <= binette_rhs(m, M, t, f)``, on the
-    condition-satisfying pairs, with per-generator violation counts in
-    ``extras``.  It is expected to FAIL: for f = tv the left side is
+    distance t, which the condition test returns.  Its ``worst`` is the
+    trace-distance form for the MAXIMAL divergence,
+    ``D_f^max <= binette_rhs(m, M, t, f)``, on the condition-satisfying
+    pairs, with per-generator violation counts in ``extras``.  It is expected to FAIL: for f = tv the left side is
     ||r - s||_1, which data processing through the recovery channel puts at
     or above t, strictly for non-commuting pairs.  Two forms that are
     theorems ride along in ``extras``:

@@ -30,6 +30,7 @@ from qfdiv.bounds import (
 from qfdiv.divergence import chi2_rows
 from qfdiv.errors import (
     DegenerateExtremes,
+    DimensionMismatch,
     DomainError,
     NoSecondDerivative,
     OutOfRange,
@@ -402,6 +403,21 @@ def test_audenaert_eisert_rows_reject_nan_and_out_of_range_inputs(t, beta, error
         warnings.simplefilter("error")
         with pytest.raises(error, match=message):
             audenaert_eisert_rows([t], [0.1], [beta])
+
+
+def test_audenaert_eisert_rows_reject_a_bad_alpha_and_rows_of_unequal_length():
+    # a nan alpha was read as below AE_ALPHA_FLOOR, an infinite beta gave
+    # nan, and rows of unequal length were broadcast
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alpha in (math.nan, math.inf, -math.inf, 1.5):
+            with pytest.raises(OutOfRange,
+                               match=r"^least eigenvalues alpha=.*, beta=0.25 outside \[-1, 1\]$"):
+                audenaert_eisert_rows([0.5], [alpha], [0.25])
+        with pytest.raises(OutOfRange, match="^row 1: least eigenvalues alpha=0.1, beta=inf "):
+            audenaert_eisert_rows([0.5, 0.5], [0.1, 0.1], [0.25, math.inf])
+    with pytest.raises(DimensionMismatch, match=r"^shapes \(1,\), \(2,\) and \(1,\) differ$"):
+        audenaert_eisert_rows([0.5], [0.1, 0.2], [0.25])
 
 
 # ---------------------------------------------------------------------------

@@ -219,6 +219,25 @@ def test_chi2_rows_match_the_single_pair_chi2():
     assert str(stacked.value) == f"row 2: {one.value}"
 
 
+def test_sigma_is_diagonalized_once_per_stack_across_the_pair_functions(monkeypatch):
+    # the witness computes sigma's eig and caches it on the stack, and the
+    # reference divergences read it there
+    pairs = [random_pairs([substream(84, k, i) for i in range(5)], 3) for k in range(2)]
+    seen = []
+    real = np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        seen.append(next((k for k, (_, sigma) in enumerate(pairs) if a is sigma.mats), "T"))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    for rho, sigma in pairs:
+        witness_batch(rho, sigma)
+        relative_entropy_rows(rho, sigma)
+        chi2_rows(rho, sigma)
+    assert seen == [0, "T", 1, "T"]
+
+
 def test_one_matrix_is_read_as_a_one_row_stack():
     # one state enters as the one-row stack of its DensityMatrix
     rho, sigma = random_pairs([substream(83, 0)], 3)

@@ -12,7 +12,12 @@ from conftest import (
     random_density,
 )
 
-from qfdiv.divergence import classical_f_div, max_relative_entropy
+from qfdiv.divergence import (
+    chi2_rows,
+    classical_f_div,
+    max_relative_entropy,
+    relative_entropy_rows,
+)
 from qfdiv import linalg, maximal
 from qfdiv.errors import (
     DimensionMismatch,
@@ -37,6 +42,7 @@ from qfdiv.states import (
     ClassicalDistribution,
     DensityStack,
     QuantumChannel,
+    abs_condition_holds,
     abs_condition_rows,
     apply_channel_rows,
     random_channel,
@@ -503,16 +509,26 @@ def test_witness_batch_rejects_mismatched_stacks():
                         for n in (3, 4)))
 
 
-def test_the_witness_core_names_the_state_stack_it_expects():
+@pytest.mark.parametrize("name", [
+    "witness_batch", "witness_residual_rows", "relative_entropy_rows", "chi2_rows",
+    "abs_condition_rows", "abs_condition_holds"])
+def test_every_pair_function_names_the_state_stack_it_expects(name):
+    # a plain array in either place, or a pair of one-state carriers
     rho, sigma = random_pairs([substream(65, i) for i in range(2)], 3)
     w = witness_batch(rho, sigma)
-    for args in ((rho.mats, sigma), (rho, sigma.mats), (rho.row(0), sigma.row(0))):
-        which, got = ("rho", args[0]) if args[0] is not rho else ("sigma", args[1])
-        message = f"^{which} must be a DensityStack, got {type(got).__name__}$"
-        with pytest.raises(NotAState, match=message):
-            witness_batch(*args)
-        with pytest.raises(NotAState, match=message):
-            witness_residual_rows(*args, w, KL)
+    call = {
+        "witness_batch": witness_batch,
+        "witness_residual_rows": lambda r, s: witness_residual_rows(r, s, w, KL),
+        "relative_entropy_rows": relative_entropy_rows,
+        "chi2_rows": chi2_rows,
+        "abs_condition_rows": abs_condition_rows,
+        "abs_condition_holds": abs_condition_holds,
+    }[name]
+    for args, which, got in (((rho.mats, sigma), "rho", "ndarray"),
+                             ((rho, sigma.mats), "sigma", "ndarray"),
+                             ((rho.row(0), sigma.row(0)), "rho", "DensityMatrix")):
+        with pytest.raises(NotAState, match=f"^{which} must be a DensityStack, got {got}$"):
+            call(*args)
 
 
 def test_recovery_channel_is_assembled_on_first_read(monkeypatch):

@@ -13,13 +13,12 @@ from conftest import (
     random_density,
 )
 
-from qfdiv import _seeding, states, verify
+from qfdiv import _seeding, linalg, states, verify
 from qfdiv.errors import (
     BadRank,
     DimensionMismatch,
     DomainError,
     InvariantViolation,
-    NotAState,
     OutOfRange,
 )
 from qfdiv.states import (
@@ -173,6 +172,13 @@ def test_quantum_channel_accepts_unitary_kraus():
     ch = QuantumChannel([hadamard])
     out = apply_channel_rows(ch.kraus[None], plus_state().mat[None])
     assert np.allclose(out.mats[0], np.diag([1.0, 0.0]), atol=1e-12)
+
+
+@pytest.mark.parametrize("kraus", [5, None, 2.5], ids=["int", "none", "float"])
+def test_quantum_channel_rejects_a_family_that_is_not_a_sequence(kraus):
+    with pytest.raises(DimensionMismatch,
+                       match="^a Kraus family is a sequence of matrices, got "):
+        QuantumChannel(kraus)
 
 
 def test_quantum_channel_rejects_mixed_shapes():
@@ -494,6 +500,30 @@ def test_selected_rows_stay_checked_and_keep_their_spectra(monkeypatch):
         assert not stack.mats.flags.writeable and not stack.spectra.flags.writeable
 
 
+def test_take_keeps_cached_eig_rows_bit_identical_to_a_fresh_eig(monkeypatch):
+    # eig is computed once, read-only, and never stands in for spectra;
+    # take hands its rows on with no eigensolver call, with the bits that a
+    # fresh hermitian_eig of the taken rows gives
+    rho, _ = random_pairs([substream(24, i) for i in range(CHUNK_ROWS)], 5, rank=10)
+    calls = count_eig_calls(monkeypatch)
+    eig = rho.eig
+    assert rho.eig is eig and calls == {"eigh": 1}
+    assert not eig.eigenvalues.flags.writeable and not eig.vectors.flags.writeable
+    picks = [[7, 3, 200], slice(10, 20), np.arange(CHUNK_ROWS) % 3 == 0]
+    taken = [rho.take(rows) for rows in picks]
+    for stack in taken:
+        assert stack.eig.vectors.shape == stack.mats.shape  # kept, not computed
+    assert calls == {"eigh": 1}
+    assert rho.spectra.shape == (CHUNK_ROWS, 5)
+    assert calls == {"eigh": 1, "eigvalsh": 1}
+    for rows, stack in zip(picks, taken):
+        fresh = linalg.hermitian_eig(rho.mats[rows])
+        assert np.array_equal(stack.eig.eigenvalues, fresh.eigenvalues)
+        assert np.array_equal(stack.eig.vectors, fresh.vectors)
+        assert not stack.eig.eigenvalues.flags.writeable
+        assert not stack.eig.vectors.flags.writeable
+
+
 def test_row_spectra_match_the_stack_and_a_fresh_state():
     rho, _ = random_pairs([substream(19, i) for i in range(CHUNK_ROWS)], 5, rank=10)
     before = [rho.row(i).spectrum for i in range(CHUNK_ROWS)]  # each its own
@@ -521,9 +551,6 @@ def test_abs_condition_rows_rejects_a_shape_mismatch():
     for test in (abs_condition_rows, abs_condition_holds):
         with pytest.raises(DimensionMismatch, match=r"shapes \(1, 2, 2\) and \(1, 3, 3\)"):
             test(*pair)
-        # one matrix is not a stack
-        with pytest.raises(NotAState, match="^rho must be a DensityStack, got ndarray$"):
-            test(np.eye(2) / 2, np.eye(2) / 2)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
