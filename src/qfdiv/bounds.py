@@ -2,7 +2,8 @@
 
 The bounds are evaluated entrywise over arrays, one pair per entry, and
 return the bound itself; callers form the slacks against the side they
-compute.
+compute.  Arrays of different shapes raise :class:`DimensionMismatch`
+rather than broadcast.
 """
 
 from __future__ import annotations
@@ -29,6 +30,17 @@ AE_ALPHA_FLOOR = 1e-12
 DEFAULT_QUAD_TOL = 1e-8
 MAX_QUAD_INTERVALS = 100_000
 _LOG_MAX_FLOAT = math.log(sys.float_info.max)
+
+
+def _one_shape(*arrays):
+    """The arrays as float arrays; raises :class:`DimensionMismatch` unless
+    they have one shape."""
+    arrays = [np.asarray(x, dtype=float) for x in arrays]
+    shapes = [a.shape for a in arrays]
+    if len(set(shapes)) > 1:
+        raise DimensionMismatch(f"shapes {', '.join(map(str, shapes[:-1]))} "
+                                f"and {shapes[-1]} differ")
+    return arrays
 
 
 def _trace_distance_check(t):
@@ -96,7 +108,7 @@ def binette_rhs(m, M, t, f):
     trace-distance form for the Umegaki relative entropy;
     ``verify.reverse_pinsker_and_binette`` checks both and says why.
     """
-    m, M, t = (np.asarray(x, dtype=float) for x in (m, M, t))
+    m, M, t = _one_shape(m, M, t)
     raise_first_failure([_trace_distance_check(t), _extremes_check(m, M)])
     return (t / 2.0) * zeta1_closed(m, M, f)
 
@@ -104,7 +116,7 @@ def binette_rhs(m, M, t, f):
 def zeta1_closed(m, M, f):
     """Closed form f(M)/(M-1) + f(m)/(1-m) of the unit-radius bound,
     entrywise over arrays of one shape."""
-    m, M = (np.asarray(x, dtype=float) for x in (m, M))
+    m, M = _one_shape(m, M)
     raise_first_failure([_extremes_check(m, M)])
     return f.values(M) / (M - 1.0) + f.values(m) / (1.0 - m)
 
@@ -194,9 +206,7 @@ def audenaert_eisert_rows(t, alpha, beta):
 
     where the second term vanishes for alpha < ``AE_ALPHA_FLOOR``.
     """
-    t, alpha, beta = (np.asarray(x, dtype=float) for x in (t, alpha, beta))
-    if not t.shape == alpha.shape == beta.shape:
-        raise DimensionMismatch(f"shapes {t.shape}, {alpha.shape} and {beta.shape} differ")
+    t, alpha, beta = _one_shape(t, alpha, beta)
     raise_first_failure([
         _trace_distance_check(t), singular_check(beta),
         # a state's least eigenvalue is at most 1; this fails nan and inf too

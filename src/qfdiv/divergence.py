@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, ZeroReference
 from .linalg import adjoint, raise_first_failure, singular_check
-from .states import check_pair
+from .states import check_pair, one_row_pair
 
 
 def f_div_rows(p, q, f):
@@ -73,8 +73,9 @@ def max_relative_entropy(rho, sigma):
     """D_max(rho || sigma) in nats: ln of the largest eigenvalue of
     W^{-1/2} V^dag rho V W^{-1/2}, for sigma = V W V^dag.  That matrix has
     T's spectrum but is not T, so this route to ln M shares only sigma's
-    eigendecomposition with the witness."""
-    rho, sigma = rho.as_stack(), sigma.as_stack()
+    eigendecomposition with the witness.  Takes two :class:`DensityMatrix`
+    states; other types raise :class:`NotAState`."""
+    rho, sigma = one_row_pair(rho, sigma)
     rotated = _sigma_frame(rho, sigma)[0] @ sigma.eig.vectors[0]
     scale = sigma.eig.eigenvalues[0] ** -0.5
     return math.log(float(np.linalg.eigvalsh(scale[:, None] * rotated * scale)[-1]))

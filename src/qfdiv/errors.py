@@ -9,10 +9,6 @@ class QfdivError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class NotHermitian(QfdivError, ValueError):
-    """Input matrix is not Hermitian within the requested tolerance."""
-
-
 class NoConvergence(QfdivError, RuntimeError):
     """The eigensolver failed to converge."""
 

@@ -1,17 +1,16 @@
 """Dense Hermitian linear algebra on small complex matrices.
 
 Plain ``numpy`` arrays in, plain arrays out; the typed state wrappers live in
-:mod:`qfdiv.states`.  The Hermiticity checks, ``hermitian_part``,
-``hermitian_eig``, ``trace_norm_hermitian`` and ``psd_rows`` also take a
-stack of matrices, shape ``(B, n, n)``, and work row by row: a single matrix
-gives a scalar result, a stack gives one entry per row.  Eigenvector phases
-follow a fixed convention so repeated runs on identical input are
-bit-identical.  A matrix is checked where it enters: ``require_hermitian``
-(or a state carrier of :mod:`qfdiv.states`) returns it symmetrized, and
-``hermitian_eig`` and ``trace_norm_hermitian`` take that Hermitian input as
-given and check nothing.  On finite input near the largest float,
-``require_hermitian`` and ``hermitian_eig`` return finite values or raise a
-typed error, and emit no warning.
+:mod:`qfdiv.states`.  ``hermitian_part``, ``hermitian_eig``,
+``trace_norm_hermitian`` and ``psd_rows`` also take a stack of matrices,
+shape ``(B, n, n)``, and work row by row: a single matrix gives a scalar
+result, a stack gives one entry per row.  Eigenvector phases follow a fixed
+convention so repeated runs on identical input are bit-identical.  Nothing
+here checks Hermiticity: a matrix is checked once, where it enters as a
+state (the carriers of :mod:`qfdiv.states`), and ``hermitian_eig`` and
+``trace_norm_hermitian`` take Hermitian input as given.  On finite input
+near the largest float, ``hermitian_part`` and ``hermitian_eig`` return
+finite values or raise a typed error, and emit no warning.
 """
 
 from __future__ import annotations
@@ -20,16 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    DomainError,
-    NegativeSpectrum,
-    NoConvergence,
-    NotHermitian,
-    SingularState,
-)
+from .errors import DimensionMismatch, DomainError, NoConvergence, SingularState
 
-HERMITIAN_TOL = 1e-10
 # eigenvalues in [-PSD_CLAMP_TOL, 0) are treated as exact zeros
 PSD_CLAMP_TOL = 1e-8
 # a state whose least eigenvalue is at or below this is treated as singular
@@ -91,8 +82,8 @@ def as_complex_matrix(a):
 
 
 def _defects(a):
-    # entries near the largest float can overflow into inf, which fails
-    # every tolerance; that must not warn
+    # max |a - a^dag| per row; entries near the largest float can overflow
+    # into inf, which fails every tolerance; that must not warn
     with np.errstate(over="ignore"):
         return np.abs(a - adjoint(a)).max(axis=(-2, -1))
 
@@ -101,21 +92,6 @@ def hermitian_part(m):
     """(m + m^dag) / 2, of a matrix or of each matrix in a stack, formed as
     m / 2 + m^dag / 2 so that it is finite for finite input."""
     return m * 0.5 + adjoint(m) * 0.5
-
-
-def hermiticity_defect(a):
-    """Largest entrywise deviation of ``a`` from its conjugate transpose."""
-    return _scalar(_defects(np.asarray(a)))
-
-
-def require_hermitian(a):
-    """Validate Hermiticity within ``HERMITIAN_TOL`` and return the
-    symmetrized copy."""
-    m = as_complex_matrix(a)
-    defect = _defects(m)
-    raise_first_failure([(defect > HERMITIAN_TOL, lambda i, where: NotHermitian(
-        f"{where}max |A - A^dag| = {defect.flat[i]:.3e} exceeds {HERMITIAN_TOL:.1e}"))])
-    return hermitian_part(m)
 
 
 @dataclass(frozen=True)
@@ -160,33 +136,10 @@ def _eigh(m):
 
 def hermitian_eig(a):
     """Eigendecomposition of a Hermitian matrix, or of each matrix in a
-    stack, with deterministic phases.  ``a`` must be Hermitian already (see
-    :func:`require_hermitian`) and is not checked."""
+    stack, with deterministic phases.  ``a`` must be Hermitian already and
+    is not checked."""
     w, u = _eigh(a)
     return HermitianEigen(w, _fix_phases(u))
-
-
-def matrix_function_psd(a, f):
-    """Apply a scalar function to a PSD Hermitian matrix through its spectrum.
-
-    ``a`` is checked by :func:`require_hermitian`.  Eigenvalues in
-    ``[-PSD_CLAMP_TOL, 0)`` are clamped to zero first; anything more
-    negative raises :class:`NegativeSpectrum`.
-    """
-    eig = hermitian_eig(require_hermitian(a))
-    w = eig.eigenvalues
-    if w[0] < -PSD_CLAMP_TOL:
-        raise NegativeSpectrum(
-            f"min eigenvalue {w[0]:.3e} below -{PSD_CLAMP_TOL:.1e}"
-        )
-    w = np.where(w < 0.0, 0.0, w)
-    try:
-        fw = np.array([float(f(x)) for x in w])
-    except (ArithmeticError, TypeError, ValueError) as exc:
-        raise DomainError(f"function undefined on the spectrum: {exc}") from exc
-    if not np.all(np.isfinite(fw)):
-        raise DomainError("function produced non-finite values on the spectrum")
-    return eig.compose(fw)
 
 
 def trace_norm_hermitian(x):

@@ -35,7 +35,7 @@ from .linalg import (
     singular_check,
     trace_norm_hermitian,
 )
-from .states import ClassicalDistribution, DensityStack, QuantumChannel, check_pair
+from .states import ClassicalDistribution, DensityStack, QuantumChannel, check_pair, one_row_pair
 
 WITNESS_TOL = 1e-9
 
@@ -165,8 +165,8 @@ def witness_batch(rho, sigma):
 def build_witness(rho, sigma):
     """Construct the witness distributions and recovery channel of one pair
     of :class:`DensityMatrix` states; the one-row view of
-    :func:`witness_batch`."""
-    return witness_batch(rho.as_stack(), sigma.as_stack()).row(0)
+    :func:`witness_batch`; other types raise :class:`NotAState`."""
+    return witness_batch(*one_row_pair(rho, sigma)).row(0)
 
 
 def witness_residual_rows(rho, sigma, w, f):

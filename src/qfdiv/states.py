@@ -136,7 +136,7 @@ def _check_states(m, tol):
     rounding at the boundary.
     """
     _check_tol(tol)
-    defect = linalg.hermiticity_defect(m)
+    defect = linalg._defects(m)
     m = linalg.hermitian_part(m)
     # a trace near the largest float overflows into inf, which fails
     with np.errstate(over="ignore"):
@@ -377,12 +377,23 @@ def apply_channel_rows(kraus, rho_mats, tol=STATE_TOL):
     return DensityStack(sum(terms), tol)
 
 
+def _check_types(kind, rho, sigma):
+    for name, state in (("rho", rho), ("sigma", sigma)):
+        if not isinstance(state, kind):
+            raise NotAState(f"{name} must be a {kind.__name__}, got {type(state).__name__}")
+
+
+def one_row_pair(rho, sigma):
+    """Two :class:`DensityMatrix` states as one-row stacks; raises
+    :class:`NotAState`, naming the argument, for any other type."""
+    _check_types(DensityMatrix, rho, sigma)
+    return rho.as_stack(), sigma.as_stack()
+
+
 def check_pair(rho, sigma):
     """Raise :class:`NotAState`, naming the argument, unless rho and sigma are
     both :class:`DensityStack`, and :class:`DimensionMismatch` if their shapes differ."""
-    for name, stack in (("rho", rho), ("sigma", sigma)):
-        if not isinstance(stack, DensityStack):
-            raise NotAState(f"{name} must be a DensityStack, got {type(stack).__name__}")
+    _check_types(DensityStack, rho, sigma)
     if rho.mats.shape != sigma.mats.shape:
         raise DimensionMismatch(f"stack shapes {rho.mats.shape} and {sigma.mats.shape} differ")
 

@@ -23,7 +23,7 @@ from .bounds import (
 )
 from .divergence import chi2_rows, relative_entropy_rows
 from .generators import builtin_generator
-from .linalg import (hermitian_part, matrix_function_psd, matrix_polynomial, singular_check,
+from .linalg import (hermitian_eig, hermitian_part, matrix_polynomial, singular_check,
                      trace_norm_hermitian)
 from .maximal import WITNESS_TOL, witness_batch, witness_residual_rows
 from .states import (
@@ -335,7 +335,8 @@ def operator_jensen_suite(trials=200, seed=42):
     With a resolution of identity {L_i} from a random channel (dimension and
     Kraus rank 2 to 4) and points
     x_i >= 0: sum f(x_i) L_i >= f(sum x_i L_i).  ``worst`` is the most
-    negative eigenvalue of the difference, sign-flipped.
+    negative eigenvalue of the difference, sign-flipped, or 0 when no
+    difference has a negative eigenvalue.
     """
     gens = [g for g in map(builtin_generator, ("kl", "chi2")) if g.operator_convex]
     worst = 0.0
@@ -346,10 +347,12 @@ def operator_jensen_suite(trials=200, seed=42):
         channel = random_channel(n, k, seed=rng)
         lambdas = [a.conj().T @ a for a in channel.kraus]
         xs = rng.uniform(0.0, 3.0, size=k)
-        mean = sum(x * l for x, l in zip(xs, lambdas))
+        mean_eig = hermitian_eig(hermitian_part(sum(x * l for x, l in zip(xs, lambdas))))
+        # the mean is PSD; its rounding-level negative eigenvalues read as 0
+        spectrum = np.where(mean_eig.eigenvalues < 0.0, 0.0, mean_eig.eigenvalues)
         for f in gens:
             lhs = sum(f.at(x) * l for x, l in zip(xs, lambdas))
-            rhs = matrix_function_psd(mean, f.at)
+            rhs = mean_eig.compose(np.array([f.at(x) for x in spectrum]))
             low = float(np.linalg.eigvalsh(lhs - rhs)[0])
             worst = max(worst, -low)
     return SuiteResult("operator-jensen", worst, IDENTITY_TOL)

@@ -420,6 +420,15 @@ def test_audenaert_eisert_rows_reject_a_bad_alpha_and_rows_of_unequal_length():
         audenaert_eisert_rows([0.5], [0.1, 0.2], [0.25])
 
 
+def test_binette_rhs_and_zeta1_closed_reject_arrays_of_unequal_shape():
+    # the first was broadcast into two values, the second raised numpy's
+    # bare ValueError
+    with pytest.raises(DimensionMismatch, match=r"^shapes \(1,\), \(2,\) and \(1,\) differ$"):
+        binette_rhs([0.1], [2.0, 3.0], [0.5], KL)
+    with pytest.raises(DimensionMismatch, match=r"^shapes \(2,\) and \(3,\) differ$"):
+        zeta1_closed([0.1, 0.2], [2.0, 3.0, 4.0], KL)
+
+
 # ---------------------------------------------------------------------------
 # reverse-Pinsker check on quantum pairs
 # ---------------------------------------------------------------------------

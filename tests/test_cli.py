@@ -21,7 +21,7 @@ from conftest import (
     reverse_pinsker,
 )
 
-from qfdiv import cli, linalg, maximal, states
+from qfdiv import cli, maximal, states
 from qfdiv.bounds import pinsker_chi2_lower
 from qfdiv.cli import (
     ExperimentConfig,
@@ -270,7 +270,6 @@ def test_fig2_checks_and_diagonalizes_each_kept_pair_once(tmp_path, capsys, monk
     # comes from sigma's eigh in the witness, and eigvalsh runs once, on kept rho
     rounds = []
     checks = []
-    hermitian = []
 
     def spy(module, name, calls):
         real = getattr(module, name)
@@ -283,15 +282,11 @@ def test_fig2_checks_and_diagonalizes_each_kept_pair_once(tmp_path, capsys, monk
 
     spy(cli, "random_pairs", rounds)
     spy(states, "_check_states", checks)
-    for module in (linalg, maximal, states, cli):
-        if hasattr(module, "require_hermitian"):
-            spy(module, "require_hermitian", hermitian)
     eig = count_eig_calls(monkeypatch)
     assert run_cli("fig2", "--samples", 200, "--seed", 7, "--out", tmp_path) == 0
     assert capsys.readouterr().out.startswith("fig2: kept 200 pairs, rejected 44;")
     assert len(rounds) > 1
     assert len(checks) == 2 * len(rounds)
-    assert hermitian == []
     # eigh: one of rho - sigma per round, and sigma and T in the witness
     assert dict(eig) == {"eigh": len(rounds) + 2, "eigvalsh": 1}
 

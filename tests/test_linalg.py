@@ -11,13 +11,15 @@ from qfdiv import linalg
 from qfdiv.errors import (
     DimensionMismatch,
     DomainError,
-    NegativeSpectrum,
+    InvariantViolation,
     NoConvergence,
-    NotHermitian,
     SingularState,
 )
+from qfdiv.states import DensityMatrix, DensityStack
 
 RNG = np.random.default_rng(20240811)
+# slack of the Loewner-order comparisons, on the least eigenvalue
+LOEWNER_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -37,13 +39,15 @@ def test_pauli_x_eigendecomposition():
 
 
 def test_sqrt_of_diagonal():
-    out = linalg.matrix_function_psd(np.diag([4.0, 9.0]), math.sqrt)
+    eig = linalg.hermitian_eig(np.diag([4.0, 9.0]))
+    out = eig.compose(np.sqrt(eig.eigenvalues))
     assert np.allclose(out, np.diag([2.0, 3.0]), atol=1e-12)
 
 
 def test_quadratic_on_singular_diagonal():
-    # f(x) = x^2 - 1 evaluated through the spectrum of diag(2, 0)
-    out = linalg.matrix_function_psd(np.diag([2.0, 0.0]), lambda x: x * x - 1.0)
+    # f(x) = x^2 - 1 composed through the spectrum of diag(2, 0), f(0) != 0
+    eig = linalg.hermitian_eig(np.diag([2.0, 0.0]))
+    out = eig.compose(eig.eigenvalues ** 2 - 1.0)
     assert np.allclose(out, np.diag([3.0, -1.0]), atol=1e-12)
 
 
@@ -63,8 +67,8 @@ def test_trace_norm_of_pure_vs_mixed_difference():
 
 
 def _geq(x, y):
-    """X >= Y in the Loewner order, up to ``-HERMITIAN_TOL`` on the spectrum."""
-    return linalg.psd_rows(np.asarray(x) - np.asarray(y), linalg.HERMITIAN_TOL)
+    """X >= Y in the Loewner order, up to ``-LOEWNER_TOL`` on the spectrum."""
+    return linalg.psd_rows(np.asarray(x) - np.asarray(y), LOEWNER_TOL)
 
 
 def test_loewner_order_comparable_pair():
@@ -192,35 +196,10 @@ def test_polynomial_inverse_weighted_trace_identity():
 # ---------------------------------------------------------------------------
 
 
-def test_non_hermitian_input_is_rejected():
-    with pytest.raises(NotHermitian):
-        linalg.require_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
 def test_hermitian_defect_within_tolerance_is_symmetrized():
-    a = np.array([[1.0, 1e-12], [0.0, 1.0]])
-    out = linalg.require_hermitian(a)
-    assert linalg.hermiticity_defect(out) == 0.0
-
-
-def test_clearly_negative_spectrum_is_rejected():
-    with pytest.raises(NegativeSpectrum):
-        linalg.matrix_function_psd(np.diag([1.0, -1.0]), math.sqrt)
-
-
-def test_tiny_negative_eigenvalue_is_clamped_to_zero():
-    out = linalg.matrix_function_psd(np.diag([1.0, -1e-9]), math.sqrt)
-    assert np.allclose(out, np.diag([1.0, 0.0]), atol=1e-12)
-
-
-def test_function_undefined_on_spectrum_raises_domain_error():
-    with pytest.raises(DomainError):
-        linalg.matrix_function_psd(np.diag([1.0, 0.0]), math.log)
-
-
-def test_function_producing_nan_raises_domain_error():
-    with pytest.raises(DomainError):
-        linalg.matrix_function_psd(np.eye(2), lambda _: float("nan"))
+    # within the carrier's tolerance, so accepted and symmetrized
+    out = DensityMatrix(np.array([[0.5, 1e-12], [0.0, 0.5]])).mat
+    assert np.array_equal(out, linalg.adjoint(out))
 
 
 def test_singular_check_rejects_a_near_singular_spectrum():
@@ -253,9 +232,10 @@ def test_entries_near_the_largest_float_give_finite_results_or_typed_errors():
         assert eig.eigenvalues.tolist() == [1e308, 1e308]
         assert np.array_equal(eig.vectors, np.eye(2))
         big = np.array([[1e308, 1e308j], [-1e308j, 1e308]])
-        assert np.array_equal(linalg.require_hermitian(big), big)
-        with pytest.raises(NotHermitian, match="= inf exceeds"):
-            linalg.require_hermitian(np.array([[0.0, 1e308], [-1e308, 0.0]]))
+        assert np.array_equal(linalg.hermitian_part(big), big)
+        # a defect that overflows fails the carriers' Hermiticity check
+        with pytest.raises(InvariantViolation, match="^hermiticity: max .* = inf$"):
+            DensityMatrix(np.array([[0.5, 1e308], [-1e308, 0.5]]))
         # a finite matrix whose largest eigenvalue (2e308) is past the largest float
         with pytest.raises(DomainError, match="overflow"):
             linalg.hermitian_eig(np.full((2, 2), 1e308))
@@ -265,10 +245,10 @@ def test_in_range_symmetrization_keeps_the_bits_of_the_halved_sum():
     def halved_sum(m):
         return (m + linalg.adjoint(m)) / 2
 
-    # Hermitian within HERMITIAN_TOL, not to the last bit
+    # Hermitian within a state's tolerance, not to the last bit
     m = RNG.standard_normal((6, 4, 4)) + 1j * RNG.standard_normal((6, 4, 4))
     m = halved_sum(m) + 1e-12 * RNG.standard_normal((6, 4, 4))
-    assert np.array_equal(linalg.require_hermitian(m), halved_sum(m))
+    assert np.array_equal(linalg.hermitian_part(m), halved_sum(m))
     # Ginibre products G G^dag, as states are sampled, and T-shaped products
     # sigma^{-1/2} rho sigma^{-1/2}, as the witness forms them
     rng = np.random.default_rng(34)
@@ -280,9 +260,8 @@ def test_in_range_symmetrization_keeps_the_bits_of_the_halved_sum():
         eig = linalg.hermitian_eig(sigma)
         inv_sqrt = eig.compose(eig.eigenvalues ** -0.5)
         for name, x in (("gram", gram), ("t", inv_sqrt @ rho @ inv_sqrt)):
-            inexact[name] += int(np.count_nonzero(linalg.hermiticity_defect(x) > 0.0))
+            inexact[name] += int(np.count_nonzero((x != linalg.adjoint(x)).any(axis=(1, 2))))
             assert np.array_equal(linalg.hermitian_part(x), halved_sum(x))
-            assert np.array_equal(linalg.require_hermitian(x), halved_sum(x))
     # the products are not Hermitian to the last bit, so the halving is tested
     assert inexact["gram"] > 0 and inexact["t"] > 0
 
@@ -328,14 +307,14 @@ def test_stacked_checks_return_one_entry_per_row():
 
 
 def test_stacked_hermiticity_check_names_the_lowest_failing_row():
-    stack = np.array([np.eye(2)] * 4, dtype=complex)
+    stack = np.array([np.eye(2) / 2] * 4, dtype=complex)
     stack[3, 0, 1] = 1.0
     stack[1, 1, 0] = 1.0
-    assert linalg.hermiticity_defect(stack).tolist() == [0.0, 1.0, 0.0, 1.0]
-    with pytest.raises(NotHermitian, match="^row 1: "):
-        linalg.require_hermitian(stack)
-    with pytest.raises(NotHermitian, match="^max"):
-        linalg.require_hermitian(stack[1])
+    # the state carriers are the one Hermiticity check
+    with pytest.raises(InvariantViolation, match=r"^hermiticity: row 1: .* = 1\.000e\+00$"):
+        DensityStack(stack)
+    with pytest.raises(InvariantViolation, match="^hermiticity: max"):
+        DensityStack(stack[1:2])
 
 
 # ---------------------------------------------------------------------------

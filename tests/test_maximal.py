@@ -397,24 +397,6 @@ def test_a_bad_rho_row_raises_the_carriers_error_for_the_lowest_row(defect):
         witness_batch(DensityStack(bad), sigma)
 
 
-def test_require_hermitian_never_runs_in_witness_batch_or_witness_residual_rows(monkeypatch):
-    # every state stack is checked where it is built, the one-row stacks
-    # reuse the checked rows, and T is symmetrized where it is formed
-    calls = []
-
-    def spy(a, _check=linalg.require_hermitian):
-        calls.append(np.shape(a))
-        return _check(a)
-
-    for module in (linalg, maximal):
-        monkeypatch.setattr(module, "require_hermitian", spy, raising=False)
-    rho, sigma = random_pairs([substream(53, i) for i in range(5)], 3)
-    witness_batch(rho, sigma)
-    assert calls == []
-    _residuals(rho.row(0), sigma.row(0), KL)
-    assert calls == []
-
-
 def test_witness_rejects_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         build_witness(
@@ -528,6 +510,18 @@ def test_every_pair_function_names_the_state_stack_it_expects(name):
                              ((rho, sigma.mats), "sigma", "ndarray"),
                              ((rho.row(0), sigma.row(0)), "rho", "DensityMatrix")):
         with pytest.raises(NotAState, match=f"^{which} must be a DensityStack, got {got}$"):
+            call(*args)
+
+
+@pytest.mark.parametrize("call", [build_witness, max_relative_entropy],
+                         ids=["build_witness", "max_relative_entropy"])
+def test_one_pair_entry_points_name_the_state_they_expect(call):
+    # a plain array, or a stack, in either place
+    rho, sigma = random_density(2, seed=substream(66, 0)), random_density(2, seed=substream(66, 1))
+    for args, which, got in (((np.eye(2) / 2, sigma), "rho", "ndarray"),
+                             ((rho, np.eye(2) / 2), "sigma", "ndarray"),
+                             ((rho.as_stack(), sigma), "rho", "DensityStack")):
+        with pytest.raises(NotAState, match=f"^{which} must be a DensityMatrix, got {got}$"):
             call(*args)
 
 
