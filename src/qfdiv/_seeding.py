@@ -19,6 +19,8 @@ import numpy as np
 from numpy.random import PCG64, Generator
 from numpy.random.bit_generator import ISeedSequence
 
+from .errors import StreamsConsumed
+
 POOL_SIZE = 4
 # words of generate_state(4, np.uint64) seen as uint32
 STATE_WORDS = 8
@@ -119,7 +121,23 @@ class _SeedWords(ISeedSequence):
         return self.state
 
 
-def generators(seed, prefix, indices):
+class Generators:
     """One ``Generator(PCG64)`` per index, each seeded from its row of
-    ``seed_states``."""
-    return [Generator(PCG64(_SeedWords(row))) for row in seed_states(seed, prefix, indices)]
+    ``seed_states`` when iteration reaches it: the sized, one-pass iterable
+    that ``states.substreams`` returns."""
+
+    __slots__ = ("_states", "_used")
+
+    def __init__(self, seed, prefix, indices):
+        self._states = seed_states(seed, prefix, indices)
+        self._used = False
+
+    def __len__(self):
+        return len(self._states)
+
+    def __iter__(self):
+        if self._used:
+            raise StreamsConsumed("these substreams were already iterated; "
+                                  "take list(...) to draw from them again")
+        self._used = True
+        return (Generator(PCG64(_SeedWords(row))) for row in self._states)

@@ -32,10 +32,29 @@ MAX_QUAD_INTERVALS = 100_000
 _LOG_MAX_FLOAT = math.log(sys.float_info.max)
 
 
+def _floats(*arrays):
+    """The arrays as float arrays; raises :class:`DomainError` for entries
+    that are not real numbers."""
+    try:
+        return [np.asarray(x, dtype=float) for x in arrays]
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"entries are not real numbers: {exc}") from exc
+
+
+def _numbers(**named):
+    """The named arguments as floats; raises :class:`DomainError` unless each
+    is one real number."""
+    arrays = _floats(*named.values())
+    for name, a in zip(named, arrays):
+        if a.ndim:
+            raise DomainError(f"{name} must be a number, got shape {a.shape}")
+    return [float(a) for a in arrays]
+
+
 def _one_shape(*arrays):
-    """The arrays as float arrays; raises :class:`DimensionMismatch` unless
-    they have one shape."""
-    arrays = [np.asarray(x, dtype=float) for x in arrays]
+    """The arrays as float arrays (:func:`_floats`); raises
+    :class:`DimensionMismatch` unless they have one shape."""
+    arrays = _floats(*arrays)
     shapes = [a.shape for a in arrays]
     if len(set(shapes)) > 1:
         raise DimensionMismatch(f"shapes {', '.join(map(str, shapes[:-1]))} "
@@ -60,7 +79,7 @@ def pinsker_chi2_lower(t):
 
     Piecewise: t^2 on [0, 1], t / (2 - t) on (1, 2]; unbounded as t -> 2.
     """
-    t = np.asarray(t, dtype=float)
+    (t,) = _floats(t)
     raise_first_failure([_trace_distance_check(t)])
     with np.errstate(divide="ignore"):
         return _scalar(np.where(t <= 1.0, t * t, t / (2.0 - t)))
@@ -75,6 +94,7 @@ def decoherence_bounds(chi2_0, lam, t):
     and equal to the classical one after the crossover.  Always
     improved <= temme and improved <= 2.
     """
+    chi2_0, lam, t = _numbers(chi2_0=chi2_0, lam=lam, t=t)
     if not 0.0 <= chi2_0 < math.inf:
         raise OutOfRange(f"chi2_0 must be finite and nonnegative, got {chi2_0}")
     if not 0.0 < lam < math.inf:
@@ -127,10 +147,12 @@ def zeta1_integral(m, M, f, quad_tol=DEFAULT_QUAD_TOL):
     Two adaptive-quadrature pieces: gamma in [1, M] weighted by
     (M - gamma)/(M - 1), and gamma in [1, 1/m] weighted by
     (1/m - gamma)/(1/m - 1) with the reflected curvature
-    gamma^{-3} f''(1/gamma).  Needs m > 0 and a generator with f''.
+    gamma^{-3} f''(1/gamma).  Needs one pair of real numbers, m > 0, and a
+    generator with f''.
     """
     if f.second_derivative is None:
         raise NoSecondDerivative(f"generator {f.name} has no second derivative")
+    m, M = _numbers(m=m, M=M)
     if not (0.0 < m < 1.0 < M < math.inf):
         raise DegenerateExtremes(f"need 0 < m < 1 < M < inf, got m={m}, M={M}")
     fpp = f.second_derivative

@@ -391,7 +391,8 @@ def _accepted_pairs(config, start, stop, draws):
     Raises :class:`SamplingBudgetExceeded` rather than draw more than
     ``FIG2_DRAWS_PER_PAIR`` pairs per requested sample in all.
     """
-    rngs = substreams(config.seed, (), range(start, stop))
+    # a pending sample draws again from its stream in the next round
+    rngs = list(substreams(config.seed, (), range(start, stop)))
     size = stop - start
     budget = FIG2_DRAWS_PER_PAIR * config.samples
     kept = []  # per round: sample positions, rho rows, sigma rows, trace distances

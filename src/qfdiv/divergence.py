@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, ZeroReference
 from .linalg import adjoint, raise_first_failure, singular_check
-from .states import check_pair, one_row_pair
+from .states import ClassicalDistribution, check_pair, check_types, one_row_pair
 
 
 def f_div_rows(p, q, f):
@@ -32,7 +32,10 @@ def f_div_rows(p, q, f):
 
 
 def classical_f_div(p, q, f):
-    """D_f(p || q) = sum_i q_i f(p_i / q_i); q must be strictly positive."""
+    """D_f(p || q) = sum_i q_i f(p_i / q_i) of two
+    :class:`ClassicalDistribution`; q must be strictly positive.  Other
+    types raise :class:`NotAState`."""
+    check_types(ClassicalDistribution, p=p, q=q)
     return float(f_div_rows(p.probs[None], q.probs[None], f)[0])
 
 

@@ -66,6 +66,10 @@ class SamplingBudgetExceeded(QfdivError, RuntimeError):
     requested sample."""
 
 
+class StreamsConsumed(QfdivError, RuntimeError):
+    """One-pass substreams were iterated a second time."""
+
+
 class ParseError(QfdivError, ValueError):
     """A state file could not be parsed."""
 

@@ -120,7 +120,10 @@ def witness_batch(rho, sigma):
     same columns the Kraus operators use, so the recovery channel is
     complete to rounding even for nearly singular sigma.  r and s must be
     normalized within ``WITNESS_TOL``.  When rows fail, the error is the one
-    the lowest failing row raises.  Sigma's eigendecomposition is read from
+    the lowest failing row raises.  A row whose r gap fails where
+    eps n lambda_max exceeds ``WITNESS_TOL`` raises :class:`SingularState`
+    naming that conditioning, since the eigensolver's error on T alone can
+    open such a gap.  Sigma's eigendecomposition is read from
     its stack (``sigma.eig``), so the reference divergences that read it
     too do not diagonalize sigma again.
     """
@@ -144,6 +147,11 @@ def witness_batch(rho, sigma):
     s_min = s_vec.min(axis=-1)
     r_gap = np.abs(r_vec.sum(axis=-1) - 1.0)
     s_gap = np.abs(s_vec.sum(axis=-1) - 1.0)
+    # r's gap grows like the eigensolver's error on T, eps n lambda_max; past
+    # WITNESS_TOL it reads sigma's conditioning, not a broken witness
+    lam_max = lam[:, -1]
+    ill = np.finfo(float).eps * lam.shape[-1] * lam_max > WITNESS_TOL
+    r_bad = r_gap > WITNESS_TOL
     raise_first_failure(
         [
             sigma_check,
@@ -151,7 +159,10 @@ def witness_batch(rho, sigma):
                 f"{where}ratio matrix has eigenvalue {low[i]:.3e}")),
             (s_min <= 0.0, lambda i, where: SingularState(
                 f"{where}witness weight {s_min[i]:.3e} not positive")),
-            (r_gap > WITNESS_TOL, lambda i, where: InvariantViolation(
+            (r_bad & ill, lambda i, where: SingularState(
+                f"{where}r: |sum - 1| = {r_gap[i]:.3e} exceeds {WITNESS_TOL:g} at "
+                f"lambda_max = {lam_max[i]:.3e}, sigma's least eigenvalue {w[i, 0]:.3e}")),
+            (r_bad & ~ill, lambda i, where: InvariantViolation(
                 "normalization", f"{where}r: |sum - 1| = {r_gap[i]:.3e}")),
             (s_gap > WITNESS_TOL, lambda i, where: InvariantViolation(
                 "normalization", f"{where}s: |sum - 1| = {s_gap[i]:.3e}")),

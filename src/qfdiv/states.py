@@ -5,10 +5,11 @@ substream derived from (seed, sample index), so results do not depend on
 evaluation order.  The batched loops seed a whole chunk of substreams with
 one vectorized pass of ``SeedSequence``'s hash (:func:`substreams`), about
 4 µs per generator against about 26 µs for one ``SeedSequence`` each, and
-every generator is in exactly the state that :func:`substream` gives.  Each
-generator makes one Gaussian draw straight into a preallocated stack, in the
-order that one-at-a-time sampling would draw, so a stack holds exactly the
-states that one-at-a-time sampling would give.
+every generator is in exactly the state that :func:`substream` gives; each
+is built only when the sampling loop reaches it.  Each generator makes one
+Gaussian draw straight into a preallocated stack, in the order that
+one-at-a-time sampling would draw, so a stack holds exactly the states that
+one-at-a-time sampling would give.
 
 Every state built, sampled or parsed, is checked for positivity at its
 ``tol`` by one Cholesky factorization of ``m + tol I`` per stack; the
@@ -54,13 +55,18 @@ def substream(seed, *key):
 
 
 def substreams(seed, prefix, indices):
-    """One generator per index: generator b is in exactly the state of
+    """One generator per index, as a sized iterable that can be iterated
+    once: generator b is in exactly the state of
     ``substream(seed, *prefix, indices[b])``.
 
-    ``SeedSequence``'s hash runs once over the whole chunk.  Its fixed cost
-    makes it dearer than :func:`substream` below about ten indices and about
-    six times cheaper per generator at ``CHUNK_ROWS``.  Indices must lie in
-    ``[0, MAX_INDEX]``.
+    ``SeedSequence``'s hash runs once over the whole chunk, here; each
+    generator is built from its hashed row only when iteration reaches it,
+    so a loop that draws once per generator holds one at a time, too few
+    live objects to start a garbage collection.  A second iteration raises
+    :class:`StreamsConsumed`; a caller that draws from a stream again
+    later takes ``list(...)``.  The hash's fixed cost makes it dearer than
+    :func:`substream` below about ten indices and about six times cheaper
+    per generator at ``CHUNK_ROWS``.  Indices must lie in ``[0, MAX_INDEX]``.
     """
     _check_key((seed, *prefix))
     idx = np.asarray(indices)
@@ -68,7 +74,7 @@ def substreams(seed, prefix, indices):
         raise OutOfRange(f"sample indices must be integers in [0, {MAX_INDEX}]")
     from . import _seeding  # loads numpy.random on first use, not at import
 
-    return _seeding.generators(int(seed), tuple(map(int, prefix)), idx.astype(np.uint32))
+    return _seeding.Generators(int(seed), tuple(map(int, prefix)), idx.astype(np.uint32))
 
 
 def _check_tol(tol):
@@ -322,8 +328,9 @@ def ginibre_states(factors):
 
 
 def random_pairs(rngs, n, rank=None):
-    """One (rho, sigma) draw from each generator, rho first, as two stacks
-    of states G G^dag / tr(G G^dag), G an n x rank complex Gaussian.
+    """One (rho, sigma) draw from each generator of ``rngs``, a sized
+    iterable read once, rho first, as two stacks of states
+    G G^dag / tr(G G^dag), G an n x rank complex Gaussian.
 
     rank = n (the default) is the Hilbert-Schmidt ensemble; rank < n gives
     rank-deficient states; rank > n keeps full rank but concentrates the
@@ -353,12 +360,18 @@ def _ginibre_factors(rngs, n, rank):
 
 def random_channel(n, k=None, seed=None):
     """Draw a Haar-random isometry C^n -> C^(kn) and split it into k Kraus
-    blocks; k defaults to n."""
+    blocks; k defaults to n.  ``seed`` is anything ``np.random.default_rng``
+    takes, a generator included, which then draws on."""
     if k is None:
         k = n
-    if k < 1 or n < 1:
-        raise DimensionMismatch(f"need n >= 1 and k >= 1, got n={n}, k={k}")
-    rng = np.random.default_rng(seed)
+    for name, size in (("n", n), ("k", k)):
+        if not isinstance(size, (int, np.integer)) or size < 1:
+            raise DimensionMismatch(f"{name} must be an integer >= 1, got {size!r}")
+    try:
+        rng = np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        raise OutOfRange(f"seed must be a nonnegative integer or a generator, "
+                         f"got {seed!r}") from exc
     g = rng.standard_normal((k * n, n)) + 1j * rng.standard_normal((k * n, n))
     q, r = np.linalg.qr(g)
     diag = np.diagonal(r)
@@ -377,8 +390,10 @@ def apply_channel_rows(kraus, rho_mats, tol=STATE_TOL):
     return DensityStack(sum(terms), tol)
 
 
-def _check_types(kind, rho, sigma):
-    for name, state in (("rho", rho), ("sigma", sigma)):
+def check_types(kind, **named):
+    """Raise :class:`NotAState`, naming the argument, for the first of
+    ``named`` that is not a ``kind``."""
+    for name, state in named.items():
         if not isinstance(state, kind):
             raise NotAState(f"{name} must be a {kind.__name__}, got {type(state).__name__}")
 
@@ -386,14 +401,14 @@ def _check_types(kind, rho, sigma):
 def one_row_pair(rho, sigma):
     """Two :class:`DensityMatrix` states as one-row stacks; raises
     :class:`NotAState`, naming the argument, for any other type."""
-    _check_types(DensityMatrix, rho, sigma)
+    check_types(DensityMatrix, rho=rho, sigma=sigma)
     return rho.as_stack(), sigma.as_stack()
 
 
 def check_pair(rho, sigma):
     """Raise :class:`NotAState`, naming the argument, unless rho and sigma are
     both :class:`DensityStack`, and :class:`DimensionMismatch` if their shapes differ."""
-    _check_types(DensityStack, rho, sigma)
+    check_types(DensityStack, rho=rho, sigma=sigma)
     if rho.mats.shape != sigma.mats.shape:
         raise DimensionMismatch(f"stack shapes {rho.mats.shape} and {sigma.mats.shape} differ")
 

@@ -122,7 +122,8 @@ def dpi_suite(dim=4, trials=100, seed=42):
     skipped = 0
     tv_increases = 0
     for start in range(0, trials, CHUNK_ROWS):
-        rngs = substreams(seed, (), range(start, min(start + CHUNK_ROWS, trials)))
+        # each stream draws a pair, then a channel
+        rngs = list(substreams(seed, (), range(start, min(start + CHUNK_ROWS, trials))))
         rho, sigma = random_pairs(rngs, dim)
         kraus = np.stack([random_channel(dim, seed=rng).kraus for rng in rngs])
         out_rho = apply_channel_rows(kraus, rho.mats, rho.tol)
@@ -384,7 +385,8 @@ def condition_rate(dim=4, samples=1000, seed=42, commuting=False, environment=No
 
 def _random_commuting_pairs(rngs, dim):
     """Diagonal (rho, sigma) stacks with Dirichlet spectra, rho first; each
-    generator draws both spectra in one call."""
+    generator of ``rngs``, a sized iterable read once, draws both spectra in
+    one call."""
     spectra = np.empty((len(rngs), 2, dim))
     for b, rng in enumerate(rngs):
         spectra[b] = rng.dirichlet(np.ones(dim), size=2)

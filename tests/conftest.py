@@ -49,6 +49,18 @@ def random_density(n, rank=None, seed=None):
     return ginibre_states(g).row(0)
 
 
+def ill_conditioned_pair(seed, n=4, least=1e-8):
+    """rho from ``random_density``, and sigma with a Haar eigenbasis, least
+    eigenvalue ``least`` and its other eigenvalues Dirichlet, summing to
+    1 - least; all drawn from one generator of ``seed``."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(g)
+    q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    w = np.concatenate([[least], rng.dirichlet(np.ones(n - 1)) * (1.0 - least)])
+    return random_density(n, seed=rng), DensityMatrix((q * w) @ q.conj().T)
+
+
 def relative_entropy(rho, sigma):
     """Umegaki relative entropy of one pair, diagonalizing sigma on its own."""
     return float(relative_entropy_rows(rho.as_stack(), sigma.as_stack())[0])

@@ -429,6 +429,29 @@ def test_binette_rhs_and_zeta1_closed_reject_arrays_of_unequal_shape():
         zeta1_closed([0.1, 0.2], [2.0, 3.0, 4.0], KL)
 
 
+def test_bounds_reject_entries_that_are_not_real_numbers():
+    # each raised numpy's or Python's bare ValueError or TypeError
+    for call in (lambda: pinsker_chi2_lower("a"),
+                 lambda: binette_rhs("a", 2.0, 0.5, KL),
+                 lambda: zeta1_closed([0.5], [1j], KL),
+                 lambda: audenaert_eisert_rows([0.5], ["x"], [0.25]),
+                 lambda: zeta1_integral("a", 2.0, KL),
+                 lambda: decoherence_bounds(1.0, "a", 1.0)):
+        with pytest.raises(DomainError, match="^entries are not real numbers: "):
+            call()
+
+
+def test_scalar_bounds_take_numbers_not_arrays():
+    # each array raised "truth value ... is ambiguous"
+    with pytest.raises(DomainError, match=r"^m must be a number, got shape \(2,\)$"):
+        zeta1_integral(np.array([0.1, 0.2]), np.array([2.0, 3.0]), KL)
+    with pytest.raises(DomainError, match=r"^t must be a number, got shape \(2,\)$"):
+        decoherence_bounds(1.0, 0.1, [1.0, 2.0])
+    with pytest.raises(DegenerateExtremes):
+        zeta1_integral(math.nan, 2.0, KL)
+    assert zeta1_integral(np.float64(0.5), np.array(2.0), KL) == zeta1_integral(0.5, 2.0, KL)
+
+
 # ---------------------------------------------------------------------------
 # reverse-Pinsker check on quantum pairs
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import pytest
 from conftest import (
     audenaert_eisert,
     count_eig_calls,
+    ill_conditioned_pair,
     maximally_mixed,
     plus_state,
     quantum_chi2,
@@ -162,6 +163,19 @@ def _write_pair(tmp_path):
     write_state_file(rho_path, plus_state())
     write_state_file(sigma_path, maximally_mixed())
     return rho_path, sigma_path
+
+
+@pytest.mark.parametrize("command", ["witness", "compare-bounds"])
+def test_pair_commands_exit_1_where_sigma_is_too_ill_conditioned(tmp_path, capsys, command):
+    # a SingularState, not a broken invariant: exit 1, not 2
+    paths = [tmp_path / "rho.txt", tmp_path / "sigma.txt"]
+    for path, state in zip(paths, ill_conditioned_pair(28)):
+        write_state_file(path, state)
+    assert run_cli(command, *paths) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: r: |sum - 1| = ")
+    assert captured.err.endswith("sigma's least eigenvalue 1.000e-08\n")
 
 
 def test_verify_command_reports_the_known_red_suite(tmp_path, capsys):

@@ -20,7 +20,7 @@ from qfdiv.divergence import (
     max_relative_entropy,
     relative_entropy_rows,
 )
-from qfdiv.errors import DimensionMismatch, SingularState, ZeroReference
+from qfdiv.errors import DimensionMismatch, NotAState, SingularState, ZeroReference
 from qfdiv.generators import builtin_generator
 from qfdiv.linalg import trace_norm_hermitian
 from qfdiv.maximal import witness_batch
@@ -78,6 +78,13 @@ def test_classical_divergence_handles_zero_in_p():
 def test_classical_divergence_rejects_zero_reference():
     with pytest.raises(ZeroReference):
         classical_f_div(Q12, ClassicalDistribution([1.0, 0.0]), KL)
+
+
+def test_classical_divergence_takes_two_distributions():
+    # plain arrays raised a bare AttributeError about .probs
+    for p, q, name in [(np.array([0.5, 0.5]), Q12, "p"), (Q12, [0.5, 0.5], "q")]:
+        with pytest.raises(NotAState, match=f"^{name} must be a ClassicalDistribution, got "):
+            classical_f_div(p, q, KL)
 
 
 def test_classical_divergence_rejects_length_mismatch():

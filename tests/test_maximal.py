@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from conftest import (
     diagonal_state,
+    ill_conditioned_pair,
     maximally_mixed,
     plus_state,
     quantum_chi2,
@@ -28,6 +29,7 @@ from qfdiv.errors import (
 )
 from qfdiv.generators import FGenerator, builtin_generator
 from qfdiv.linalg import (
+    HermitianEigen,
     hermitian_eig,
     matrix_polynomial,
     trace_norm_hermitian,
@@ -555,6 +557,33 @@ def test_witness_is_complete_for_a_nearly_singular_sigma():
     assert np.max(np.abs(comp - np.eye(8))) <= 1e-14
     for f in (KL, CHI2, TV):
         assert _passes(rho, sigma, f)
+
+
+def test_r_gap_of_an_ill_conditioned_sigma_is_a_singular_state():
+    # sigma's least eigenvalue is 1e-8, so eps n lambda_max = 3.0e-8 is far
+    # above WITNESS_TOL: the eigensolver's error on T alone opens r's gap
+    rho, sigma = ill_conditioned_pair(28)
+    with pytest.raises(SingularState, match=(
+            r"^r: \|sum - 1\| = \d\.\d{3}e-09 exceeds 1e-09 at lambda_max = 3\.39\de\+07, "
+            r"sigma's least eigenvalue 1\.000e-08$")):
+        build_witness(rho, sigma)
+    stack = [x.as_stack() for x in (*ill_conditioned_pair(0), rho, sigma)]
+    with pytest.raises(SingularState, match="^row 1: r: "):
+        witness_batch(DensityStack.concatenate(stack[::2]),
+                      DensityStack.concatenate(stack[1::2]))
+
+
+def test_r_gap_of_a_well_conditioned_sigma_stays_an_invariant_violation(monkeypatch):
+    real = maximal.hermitian_eig
+
+    def inflated(m):
+        e = real(m)
+        return HermitianEigen(e.eigenvalues * (1.0 + 1e-6), e.vectors)
+
+    monkeypatch.setattr(maximal, "hermitian_eig", inflated)
+    rho, sigma = random_pairs([substream(29, i) for i in range(3)], 4)
+    with pytest.raises(InvariantViolation, match=r"^normalization: row 0: r: \|sum - 1\| = 1\.0"):
+        witness_batch(rho, sigma)
 
 
 def test_witness_r_defect_shows_as_its_residual():

@@ -20,6 +20,8 @@ from qfdiv.errors import (
     DomainError,
     InvariantViolation,
     OutOfRange,
+    QfdivError,
+    StreamsConsumed,
 )
 from qfdiv.states import (
     CHANNEL_TOL,
@@ -232,14 +234,31 @@ ORACLE_INDICES = [*range(300), MAX_INDEX]
 @pytest.mark.parametrize("prefix", [(), (4,), (0, 3), (2**33,)])
 def test_substreams_match_one_seed_sequence_per_index(seed, prefix):
     words = _seeding.seed_states(seed, prefix, np.array(ORACLE_INDICES, dtype=np.uint32))
-    rngs = substreams(seed, prefix, ORACLE_INDICES)
-    assert len(rngs) == len(ORACLE_INDICES)
+    streams = substreams(seed, prefix, ORACLE_INDICES)
+    assert len(streams) == len(ORACLE_INDICES)
+    rngs = list(streams)
     for b, i in enumerate(ORACLE_INDICES):
         expected = np.random.SeedSequence(seed, spawn_key=(*prefix, i))
         assert np.array_equal(words[b], expected.generate_state(4, np.uint64))
         oracle = substream(seed, *prefix, i)
         assert rngs[b].bit_generator.state == oracle.bit_generator.state
         assert np.array_equal(rngs[b].standard_normal(17), oracle.standard_normal(17))
+
+
+def test_substreams_are_built_one_at_a_time_and_iterate_once():
+    streams = substreams(5, (1,), range(3))
+    assert len(streams) == 3
+    it = iter(streams)
+    first = next(it)
+    assert first.standard_normal() == substream(5, 1, 0).standard_normal()
+    rest = list(it)
+    assert len(rest) == 2 and all(rng is not first for rng in rest)
+    # a second pass must not restart the streams and redraw their Gaussians
+    for again in (iter, list, lambda s: random_pairs(s, 2)):
+        with pytest.raises(StreamsConsumed):
+            again(streams)
+    assert issubclass(StreamsConsumed, QfdivError)
+    assert len(streams) == 3
 
 
 def test_substreams_reject_what_one_index_word_cannot_hold():
@@ -265,6 +284,23 @@ def test_random_channel_is_trace_preserving(n, k):
     rho = random_density(n, seed=substream(6, 99, n, k))
     out = apply_channel_rows(ch.kraus[None], rho.mat[None])
     assert float(out.mats[0].trace().real) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_random_channel_names_a_bad_argument():
+    # each raised a bare TypeError or ValueError
+    for args, kwargs, error, name in [((2, 1.5), {}, DimensionMismatch, "k"),
+                                      (("a",), {}, DimensionMismatch, "n"),
+                                      ((0,), {}, DimensionMismatch, "n"),
+                                      ((2,), {"seed": -1}, OutOfRange, "seed"),
+                                      ((2,), {"seed": 0.5}, OutOfRange, "seed")]:
+        with pytest.raises(error, match=f"^{name} must be "):
+            random_channel(*args, **kwargs)
+    # a generator draws on, as dpi_suite relies on
+    rng = substream(9, 0)
+    first = random_channel(2, seed=rng).kraus
+    assert np.array_equal(first, random_channel(2, seed=substream(9, 0)).kraus)
+    assert not np.array_equal(random_channel(2, seed=rng).kraus, first)
+    assert np.array_equal(random_channel(2, seed=3).kraus, random_channel(2, seed=3).kraus)
 
 
 def test_single_kraus_channel_is_unitary():

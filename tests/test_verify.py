@@ -1,5 +1,7 @@
 """Tests for the seeded Monte Carlo verification suites."""
 
+import gc
+
 import numpy as np
 import pytest
 from conftest import count_eig_calls
@@ -9,7 +11,13 @@ from qfdiv.bounds import EQUAL_STATES_EPS, binette_rhs
 from qfdiv.divergence import classical_f_div
 from qfdiv.generators import builtin_generator
 from qfdiv.linalg import trace_norm_hermitian
-from qfdiv.states import ClassicalDistribution, QuantumChannel, random_pairs, substream
+from qfdiv.states import (
+    CHUNK_ROWS,
+    ClassicalDistribution,
+    QuantumChannel,
+    random_pairs,
+    substream,
+)
 from qfdiv.verify import (
     _random_commuting_pairs,
     condition_rate,
@@ -292,6 +300,27 @@ def test_binette_bound_is_numerically_sharp(f):
         div = classical_f_div(ClassicalDistribution(p), ClassicalDistribution(q), f)
         rhs = binette_rhs(m, M, float(np.abs(p - q).sum()), f)
         assert div / rhs == pytest.approx(1.0, rel=0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_condition_rate_starts_no_garbage_collection_per_chunk(seed):
+    # a chunk's generators are built one at a time, so sampling 4 chunks
+    # leaves too few live objects to pass the collector's threshold
+    assert gc.isenabled()
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    condition_rate(dim=4, samples=CHUNK_ROWS, seed=seed)  # first-call imports
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        condition_rate(dim=4, samples=4 * CHUNK_ROWS, seed=seed)
+    finally:
+        gc.callbacks.remove(count)
+    assert len(starts) <= 1, starts
 
 
 def test_condition_rate_runs_one_eigensolver_per_stack(monkeypatch):
