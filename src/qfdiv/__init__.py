@@ -2,7 +2,6 @@
 witnesses and numerically verified Pinsker-type bounds."""
 
 from .bounds import (
-    adaptive_simpson,
     binette_rhs,
     decoherence_bounds,
     pinsker_chi2_lower,
@@ -40,7 +39,6 @@ __all__ = [
     "QuantumChannel",
     "Witness",
     "WitnessBatch",
-    "adaptive_simpson",
     "binette_rhs",
     "build_witness",
     "builtin_generator",

@@ -58,7 +58,7 @@ class NoSecondDerivative(QfdivError, ValueError):
 
 
 class QuadratureFailure(QfdivError, RuntimeError):
-    """Adaptive quadrature exceeded its subdivision budget."""
+    """A quadrature rule and the rule with twice the nodes disagree."""
 
 
 class SamplingBudgetExceeded(QfdivError, RuntimeError):

@@ -32,8 +32,10 @@ class FGenerator:
     """A divergence generator with its registration metadata.
 
     ``second_derivative`` may be None (e.g. tv); operations that need f''
-    reject such generators.  ``operator_convex`` marks generators for which
-    the data-processing inequality of the maximal divergence is guaranteed.
+    reject such generators.  Like ``value``, it is evaluated elementwise on
+    arrays, and ``zeta1_integral`` needs it smooth in ln x.
+    ``operator_convex`` marks generators for which the data-processing
+    inequality of the maximal divergence is guaranteed.
     """
 
     name: str

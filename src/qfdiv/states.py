@@ -347,9 +347,10 @@ def _ginibre_factors(rngs, n, rank):
     ``(B, 2, 2, n, rank)`` float buffer, whose C order (real then imaginary
     part of rho's factor, then of sigma's) is the order of four separate
     ``(n, rank)`` draws."""
+    check_sizes(n=n)
     rank = n if rank is None else rank
-    if rank < 1:
-        raise BadRank(f"rank must be at least 1, got {rank}")
+    if not isinstance(rank, (int, np.integer)) or rank < 1:
+        raise BadRank(f"rank must be an integer >= 1, got {rank!r}")
     buf = np.empty((len(rngs), 2, 2, n, rank))
     for b, rng in enumerate(rngs):
         rng.standard_normal(out=buf[b])
@@ -362,11 +363,8 @@ def random_channel(n, k=None, seed=None):
     """Draw a Haar-random isometry C^n -> C^(kn) and split it into k Kraus
     blocks; k defaults to n.  ``seed`` is anything ``np.random.default_rng``
     takes, a generator included, which then draws on."""
-    if k is None:
-        k = n
-    for name, size in (("n", n), ("k", k)):
-        if not isinstance(size, (int, np.integer)) or size < 1:
-            raise DimensionMismatch(f"{name} must be an integer >= 1, got {size!r}")
+    k = n if k is None else k
+    check_sizes(n=n, k=k)
     try:
         rng = np.random.default_rng(seed)
     except (TypeError, ValueError) as exc:
@@ -388,6 +386,14 @@ def apply_channel_rows(kraus, rho_mats, tol=STATE_TOL):
         raise DimensionMismatch(f"Kraus stack {kraus.shape} cannot act on {rho_mats.shape}")
     terms = (a @ rho_mats @ linalg.adjoint(a) for a in kraus.swapaxes(0, 1))
     return DensityStack(sum(terms), tol)
+
+
+def check_sizes(**named):
+    """Raise :class:`DimensionMismatch` for the first of ``named`` that is not
+    an integer >= 1, naming it."""
+    for name, size in named.items():
+        if not isinstance(size, (int, np.integer)) or size < 1:
+            raise DimensionMismatch(f"{name} must be an integer >= 1, got {size!r}")
 
 
 def check_types(kind, **named):

@@ -22,6 +22,7 @@ from .bounds import (
     zeta1_integral,
 )
 from .divergence import chi2_rows, relative_entropy_rows
+from .errors import OutOfRange
 from .generators import builtin_generator
 from .linalg import (hermitian_eig, hermitian_part, matrix_polynomial, singular_check,
                      trace_norm_hermitian)
@@ -32,6 +33,7 @@ from .states import (
     abs_condition_holds,
     abs_condition_rows,
     apply_channel_rows,
+    check_sizes,
     random_channel,
     random_pairs,
     substream,
@@ -40,7 +42,7 @@ from .states import (
 
 INEQUALITY_TOL = 1e-8
 IDENTITY_TOL = 1e-8
-ZETA1_TOL = 1e-7
+ZETA1_TOL = 1e-12
 
 # the environment-doubled dim-4 ensemble satisfies the condition more often
 # than this; a rate above the floor but not above the minimum is a warning
@@ -280,13 +282,9 @@ def reverse_pinsker_and_binette(dim=4, samples=1000, seed=42):
 def zeta1_suite():
     """Integral and closed forms of the unit-radius bound must agree on the
     ``ZETA1_M_GRID`` x ``ZETA1_M_UPPER_GRID`` grid."""
-    worst = 0.0
-    for name in ("kl", "chi2"):
-        f = builtin_generator(name)
-        for m in ZETA1_M_GRID:
-            for M in ZETA1_M_UPPER_GRID:
-                gap = abs(zeta1_integral(m, M, f) - zeta1_closed(m, M, f))
-                worst = max(worst, gap)
+    m, M = np.meshgrid(ZETA1_M_GRID, ZETA1_M_UPPER_GRID, indexing="ij")
+    worst = max(float(np.max(np.abs(zeta1_integral(m, M, f) - zeta1_closed(m, M, f))))
+                for f in map(builtin_generator, ("kl", "chi2")))
     return SuiteResult("zeta1", worst, ZETA1_TOL)
 
 
@@ -369,6 +367,9 @@ def condition_rate(dim=4, samples=1000, seed=42, commuting=False, environment=No
     condition holds identically.  Sample i draws from ``substream(seed, i)``;
     the samples are checked in stacks of ``CHUNK_ROWS``.
     """
+    check_sizes(dim=dim)
+    if samples < 1:
+        raise OutOfRange(f"samples must be at least 1, got {samples}")
     if environment is None:
         environment = 2 * dim
     hits = 0
@@ -379,8 +380,7 @@ def condition_rate(dim=4, samples=1000, seed=42, commuting=False, environment=No
         else:
             rho, sigma = random_pairs(rngs, dim, environment)
         hits += int(np.count_nonzero(abs_condition_holds(rho, sigma)))
-    rate = hits / samples if samples else 0.0
-    return RateResult(rate, samples, environment, commuting)
+    return RateResult(hits / samples, samples, environment, commuting)
 
 
 def _random_commuting_pairs(rngs, dim):

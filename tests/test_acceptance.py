@@ -212,7 +212,8 @@ def test_criterion_07_reverse_pinsker():
 
 def test_criterion_08_zeta1_equivalence():
     # integral and closed forms of the unit-radius coefficient agree within
-    # 1e-7 over the (m, M) grid for kl and chi2 at quadrature tolerance 1e-8.
+    # 1e-7 over the (m, M) grid for kl and chi2, the integral by a fixed
+    # composite Gauss-Legendre rule.
     result = zeta1_suite()
     _report(8, "unit-radius coefficient, integral vs closed form",
             result.worst <= 1e-7, f"worst gap {result.worst:.3e}")

@@ -18,8 +18,6 @@ from conftest import (
 )
 
 from qfdiv.bounds import (
-    DEFAULT_QUAD_TOL,
-    adaptive_simpson,
     audenaert_eisert_rows,
     binette_rhs,
     decoherence_bounds,
@@ -38,7 +36,7 @@ from qfdiv.errors import (
     QuadratureFailure,
     SingularState,
 )
-from qfdiv.generators import builtin_generator
+from qfdiv.generators import FGenerator, builtin_generator
 from qfdiv.linalg import trace_norm_hermitian
 from qfdiv.maximal import build_witness, witness_batch
 from qfdiv.states import DensityStack, random_pairs, substream
@@ -303,12 +301,45 @@ def test_zeta1_integral_matches_closed_form_on_a_grid():
         for M in (1.1, 1.5, 2.0, 3.0, 5.0, 7.0, 10.0):
             for f in (KL, CHI2):
                 closed = zeta1_closed(m, M, f)
-                integral = zeta1_integral(m, M, f, quad_tol=DEFAULT_QUAD_TOL)
-                assert abs(closed - integral) <= 10.0 * DEFAULT_QUAD_TOL, (
-                    m,
-                    M,
-                    f.name,
-                )
+                integral = zeta1_integral(m, M, f)
+                assert abs(closed - integral) <= 1e-12, (m, M, f.name)
+
+
+@pytest.mark.parametrize("m, big_m", [(1e-10, 1e10), (0.5, 1e16)])
+@pytest.mark.parametrize("f", [KL, CHI2], ids=lambda f: f.name)
+def test_zeta1_integral_matches_closed_form_at_extreme_ratios(m, big_m, f):
+    # adaptive Simpson raised QuadratureFailure at these ratios, which lie
+    # within the likelihood-ratio range that SINGULAR_EPS allows
+    closed = zeta1_closed(m, big_m, f)
+    assert zeta1_integral(m, big_m, f) == pytest.approx(closed, rel=1e-12, abs=0.0)
+
+
+def test_zeta1_integral_evaluates_arrays_entrywise():
+    m = np.array([[0.1, 0.5, 1e-10], [0.9, 0.3, 0.5]])
+    big_m = np.array([[2.0, 1e16, 1e10], [1.1, 7.0, 3.0]])
+    for f in (KL, CHI2):
+        zeta = zeta1_integral(m, big_m, f)
+        assert zeta.shape == m.shape
+        for i in np.ndindex(m.shape):
+            # the panels are set by the longest interval in the array, so an
+            # entry matches its own call to rounding, not bit for bit
+            assert zeta[i] == pytest.approx(zeta1_integral(m[i], big_m[i], f),
+                                            rel=1e-14, abs=0.0)
+    assert zeta1_integral(np.float64(0.5), np.array(2.0), KL) == zeta1_integral(0.5, 2.0, KL)
+    with pytest.raises(DegenerateExtremes, match="^row 1: need 0 < m < 1 < M < inf"):
+        zeta1_integral([0.5, math.nan], [2.0, 2.0], KL)
+
+
+def test_zeta1_integral_raises_for_a_kinked_second_derivative():
+    # f'' = 6 max(x - 3, 0) has a kink at x = 3: the 16- and 32-node rules
+    # differ by 5e-3 relative at (0.5, 4), and agree where f'' vanishes
+    kinked = FGenerator(name="kinked", value=lambda x: np.maximum(x - 3.0, 0.0) ** 3,
+                        value_at_zero=0.0,
+                        second_derivative=lambda x: 6.0 * np.maximum(x - 3.0, 0.0))
+    with pytest.raises(QuadratureFailure, match="^twice the nodes move "):
+        zeta1_integral(0.5, 4.0, kinked)
+    with pytest.raises(QuadratureFailure, match="^row 1: "):
+        zeta1_integral([0.5, 0.1], [2.0, 10.0], kinked)
 
 
 def test_zeta1_integral_requires_positive_m():
@@ -334,37 +365,17 @@ def test_zeta1_integral_requires_second_derivative():
         zeta1_integral(0.5, 2.0, TV)
 
 
-# ---------------------------------------------------------------------------
-# adaptive quadrature
-# ---------------------------------------------------------------------------
-
-
-def test_adaptive_simpson_on_smooth_integrands():
-    assert adaptive_simpson(lambda x: x * x, 0.0, 1.0) == pytest.approx(
-        1.0 / 3.0, abs=1e-10
-    )
-    assert adaptive_simpson(math.sin, 0.0, math.pi) == pytest.approx(
-        2.0, abs=1e-8
-    )
-    assert adaptive_simpson(math.exp, 0.0, 1.0) == pytest.approx(
-        math.e - 1.0, abs=1e-10
-    )
-
-
-def test_adaptive_simpson_degenerate_interval_is_zero():
-    assert adaptive_simpson(math.exp, 2.0, 2.0) == 0.0
-
-
-@pytest.mark.parametrize("fn", [lambda x: 1.0 / x, math.log], ids=["reciprocal", "log"])
-def test_an_integrand_undefined_on_the_interval_raises_domain_error(fn):
-    # 1 / 0 raises ZeroDivisionError and math.log(0) ValueError
-    with pytest.raises(DomainError, match=r"integrand undefined on \[0.0, 1.0\]"):
-        adaptive_simpson(fn, 0.0, 1.0)
-
-
-def test_adaptive_simpson_raises_past_the_subdivision_budget():
-    with pytest.raises(QuadratureFailure):
-        adaptive_simpson(math.sin, 0.0, math.pi, tol=1e-15, max_intervals=1)
+@pytest.mark.parametrize("second_derivative", [
+    lambda x: 1.0 / x if x > 0.0 else math.inf,
+    lambda x: math.exp(-math.log(x)),
+], ids=["reciprocal", "log"])
+def test_an_integrand_undefined_on_the_interval_raises_domain_error(second_derivative):
+    # kl's f'' = 1/x written for one float: the branch raises numpy's
+    # ValueError on an array of nodes, math.log its TypeError
+    scalar_only = FGenerator(name="scalar-only", value=KL.value, value_at_zero=0.0,
+                             second_derivative=second_derivative)
+    with pytest.raises(DomainError, match="^f'' of scalar-only is undefined on arrays: "):
+        zeta1_integral(0.5, 2.0, scalar_only)
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +438,8 @@ def test_binette_rhs_and_zeta1_closed_reject_arrays_of_unequal_shape():
         binette_rhs([0.1], [2.0, 3.0], [0.5], KL)
     with pytest.raises(DimensionMismatch, match=r"^shapes \(2,\) and \(3,\) differ$"):
         zeta1_closed([0.1, 0.2], [2.0, 3.0, 4.0], KL)
+    with pytest.raises(DimensionMismatch, match=r"^shapes \(2,\) and \(3,\) differ$"):
+        zeta1_integral([0.1, 0.2], [2.0, 3.0, 4.0], KL)
 
 
 def test_bounds_reject_entries_that_are_not_real_numbers():
@@ -442,14 +455,9 @@ def test_bounds_reject_entries_that_are_not_real_numbers():
 
 
 def test_scalar_bounds_take_numbers_not_arrays():
-    # each array raised "truth value ... is ambiguous"
-    with pytest.raises(DomainError, match=r"^m must be a number, got shape \(2,\)$"):
-        zeta1_integral(np.array([0.1, 0.2]), np.array([2.0, 3.0]), KL)
+    # an array raised "truth value ... is ambiguous"
     with pytest.raises(DomainError, match=r"^t must be a number, got shape \(2,\)$"):
         decoherence_bounds(1.0, 0.1, [1.0, 2.0])
-    with pytest.raises(DegenerateExtremes):
-        zeta1_integral(math.nan, 2.0, KL)
-    assert zeta1_integral(np.float64(0.5), np.array(2.0), KL) == zeta1_integral(0.5, 2.0, KL)
 
 
 # ---------------------------------------------------------------------------

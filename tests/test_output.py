@@ -26,7 +26,8 @@ from qfdiv.states import substream
 # fig2.csv (relent, last-bit moves in 338 of 600 and 106 of 200 rows) and
 # verify.csv and both verify stdouts (the maximality worst, and
 # relent_form_worst), when the relative entropy and chi2 references read rho
-# in sigma's eigenbasis.
+# in sigma's eigenbasis; verify.csv and both verify stdouts (the zeta1 row's
+# worst and tol), when zeta1_integral became a fixed Gauss-Legendre rule.
 GOLDEN = {
     "fig2 --samples 600 --seed 42": (0, {
         "stdout": "08f56ce98d41be01dced5dabdf9a4a5afe38e57d93b99a763fc61d8672d1cd04",
@@ -52,12 +53,12 @@ GOLDEN = {
         "condition_rate.csv": "9bf72d65c47b9d3bc581dacbee7423220b23a5e0fc640b3e675839252c800e0b",
     }),
     "verify --samples 1000 --seed 42": (1, {
-        "stdout": "351093f02ca651db6e59d4917d35ca03b7f24442d2542af47f0cc803b2d46cb6",
-        "verify.csv": "05a19de02b6d0f8e2a5b51cad060951d397572fac33acc0fe11f2cf3d5665a42",
+        "stdout": "2d44856ed0bbeceadaf3d9704bf12f994e8a241a1dd8f05ffea6fb193643a9ae",
+        "verify.csv": "4e9c5487c45af2cffa0820a621e84d686faf7f1dddf6001258c9244ad3e99b0e",
     }),
     "verify --samples 1000 --seed 7": (1, {
-        "stdout": "a962b63703c5f87da3f4535139d111c04d5d0c8a412a027cc4926c6bd9c26299",
-        "verify.csv": "3b4d1a9f39fc6e9ba89f30018d506f90ae99d74405473eafa194226cb52242f1",
+        "stdout": "93874fc30f9004fae4c99bdfcd1455d762939ac2c7c760b2c87817d32e9e79f6",
+        "verify.csv": "1a3ae1c37b55b98eafc2fad0b46a1a329c44e260ec891b82289a724e10663eb7",
     }),
 }
 

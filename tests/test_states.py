@@ -219,6 +219,16 @@ def test_random_density_rejects_bad_rank():
         random_pairs([substream(2, 2)], 3, rank=0)
 
 
+def test_random_pairs_names_a_bad_size():
+    # a float n or rank raised numpy's bare TypeError, and n = 0 raised
+    # BadRank for the rank
+    for n, rank, error, message in [(1.5, None, DimensionMismatch, "^n must be an integer >= 1"),
+                                    (0, None, DimensionMismatch, "^n must be an integer >= 1"),
+                                    (3, 2.5, BadRank, "^rank must be an integer >= 1")]:
+        with pytest.raises(error, match=message):
+            random_pairs([substream(2, 2)], n, rank)
+
+
 def test_substream_is_deterministic_and_keyed():
     a = random_density(4, seed=substream(5, 3)).mat
     b = random_density(4, seed=substream(5, 3)).mat

@@ -9,6 +9,7 @@ from conftest import count_eig_calls
 from qfdiv import maximal, verify
 from qfdiv.bounds import EQUAL_STATES_EPS, binette_rhs
 from qfdiv.divergence import classical_f_div
+from qfdiv.errors import DimensionMismatch, OutOfRange
 from qfdiv.generators import builtin_generator
 from qfdiv.linalg import trace_norm_hermitian
 from qfdiv.states import (
@@ -270,6 +271,17 @@ def test_commuting_pairs_match_two_dirichlet_draws(dim):
         assert np.array_equal(rho.mats[i], np.diag(p).astype(complex))
         assert np.array_equal(sigma.mats[i], np.diag(q).astype(complex))
         assert rng.random() == again.random()
+
+
+def test_condition_rate_rejects_a_bad_dimension_or_sample_count():
+    # dim = 1.5 raised numpy's bare TypeError; samples = -1 gave rate -0.0
+    # and samples = 0 rate 0.0
+    for commuting in (False, True):
+        with pytest.raises(DimensionMismatch, match="^dim must be an integer >= 1, got 1.5$"):
+            condition_rate(dim=1.5, samples=10, commuting=commuting)
+    for samples in (-1, 0):
+        with pytest.raises(OutOfRange, match=f"^samples must be at least 1, got {samples}$"):
+            condition_rate(dim=4, samples=samples)
 
 
 def test_condition_rate_exceeds_eighty_percent_for_environment_doubled():
