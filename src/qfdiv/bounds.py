@@ -21,6 +21,7 @@ from .errors import (
     OutOfRange,
     QuadratureFailure,
 )
+from .generators import check_generator
 from .linalg import _scalar, raise_first_failure, singular_check
 
 EQUAL_STATES_EPS = 1e-8
@@ -136,10 +137,17 @@ def binette_rhs(m, M, t, f):
 
 def zeta1_closed(m, M, f):
     """Closed form f(M)/(M-1) + f(m)/(1-m) of the unit-radius bound,
-    entrywise over arrays of one shape."""
+    entrywise over arrays of one shape.  Once every entry has
+    non-degenerate extremes, raises :class:`DomainError` for the lowest entry
+    where the form is not finite (f(M) overflows, say)."""
+    check_generator(f)
     m, M = _one_shape(m, M)
     raise_first_failure([_extremes_check(m, M)])
-    return f.values(M) / (M - 1.0) + f.values(m) / (1.0 - m)
+    with np.errstate(all="ignore"):
+        closed = f.values(M) / (M - 1.0) + f.values(m) / (1.0 - m)
+    raise_first_failure([(~np.isfinite(closed), lambda i, where: DomainError(
+        f"{where}closed form is {closed.flat[i]} at m={m.flat[i]}, M={M.flat[i]}"))])
+    return closed
 
 
 def zeta1_integral(m, M, f):
@@ -150,6 +158,7 @@ def zeta1_integral(m, M, f):
     Raises :class:`QuadratureFailure` where twice the nodes move a result
     by more than ``QUAD_TOL`` max(1, |result|), and :class:`DomainError`
     where f'' raises or a result is not finite."""
+    check_generator(f)
     fpp = f.second_derivative
     if fpp is None:
         raise NoSecondDerivative(f"generator {f.name} has no second derivative")

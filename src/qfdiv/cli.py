@@ -11,6 +11,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field, fields
+from functools import cache
 from itertools import chain
 from pathlib import Path
 
@@ -633,13 +634,29 @@ def _generator(cmd):
                      help="generator to evaluate")
 
 
+# each subcommand: its handler, its help summary and its option groups, in
+# the order the help lists them
+COMMANDS = {
+    "verify": (cmd_verify, "run every verification suite", (_sampling, _out)),
+    "fig1": (cmd_fig1, "decoherence envelope curves (CSV + SVG)", (_decay, _out)),
+    "fig2": (cmd_fig2, "bound-comparison scatter (CSV + SVG)", (_sampling, _out)),
+    "condition-rate": (cmd_condition_rate, "positivity-condition satisfaction rate",
+                       (_sampling, _out, _commuting)),
+    "witness": (cmd_witness, "witness distributions for two state files",
+                (_pair, _out, _generator)),
+    "compare-bounds": (cmd_compare_bounds, "all divergences and bounds for two state files",
+                       (_pair, _out)),
+}
+
+
 def build_parser(command=None):
-    """The ``qfdiv`` parser.  Each subcommand accepts exactly the options it
-    reads, in the order its help lists them.
+    """A fresh ``qfdiv`` parser.  Each subcommand accepts exactly the options
+    it reads, in the order its help lists them.
 
     If ``command`` names a subcommand, only that one is built: parsing an argv
     that starts with it prints the same help, usage and errors as the full
-    tree.  Any other ``command`` builds every subcommand.
+    tree.  Any other ``command`` builds every subcommand.  ``main`` keeps the
+    tree it builds for each key; this function never does.
     """
     parser = argparse.ArgumentParser(
         prog="qfdiv",
@@ -647,19 +664,8 @@ def build_parser(command=None):
                     "construction, bound verification, and experiments.",
     )
     sub = parser.add_subparsers(metavar="command", required=True)
-    commands = {
-        "verify": (cmd_verify, "run every verification suite", (_sampling, _out)),
-        "fig1": (cmd_fig1, "decoherence envelope curves (CSV + SVG)", (_decay, _out)),
-        "fig2": (cmd_fig2, "bound-comparison scatter (CSV + SVG)", (_sampling, _out)),
-        "condition-rate": (cmd_condition_rate, "positivity-condition satisfaction rate",
-                           (_sampling, _out, _commuting)),
-        "witness": (cmd_witness, "witness distributions for two state files",
-                    (_pair, _out, _generator)),
-        "compare-bounds": (cmd_compare_bounds, "all divergences and bounds for two state files",
-                           (_pair, _out)),
-    }
-    for name in [command] if command in commands else commands:
-        run, summary, options = commands[name]
+    for name in [command] if command in COMMANDS else COMMANDS:
+        run, summary, options = COMMANDS[name]
         cmd = sub.add_parser(name, help=summary)
         cmd.set_defaults(command=run)
         for add in options:
@@ -667,9 +673,27 @@ def build_parser(command=None):
     return parser
 
 
+@cache
+def _parser(command):
+    # build_parser is looked up in the module on each miss, so a patch of it
+    # takes effect once the cache is cleared
+    return build_parser(command)
+
+
 def main(argv=None):
+    """Run one ``qfdiv`` command; returns its exit code (argparse exits 0 or 2
+    itself on help and usage errors).
+
+    The parser is built once per process for each key: ``argv[0]`` when it
+    names a subcommand, ``None`` (the full tree) otherwise, so at most seven
+    trees are kept and a later call pays only for parsing.  The trees bind
+    the ``cmd_*`` handlers that ``COMMANDS`` took at import, so patching a
+    ``cmd_*`` function of this module does not reach ``main`` (no test
+    patches one).  ``_parser.cache_clear()`` drops the kept trees; the next
+    call of each key builds its tree again through ``build_parser``.
+    """
     argv = sys.argv[1:] if argv is None else argv
-    args = vars(build_parser(argv[0] if argv else None).parse_args(argv))
+    args = vars(_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv))
     command = args.pop("command")
     try:
         config = ExperimentConfig(**{name: args.pop(name) for name in args.keys() & _SETTINGS})

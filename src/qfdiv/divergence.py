@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatch, ZeroReference
+from .generators import check_generator
 from .linalg import adjoint, raise_first_failure, singular_check
 from .states import ClassicalDistribution, check_pair, check_types, one_row_pair
 
@@ -22,6 +23,7 @@ from .states import ClassicalDistribution, check_pair, check_types, one_row_pair
 def f_div_rows(p, q, f):
     """D_f(p_b || q_b) for each row b of two ``(B, n)`` probability arrays;
     every q entry must be strictly positive."""
+    check_generator(f)
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape:

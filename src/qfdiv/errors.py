@@ -39,6 +39,10 @@ class UnknownGenerator(QfdivError, KeyError):
     """No builtin generator with the requested name."""
 
 
+class NotAGenerator(QfdivError, TypeError):
+    """An argument that must be an ``FGenerator`` is of another type."""
+
+
 class ZeroReference(QfdivError, ValueError):
     """The reference distribution has a zero entry, so likelihood ratios
     are undefined."""

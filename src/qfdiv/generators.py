@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InvariantViolation, UnknownGenerator
+from .errors import InvariantViolation, NotAGenerator, UnknownGenerator
 
 CONVEXITY_GRID = (0.1, 0.5, 1.0, 2.0, 10.0)
 _MIDPOINT_SLACK = 1e-12
@@ -94,6 +94,13 @@ _BUILTINS = {f.name: f for f in (
                second_derivative=None, operator_convex=False),
 )}
 BUILTIN_NAMES = tuple(_BUILTINS)
+
+
+def check_generator(f):
+    """Raise :class:`NotAGenerator` unless ``f`` is an :class:`FGenerator`
+    (a builtin's name, say, is not one: :func:`builtin_generator` looks it up)."""
+    if not isinstance(f, FGenerator):
+        raise NotAGenerator(f"f must be an FGenerator, got {type(f).__name__}")
 
 
 def builtin_generator(name):

@@ -31,6 +31,7 @@ from qfdiv.errors import (
     DimensionMismatch,
     DomainError,
     NoSecondDerivative,
+    NotAGenerator,
     OutOfRange,
     QfdivError,
     QuadratureFailure,
@@ -281,6 +282,38 @@ def test_zeta1_closed_and_the_envelope_raise_for_the_lowest_bad_entry():
     _raises_like_the_first_failing_scalar_call(
         zeta1_closed, ([0.5, 0.5, 1.0, -0.1], [2.0, 0.9, 2.0, 2.0]), KL)
     _raises_like_the_first_failing_scalar_call(pinsker_chi2_lower, ([1.0, 0.5, 2.5, -1.0],))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("m, big_m, f", [(1e-300, 1e300, CHI2), (0.5, 1.7e308, KL)],
+                         ids=["chi2", "kl"])
+def test_zeta1_closed_raises_where_the_closed_form_overflows(m, big_m, f):
+    # f(M) overflows: it gave nan with a numpy warning; the integral form
+    # stays finite there
+    for bound in (lambda: zeta1_closed(m, big_m, f), lambda: binette_rhs(m, big_m, 1.0, f)):
+        with pytest.raises(DomainError, match="^" + re.escape(
+                f"closed form is inf at m={m}, M={big_m}") + "$"):
+            bound()
+    assert math.isfinite(zeta1_integral(m, big_m, f))
+
+
+@pytest.mark.filterwarnings("error")
+def test_zeta1_closed_raises_for_the_lowest_entry_that_is_not_finite():
+    _raises_like_the_first_failing_scalar_call(
+        zeta1_closed, ([0.5, 0.5, 1e-300, 0.5], [2.0, 1.7e308, 1e300, 1.7e308]), KL)
+    _raises_like_the_first_failing_scalar_call(
+        zeta1_closed, ([0.5, 1e-300, 0.5], [2.0, 1e300, 1e300]), CHI2)
+
+
+@pytest.mark.parametrize("bound", [
+    lambda f: zeta1_closed(0.5, 2.0, f),
+    lambda f: binette_rhs(0.5, 2.0, 1.0, f),
+    lambda f: zeta1_integral(0.5, 2.0, f),
+], ids=["zeta1_closed", "binette_rhs", "zeta1_integral"])
+def test_bounds_take_a_generator_not_its_name(bound):
+    # a name raised a bare AttributeError about .values or .second_derivative
+    with pytest.raises(NotAGenerator, match="^f must be an FGenerator, got str$"):
+        bound("kl")
 
 
 def test_zeta1_closed_hand_values():

@@ -4,6 +4,9 @@ import argparse
 import contextlib
 import io
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -36,6 +39,8 @@ from qfdiv.generators import BUILTIN_NAMES, builtin_generator
 from qfdiv.linalg import trace_norm_hermitian
 from qfdiv.states import abs_condition_rows, substream
 from qfdiv.verify import RateResult
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(*argv):
@@ -561,8 +566,8 @@ VALUES = {"--dim": "3", "--samples": "5", "--seed": "3", "--lambda": "0.2",
           "--bits": None}
 
 
-def _subparsers():
-    parser = cli.build_parser()
+def _subparsers(parser=None):
+    parser = cli.build_parser() if parser is None else parser
     action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     return action.choices
 
@@ -628,13 +633,44 @@ PARSER_TEXTS += [[command, *(["rho.txt", "sigma.txt"] if "rho" in opts else []),
                  for option in VALUES if option not in opts.split()]
 
 
-def test_one_subcommand_parser_prints_what_the_full_parser_prints(monkeypatch):
+@pytest.fixture
+def cold_parsers():
+    """main's kept parser trees, dropped before and after the test."""
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+def test_one_subcommand_parser_prints_what_the_full_parser_prints(monkeypatch, cold_parsers):
     one = [_run_parser(argv) for argv in PARSER_TEXTS]
-    full = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    for command in OPTIONS:
+        assert list(_subparsers(cli._parser(command))) == [command]
+    cli._parser.cache_clear()
+    full, built = cli.build_parser, []
+
+    def full_tree(command=None):
+        built.append(command)
+        return full()
+
+    monkeypatch.setattr(cli, "build_parser", full_tree)
     assert one == [_run_parser(argv) for argv in PARSER_TEXTS]
+    # every key was parsed by a fresh full tree, each built once
+    assert sorted(built, key=str) == sorted([None, *OPTIONS], key=str)
     assert {code for code, _, _ in one} == {0, 2}
     assert all(out or err for _, out, err in one)
+
+
+def _spy_add_parser(monkeypatch):
+    """The names every later add_parser call adds, in call order."""
+    names = []
+    real = argparse._SubParsersAction.add_parser
+
+    def spy(self, name, **kwargs):
+        names.append(name)
+        return real(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    return names
 
 
 @pytest.mark.parametrize("argv, built", [
@@ -644,17 +680,53 @@ def test_one_subcommand_parser_prints_what_the_full_parser_prints(monkeypatch):
     ([], list(OPTIONS)),
     (["bogus"], list(OPTIONS)),
 ])
-def test_main_builds_only_the_subcommand_its_argv_names(tmp_path, monkeypatch, argv, built):
-    names = []
-    real = argparse._SubParsersAction.add_parser
-
-    def spy(self, name, **kwargs):
-        names.append(name)
-        return real(self, name, **kwargs)
-
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+def test_main_builds_only_the_subcommand_its_argv_names(tmp_path, monkeypatch, cold_parsers,
+                                                        argv, built):
+    names = _spy_add_parser(monkeypatch)
     _run_parser([*argv, "--out", str(tmp_path)] if argv == ["fig1"] else argv)
     assert names == built
+
+
+@pytest.mark.parametrize("argv", [
+    ["fig1", "--lambda", "0.3"],
+    ["witness", "-h"],
+    ["compare-bounds", "rho.txt"],
+    ["bogus"],
+])
+def test_a_second_call_of_a_subcommand_builds_no_parser(tmp_path, monkeypatch, cold_parsers,
+                                                        argv):
+    argv = [*argv, "--out", str(tmp_path)] if argv[0] == "fig1" else argv
+    names = _spy_add_parser(monkeypatch)
+    first = _run_parser(argv)
+    assert names
+    names.clear()
+    assert _run_parser(argv) == first
+    assert names == []
+
+
+def test_importing_the_cli_builds_no_parser_and_bad_commands_share_one_tree():
+    # counts ArgumentParser constructions: a full tree is the program's
+    # parser and its six subcommands
+    code = ("import argparse, contextlib, io\n"
+            "inits = []\n"
+            "real = argparse.ArgumentParser.__init__\n"
+            "def spy(self, *args, **kwargs):\n"
+            "    inits.append(1)\n"
+            "    real(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = spy\n"
+            "import qfdiv.cli\n"
+            "counts = [len(inits)]\n"
+            "for argv in (['bogus'], ['--out', 'x'], ['nope', '-h']):\n"
+            "    with contextlib.redirect_stderr(io.StringIO()):\n"
+            "        try:\n"
+            "            qfdiv.cli.main(argv)\n"
+            "        except SystemExit as exc:\n"
+            "            assert exc.code == 2\n"
+            "    counts.append(len(inits))\n"
+            "print(counts)\n")
+    out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                         text=True, cwd=ROOT, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert out.stdout.strip() == "[0, 7, 7, 7]"
 
 
 @pytest.mark.parametrize("argv, command, parsed", [

@@ -20,7 +20,13 @@ from qfdiv.divergence import (
     max_relative_entropy,
     relative_entropy_rows,
 )
-from qfdiv.errors import DimensionMismatch, NotAState, SingularState, ZeroReference
+from qfdiv.errors import (
+    DimensionMismatch,
+    NotAGenerator,
+    NotAState,
+    SingularState,
+    ZeroReference,
+)
 from qfdiv.generators import builtin_generator
 from qfdiv.linalg import trace_norm_hermitian
 from qfdiv.maximal import witness_batch
@@ -85,6 +91,18 @@ def test_classical_divergence_takes_two_distributions():
     for p, q, name in [(np.array([0.5, 0.5]), Q12, "p"), (Q12, [0.5, 0.5], "q")]:
         with pytest.raises(NotAState, match=f"^{name} must be a ClassicalDistribution, got "):
             classical_f_div(p, q, KL)
+
+
+@pytest.mark.parametrize("call", [
+    lambda f: f_div_rows([[0.75, 0.25]], [[0.5, 0.5]], f),
+    lambda f: classical_f_div(P34, Q12, f),
+    lambda f: witness_batch(diagonal_state([0.75, 0.25]).as_stack(),
+                            maximally_mixed().as_stack()).f_divergence(f),
+], ids=["f_div_rows", "classical_f_div", "WitnessBatch.f_divergence"])
+def test_divergences_take_a_generator_not_its_name(call):
+    # a name raised a bare AttributeError about .values
+    with pytest.raises(NotAGenerator, match="^f must be an FGenerator, got str$"):
+        call("kl")
 
 
 def test_classical_divergence_rejects_length_mismatch():
