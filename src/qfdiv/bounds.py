@@ -155,9 +155,11 @@ def zeta1_integral(m, M, f):
     shape with 0 < m < 1 < M < inf: in u = ln g (:func:`_chord_integral`),
     g in [1, M] weighted by (M - g)/(M - 1), and g in [1, 1/m] weighted by
     (1/m - g)/(1/m - 1) with the reflected curvature g^{-3} f''(1/g).
-    Raises :class:`QuadratureFailure` where twice the nodes move a result
-    by more than ``QUAD_TOL`` max(1, |result|), and :class:`DomainError`
-    where f'' raises or a result is not finite."""
+    Each entry takes its own panel count, set by its longer interval, so
+    its value and its cost do not depend on the other entries.  Raises
+    :class:`QuadratureFailure` where twice the nodes move a result by more
+    than ``QUAD_TOL`` max(1, |result|), and :class:`DomainError` where f''
+    raises or a result is not finite."""
     check_generator(f)
     fpp = f.second_derivative
     if fpp is None:
@@ -165,15 +167,20 @@ def zeta1_integral(m, M, f):
     m, M = _one_shape(m, M)
     raise_first_failure([_extremes_check(m, M, m_positive=True)])
     upper, lower = np.log(M), -np.log(m)
-    panels = max(1, math.ceil(np.max(np.maximum(upper, lower), initial=0.0) / _PANEL_WIDTH))
+    # entries that share a panel count are integrated together
+    panels = np.maximum(1, np.ceil(np.maximum(upper, lower) / _PANEL_WIDTH)).astype(int)
+    coarse, fine = np.empty_like(m), np.empty_like(m)
     with np.errstate(all="ignore"):
-        try:
-            coarse, fine = (
-                M / (M - 1.0) * _chord_integral(upper, 1.0, lambda g: g * fpp(g), n, panels)
-                + _chord_integral(lower, -1.0, lambda g: g * g * fpp(g), n, panels) / (1.0 - m)
-                for n in (_PANEL_NODES, 2 * _PANEL_NODES))
-        except (ArithmeticError, TypeError, ValueError) as exc:
-            raise DomainError(f"f'' of {f.name} is undefined on arrays: {exc}") from exc
+        for count in np.unique(panels).tolist():
+            at = panels == count
+            lo, hi, up, down = m[at], M[at], upper[at], lower[at]
+            try:
+                coarse[at], fine[at] = (
+                    hi / (hi - 1.0) * _chord_integral(up, 1.0, lambda g: g * fpp(g), n, count)
+                    + _chord_integral(down, -1.0, lambda g: g * g * fpp(g), n, count) / (1.0 - lo)
+                    for n in (_PANEL_NODES, 2 * _PANEL_NODES))
+            except (ArithmeticError, TypeError, ValueError) as exc:
+                raise DomainError(f"f'' of {f.name} is undefined on arrays: {exc}") from exc
         apart = ~(np.abs(fine - coarse) <= QUAD_TOL * np.maximum(1.0, np.abs(coarse)))
     raise_first_failure([
         (~np.isfinite(coarse), lambda i, where: DomainError(
@@ -187,14 +194,16 @@ def zeta1_integral(m, M, f):
 def _chord_integral(length, sign, curvature, nodes, panels):
     """int_0^L (1 - e^(u - L)) curvature(e^(sign u)) du for each entry L of
     ``length``, over ``panels`` equal panels of the ``nodes``-point
-    Gauss-Legendre rule; numpy.polynomial is imported here, on first use."""
+    Gauss-Legendre rule; numpy.polynomial is imported here, on first use.
+    Each entry's sum is its own row's, so its value does not depend on the
+    other entries (a matrix product rounds by batch size)."""
     from numpy.polynomial.legendre import leggauss
 
     x, w = leggauss(nodes)
     frac = ((np.arange(panels)[:, None] + (x + 1.0) / 2.0) / panels).ravel()
     column = length[..., None]
     chords = -np.expm1(column * (frac - 1.0)) * curvature(np.exp(sign * column * frac))
-    return (chords @ np.tile(w, panels)) * length / (2.0 * panels)
+    return (chords * np.tile(w, panels)).sum(axis=-1) * length / (2.0 * panels)
 
 
 def audenaert_eisert_rows(t, alpha, beta):

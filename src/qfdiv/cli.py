@@ -182,14 +182,30 @@ def write_state_file(path, rho):
         rows.append(" ".join(
             f"{float(z.real)!r},{float(z.imag)!r}" for z in rho.mat[i]
         ))
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(f"{rho.dim}\n")
-        fh.write("\n".join(rows))
-        fh.write("\n")
+    _write_ascii(path, f"{rho.dim}\n" + "\n".join(rows) + "\n")
 
 
 # ---------------------------------------------------------------------------
-# CSV / SVG output
+# output files: one writer, CSV and SVG
+
+
+def _write_ascii(path, text):
+    """Write ``text`` to ``path`` as ASCII: the one route by which qfdiv
+    writes a file.
+
+    An existing file is rewritten in place and then cut to the new length,
+    so it keeps its inode and mode, and a symlink is written through.  It
+    is never truncated to zero first: on ext4, closing a file that was
+    emptied and written again starts its writeback (``auto_da_alloc``), a
+    cost a rerun into an existing directory would pay per file.  Like
+    truncation, this is not atomic: an interrupted write leaves the new
+    bytes followed by what is left of the old ones.
+    """
+    data = text.encode("ascii")  # before opening: a non-ASCII text touches no file
+    # the flags open() passes (O_CLOEXEC among them) and its file mode, less O_TRUNC
+    with open(path, "wb", opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666)) as fh:
+        fh.write(data)
+        fh.truncate()
 
 
 _CSV_FORMATS = {"f": "%.17g", "b": "%d", "i": "%d", "u": "%d"}
@@ -205,8 +221,7 @@ def write_csv(path, header, columns):
     columns = [np.asarray(col) for col in columns]
     row = ",".join([_CSV_FORMATS.get(col.dtype.kind, "%s") for col in columns]) + "\n"
     values = tuple(chain.from_iterable(zip(*[col.tolist() for col in columns])))
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(",".join(header) + "\n" + row * len(columns[0]) % values)
+    _write_ascii(path, ",".join(header) + "\n" + row * len(columns[0]) % values)
 
 
 def _axis_ticks(lo, hi, count=5):
@@ -313,10 +328,7 @@ class _SvgCanvas:
             y += 16
 
     def write(self, path):
-        self.parts.append("</svg>")
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write("\n".join(self.parts))
-            fh.write("\n")
+        _write_ascii(path, "\n".join([*self.parts, "</svg>"]) + "\n")
 
 
 # ---------------------------------------------------------------------------

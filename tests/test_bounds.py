@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -354,13 +355,27 @@ def test_zeta1_integral_evaluates_arrays_entrywise():
         zeta = zeta1_integral(m, big_m, f)
         assert zeta.shape == m.shape
         for i in np.ndindex(m.shape):
-            # the panels are set by the longest interval in the array, so an
-            # entry matches its own call to rounding, not bit for bit
-            assert zeta[i] == pytest.approx(zeta1_integral(m[i], big_m[i], f),
-                                            rel=1e-14, abs=0.0)
+            # each entry takes its own panels and its own row sum
+            assert zeta[i] == zeta1_integral(m[i], big_m[i], f)
     assert zeta1_integral(np.float64(0.5), np.array(2.0), KL) == zeta1_integral(0.5, 2.0, KL)
     with pytest.raises(DegenerateExtremes, match="^row 1: need 0 < m < 1 < M < inf"):
         zeta1_integral([0.5, math.nan], [2.0, 2.0], KL)
+
+
+def test_one_extreme_entry_costs_the_others_neither_memory_nor_accuracy():
+    # the (1e-300, 1e300) entry needs 346 panels; the other 199 need one
+    m, big_m = np.full(200, 0.5), np.full(200, 2.0)
+    plain = zeta1_integral(m, big_m, KL)
+    m[0], big_m[0] = 1e-300, 1e300
+    tracemalloc.start()
+    try:
+        mixed = zeta1_integral(m, big_m, KL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
+    assert mixed[1:] == pytest.approx(plain[1:], rel=1e-15, abs=0.0)
+    assert mixed[0] == pytest.approx(zeta1_closed(1e-300, 1e300, KL), rel=1e-12)
 
 
 def test_zeta1_integral_raises_for_a_kinked_second_derivative():

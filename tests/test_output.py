@@ -3,6 +3,7 @@
 import hashlib
 import inspect
 import math
+import os
 
 import numpy as np
 import pytest
@@ -181,3 +182,98 @@ def test_the_names_the_benchmark_tracer_wraps_exist():
     # path from write_csv's first argument
     assert {"__init__", "polyline", "scatter", "legend", "write"} <= set(vars(cli._SvgCanvas))
     assert next(iter(inspect.signature(cli.write_csv).parameters)) == "path"
+
+
+# ---------------------------------------------------------------------------
+# rewriting existing outputs in place
+
+# each command and the files it writes
+RERUNS = {
+    "fig1": ("fig1.csv", "fig1.svg"),
+    "fig2 --samples 50": ("fig2.csv", "fig2.svg"),
+    "condition-rate": ("condition_rate.csv",),
+    "verify --samples 100": ("verify.csv",),
+}
+JUNK = b"x" * 100_000
+
+
+def _run_into(out, capsys, argv):
+    code = main([*argv.split(), "--out", str(out)])
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", list(RERUNS))
+def test_a_rerun_over_longer_files_writes_the_fresh_bytes(tmp_path, capsys, argv):
+    fresh, rerun = tmp_path / "fresh", tmp_path / "rerun"
+    rerun.mkdir()
+    for name in RERUNS[argv]:
+        (rerun / name).write_bytes(JUNK)
+        (rerun / name).chmod(0o640)
+    before = {name: (rerun / name).stat().st_ino for name in RERUNS[argv]}
+    assert _run_into(rerun, capsys, argv) == _run_into(fresh, capsys, argv)
+    for name in RERUNS[argv]:
+        assert (rerun / name).read_bytes() == (fresh / name).read_bytes()
+        # rewritten in place: the same inode, the mode it had
+        assert (rerun / name).stat().st_ino == before[name]
+        assert (rerun / name).stat().st_mode & 0o777 == 0o640
+
+
+def test_a_state_file_written_over_a_longer_file_reads_back(tmp_path):
+    rho = random_density(4, rank=8, seed=substream(80, 4, 0))
+    fresh, reused = tmp_path / "fresh.txt", tmp_path / "reused.txt"
+    reused.write_bytes(JUNK)
+    write_state_file(fresh, rho)
+    write_state_file(reused, rho)
+    assert reused.read_bytes() == fresh.read_bytes()
+    assert np.array_equal(cli.parse_state_file(reused).mat, rho.mat)
+
+
+def test_an_output_that_is_a_symlink_is_written_through(tmp_path, capsys):
+    out, target = tmp_path / "out", tmp_path / "kept.csv"
+    out.mkdir()
+    target.write_bytes(JUNK)
+    (out / "fig1.csv").symlink_to(target)
+    assert _run_into(out, capsys, "fig1")[0] == 0
+    assert (out / "fig1.csv").is_symlink()
+    assert target.read_bytes().startswith(b"t,chi2_0,temme_bound,improved_bound\n")
+    assert target.stat().st_size < len(JUNK)
+
+
+def test_a_new_output_gets_the_umask_mode(tmp_path):
+    old = os.umask(0o027)
+    try:
+        write_csv(tmp_path / "new.csv", ("x",), [[1]])
+    finally:
+        os.umask(old)
+    assert (tmp_path / "new.csv").stat().st_mode & 0o777 == 0o666 & ~0o027
+
+
+def test_writing_a_canvas_twice_writes_the_same_file(tmp_path):
+    canvas = cli._SvgCanvas((0.0, 1.0), (0.0, 1.0), "x", "y")
+    canvas.scatter([0.25, 0.5], [0.5, 0.75], cli.PALETTE[0])
+    canvas.write(tmp_path / "a.svg")
+    canvas.write(tmp_path / "b.svg")
+    first = (tmp_path / "a.svg").read_text(encoding="ascii")
+    assert (tmp_path / "b.svg").read_text(encoding="ascii") == first
+    assert first.count("</svg>") == 1 and first.endswith("</svg>\n")
+
+
+def test_outputs_are_opened_without_truncation(tmp_path, monkeypatch):
+    flags = []
+    real_open = os.open
+
+    def spy(path, flag, mode=0o777, **kwargs):
+        flags.append((flag, mode))
+        return real_open(path, flag, mode, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy)
+    write_csv(tmp_path / "t.csv", ("x",), [[1]])
+    [(flag, mode)] = flags
+    assert flag & os.O_CREAT and flag & os.O_WRONLY and not flag & os.O_TRUNC
+    assert mode == 0o666
+
+
+def test_an_output_that_cannot_be_opened_is_an_io_error(tmp_path, capsys):
+    (tmp_path / "fig1.csv").mkdir()
+    assert main(["fig1", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("i/o error: ")

@@ -87,6 +87,66 @@ def test_every_import_in_src_and_tests_is_read():
     assert {p: names for p, names in unread.items() if names} == {}
 
 
+# the one function in src/ that opens a file for writing
+WRITER = ("src/qfdiv/cli.py", "_write_ascii")
+_OS_WRITE_FLAGS = {"O_WRONLY", "O_RDWR", "O_APPEND", "O_CREAT"}
+
+
+def _write_sites(source):
+    """``(function, line)`` of each call in ``source`` that can write a file,
+    ``function`` being the innermost enclosing one (None at module level):
+    an ``open`` or ``.open`` whose literal mode contains ``w`` or ``a``, an
+    ``os.open`` whose flags name a write flag, and any ``write_text`` or
+    ``write_bytes``."""
+    sites = []
+
+    def writes(call):
+        func = call.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name in ("write_text", "write_bytes"):
+            return True
+        if name != "open":
+            return False
+        args = [*call.args[:2], *(k.value for k in call.keywords if k.arg == "mode")]
+        modes = [a.value for a in args
+                 if isinstance(a, ast.Constant) and isinstance(a.value, str)]
+        flags = {node.attr for a in call.args[1:2] for node in ast.walk(a)
+                 if isinstance(node, ast.Attribute)}
+        return (any(set(mode) <= set("rwxabt+") and set(mode) & set("wa") for mode in modes)
+                or bool(flags & _OS_WRITE_FLAGS))
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and writes(child):
+                sites.append((owner, child.lineno))
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else owner)
+
+    visit(ast.parse(source), None)
+    return sites
+
+
+def test_the_write_site_finder_sees_each_kind_of_write():
+    source = ("def f(p):\n"
+              "    open(p, 'w')\n"
+              "    open(p, mode='ab')\n"
+              "    p.open('w', encoding='ascii')\n"
+              "    os.open(p, os.O_WRONLY | os.O_CREAT)\n"
+              "    p.write_text('x')\n"
+              "    p.write_bytes(b'x')\n"
+              "    open(p, 'rb'); open(p); p.open(); os.open(p, os.O_RDONLY)\n"
+              "open('w.txt')\n"
+              "Path('x').write_text('y')\n")
+    assert _write_sites(source) == [("f", line) for line in range(2, 8)] + [(None, 10)]
+
+
+def test_src_opens_files_for_writing_only_in_the_one_writer():
+    sites = [(str(path.relative_to(ROOT)), owner, line)
+             for path in sorted((ROOT / "src").rglob("*.py"))
+             for owner, line in _write_sites(path.read_text())]
+    assert [site[:2] for site in sites] == [WRITER], sites
+
+
 # public functions and classes that nothing in src/ reads, each kept on purpose
 UNREAD_BY_DESIGN = {
     "build_witness": "the library entry point of the README example",
