@@ -21,7 +21,7 @@ from .errors import (
     OutOfRange,
     QuadratureFailure,
 )
-from .generators import check_generator
+from .generators import _floats, check_generator
 from .linalg import _scalar, raise_first_failure, singular_check
 
 EQUAL_STATES_EPS = 1e-8
@@ -32,15 +32,6 @@ AE_ALPHA_FLOOR = 1e-12
 _PANEL_WIDTH, _PANEL_NODES = 2.0, 16
 QUAD_TOL = 1e-12
 _LOG_MAX_FLOAT = math.log(sys.float_info.max)
-
-
-def _floats(*arrays):
-    """The arrays as float arrays; raises :class:`DomainError` for entries
-    that are not real numbers."""
-    try:
-        return [np.asarray(x, dtype=float) for x in arrays]
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"entries are not real numbers: {exc}") from exc
 
 
 def _numbers(**named):

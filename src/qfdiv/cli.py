@@ -661,23 +661,16 @@ COMMANDS = {
 }
 
 
-def build_parser(command=None):
-    """A fresh ``qfdiv`` parser.  Each subcommand accepts exactly the options
-    it reads, in the order its help lists them.
-
-    If ``command`` names a subcommand, only that one is built: parsing an argv
-    that starts with it prints the same help, usage and errors as the full
-    tree.  Any other ``command`` builds every subcommand.  ``main`` keeps the
-    tree it builds for each key; this function never does.
-    """
+def build_parser():
+    """A fresh ``qfdiv`` parser of all six subcommands, each accepting exactly
+    the options it reads, in the order its help lists them."""
     parser = argparse.ArgumentParser(
         prog="qfdiv",
         description="Classical and quantum f-divergence toolkit: witness "
                     "construction, bound verification, and experiments.",
     )
     sub = parser.add_subparsers(metavar="command", required=True)
-    for name in [command] if command in COMMANDS else COMMANDS:
-        run, summary, options = COMMANDS[name]
+    for name, (run, summary, options) in COMMANDS.items():
         cmd = sub.add_parser(name, help=summary)
         cmd.set_defaults(command=run)
         for add in options:
@@ -686,26 +679,23 @@ def build_parser(command=None):
 
 
 @cache
-def _parser(command):
-    # build_parser is looked up in the module on each miss, so a patch of it
-    # takes effect once the cache is cleared
-    return build_parser(command)
+def _parser():
+    # build_parser is looked up in the module on the first call, so a patch
+    # of it takes effect once the cache is cleared
+    return build_parser()
 
 
 def main(argv=None):
     """Run one ``qfdiv`` command; returns its exit code (argparse exits 0 or 2
     itself on help and usage errors).
 
-    The parser is built once per process for each key: ``argv[0]`` when it
-    names a subcommand, ``None`` (the full tree) otherwise, so at most seven
-    trees are kept and a later call pays only for parsing.  The trees bind
-    the ``cmd_*`` handlers that ``COMMANDS`` took at import, so patching a
-    ``cmd_*`` function of this module does not reach ``main`` (no test
-    patches one).  ``_parser.cache_clear()`` drops the kept trees; the next
-    call of each key builds its tree again through ``build_parser``.
+    The parser is built once per process, on the first call, and kept, so a
+    later call pays only for parsing.  The tree binds the ``cmd_*`` handlers
+    that ``COMMANDS`` took at import, so patching a ``cmd_*`` function of
+    this module does not reach ``main`` (no test patches one).
+    ``_parser.cache_clear()`` drops the kept tree.
     """
-    argv = sys.argv[1:] if argv is None else argv
-    args = vars(_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv))
+    args = vars(_parser().parse_args(argv))
     command = args.pop("command")
     try:
         config = ExperimentConfig(**{name: args.pop(name) for name in args.keys() & _SETTINGS})

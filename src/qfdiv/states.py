@@ -164,11 +164,6 @@ def _check_states(m, tol):
     return _read_only(m)
 
 
-def _spectra(m):
-    """Read-only ascending eigenvalues of a matrix or of each row of a stack."""
-    return _read_only(np.linalg.eigvalsh(m))
-
-
 class DensityStack:
     """Stack of density matrices, each Hermitian PSD with unit trace.
 
@@ -179,7 +174,7 @@ class DensityStack:
     (:func:`linalg.hermitian_eig`) are computed on first read and cached;
     their eigenvalues differ in the last bits, so neither stands in for the
     other.  Rows taken from checked stacks (:meth:`take`, :meth:`concatenate`,
-    :meth:`DensityMatrix.as_stack`) stay checked and are not checked again.
+    :meth:`row`) stay checked and are not checked again.
     """
 
     __slots__ = ("mats", "tol", "_spectra", "_eig")
@@ -195,7 +190,7 @@ class DensityStack:
     @property
     def spectra(self):
         if self._spectra is None:
-            self._spectra = _spectra(self.mats)
+            self._spectra = _read_only(np.linalg.eigvalsh(self.mats))
         return self._spectra
 
     @property
@@ -207,28 +202,39 @@ class DensityStack:
         return self._eig
 
     def row(self, i):
-        """Row ``i`` as a :class:`DensityMatrix`, without checking it again;
-        it shares the stack's spectra if they were already computed."""
+        """Row ``i`` (from the end if negative) as a :class:`DensityMatrix`
+        viewing ``take(slice(i, i + 1))``: not checked again, sharing caches."""
+        try:
+            i = range(len(self.mats))[i]
+        except (IndexError, TypeError) as exc:
+            raise OutOfRange(f"row {i!r} is not a row of a stack of {len(self.mats)}") from exc
         rho = object.__new__(DensityMatrix)
-        rho.mat = self.mats[i]
-        rho.tol = self.tol
-        rho._spectrum = None if self._spectra is None else self._spectra[i]
+        rho._stack = self.take(slice(i, i + 1))
         return rho
 
     def take(self, rows):
         """The rows ``rows`` (an index array, a slice or a boolean mask) as a
         stack, without checking them again; it keeps their spectra and
-        eigendecompositions if they were already computed."""
+        eigendecompositions if they were already computed.  Rows that do not
+        index the stack raise :class:`OutOfRange`, with numpy's reason."""
+        try:
+            mats = _read_only(self.mats[rows])
+        except IndexError as exc:
+            raise OutOfRange(f"rows {rows!r} of a stack of {len(self.mats)}: {exc}") from exc
         spectra = None if self._spectra is None else _read_only(self._spectra[rows])
         eig = None if self._eig is None else linalg.HermitianEigen(
             *(_read_only(a[rows]) for a in (self._eig.eigenvalues, self._eig.vectors)))
-        return _checked_stack(_read_only(self.mats[rows]), self.tol, spectra, eig)
+        return _checked_stack(mats, self.tol, spectra, eig)
 
     @staticmethod
     def concatenate(stacks):
         """The rows of ``stacks`` in order, as one stack checked at the
         largest of their tolerances, without checking them again; its
-        spectra and eigendecompositions are computed on first read."""
+        spectra and eigendecompositions are computed on first read.  No
+        stacks, or stacks of two matrix shapes, raise :class:`DimensionMismatch`."""
+        shapes = [s.mats.shape for s in stacks]
+        if len({shape[1:] for shape in shapes}) != 1:
+            raise DimensionMismatch(f"cannot concatenate stacks of shapes {shapes}")
         return _checked_stack(_read_only(np.concatenate([s.mats for s in stacks])),
                               max(s.tol for s in stacks))
 
@@ -243,33 +249,35 @@ def _checked_stack(mats, tol, spectra=None, eig=None):
 class DensityMatrix:
     """Hermitian PSD matrix with unit trace; the carrier for quantum states.
 
-    Checked as a one-row :class:`DensityStack`, so positivity is certified
-    by Cholesky; ``tol`` is the tolerance the state was checked at.
-    ``spectrum``, the ascending eigenvalues, is computed on first read and
-    cached.
+    A view of one checked one-row :class:`DensityStack`: ``mat``, ``tol``
+    and ``spectrum`` (ascending eigenvalues) are read from it, and every
+    reader of the state shares the caches it fills.
     """
 
-    __slots__ = ("mat", "tol", "_spectrum")
+    __slots__ = ("_stack",)
 
     def __init__(self, mat, tol=STATE_TOL):
         m = linalg.as_complex_matrix(mat)
         if m.ndim != 2:
             raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-        self.mat = _check_states(m[None], tol)[0]
-        self.tol = tol
-        self._spectrum = None
+        self._stack = DensityStack(m[None], tol)
+
+    @property
+    def mat(self):
+        return self._stack.mats[0]
+
+    @property
+    def tol(self):
+        return self._stack.tol
 
     @property
     def spectrum(self):
-        if self._spectrum is None:
-            self._spectrum = _spectra(self.mat)
-        return self._spectrum
+        return self._stack.spectra[0]
 
     def as_stack(self):
-        """This state as a one-row :class:`DensityStack`, without checking
-        it again; the stack shares the spectrum if it was already computed."""
-        spectra = None if self._spectrum is None else self._spectrum[None]
-        return _checked_stack(self.mat[None], self.tol, spectra)
+        """This state as its one-row :class:`DensityStack`: the same object
+        on every call, so the caches it fills serve every later reader."""
+        return self._stack
 
     @property
     def dim(self):

@@ -23,7 +23,7 @@ from .bounds import (
 )
 from .divergence import chi2_rows, relative_entropy_rows
 from .errors import OutOfRange
-from .generators import builtin_generator
+from .generators import BUILTIN_NAMES, builtin_generator
 from .linalg import (hermitian_eig, hermitian_part, matrix_polynomial, singular_check,
                      trace_norm_hermitian)
 from .maximal import WITNESS_TOL, witness_batch, witness_residual_rows
@@ -48,6 +48,8 @@ ZETA1_TOL = 1e-12
 # than this; a rate above the floor but not above the minimum is a warning
 MIN_CONDITION_RATE = 0.80
 CONDITION_RATE_FLOOR = 0.75
+# the builtins whose maximal divergence data processing must not increase
+_OPERATOR_CONVEX = [g for g in map(builtin_generator, BUILTIN_NAMES) if g.operator_convex]
 
 # the (m, M) grid of the zeta1 suite
 ZETA1_M_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
@@ -117,7 +119,6 @@ def dpi_suite(dim=4, trials=100, seed=42):
     measured out of curiosity (``extras['tv_increase_rate']``) but never
     asserted.
     """
-    convex = [builtin_generator(name) for name in ("kl", "chi2")]
     tv = builtin_generator("tv")
     worst = 0.0
     equality_worst = 0.0
@@ -135,7 +136,7 @@ def dpi_suite(dim=4, trials=100, seed=42):
         keep = ~singular
         before = witness_batch(rho.take(keep), sigma.take(keep))
         after = witness_batch(out_rho.take(keep), out_sigma.take(keep))
-        for f in convex:
+        for f in _OPERATOR_CONVEX:
             worst = _worst(worst, after.f_divergence(f) - before.f_divergence(f))
         tv_increases += int(np.count_nonzero(
             after.f_divergence(tv) > before.f_divergence(tv) + INEQUALITY_TOL))
@@ -145,7 +146,7 @@ def dpi_suite(dim=4, trials=100, seed=42):
         classical = witness_batch(DensityStack(before.r[..., None] * eye, WITNESS_TOL),
                                   DensityStack(before.s[..., None] * eye, WITNESS_TOL))
         recovered = witness_batch(*before.recovered())
-        for f in convex:
+        for f in _OPERATOR_CONVEX:
             d = classical.f_divergence(f)
             gap = np.abs(recovered.f_divergence(f) - d) / np.maximum(1.0, np.abs(d))
             equality_worst = _worst(equality_worst, gap)
@@ -337,7 +338,6 @@ def operator_jensen_suite(trials=200, seed=42):
     negative eigenvalue of the difference, sign-flipped, or 0 when no
     difference has a negative eigenvalue.
     """
-    gens = [g for g in map(builtin_generator, ("kl", "chi2")) if g.operator_convex]
     worst = 0.0
     for i in range(trials):
         rng = substream(seed, 202, i)
@@ -349,9 +349,9 @@ def operator_jensen_suite(trials=200, seed=42):
         mean_eig = hermitian_eig(hermitian_part(sum(x * l for x, l in zip(xs, lambdas))))
         # the mean is PSD; its rounding-level negative eigenvalues read as 0
         spectrum = np.where(mean_eig.eigenvalues < 0.0, 0.0, mean_eig.eigenvalues)
-        for f in gens:
-            lhs = sum(f.at(x) * l for x, l in zip(xs, lambdas))
-            rhs = mean_eig.compose(np.array([f.at(x) for x in spectrum]))
+        for f in _OPERATOR_CONVEX:
+            lhs = sum(v * l for v, l in zip(f.values(xs), lambdas))
+            rhs = mean_eig.compose(f.values(spectrum))
             low = float(np.linalg.eigvalsh(lhs - rhs)[0])
             worst = max(worst, -low)
     return SuiteResult("operator-jensen", worst, IDENTITY_TOL)

@@ -249,7 +249,7 @@ def test_entrywise_bounds_match_scalar_calls():
         rhs = binette_rhs(m, big_m, t, f)
         for i, (a, b, c) in enumerate(zip(m.tolist(), big_m.tolist(), t.tolist())):
             assert zeta[i] == zeta1_closed(a, b, f)
-            assert zeta[i] == f.at(b) / (b - 1.0) + f.at(a) / (1.0 - a)
+            assert zeta[i] == float(f.values(b)) / (b - 1.0) + float(f.values(a)) / (1.0 - a)
             assert rhs[i] == binette_rhs(a, b, c, f)
     lower = pinsker_chi2_lower(t)
     for i, c in enumerate(t.tolist()):
@@ -491,8 +491,11 @@ def test_binette_rhs_and_zeta1_closed_reject_arrays_of_unequal_shape():
 
 
 def test_bounds_reject_entries_that_are_not_real_numbers():
-    # each raised numpy's or Python's bare ValueError or TypeError
+    # each raised numpy's or Python's bare ValueError or TypeError, but the
+    # numeric string and the complex array, which were read as real numbers
     for call in (lambda: pinsker_chi2_lower("a"),
+                 lambda: pinsker_chi2_lower("1.5"),
+                 lambda: zeta1_closed(np.array([0.5 + 0j]), [2.0], KL),
                  lambda: binette_rhs("a", 2.0, 0.5, KL),
                  lambda: zeta1_closed([0.5], [1j], KL),
                  lambda: audenaert_eisert_rows([0.5], ["x"], [0.25]),

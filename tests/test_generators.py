@@ -1,10 +1,12 @@
 """Tests for the convex divergence generators."""
 
 import math
+import warnings
 
+import numpy as np
 import pytest
 
-from qfdiv.errors import InvariantViolation, UnknownGenerator
+from qfdiv.errors import DomainError, InvariantViolation, UnknownGenerator
 from qfdiv.generators import BUILTIN_NAMES, FGenerator, builtin_generator
 
 
@@ -18,29 +20,23 @@ def test_builtin_names_are_exactly_the_three_generators():
 
 def test_kl_generator_values():
     kl = builtin_generator("kl")
-    assert kl.at(1.0) == 0.0
-    assert kl.at(0.0) == 0.0
-    assert kl.at(math.e) == pytest.approx(math.e)
-    assert kl.at(2.0) == pytest.approx(2.0 * math.log(2.0))
+    at = kl.values([1.0, 0.0, math.e, 2.0])
+    assert at[:2].tolist() == [0.0, 0.0]
+    assert at[2:] == pytest.approx([math.e, 2.0 * math.log(2.0)])
     assert kl.second_derivative(0.5) == pytest.approx(2.0)
     assert kl.operator_convex
 
 
 def test_chi2_generator_values():
     chi2 = builtin_generator("chi2")
-    assert chi2.at(1.0) == 0.0
-    assert chi2.at(0.0) == -1.0
-    assert chi2.at(3.0) == pytest.approx(8.0)
+    assert chi2.values([1.0, 0.0, 3.0]).tolist() == [0.0, -1.0, 8.0]
     assert chi2.second_derivative(17.0) == 2.0
     assert chi2.operator_convex
 
 
 def test_tv_generator_values():
     tv = builtin_generator("tv")
-    assert tv.at(1.0) == 0.0
-    assert tv.at(0.0) == 1.0
-    assert tv.at(2.5) == pytest.approx(1.5)
-    assert tv.at(0.25) == pytest.approx(0.75)
+    assert tv.values([1.0, 0.0, 2.5, 0.25]).tolist() == [0.0, 1.0, 1.5, 0.75]
     assert tv.second_derivative is None
     assert not tv.operator_convex
 
@@ -58,8 +54,7 @@ def test_custom_generator_registration():
         value_at_zero=1.0,
         second_derivative=lambda x: 2.0,
     )
-    assert quad.at(0.0) == 1.0
-    assert quad.at(3.0) == pytest.approx(4.0)
+    assert quad.values([0.0, 3.0]).tolist() == [1.0, 4.0]
     assert not quad.operator_convex
 
 
@@ -84,3 +79,17 @@ def test_wrong_second_derivative_is_rejected():
             second_derivative=lambda x: 5.0,
         )
     assert info.value.invariant == "second-derivative"
+
+
+@pytest.mark.parametrize("x", [-1.0, [0.5, -1e-300], np.nan, [1.0, np.nan], -np.inf, "x", "2",
+                               [1.0, "x"], 1j, np.array([2.0 + 0j]), [[1.0], [1.0, 2.0]]],
+                         ids=["negative", "negative-entry", "nan", "nan-entry", "minus-inf",
+                              "string", "numeric-string", "string-entry", "complex",
+                              "complex-array", "ragged"])
+def test_values_rejects_points_outside_its_domain(x):
+    # no nan, no RuntimeWarning and no bare numpy error: a typed DomainError
+    for f in map(builtin_generator, BUILTIN_NAMES):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                f.values(x)

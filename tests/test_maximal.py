@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from conftest import (
+    count_eig_calls,
     diagonal_state,
     ill_conditioned_pair,
     maximally_mixed,
@@ -42,6 +43,7 @@ from qfdiv.maximal import (
 )
 from qfdiv.states import (
     ClassicalDistribution,
+    DensityMatrix,
     DensityStack,
     QuantumChannel,
     abs_condition_holds,
@@ -418,7 +420,8 @@ def test_build_witness_is_bit_identical_to_its_batch_row(dim):
     batch = witness_batch(rho, sigma)
     assert batch.lambdas.shape == (7, dim)
     for i in range(7):
-        w = build_witness(rho.row(i), sigma.row(i))
+        # fresh states, so the one-row route computes sigma's eig alone
+        w = build_witness(DensityMatrix(rho.mats[i]), DensityMatrix(sigma.mats[i]))
         row = batch.row(i)
         for got, want in (
             (w.lambdas, batch.lambdas[i]),
@@ -442,7 +445,7 @@ def test_stacked_residuals_match_the_one_row_and_kraus_routes(dim):
     kraus = np.stack([random_channel(dim, seed=rng).kraus for rng in rngs])
     out = apply_channel_rows(kraus, rho.mats, rho.tol)
     for b in range(6):
-        assert _residuals(rho.row(b), sigma.row(b), KL) == {
+        assert _residuals(DensityMatrix(rho.mats[b]), DensityMatrix(sigma.mats[b]), KL) == {
             k: float(v[b]) for k, v in rows.items()}
         # the Kraus route of the recovery channel is the independent oracle
         w = batch.row(b)
@@ -591,3 +594,18 @@ def test_witness_r_defect_shows_as_its_residual():
     residuals = _residuals(rho, sigma, KL)
     assert 1e-10 < residuals["r_normalization"] <= WITNESS_TOL
     assert max(residuals.values()) <= WITNESS_TOL
+
+
+def test_one_pair_diagonalizes_sigma_once_for_both_entry_points(monkeypatch):
+    # a DensityMatrix is a view of its one-row stack, so the eigendecomposition
+    # of sigma that build_witness computes is the one max_relative_entropy reads
+    rho, sigma = (x.row(0) for x in random_pairs([substream(31, 4)], 4))
+    alone = max_relative_entropy(DensityMatrix(rho.mat), DensityMatrix(sigma.mat))
+    calls = count_eig_calls(monkeypatch)
+    w = build_witness(rho, sigma)
+    assert calls == {"eigh": 2}  # sigma, then T
+    d_max = max_relative_entropy(rho, sigma)
+    assert calls == {"eigh": 2, "eigvalsh": 1}
+    assert d_max == alone
+    assert d_max == pytest.approx(math.log(w.lambdas[-1]), rel=1e-12)
+    assert sigma.as_stack() is sigma.as_stack()

@@ -147,37 +147,74 @@ def test_src_opens_files_for_writing_only_in_the_one_writer():
     assert [site[:2] for site in sites] == [WRITER], sites
 
 
-# public functions and classes that nothing in src/ reads, each kept on purpose
+# public definitions that nothing in src/ reads, each kept on purpose
 UNREAD_BY_DESIGN = {
     "build_witness": "the library entry point of the README example",
     "write_state_file": "writes the state files that replay a worst case",
     "max_relative_entropy": "ln M by a route sharing only sigma's eigendecomposition "
                             "with the witness, for checks",
+    "Witness.channel": "the paper's recovery channel, read by the tests",
+    "DensityMatrix.spectrum": "the public single-state spectrum",
 }
 
 
-def _unread_definitions(src):
-    """Public top-level functions and classes of the modules under ``src``
-    that no live code reads, ``__init__``'s re-exports aside.  A read inside
-    a definition's own body does not count, and neither does a read inside
-    a definition that is itself unread, so a chain of helpers that serve
-    only each other is found whole; the bodies of ``UNREAD_BY_DESIGN`` count
-    as live."""
-    statements = []  # (name it defines or None, names it reads)
+def _walk(node, skip):
+    """``node`` and the nodes under it, leaving out the subtrees in ``skip``."""
+    if not any(node is s for s in skip):
+        yield node
+        for child in ast.iter_child_nodes(node):
+            yield from _walk(child, skip)
+
+
+def _reads(node, skip=()):
+    """The names (``x``) and attributes (``.x``) read under ``node``, outside
+    the subtrees in ``skip``."""
+    return {f".{n.attr}" if isinstance(n, ast.Attribute) else n.id
+            for n in _walk(node, skip) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def _statements(src):
+    """``(name, keys, reads)`` of each top-level statement of the modules
+    under ``src``, ``__init__``'s re-exports aside, and of each public method
+    or property of a public class.  ``name`` is the definition's name
+    (``Class.member`` for a member, None for a statement that defines none),
+    ``keys`` the reads that reach it: its name or attribute for a top-level
+    definition, its attribute alone for a member.  ``reads`` leaves out the
+    definition's own keys, and a class's reads leave out its public members,
+    which are statements of their own."""
     for path in sorted(src.rglob("*.py")):
         if path.name == "__init__.py":
             continue
         for stmt in ast.parse(path.read_text()).body:
-            own = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else None
-            reads = {node.id if isinstance(node, ast.Name) else node.attr
-                     for node in ast.walk(stmt) if isinstance(node, (ast.Name, ast.Attribute))}
-            statements.append((own, reads - {own}))
-    public = {own for own, _ in statements if own and not own.startswith("_")}
+            members = []
+            if isinstance(stmt, ast.ClassDef) and not stmt.name.startswith("_"):
+                members = [m for m in stmt.body
+                           if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")]
+            for m in members:
+                yield f"{stmt.name}.{m.name}", {f".{m.name}"}, _reads(m) - {f".{m.name}"}
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                keys = {stmt.name, f".{stmt.name}"}
+                yield stmt.name, keys, _reads(stmt, members) - keys
+            else:
+                yield None, set(), _reads(stmt)
+
+
+def _unread_definitions(src):
+    """Public top-level functions and classes of the modules under ``src``,
+    and public methods and properties of public classes, that no live code
+    reads; a member is matched by its attribute name alone.  A read inside
+    a definition's own body does not count, and neither does a read inside
+    a definition that is itself unread, so a chain of helpers that serve
+    only each other is found whole; the bodies of ``UNREAD_BY_DESIGN`` count
+    as live."""
+    statements = list(_statements(src))
+    public = {name: keys for name, keys, _ in statements
+              if name and not name.startswith("_")}
     dead = set()
     while True:
-        live = [reads for own, reads in statements
-                if own not in dead or own in UNREAD_BY_DESIGN]
-        now = public - set().union(*live)
+        live = set().union(*(reads for name, _, reads in statements
+                             if name not in dead or name in UNREAD_BY_DESIGN))
+        now = {name for name, keys in public.items() if not keys & live}
         if now == dead:
             return sorted(dead)
         dead = now

@@ -655,3 +655,36 @@ def test_apply_channel_rows_checks_at_the_given_tolerance():
     assert apply_channel_rows(ch.kraus[None], m, 1e-9).tol == 1e-9
     with pytest.raises(InvariantViolation):
         apply_channel_rows(ch.kraus[None], m)
+
+
+def _three_rows():
+    return random_pairs([substream(25, i) for i in range(3)], 3)[0]
+
+
+@pytest.mark.parametrize("select, error, match", [
+    (lambda s: s.row(5), OutOfRange, "row 5 "),
+    (lambda s: s.row(-4), OutOfRange, "row -4 "),
+    (lambda s: s.row(1.0), OutOfRange, "row 1.0 "),
+    (lambda s: s.take([7]), OutOfRange, "index 7 "),
+    (lambda s: s.take(np.array([True, False])), OutOfRange, "boolean axis is 2"),
+    (lambda s: s.take([0.5]), OutOfRange, r"rows \[0.5\]"),
+    (lambda s: DensityStack.concatenate([]), DimensionMismatch, r"shapes \[\]"),
+    (lambda s: DensityStack.concatenate(
+        [s, random_pairs([substream(25, 3)], 4)[0]]), DimensionMismatch,
+     r"shapes \[\(3, 3, 3\), \(1, 4, 4\)\]"),
+], ids=["row-past-the-end", "row-before-the-start", "row-float", "take-past-the-end",
+        "take-short-mask", "take-float", "concatenate-nothing", "concatenate-n3-with-n4"])
+def test_row_selection_raises_typed_errors_naming_the_index_or_shapes(select, error, match):
+    with pytest.raises(error, match=match):
+        select(_three_rows())
+
+
+def test_a_row_is_its_one_row_take():
+    rho = _three_rows()
+    spectra = rho.spectra
+    for i in (0, 2, -1):
+        row = rho.row(i)
+        assert np.array_equal(row.mat, rho.mats[i])
+        assert np.array_equal(row.as_stack().mats, rho.take(slice(i % 3, i % 3 + 1)).mats)
+        assert np.shares_memory(row.spectrum, spectra)
+        assert row.as_stack() is row.as_stack() and row.tol == rho.tol
