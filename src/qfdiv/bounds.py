@@ -21,8 +21,8 @@ from .errors import (
     OutOfRange,
     QuadratureFailure,
 )
-from .generators import _floats, check_generator
-from .linalg import _scalar, raise_first_failure, singular_check
+from .generators import check_generator
+from .linalg import _scalar, numbers, raise_first_failure, singular_check
 
 EQUAL_STATES_EPS = 1e-8
 # below this least eigenvalue of rho the second Audenaert-Eisert term is 0
@@ -36,8 +36,8 @@ _LOG_MAX_FLOAT = math.log(sys.float_info.max)
 
 def _numbers(**named):
     """The named arguments as floats; raises :class:`DomainError` unless each
-    is one real number."""
-    arrays = _floats(*named.values())
+    is one real number (:func:`linalg.numbers`)."""
+    arrays = [numbers(a) for a in named.values()]
     for name, a in zip(named, arrays):
         if a.ndim:
             raise DomainError(f"{name} must be a number, got shape {a.shape}")
@@ -45,9 +45,9 @@ def _numbers(**named):
 
 
 def _one_shape(*arrays):
-    """The arrays as float arrays (:func:`_floats`); raises
+    """The arrays as float arrays (:func:`linalg.numbers`); raises
     :class:`DimensionMismatch` unless they have one shape."""
-    arrays = _floats(*arrays)
+    arrays = [numbers(a) for a in arrays]
     shapes = [a.shape for a in arrays]
     if len(set(shapes)) > 1:
         raise DimensionMismatch(f"shapes {', '.join(map(str, shapes[:-1]))} "
@@ -72,7 +72,7 @@ def pinsker_chi2_lower(t):
 
     Piecewise: t^2 on [0, 1], t / (2 - t) on (1, 2]; unbounded as t -> 2.
     """
-    (t,) = _floats(t)
+    t = numbers(t)
     raise_first_failure([_trace_distance_check(t)])
     with np.errstate(divide="ignore"):
         return _scalar(np.where(t <= 1.0, t * t, t / (2.0 - t)))

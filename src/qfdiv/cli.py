@@ -37,6 +37,7 @@ from .errors import (
     SamplingBudgetExceeded,
 )
 from .generators import BUILTIN_NAMES, builtin_generator
+from .linalg import check_counts
 from .maximal import WITNESS_TOL, witness_batch, witness_residual_rows
 from .states import (
     CHUNK_ROWS,
@@ -70,12 +71,9 @@ class ExperimentConfig:
     out_dir: Path = field(default_factory=lambda: Path(os.environ.get("QFDIV_OUT", ".")))
 
     def __post_init__(self):
-        if self.dim < 2:
-            raise OutOfRange(f"dim must be at least 2, got {self.dim}")
-        if self.seed < 0:
-            raise OutOfRange(f"seed must be nonnegative, got {self.seed}")
-        if self.samples < 1:
-            raise OutOfRange(f"samples must be at least 1, got {self.samples}")
+        check_counts(2, dim=self.dim)
+        check_counts(0, seed=self.seed)
+        check_counts(samples=self.samples)
         if not (0.0 < self.lam < math.inf and math.isfinite(FIG1_HORIZON / self.lam)):
             raise OutOfRange(f"decay rate must be positive, with a finite fig1 horizon "
                              f"{FIG1_HORIZON:g}/lambda, got {self.lam}")

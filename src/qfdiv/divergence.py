@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, ZeroReference
 from .generators import check_generator
-from .linalg import adjoint, raise_first_failure, singular_check
+from .linalg import adjoint, numbers, raise_first_failure, singular_check
 from .states import ClassicalDistribution, check_pair, check_types, one_row_pair
 
 
@@ -24,8 +24,7 @@ def f_div_rows(p, q, f):
     """D_f(p_b || q_b) for each row b of two ``(B, n)`` probability arrays;
     every q entry must be strictly positive."""
     check_generator(f)
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
+    p, q = numbers(p), numbers(q)
     if p.shape != q.shape:
         raise DimensionMismatch(f"lengths {p.shape[-1]} and {q.shape[-1]} differ")
     raise_first_failure([(q.min(axis=-1) <= 0.0, lambda i, where: ZeroReference(

@@ -19,8 +19,9 @@ class NegativeSpectrum(QfdivError, ValueError):
 
 
 class DomainError(QfdivError, ValueError):
-    """A scalar function was undefined or non-finite on the spectrum it
-    was applied to."""
+    """Entries given are not numbers of the kind wanted, or not finite where
+    they must be, or a scalar function was undefined or non-finite on the
+    spectrum it was applied to."""
 
 
 class SingularState(QfdivError, ValueError):
@@ -29,10 +30,6 @@ class SingularState(QfdivError, ValueError):
 
 class DimensionMismatch(QfdivError, ValueError):
     """Operands have incompatible dimensions."""
-
-
-class BadRank(QfdivError, ValueError):
-    """Requested rank is outside 1..n."""
 
 
 class UnknownGenerator(QfdivError, KeyError):
@@ -49,7 +46,8 @@ class ZeroReference(QfdivError, ValueError):
 
 
 class OutOfRange(QfdivError, ValueError):
-    """A scalar argument lies outside its admissible interval."""
+    """A scalar argument lies outside its admissible interval, or a count,
+    a seed or a key part is not an integer of at least its minimum."""
 
 
 class DegenerateExtremes(QfdivError, ValueError):

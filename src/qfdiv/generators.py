@@ -21,22 +21,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, InvariantViolation, NotAGenerator, UnknownGenerator
+from .linalg import numbers
 
 CONVEXITY_GRID = (0.1, 0.5, 1.0, 2.0, 10.0)
 _MIDPOINT_SLACK = 1e-12
 _FD_REL_TOL = 1e-5
-
-
-def _floats(*arrays):
-    """The arrays as float arrays; raises :class:`DomainError` for entries
-    that are not real numbers, complex numbers and numeric strings included."""
-    try:
-        raw = [np.asarray(x) for x in arrays]
-        if any(a.dtype.kind in "cSU" for a in raw):
-            raise TypeError("complex or string dtype")
-        return [a.astype(float, copy=False) for a in raw]
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"entries are not real numbers: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -82,9 +71,10 @@ class FGenerator:
 
     def values(self, x):
         """Evaluate f elementwise on an array of points x >= 0, using the
-        declared limit at x = 0.  Points that are not real numbers, or not
-        >= 0 (nan included), raise :class:`DomainError`."""
-        (x,) = _floats(x)
+        declared limit at x = 0.  Points that are not real numbers
+        (:func:`linalg.numbers`), or not >= 0 (nan included), raise
+        :class:`DomainError`."""
+        x = numbers(x)
         low = x.min(initial=np.inf)  # nan if any entry is nan
         if low > 0.0:
             return self.value(x)

@@ -11,6 +11,10 @@ state (the carriers of :mod:`qfdiv.states`), and ``hermitian_eig`` and
 ``trace_norm_hermitian`` take Hermitian input as given.  On finite input
 near the largest float, ``hermitian_part`` and ``hermitian_eig`` return
 finite values or raise a typed error, and emit no warning.
+
+Input from outside passes one gate, here: :func:`numbers` is the only
+conversion of an outside array, and :func:`check_counts` the only check of
+a size, a sample count, a seed or a key part.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, NoConvergence, SingularState
+from .errors import DimensionMismatch, DomainError, NoConvergence, OutOfRange, SingularState
 
 # eigenvalues in [-PSD_CLAMP_TOL, 0) are treated as exact zeros
 PSD_CLAMP_TOL = 1e-8
@@ -67,17 +71,43 @@ def _scalar(x):
     return x.item() if np.ndim(x) == 0 else x
 
 
+# the array kinds (bool, signed, unsigned, float, complex) each dtype takes
+_NUMBER_KINDS = {"f": "biuf", "c": "biufc"}
+
+
+def numbers(a, dtype=float, finite=False):
+    """``a`` as an array of ``dtype``, float or complex128: the one place an
+    outside array is converted.  Strings (numeric ones too), complex entries
+    where reals are wanted, ragged lists, None and other objects raise
+    :class:`DomainError`, and so do non-finite entries if ``finite``.  An
+    array of ``dtype`` is returned as is, not copied."""
+    try:
+        raw = np.asarray(a)
+    except (TypeError, ValueError) as exc:  # a ragged list, say
+        raise DomainError(f"entries are not numbers: {exc}") from exc
+    dtype = np.dtype(dtype)
+    if raw.dtype.kind not in _NUMBER_KINDS[dtype.kind]:
+        raise DomainError(f"entries are not numbers: got {raw.dtype}, need {dtype}")
+    out = raw.astype(dtype, copy=False)
+    if finite and not np.isfinite(out).all():
+        raise DomainError("entries are not finite")
+    return out
+
+
+def check_counts(minimum=1, **named):
+    """Raise :class:`OutOfRange`, naming it, for the first of ``named`` that
+    is not an integer of at least ``minimum``."""
+    for name, value in named.items():
+        if not isinstance(value, (int, np.integer)) or value < minimum:
+            raise OutOfRange(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 def as_complex_matrix(a):
     """Coerce input to a complex128 square matrix, or stack of them, with
     finite entries; complex128 input is returned as is, not copied."""
-    try:
-        m = np.asarray(a, dtype=np.complex128)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"matrix entries are not numbers: {exc}") from exc
+    m = numbers(a, np.complex128, finite=True)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] < 1:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise DomainError("matrix contains non-finite entries")
     return m
 
 

@@ -31,7 +31,7 @@ import numbers
 import numpy as np
 
 from . import linalg
-from .errors import BadRank, DimensionMismatch, InvariantViolation, NotAState, OutOfRange
+from .errors import DimensionMismatch, InvariantViolation, NotAState, OutOfRange
 
 STATE_TOL = 1e-10
 CHANNEL_TOL = 1e-9
@@ -42,15 +42,9 @@ CHUNK_ROWS = 256
 MAX_INDEX = 2**32 - 1
 
 
-def _check_key(parts):
-    for part in parts:
-        if not isinstance(part, (int, np.integer)) or part < 0:
-            raise OutOfRange(f"seed and key parts must be nonnegative integers, got {part!r}")
-
-
 def substream(seed, *key):
     """Independent generator derived from a base seed and an index key."""
-    _check_key((seed, *key))
+    linalg.check_counts(0, seed=seed, **{f"key[{i}]": part for i, part in enumerate(key)})
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
@@ -68,7 +62,7 @@ def substreams(seed, prefix, indices):
     :func:`substream` below about ten indices and about six times cheaper
     per generator at ``CHUNK_ROWS``.  Indices must lie in ``[0, MAX_INDEX]``.
     """
-    _check_key((seed, *prefix))
+    linalg.check_counts(0, seed=seed, **{f"prefix[{i}]": part for i, part in enumerate(prefix)})
     idx = np.asarray(indices)
     if idx.size and (idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() > MAX_INDEX):
         raise OutOfRange(f"sample indices must be integers in [0, {MAX_INDEX}]")
@@ -84,15 +78,6 @@ def _check_tol(tol):
         raise OutOfRange(f"tolerance must be a real number in [0, inf), got {tol!r}")
 
 
-def _numeric(a, dtype):
-    """``a`` as an array of ``dtype``, with non-numeric input a typed error
-    rather than numpy's bare ``ValueError`` or ``TypeError``."""
-    try:
-        return np.array(a, dtype=dtype)
-    except (TypeError, ValueError) as exc:
-        raise InvariantViolation("numeric", f"entries are not numbers: {exc}") from exc
-
-
 class ClassicalDistribution:
     """Probability vector: nonnegative entries summing to one within ``tol``.
 
@@ -104,11 +89,10 @@ class ClassicalDistribution:
 
     def __init__(self, probs, tol=STATE_TOL):
         _check_tol(tol)
-        p = _numeric(probs, float)
+        # a copy: the caller's array is never made read-only
+        p = np.array(linalg.numbers(probs, finite=True))
         if p.ndim != 1 or p.size < 1:
             raise InvariantViolation("shape", f"expected a vector, got shape {p.shape}")
-        if not np.all(np.isfinite(p)):
-            raise InvariantViolation("finiteness", "non-finite entries")
         if p.min() < 0.0:
             raise InvariantViolation("nonnegativity", f"min entry {p.min():.3e}")
         defect = abs(float(p.sum()) - 1.0)
@@ -216,11 +200,15 @@ class DensityStack:
         """The rows ``rows`` (an index array, a slice or a boolean mask) as a
         stack, without checking them again; it keeps their spectra and
         eigendecompositions if they were already computed.  Rows that do not
-        index the stack raise :class:`OutOfRange`, with numpy's reason."""
+        index the stack, or select something other than a stack of its
+        matrices, raise :class:`OutOfRange`."""
         try:
             mats = _read_only(self.mats[rows])
         except IndexError as exc:
             raise OutOfRange(f"rows {rows!r} of a stack of {len(self.mats)}: {exc}") from exc
+        if mats.shape[1:] != self.mats.shape[1:]:
+            raise OutOfRange(f"rows {rows!r} of a stack of shape {self.mats.shape} "
+                             f"select shape {mats.shape}, not a stack")
         spectra = None if self._spectra is None else _read_only(self._spectra[rows])
         eig = None if self._eig is None else linalg.HermitianEigen(
             *(_read_only(a[rows]) for a in (self._eig.eigenvalues, self._eig.vectors)))
@@ -231,7 +219,11 @@ class DensityStack:
         """The rows of ``stacks`` in order, as one stack checked at the
         largest of their tolerances, without checking them again; its
         spectra and eigendecompositions are computed on first read.  No
-        stacks, or stacks of two matrix shapes, raise :class:`DimensionMismatch`."""
+        stacks, or stacks of two matrix shapes, raise :class:`DimensionMismatch`;
+        anything but a sequence of stacks raises :class:`NotAState`."""
+        stacks = list(stacks) if np.iterable(stacks) else stacks
+        check_types(list, stacks=stacks)
+        check_types(DensityStack, **{f"stacks[{i}]": s for i, s in enumerate(stacks)})
         shapes = [s.mats.shape for s in stacks]
         if len({shape[1:] for shape in shapes}) != 1:
             raise DimensionMismatch(f"cannot concatenate stacks of shapes {shapes}")
@@ -294,19 +286,16 @@ class QuantumChannel:
 
     def __init__(self, kraus, tol=CHANNEL_TOL):
         _check_tol(tol)
-        try:
-            ops = [_numeric(a, np.complex128) for a in kraus]
-        except TypeError as exc:  # not iterable
-            raise DimensionMismatch(f"a Kraus family is a sequence of matrices, "
-                                    f"got {type(kraus).__name__}") from exc
+        # a family that is not a sequence is read as one operator, which is not 2-d
+        ops = [linalg.numbers(a, np.complex128, finite=True)
+               for a in (kraus if np.iterable(kraus) else [kraus])]
         if not ops:
             raise InvariantViolation("completeness", "empty Kraus family")
-        shape = ops[0].shape
-        if len(shape) != 2 or any(a.shape != shape for a in ops):
-            raise DimensionMismatch("Kraus operators must share one 2-d shape")
-        stack = np.array(ops)
+        shapes = sorted({a.shape for a in ops})
+        if len(shapes) != 1 or len(shapes[0]) != 2:
+            raise DimensionMismatch(f"Kraus operators must share one 2-d shape, got {shapes}")
+        stack = np.array(ops)  # a copy: the caller's arrays are never made read-only
         defect = completeness_defect(stack)
-        # a nan defect (non-finite entries) fails too
         if not defect <= tol:
             raise InvariantViolation(
                 "completeness", f"max |sum A^dag A - I| = {defect:.3e}"
@@ -330,7 +319,7 @@ def completeness_defect(kraus):
 def ginibre_states(factors):
     """The states G G^dag / tr(G G^dag) of a ``(B, n, rank)`` factor stack,
     symmetrized once, by the state stack."""
-    g = np.asarray(factors)
+    g = linalg.numbers(factors, np.complex128)
     m = g @ linalg.adjoint(g)
     return DensityStack(m / m.trace(axis1=1, axis2=2).real[:, None, None])
 
@@ -355,10 +344,8 @@ def _ginibre_factors(rngs, n, rank):
     ``(B, 2, 2, n, rank)`` float buffer, whose C order (real then imaginary
     part of rho's factor, then of sigma's) is the order of four separate
     ``(n, rank)`` draws."""
-    check_sizes(n=n)
     rank = n if rank is None else rank
-    if not isinstance(rank, (int, np.integer)) or rank < 1:
-        raise BadRank(f"rank must be an integer >= 1, got {rank!r}")
+    linalg.check_counts(n=n, rank=rank)
     buf = np.empty((len(rngs), 2, 2, n, rank))
     for b, rng in enumerate(rngs):
         rng.standard_normal(out=buf[b])
@@ -372,7 +359,7 @@ def random_channel(n, k=None, seed=None):
     blocks; k defaults to n.  ``seed`` is anything ``np.random.default_rng``
     takes, a generator included, which then draws on."""
     k = n if k is None else k
-    check_sizes(n=n, k=k)
+    linalg.check_counts(n=n, k=k)
     try:
         rng = np.random.default_rng(seed)
     except (TypeError, ValueError) as exc:
@@ -389,19 +376,11 @@ def apply_channel_rows(kraus, rho_mats, tol=STATE_TOL):
     """Apply channel b to state b of a stack: sum_i A_bi rho_b A_bi^dag for a
     ``(B, k, m, n)`` Kraus stack and a ``(B, n, n)`` state stack, with the
     terms added in the order of i, checked at ``tol``."""
-    kraus, rho_mats = np.asarray(kraus), np.asarray(rho_mats)
+    kraus, rho_mats = (linalg.numbers(a, np.complex128) for a in (kraus, rho_mats))
     if kraus.ndim != 4 or rho_mats.shape != (len(kraus),) + kraus.shape[-1:] * 2:
         raise DimensionMismatch(f"Kraus stack {kraus.shape} cannot act on {rho_mats.shape}")
     terms = (a @ rho_mats @ linalg.adjoint(a) for a in kraus.swapaxes(0, 1))
     return DensityStack(sum(terms), tol)
-
-
-def check_sizes(**named):
-    """Raise :class:`DimensionMismatch` for the first of ``named`` that is not
-    an integer >= 1, naming it."""
-    for name, size in named.items():
-        if not isinstance(size, (int, np.integer)) or size < 1:
-            raise DimensionMismatch(f"{name} must be an integer >= 1, got {size!r}")
 
 
 def check_types(kind, **named):

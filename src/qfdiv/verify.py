@@ -22,10 +22,9 @@ from .bounds import (
     zeta1_integral,
 )
 from .divergence import chi2_rows, relative_entropy_rows
-from .errors import OutOfRange
 from .generators import BUILTIN_NAMES, builtin_generator
-from .linalg import (hermitian_eig, hermitian_part, matrix_polynomial, singular_check,
-                     trace_norm_hermitian)
+from .linalg import (check_counts, hermitian_eig, hermitian_part, matrix_polynomial,
+                     singular_check, trace_norm_hermitian)
 from .maximal import WITNESS_TOL, witness_batch, witness_residual_rows
 from .states import (
     CHUNK_ROWS,
@@ -33,7 +32,6 @@ from .states import (
     abs_condition_holds,
     abs_condition_rows,
     apply_channel_rows,
-    check_sizes,
     random_channel,
     random_pairs,
     substream,
@@ -90,6 +88,7 @@ def witness_suite(dims=(2, 3, 4, 8), pairs_per_dim=100, seed=42):
     report.  Its kl report serves every builtin generator: the residuals do
     not depend on ``f`` (see :func:`witness_residual_rows`).
     """
+    check_counts(pairs_per_dim=pairs_per_dim)
     kl = builtin_generator("kl")
     worst = 0.0
     for dim in dims:
@@ -108,7 +107,8 @@ def dpi_suite(dim=4, trials=100, seed=42):
     tv are read from them: (rho, sigma), (Phi rho, Phi sigma), the witness
     pair (diag r, diag s), and that pair's image under the recovery channel
     V.  A trial is skipped (``extras['skipped']``) when sigma or Phi sigma
-    is too close to singular for the first two witnesses.
+    is too close to singular for the first two witnesses, as read from
+    the ``eig`` of their stacks, which those witnesses then share.
 
     ``worst`` is the largest increase after a channel for the operator-convex
     builtins; equality through the witness recovery channel is tracked in
@@ -119,6 +119,7 @@ def dpi_suite(dim=4, trials=100, seed=42):
     measured out of curiosity (``extras['tv_increase_rate']``) but never
     asserted.
     """
+    check_counts(dim=dim, trials=trials)
     tv = builtin_generator("tv")
     worst = 0.0
     equality_worst = 0.0
@@ -131,7 +132,8 @@ def dpi_suite(dim=4, trials=100, seed=42):
         kraus = np.stack([random_channel(dim, seed=rng).kraus for rng in rngs])
         out_rho = apply_channel_rows(kraus, rho.mats, rho.tol)
         out_sigma = apply_channel_rows(kraus, sigma.mats, sigma.tol)
-        singular, _ = singular_check(np.minimum(sigma.spectra[:, 0], out_sigma.spectra[:, 0]))
+        singular, _ = singular_check(np.minimum(sigma.eig.eigenvalues[:, 0],
+                                                out_sigma.eig.eigenvalues[:, 0]))
         skipped += int(np.count_nonzero(singular))
         keep = ~singular
         before = witness_batch(rho.take(keep), sigma.take(keep))
@@ -157,7 +159,7 @@ def dpi_suite(dim=4, trials=100, seed=42):
         extras={
             "equality_worst": equality_worst,
             "skipped": skipped,
-            "tv_increase_rate": tv_increases / trials if trials else 0.0,
+            "tv_increase_rate": tv_increases / trials,
         },
     )
 
@@ -190,6 +192,7 @@ def maximality_and_pinsker(dim=4, samples=1000, seed=42):
 
     pinsker: chi-squared never drops below its trace-distance envelope.
     """
+    check_counts(dim=dim, samples=samples)
     kl, chi2, tv = (builtin_generator(name) for name in ("kl", "chi2", "tv"))
     maximality = 0.0
     pinsker = 0.0
@@ -238,6 +241,7 @@ def reverse_pinsker_and_binette(dim=4, samples=1000, seed=42):
     it holds unconditionally, so it certifies the witness construction and
     the bound evaluation jointly at near machine precision.
     """
+    check_counts(dim=dim, samples=samples)
     gens = [builtin_generator(name) for name in ("kl", "chi2", "tv")]
     worst = 0.0
     met = 0
@@ -304,6 +308,7 @@ def trace_identity_suite(trials=200, seed=42):
     tr(A^{-1} f(BA)) = tr(B g(AB)).  Residuals are relative to the larger
     side's magnitude (floored at 1).
     """
+    check_counts(trials=trials)
     worst = 0.0
     for i in range(trials):
         rng = substream(seed, 101, i)
@@ -338,6 +343,7 @@ def operator_jensen_suite(trials=200, seed=42):
     negative eigenvalue of the difference, sign-flipped, or 0 when no
     difference has a negative eigenvalue.
     """
+    check_counts(trials=trials)
     worst = 0.0
     for i in range(trials):
         rng = substream(seed, 202, i)
@@ -367,9 +373,7 @@ def condition_rate(dim=4, samples=1000, seed=42, commuting=False, environment=No
     condition holds identically.  Sample i draws from ``substream(seed, i)``;
     the samples are checked in stacks of ``CHUNK_ROWS``.
     """
-    check_sizes(dim=dim)
-    if samples < 1:
-        raise OutOfRange(f"samples must be at least 1, got {samples}")
+    check_counts(dim=dim, samples=samples)
     if environment is None:
         environment = 2 * dim
     hits = 0

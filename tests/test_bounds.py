@@ -490,21 +490,6 @@ def test_binette_rhs_and_zeta1_closed_reject_arrays_of_unequal_shape():
         zeta1_integral([0.1, 0.2], [2.0, 3.0, 4.0], KL)
 
 
-def test_bounds_reject_entries_that_are_not_real_numbers():
-    # each raised numpy's or Python's bare ValueError or TypeError, but the
-    # numeric string and the complex array, which were read as real numbers
-    for call in (lambda: pinsker_chi2_lower("a"),
-                 lambda: pinsker_chi2_lower("1.5"),
-                 lambda: zeta1_closed(np.array([0.5 + 0j]), [2.0], KL),
-                 lambda: binette_rhs("a", 2.0, 0.5, KL),
-                 lambda: zeta1_closed([0.5], [1j], KL),
-                 lambda: audenaert_eisert_rows([0.5], ["x"], [0.25]),
-                 lambda: zeta1_integral("a", 2.0, KL),
-                 lambda: decoherence_bounds(1.0, "a", 1.0)):
-        with pytest.raises(DomainError, match="^entries are not real numbers: "):
-            call()
-
-
 def test_scalar_bounds_take_numbers_not_arrays():
     # an array raised "truth value ... is ambiguous"
     with pytest.raises(DomainError, match=r"^t must be a number, got shape \(2,\)$"):

@@ -74,7 +74,7 @@ def test_config_validates_its_fields():
 def test_negative_seed_is_an_invalid_configuration(tmp_path, capsys, command):
     assert run_cli(command, "--samples", 10, "--seed", -1, "--out", tmp_path) == 2
     err = capsys.readouterr().err
-    assert err.startswith("invalid configuration: seed must be nonnegative")
+    assert err == "invalid configuration: seed must be an integer >= 0, got -1\n"
     assert "Traceback" not in err
 
 

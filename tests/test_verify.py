@@ -9,7 +9,7 @@ from conftest import count_eig_calls
 from qfdiv import maximal, verify
 from qfdiv.bounds import EQUAL_STATES_EPS, binette_rhs
 from qfdiv.divergence import classical_f_div
-from qfdiv.errors import DimensionMismatch, OutOfRange
+from qfdiv.errors import OutOfRange
 from qfdiv.generators import builtin_generator
 from qfdiv.linalg import trace_norm_hermitian
 from qfdiv.states import (
@@ -64,6 +64,15 @@ def test_dpi_suite_builds_each_distinct_pair_once(monkeypatch):
     result = dpi_suite(dim=3, trials=300, seed=42)
     assert result.extras["skipped"] == 0
     assert [len(rho.mats) for rho, _ in calls] == [256] * 4 + [44] * 4
+
+
+def test_dpi_suite_diagonalizes_each_sigma_stack_once(monkeypatch):
+    # per stack of 256 trials: the eig of sigma and of Phi sigma, which the
+    # singular skip reads and the first two witnesses take with their rows,
+    # T of those two witnesses, and sigma and T of the last two; no eigvalsh
+    calls = count_eig_calls(monkeypatch)
+    dpi_suite(dim=4, trials=1000, seed=42)
+    assert calls == {"eigh": 8 * 4}
 
 
 def _reset_channel(dim, seed):
@@ -277,10 +286,10 @@ def test_condition_rate_rejects_a_bad_dimension_or_sample_count():
     # dim = 1.5 raised numpy's bare TypeError; samples = -1 gave rate -0.0
     # and samples = 0 rate 0.0
     for commuting in (False, True):
-        with pytest.raises(DimensionMismatch, match="^dim must be an integer >= 1, got 1.5$"):
+        with pytest.raises(OutOfRange, match="^dim must be an integer >= 1, got 1.5$"):
             condition_rate(dim=1.5, samples=10, commuting=commuting)
     for samples in (-1, 0):
-        with pytest.raises(OutOfRange, match=f"^samples must be at least 1, got {samples}$"):
+        with pytest.raises(OutOfRange, match=f"^samples must be an integer >= 1, got {samples}$"):
             condition_rate(dim=4, samples=samples)
 
 
