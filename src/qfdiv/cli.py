@@ -222,11 +222,10 @@ def write_csv(path, header, columns):
     _write_ascii(path, ",".join(header) + "\n" + row * len(columns[0]) % values)
 
 
-def _axis_ticks(lo, hi, count=5):
-    if hi <= lo:
-        hi = lo + 1.0
-    step = (hi - lo) / (count - 1)
-    return [lo + k * step for k in range(count)]
+def _axis_ticks(lo, hi):
+    """Five evenly spaced ticks from ``lo`` to ``hi`` (the canvas keeps hi > lo)."""
+    step = (hi - lo) / 4
+    return [lo + k * step for k in range(5)]
 
 
 class _SvgCanvas:
@@ -306,9 +305,9 @@ class _SvgCanvas:
             'stroke-width="1.5"/>'
         )
 
-    def scatter(self, xs, ys, color, radius=2.0):
+    def scatter(self, xs, ys, color):
         self.parts.extend(self._points(
-            xs, ys, f'<circle cx="%.2f" cy="%.2f" r="{radius}" fill="{color}" '
+            xs, ys, f'<circle cx="%.2f" cy="%.2f" r="2.0" fill="{color}" '
                     'fill-opacity="0.55"/>'))
 
     def legend(self, entries):
@@ -531,7 +530,7 @@ def cmd_witness(rho_path, sigma_path, fname, bits):
     sigma = parse_state_file(sigma_path).as_stack()
     f = builtin_generator(fname)
     w = witness_batch(rho, sigma)
-    residuals = {k: float(v[0]) for k, v in witness_residual_rows(rho, sigma, w, f).items()}
+    residuals = {k: float(v[0]) for k, v in witness_residual_rows(rho, sigma, w).items()}
     passed = max(residuals.values()) <= WITNESS_TOL
     unit = "bits" if bits else "nats"
     scale = 1.0 / math.log(2.0) if bits else 1.0
@@ -539,10 +538,9 @@ def cmd_witness(rho_path, sigma_path, fname, bits):
     print(f"likelihood-ratio eigenvalues: {_vec(w.lambdas[0])}")
     print(f"r: {_vec(w.r[0])}")
     print(f"s: {_vec(w.s[0])}")
-    if f.name == "kl":
-        print(f"maximal {f.name} divergence: {value * scale:.12g} {unit}")
-    else:
-        print(f"maximal {f.name} divergence: {value:.12g}")
+    shown = value * scale if f.name == "kl" else value
+    suffix = f" {unit}" if f.name == "kl" else ""
+    print(f"maximal {f.name} divergence: {shown:.12g}{suffix}")
     for name, residual in residuals.items():
         print(f"residual {name}: {residual:.3e}")
     print("witness check:", "PASS" if passed else "FAIL")

@@ -24,8 +24,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .divergence import classical_f_div, f_div_rows
+from .divergence import chi2_rows, classical_f_div, f_div_rows
 from .errors import InvariantViolation, NegativeSpectrum, SingularState
+from .generators import builtin_generator
 from .linalg import (
     PSD_CLAMP_TOL,
     adjoint,
@@ -180,32 +181,33 @@ def build_witness(rho, sigma):
     return witness_batch(*one_row_pair(rho, sigma)).row(0)
 
 
-def witness_residual_rows(rho, sigma, w, f):
+def witness_residual_rows(rho, sigma, w):
     """Replay the witness identities of two state stacks
     (:class:`DensityStack`) with witnesses ``w`` and return the named
     residuals, each a ``(B,)`` array.
 
     Residuals: normalization of r and s, trace-norm errors of the channel
     reconstructions V(diag r) = rho and V(diag s) = sigma, Kraus
-    completeness, and the match between D_f(r || s) and the maximal
-    divergence recomputed by a second build.  Only the last one reads ``f``,
-    and it repeats the same computation on the same input, so the residuals
-    are the same for every generator; it costs one more eigendecomposition
-    of T (sigma's is cached on its stack).  A row passes when every
+    completeness, and the match between the witness's chi2 divergence and
+    tr(rho sigma^{-1} rho) - 1 (:func:`divergence.chi2_rows`), relative to
+    the divergence floored at 1.  The witness is maximal for operator-convex
+    f, so the two agree; the reference shares only sigma's cached ``eig``
+    with the witness and runs no eigensolver.  A row passes when every
     residual is within ``WITNESS_TOL``.  The reconstructions are
     :meth:`WitnessBatch.recovered`; sum_i A_i^dag A_i is diagonal, with
     entry i equal to ||sigma^{1/2} u_i||^2 / s_i.
     Arguments that are not state stacks raise :class:`NotAState`.
     """
+    chi2_std = chi2_rows(rho, sigma)
+    chi2_max = w.f_divergence(builtin_generator("chi2"))
     back_r, back_s = w.recovered()
     kraus_cols = w.columns / np.sqrt(w.s)[:, None, :]
     kraus_diag = np.sum(kraus_cols.real ** 2 + kraus_cols.imag ** 2, axis=-2)
-    again = witness_batch(rho, sigma)
     return {
         "r_normalization": np.abs(w.r.sum(axis=-1) - 1.0),
         "s_normalization": np.abs(w.s.sum(axis=-1) - 1.0),
         "reconstruct_rho": trace_norm_hermitian(back_r.mats - rho.mats),
         "reconstruct_sigma": trace_norm_hermitian(back_s.mats - sigma.mats),
         "kraus_completeness": np.max(np.abs(kraus_diag - 1.0), axis=-1),
-        "divergence_match": np.abs(w.f_divergence(f) - again.f_divergence(f)),
+        "chi2_match": np.abs(chi2_max - chi2_std) / np.maximum(1.0, np.abs(chi2_max)),
     }

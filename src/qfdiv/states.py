@@ -60,11 +60,14 @@ def substreams(seed, prefix, indices):
     :class:`StreamsConsumed`; a caller that draws from a stream again
     later takes ``list(...)``.  The hash's fixed cost makes it dearer than
     :func:`substream` below about ten indices and about six times cheaper
-    per generator at ``CHUNK_ROWS``.  Indices must lie in ``[0, MAX_INDEX]``.
+    per generator at ``CHUNK_ROWS``.  Indices must be integers in
+    ``[0, MAX_INDEX]``, and the prefix a tuple or list of integers >= 0.
     """
+    if not isinstance(prefix, (tuple, list)):
+        raise OutOfRange(f"prefix must be a tuple or list of integers >= 0, got {prefix!r}")
     linalg.check_counts(0, seed=seed, **{f"prefix[{i}]": part for i, part in enumerate(prefix)})
-    idx = np.asarray(indices)
-    if idx.size and (idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() > MAX_INDEX):
+    idx = linalg.numbers(indices)
+    if idx.size and (idx.min() < 0 or idx.max() > MAX_INDEX or np.any(idx != np.floor(idx))):
         raise OutOfRange(f"sample indices must be integers in [0, {MAX_INDEX}]")
     from . import _seeding  # loads numpy.random on first use, not at import
 

@@ -85,15 +85,13 @@ def witness_suite(dims=(2, 3, 4, 8), pairs_per_dim=100, seed=42):
 
     Pair i of dimension n draws from ``substream(seed, n, i)``, and each
     stack of ``CHUNK_ROWS`` pairs gets one :func:`witness_residual_rows`
-    report.  Its kl report serves every builtin generator: the residuals do
-    not depend on ``f`` (see :func:`witness_residual_rows`).
+    report on its one witness batch.
     """
     check_counts(pairs_per_dim=pairs_per_dim)
-    kl = builtin_generator("kl")
     worst = 0.0
     for dim in dims:
         for rho, sigma, w in _witness_chunks(dim, pairs_per_dim, seed, prefix=(dim,)):
-            for gaps in witness_residual_rows(rho, sigma, w, kl).values():
+            for gaps in witness_residual_rows(rho, sigma, w).values():
                 worst = _worst(worst, gaps)
     return SuiteResult("witness", worst, WITNESS_TOL)
 
@@ -363,28 +361,26 @@ def operator_jensen_suite(trials=200, seed=42):
     return SuiteResult("operator-jensen", worst, IDENTITY_TOL)
 
 
-def condition_rate(dim=4, samples=1000, seed=42, commuting=False, environment=None):
+def condition_rate(dim=4, samples=1000, seed=42, commuting=False):
     """Fraction of random pairs satisfying |rho - sigma| <= rho + sigma.
 
-    The default ensemble is environment-doubled Ginibre (``environment =
-    2 dim``), which reproduces the above-80-percent rate at dim 4; plain
-    Hilbert-Schmidt draws (``environment = dim``) satisfy the condition far
+    The ensemble is environment-doubled Ginibre (environment ``2 dim``),
+    which reproduces the above-80-percent rate at dim 4; plain
+    Hilbert-Schmidt draws (environment ``dim``) satisfy the condition far
     more rarely.  ``commuting`` draws diagonal pairs instead, where the
     condition holds identically.  Sample i draws from ``substream(seed, i)``;
     the samples are checked in stacks of ``CHUNK_ROWS``.
     """
     check_counts(dim=dim, samples=samples)
-    if environment is None:
-        environment = 2 * dim
     hits = 0
     for start in range(0, samples, CHUNK_ROWS):
         rngs = substreams(seed, (), range(start, min(start + CHUNK_ROWS, samples)))
         if commuting:
             rho, sigma = _random_commuting_pairs(rngs, dim)
         else:
-            rho, sigma = random_pairs(rngs, dim, environment)
+            rho, sigma = random_pairs(rngs, dim, 2 * dim)
         hits += int(np.count_nonzero(abs_condition_holds(rho, sigma)))
-    return RateResult(hits / samples, samples, environment, commuting)
+    return RateResult(hits / samples, samples, 2 * dim, commuting)
 
 
 def _random_commuting_pairs(rngs, dim):

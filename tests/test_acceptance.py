@@ -65,7 +65,8 @@ def _report(num, label, ok, detail=""):
 def test_criterion_01_witness_identity():
     # 10^3 random pairs per dim in {2, 3, 4, 8}, one witness report per
     # pair: normalization, channel-reconstruction, Kraus-completeness and
-    # divergence-match residuals <= 1e-9, < 30 s.
+    # chi2-match (witness against tr(rho sigma^-1 rho) - 1) residuals
+    # <= 1e-9, < 30 s.
     start = time.monotonic()
     result = witness_suite(dims=(2, 3, 4, 8), pairs_per_dim=1000, seed=42)
     elapsed = time.monotonic() - start

@@ -375,12 +375,10 @@ def _write_random_pair(tmp_path, n, seed):
     return rho, sigma, tmp_path / "rho.txt", tmp_path / "sigma.txt"
 
 
-@pytest.mark.parametrize("command, builds", [("compare-bounds", 1), ("witness", 2)])
+@pytest.mark.parametrize("command, builds", [("compare-bounds", 1), ("witness", 1)])
 def test_single_pair_commands_count_their_witness_builds(
         tmp_path, monkeypatch, command, builds):
-    # witness: one build for the printed witness and one in the
-    # divergence_match residual, which recomputes the maximal divergence
-    # from scratch
+    # witness: the printed witness is the one its residual report reads
     calls = []
     real = maximal.witness_batch
 
@@ -393,6 +391,29 @@ def test_single_pair_commands_count_their_witness_builds(
     _, _, rho_path, sigma_path = _write_random_pair(tmp_path, 4, 72)
     assert run_cli(command, rho_path, sigma_path, "--out", tmp_path) == 0
     assert len(calls) == builds
+
+
+def test_witness_diagonalizes_sigma_and_t_once(tmp_path, monkeypatch):
+    # eigh of sigma and of T in the witness; the chi2_match reference reads
+    # sigma's cached eig, and eigvalsh gives the two reconstruction errors
+    _, _, rho_path, sigma_path = _write_random_pair(tmp_path, 32, 75)
+    calls = count_eig_calls(monkeypatch)
+    assert run_cli("witness", rho_path, sigma_path) == 0
+    assert dict(calls) == {"eigh": 2, "eigvalsh": 2}
+
+
+def test_witness_fails_when_the_witness_divergence_is_off(tmp_path, monkeypatch, capsys):
+    # a relative fault of 1e-7 in the witness's D_f shows in chi2_match
+    _, _, rho_path, sigma_path = _write_random_pair(tmp_path, 4, 72)
+    real = maximal.WitnessBatch.f_divergence
+    monkeypatch.setattr(maximal.WitnessBatch, "f_divergence",
+                        lambda self, f: real(self, f) * (1.0 + 1e-7))
+    assert run_cli("witness", rho_path, sigma_path) == 1
+    out = capsys.readouterr().out
+    *_, match, verdict = out.splitlines()
+    assert match.startswith("residual chi2_match: ")
+    assert float(match.split()[-1]) > 1e-8
+    assert verdict == "witness check: FAIL"
 
 
 def test_compare_bounds_diagonalizes_sigma_once(tmp_path, monkeypatch):

@@ -5,7 +5,8 @@ checks counts with ``linalg.check_counts``, so each refuses the same inputs
 with the same error: entries that are not numbers (a numeric string, a
 complex entry where reals are wanted, a ragged list, None) are
 ``DomainError``, and a count below its minimum, a float or a numeric
-string is ``OutOfRange``, naming the count.  Each row also runs once with
+string is ``OutOfRange``, naming the count, and so is a key prefix that
+is not a tuple or list.  Each row also runs once with
 a good value in the same place, so it is that value the table varies.
 """
 
@@ -65,6 +66,7 @@ NUMBER_TAKERS = {
     "zeta1_integral": (lambda x: zeta1_integral([x, 0.5], [2.0, 2.0], KL), 0.5, False),
     "audenaert_eisert_rows": (lambda x: audenaert_eisert_rows([0.5, 0.5], [x, 0.1], [0.25, 0.25]),
                               0.1, False),
+    "substreams-indices": (lambda x: substreams(1, (), [x, 1]), 0, False),
 }
 
 # name -> (call with c as one count, a good c, the least count allowed)
@@ -139,6 +141,13 @@ def test_a_count_that_is_not_an_integer_of_its_minimum_is_out_of_range(call, c, 
         return
     with pytest.raises(OutOfRange, match=rf"^\w+(\[0\])? must be an integer >= \d, got {c!r}$"):
         call(c)
+
+
+@pytest.mark.parametrize("prefix", [5, 2.5, None], ids=["int", "float", "none"])
+def test_a_key_prefix_that_is_not_a_tuple_or_list_is_out_of_range(prefix):
+    want = rf"^prefix must be a tuple or list of integers >= 0, got {prefix!r}$"
+    with pytest.raises(OutOfRange, match=want):
+        substreams(1, prefix, [0])
 
 
 @pytest.mark.parametrize("carrier", ["ClassicalDistribution", "DensityMatrix", "DensityStack",

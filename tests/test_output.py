@@ -76,15 +76,18 @@ def test_commands_write_their_recorded_bytes(tmp_path, capsys, argv):
 # (exit code, sha256 of stdout) of the state-file commands on one seeded pair
 # per dimension (rank 2n, written by write_state_file), recorded with the
 # entry-by-entry reader and the full argument parser that the one-pass
-# conversion and the one-subcommand parser replaced (numpy 2.4, x86-64)
+# conversion and the one-subcommand parser replaced (numpy 2.4, x86-64).
+# Re-recorded since: every witness entry, when the last residual line
+# "divergence_match: 0.000e+00", which compared the witness with a second
+# build of itself, became chi2_match against tr(rho sigma^-1 rho) - 1
 GOLDEN_PAIRS = {
     4: {
         "witness --f kl":
-            (0, "1c2327cf4919533bad66005426cc528938be71f1724c34d3c53a237a642687b4"),
+            (0, "5c408642baaae9eae77e4ad0fa11306d617b8b83eea81ba00ef7daff94a0788d"),
         "witness --f chi2":
-            (0, "a355868795172e9581bdfe797b052c2d0c8083c91e2a7ae6f6e0f2b7f6ce56a4"),
+            (0, "75b9cad185f5162df60f2fcaebc1c3554043405d30ff8b4dd3f22878c80cc724"),
         "witness --f tv":
-            (0, "33d88740dabea4b4013ffd7861586adb5bf188e3792f7126ff1f3192c6099e84"),
+            (0, "50b4840cd5f5585f1329aa1964e3313096248ac2a6a86e8e6ef27883bd85906b"),
         "compare-bounds":
             (0, "4c9733b8932aa81723635c12f8c850fa52b12a711cb743cddce1db44cf378dd9"),
         "compare-bounds --bits":
@@ -92,11 +95,11 @@ GOLDEN_PAIRS = {
     },
     32: {
         "witness --f kl":
-            (0, "65114194463610ad283b82cf70c13f534e477329d7514058587f84e89715f662"),
+            (0, "8932b5dfede8ab3fa746520c11ee823d1d5a1110e1f589e3199c0e94b8b019a5"),
         "witness --f chi2":
-            (0, "7c0bb079b2fd85f9effb2f6bbc8a16e8c4b8cfaef35bb8a80c398785d96bf0d8"),
+            (0, "1c70042fa9feb5a670213c0348ea1ae781e79c9da0a67bc42a7c62c8a381c80b"),
         "witness --f tv":
-            (0, "dde8be14632556b557582875af532a413e117ed11e867157926e3e00a1423236"),
+            (0, "8362f460c4e81ab4f68d43a98f064d2f1d29cfa995cd246902054fe2d57a3474"),
         "compare-bounds":
             (0, "b06a006c8479c3805a71d0518f80115d0d16a77c842cb49825ec14a4d7c447bb"),
         "compare-bounds --bits":
@@ -105,17 +108,35 @@ GOLDEN_PAIRS = {
 }
 
 
-@pytest.mark.parametrize("n, argv", [(n, argv) for n, runs in GOLDEN_PAIRS.items()
-                                     for argv in runs])
-def test_state_file_commands_print_their_recorded_bytes(tmp_path, capsys, n, argv):
+def _golden_pair(tmp_path, n):
+    """Paths of the seeded state files of ``GOLDEN_PAIRS``' pair of dimension n."""
     paths = []
     for k in range(2):
         paths.append(str(tmp_path / f"state{k}.txt"))
         write_state_file(paths[-1], random_density(n, rank=2 * n, seed=substream(80, n, k)))
+    return paths
+
+
+@pytest.mark.parametrize("n, argv", [(n, argv) for n, runs in GOLDEN_PAIRS.items()
+                                     for argv in runs])
+def test_state_file_commands_print_their_recorded_bytes(tmp_path, capsys, n, argv):
     command, *options = argv.split()
-    code = main([command, *paths, *options])
+    code = main([command, *_golden_pair(tmp_path, n), *options])
     assert (code, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()) == \
         GOLDEN_PAIRS[n][argv]
+
+
+@pytest.mark.parametrize("n, argv", [(n, argv) for n, runs in GOLDEN_PAIRS.items()
+                                     for argv in runs if argv.startswith("witness")])
+def test_witness_prints_six_residuals_within_tolerance_then_pass(tmp_path, capsys, n, argv):
+    # the benchmark's pair-inspect check reads exactly these lines
+    command, *options = argv.split()
+    assert main([command, *_golden_pair(tmp_path, n), *options]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    residuals = [line.split() for line in lines if line.startswith("residual")]
+    assert len(residuals) == 6
+    assert all(float(value) <= 1e-9 for *_, value in residuals)
+    assert lines[-1] == "witness check: PASS"
 
 
 # ---------------------------------------------------------------------------

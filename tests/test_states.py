@@ -273,9 +273,13 @@ def test_substreams_are_built_one_at_a_time_and_iterate_once():
 
 
 def test_substreams_reject_what_one_index_word_cannot_hold():
-    for indices in ([MAX_INDEX + 1], [0, 2**64 + 3], [-1], [0.5]):
+    for indices in ([MAX_INDEX + 1], [-1], [0.5], [np.nan]):
         with pytest.raises(OutOfRange):
             substreams(1, (), indices)
+    # numpy holds this list only as Python objects, which the input gate
+    # refuses as entries that are not numbers
+    with pytest.raises(DomainError):
+        substreams(1, (), [0, 2**64 + 3])
 
 
 @pytest.mark.parametrize("seed, key", [(-1, ()), (3, (-2,)), (3, (0, -1)), (None, (0,))])

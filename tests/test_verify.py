@@ -16,6 +16,7 @@ from qfdiv.states import (
     CHUNK_ROWS,
     ClassicalDistribution,
     QuantumChannel,
+    abs_condition_holds,
     random_pairs,
     substream,
 )
@@ -50,12 +51,28 @@ def _count_witness_builds(monkeypatch):
     return calls
 
 
-def test_witness_suite_builds_two_witnesses_per_pair(monkeypatch):
-    # per stack, the witnesses and the second build behind the
-    # divergence_match residual; 300 pairs per dim are stacks of 256 and 44
+def test_witness_suite_builds_one_witness_per_stack(monkeypatch):
+    # the residual report reads the stack's one witness batch, and its chi2
+    # reference reads sigma's cached eig; 300 pairs per dim are stacks of
+    # 256 and 44, each with the eigh of sigma and of T and the eigvalsh of
+    # the two reconstruction errors
     calls = _count_witness_builds(monkeypatch)
+    eig = count_eig_calls(monkeypatch)
     witness_suite(dims=(2, 3), pairs_per_dim=300, seed=42)
-    assert [len(rho.mats) for rho, _ in calls] == [256, 256, 44, 44] * 2
+    assert [len(rho.mats) for rho, _ in calls] == [256, 44] * 2
+    assert eig == {"eigh": 2 * len(calls), "eigvalsh": 2 * len(calls)}
+
+
+def test_witness_suite_fails_when_the_witness_divergence_is_off(monkeypatch):
+    # a relative fault of 1e-7 in the witness's D_f shows in chi2_match,
+    # whose reference tr(rho sigma^-1 rho) - 1 does not read the witness
+    real = maximal.WitnessBatch.f_divergence
+    assert witness_suite(dims=(4,), pairs_per_dim=20).passed
+    monkeypatch.setattr(maximal.WitnessBatch, "f_divergence",
+                        lambda self, f: real(self, f) * (1.0 + 1e-7))
+    result = witness_suite(dims=(4,), pairs_per_dim=20)
+    assert not result.passed
+    assert result.worst > 1e-8
 
 
 def test_dpi_suite_builds_each_distinct_pair_once(monkeypatch):
@@ -301,9 +318,9 @@ def test_condition_rate_exceeds_eighty_percent_for_environment_doubled():
 
 
 def test_condition_rate_is_rare_for_square_hilbert_schmidt():
-    result = condition_rate(dim=4, samples=300, seed=42, environment=4)
-    assert result.rate < 0.20
-    assert not result.passed
+    rho, sigma = random_pairs([substream(42, i) for i in range(300)], 4, rank=4)
+    rate = np.count_nonzero(abs_condition_holds(rho, sigma)) / 300
+    assert rate < 0.20
 
 
 @pytest.mark.parametrize("f", [KL, CHI2, TV], ids=lambda f: f.name)
