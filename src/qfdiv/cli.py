@@ -526,21 +526,14 @@ def cmd_condition_rate(config, commuting):
 
 def cmd_witness(rho_path, sigma_path, fname, bits):
     """Print the witness distributions and residuals for two state files."""
-    rho = parse_state_file(rho_path).as_stack()
-    sigma = parse_state_file(sigma_path).as_stack()
-    f = builtin_generator(fname)
-    w = witness_batch(rho, sigma)
+    rho, sigma, w = _read_pair(rho_path, sigma_path)
     residuals = {k: float(v[0]) for k, v in witness_residual_rows(rho, sigma, w).items()}
     passed = max(residuals.values()) <= WITNESS_TOL
-    unit = "bits" if bits else "nats"
-    scale = 1.0 / math.log(2.0) if bits else 1.0
-    value = float(w.f_divergence(f)[0])
     print(f"likelihood-ratio eigenvalues: {_vec(w.lambdas[0])}")
     print(f"r: {_vec(w.r[0])}")
     print(f"s: {_vec(w.s[0])}")
-    shown = value * scale if f.name == "kl" else value
-    suffix = f" {unit}" if f.name == "kl" else ""
-    print(f"maximal {f.name} divergence: {shown:.12g}{suffix}")
+    value = float(w.f_divergence(builtin_generator(fname))[0])
+    print(f"maximal {fname} divergence: {_shown(value, fname, bits)}")
     for name, residual in residuals.items():
         print(f"residual {name}: {residual:.3e}")
     print("witness check:", "PASS" if passed else "FAIL")
@@ -557,11 +550,7 @@ def cmd_compare_bounds(rho_path, sigma_path, bits):
     read by the reverse-Pinsker rows, the Pinsker envelope and the
     Audenaert-Eisert bound.  Rho's spectrum is the one ``eigvalsh`` call.
     """
-    rho = parse_state_file(rho_path).as_stack()
-    sigma = parse_state_file(sigma_path).as_stack()
-    scale = 1.0 / math.log(2.0) if bits else 1.0
-    unit = "bits" if bits else "nats"
-    batch = witness_batch(rho, sigma)
+    rho, sigma, batch = _read_pair(rho_path, sigma_path)
     m, big_m = (float(x) for x in batch.lambdas[0, [0, -1]])
     relent = float(relative_entropy_rows(rho, sigma)[0])
     holds, t = abs_condition_rows(rho, sigma)
@@ -571,29 +560,40 @@ def cmd_compare_bounds(rho_path, sigma_path, bits):
     print(f"m: {m:.12g}   M: {big_m:.12g}")
     print(f"positivity condition |rho-sigma| <= rho+sigma: "
           f"{'satisfied' if cond else 'violated'}")
-    print(f"relative entropy: {relent * scale:.12g} {unit}")
-    print(f"max-relative entropy: {math.log(big_m) * scale:.12g} {unit}")
+    print(f"relative entropy: {_shown(relent, 'kl', bits)}")
+    print(f"max-relative entropy: {_shown(math.log(big_m), 'kl', bits)}")
     print(f"chi-squared: {chi2:.12g}")
     for name in BUILTIN_NAMES:
         f = builtin_generator(name)
         value = float(batch.f_divergence(f)[0])
-        shown = value * scale if name == "kl" else value
-        suffix = f" {unit}" if name == "kl" else ""
-        print(f"maximal {name} divergence: {shown:.12g}{suffix}")
+        print(f"maximal {name} divergence: {_shown(value, name, bits)}")
         rhs = slack = 0.0  # coinciding states: the trivial 0 <= 0
         if t >= EQUAL_STATES_EPS:
             rhs = binette_rhs(m, big_m, t, f)
             slack = rhs - value
-        shown_rhs = rhs * scale if name == "kl" else rhs
-        print(f"  reverse-Pinsker rhs: {shown_rhs:.12g}{suffix}"
-              f"  (slack {slack:.3e}, condition "
-              f"{'met' if cond else 'not met'})")
+        print(f"  reverse-Pinsker rhs: {_shown(rhs, name, bits)}  (slack {slack:.3e}, "
+              f"condition {'met' if cond else 'not met'})")
     envelope = pinsker_chi2_lower(t)
     print(f"Pinsker-type lower envelope of chi-squared: {envelope:.12g} "
           f"(slack {chi2 - envelope:.3e})")
     ae = float(audenaert_eisert_rows([t], rho.spectra[:, 0], sigma.eig.eigenvalues[:, 0])[0])
-    print(f"Audenaert-Eisert upper bound: {ae * scale:.12g} {unit}")
+    print(f"Audenaert-Eisert upper bound: {_shown(ae, 'kl', bits)}")
     return 0
+
+
+def _read_pair(rho_path, sigma_path):
+    """The states of two state files, as one-row stacks, and their witness."""
+    rho, sigma = parse_state_file(rho_path).as_stack(), parse_state_file(sigma_path).as_stack()
+    return rho, sigma, witness_batch(rho, sigma)
+
+
+def _shown(value, fname, bits):
+    """``value``, a divergence of generator ``fname`` or a bound on one, as the pair
+    commands print it.  An entropic value, "kl" (the relative entropy, D_max and the AE
+    bound too), carries a unit: nats, or bits as the product with 1 / ln 2, as pinned."""
+    if fname != "kl":
+        return f"{value:.12g}"
+    return f"{value * (1.0 / math.log(2.0)):.12g} bits" if bits else f"{value:.12g} nats"
 
 
 def _vec(values):

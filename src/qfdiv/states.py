@@ -283,12 +283,11 @@ class DensityMatrix:
 
 
 class QuantumChannel:
-    """Kraus family {A_i} with sum_i A_i^dag A_i = I within ``tol``."""
+    """Kraus family {A_i} with sum_i A_i^dag A_i = I within ``CHANNEL_TOL``."""
 
     __slots__ = ("kraus",)
 
-    def __init__(self, kraus, tol=CHANNEL_TOL):
-        _check_tol(tol)
+    def __init__(self, kraus):
         # a family that is not a sequence is read as one operator, which is not 2-d
         ops = [linalg.numbers(a, np.complex128, finite=True)
                for a in (kraus if np.iterable(kraus) else [kraus])]
@@ -299,10 +298,8 @@ class QuantumChannel:
             raise DimensionMismatch(f"Kraus operators must share one 2-d shape, got {shapes}")
         stack = np.array(ops)  # a copy: the caller's arrays are never made read-only
         defect = completeness_defect(stack)
-        if not defect <= tol:
-            raise InvariantViolation(
-                "completeness", f"max |sum A^dag A - I| = {defect:.3e}"
-            )
+        if not defect <= CHANNEL_TOL:
+            raise InvariantViolation("completeness", f"max |sum A^dag A - I| = {defect:.3e}")
         stack.flags.writeable = False
         self.kraus = stack
 
@@ -375,15 +372,16 @@ def random_channel(n, k=None, seed=None):
     return QuantumChannel([q[i * n : (i + 1) * n, :] for i in range(k)])
 
 
-def apply_channel_rows(kraus, rho_mats, tol=STATE_TOL):
+def apply_channel_rows(kraus, rho):
     """Apply channel b to state b of a stack: sum_i A_bi rho_b A_bi^dag for a
-    ``(B, k, m, n)`` Kraus stack and a ``(B, n, n)`` state stack, with the
-    terms added in the order of i, checked at ``tol``."""
-    kraus, rho_mats = (linalg.numbers(a, np.complex128) for a in (kraus, rho_mats))
-    if kraus.ndim != 4 or rho_mats.shape != (len(kraus),) + kraus.shape[-1:] * 2:
-        raise DimensionMismatch(f"Kraus stack {kraus.shape} cannot act on {rho_mats.shape}")
-    terms = (a @ rho_mats @ linalg.adjoint(a) for a in kraus.swapaxes(0, 1))
-    return DensityStack(sum(terms), tol)
+    ``(B, k, m, n)`` Kraus stack and a :class:`DensityStack` ``rho`` (else
+    :class:`NotAState`), with the terms added in the order of i, checked at ``rho.tol``."""
+    check_types(DensityStack, rho=rho)
+    kraus = linalg.numbers(kraus, np.complex128)
+    if kraus.ndim != 4 or rho.mats.shape != (len(kraus),) + kraus.shape[-1:] * 2:
+        raise DimensionMismatch(f"Kraus stack {kraus.shape} cannot act on {rho.mats.shape}")
+    terms = (a @ rho.mats @ linalg.adjoint(a) for a in kraus.swapaxes(0, 1))
+    return DensityStack(sum(terms), rho.tol)
 
 
 def check_types(kind, **named):

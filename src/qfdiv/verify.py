@@ -52,6 +52,7 @@ _OPERATOR_CONVEX = [g for g in map(builtin_generator, BUILTIN_NAMES) if g.operat
 # the (m, M) grid of the zeta1 suite
 ZETA1_M_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 ZETA1_M_UPPER_GRID = (1.1, 1.5, 2.0, 3.0, 5.0, 7.0, 10.0)
+PSD_RIDGE = 0.1  # times I, added to the trace-identity suite's unit-trace PSD matrices
 
 
 @dataclass(frozen=True)
@@ -128,8 +129,8 @@ def dpi_suite(dim=4, trials=100, seed=42):
         rngs = list(substreams(seed, (), range(start, min(start + CHUNK_ROWS, trials))))
         rho, sigma = random_pairs(rngs, dim)
         kraus = np.stack([random_channel(dim, seed=rng).kraus for rng in rngs])
-        out_rho = apply_channel_rows(kraus, rho.mats, rho.tol)
-        out_sigma = apply_channel_rows(kraus, sigma.mats, sigma.tol)
+        out_rho = apply_channel_rows(kraus, rho)
+        out_sigma = apply_channel_rows(kraus, sigma)
         singular, _ = singular_check(np.minimum(sigma.eig.eigenvalues[:, 0],
                                                 out_sigma.eig.eigenvalues[:, 0]))
         skipped += int(np.count_nonzero(singular))
@@ -291,10 +292,10 @@ def zeta1_suite():
     return SuiteResult("zeta1", worst, ZETA1_TOL)
 
 
-def _random_psd(n, rng, ridge=0.1):
+def _random_psd(n, rng):
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     m = hermitian_part(g @ g.conj().T)
-    return m / np.trace(m).real + ridge * np.eye(n)
+    return m / np.trace(m).real + PSD_RIDGE * np.eye(n)
 
 
 def trace_identity_suite(trials=200, seed=42):

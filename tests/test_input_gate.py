@@ -55,7 +55,8 @@ NUMBER_TAKERS = {
     "DensityMatrix": (lambda x: DensityMatrix([[x, 0], [0, 0.5]]), 0.5, True),
     "DensityStack": (lambda x: DensityStack([[[x, 0], [0, 0.5]]]), 0.5, True),
     "QuantumChannel": (lambda x: QuantumChannel([[[x, 0], [0, 1]]]), 1.0, True),
-    "apply_channel_rows": (lambda x: apply_channel_rows([[[[x, 0], [0, 1]]]], [np.eye(2) / 2]),
+    "apply_channel_rows": (lambda x: apply_channel_rows([[[[x, 0], [0, 1]]]],
+                                                        DensityStack([np.eye(2) / 2])),
                            1.0, True),
     "FGenerator.values": (lambda x: KL.values([x, 0.5]), 0.5, False),
     "f_div_rows": (lambda x: f_div_rows([[x, 0.5]], [[0.5, 0.5]], KL), 0.5, False),

@@ -62,10 +62,10 @@ TV = builtin_generator("tv")
 
 def _through(channel, states):
     """The states sum_i A_i rho A_i^dag of a list of states, by the Kraus
-    route, checked at the first state's tolerance."""
-    mats = np.stack([rho.mat for rho in states])
+    route, checked at the largest of their tolerances."""
+    rho = DensityStack.concatenate([state.as_stack() for state in states])
     kraus = np.broadcast_to(channel.kraus, (len(states), *channel.kraus.shape))
-    return apply_channel_rows(kraus, mats, states[0].tol)
+    return apply_channel_rows(kraus, rho)
 
 
 def _diag(p):
@@ -442,7 +442,7 @@ def test_stacked_residuals_match_the_one_row_and_kraus_routes(dim):
     rows = witness_residual_rows(rho, sigma, batch)
     back_r, back_s = batch.recovered()
     kraus = np.stack([random_channel(dim, seed=rng).kraus for rng in rngs])
-    out = apply_channel_rows(kraus, rho.mats, rho.tol)
+    out = apply_channel_rows(kraus, rho)
     for b in range(6):
         assert _residuals(DensityMatrix(rho.mats[b]), DensityMatrix(sigma.mats[b])) == {
             k: float(v[b]) for k, v in rows.items()}

@@ -79,11 +79,15 @@ def test_commands_write_their_recorded_bytes(tmp_path, capsys, argv):
 # conversion and the one-subcommand parser replaced (numpy 2.4, x86-64).
 # Re-recorded since: every witness entry, when the last residual line
 # "divergence_match: 0.000e+00", which compared the witness with a second
-# build of itself, became chi2_match against tr(rho sigma^-1 rho) - 1
+# build of itself, became chi2_match against tr(rho sigma^-1 rho) - 1.
+# "witness --f kl --bits" was recorded with the scale and unit spelled out
+# in each pair command, before one helper printed every entropic value.
 GOLDEN_PAIRS = {
     4: {
         "witness --f kl":
             (0, "5c408642baaae9eae77e4ad0fa11306d617b8b83eea81ba00ef7daff94a0788d"),
+        "witness --f kl --bits":
+            (0, "0022f0ddeb83cef7120f51b8940421c90d70696268a9a7147ebe2d93163c7d5f"),
         "witness --f chi2":
             (0, "75b9cad185f5162df60f2fcaebc1c3554043405d30ff8b4dd3f22878c80cc724"),
         "witness --f tv":
@@ -96,6 +100,8 @@ GOLDEN_PAIRS = {
     32: {
         "witness --f kl":
             (0, "8932b5dfede8ab3fa746520c11ee823d1d5a1110e1f589e3199c0e94b8b019a5"),
+        "witness --f kl --bits":
+            (0, "ae37e85671c33f032c5dd86cb313d28be9d835519b908553e89f06eee84c9094"),
         "witness --f chi2":
             (0, "1c70042fa9feb5a670213c0348ea1ae781e79c9da0a67bc42a7c62c8a381c80b"),
         "witness --f tv":

@@ -222,3 +222,127 @@ def _unread_definitions(src):
 
 def test_every_public_definition_in_src_is_read_or_kept_by_design():
     assert _unread_definitions(ROOT / "src") == sorted(UNREAD_BY_DESIGN)
+
+
+# every settable value in src/: a parameter with a default, or a dataclass
+# field with one, and why it is settable rather than a constant.  A new
+# option fails test_every_settable_value_in_src_has_a_reason until it is
+# listed here.
+IN_USE = "two src/ values in use"
+PUBLIC = "a public user setting"
+OUTSIDE = "an outside path"
+SETTABLE = {
+    # numpy's PCG64 asks its seed sequence for generate_state(n_words, dtype)
+    "_seeding._SeedWords.generate_state(dtype)": OUTSIDE,
+    "bounds._extremes_check(m_positive)": IN_USE,
+    "cli.ExperimentConfig.dim": PUBLIC,
+    "cli.ExperimentConfig.samples": PUBLIC,
+    "cli.ExperimentConfig.seed": PUBLIC,
+    "cli.ExperimentConfig.lam": PUBLIC,
+    "cli.ExperimentConfig.chi2_0_list": PUBLIC,
+    "cli.ExperimentConfig.out_dir": PUBLIC,
+    # the console script calls main() to read sys.argv
+    "cli.main(argv)": OUTSIDE,
+    "errors.ParseError.__init__(line)": IN_USE,
+    "generators.FGenerator.second_derivative": IN_USE,
+    "generators.FGenerator.operator_convex": IN_USE,
+    "linalg.numbers(dtype)": IN_USE,
+    "linalg.numbers(finite)": IN_USE,
+    "linalg.check_counts(minimum)": IN_USE,
+    "states.ClassicalDistribution.__init__(tol)": PUBLIC,
+    "states.DensityStack.__init__(tol)": IN_USE,
+    "states._checked_stack(spectra)": IN_USE,
+    "states._checked_stack(eig)": IN_USE,
+    "states.DensityMatrix.__init__(tol)": PUBLIC,
+    "states.random_pairs(rank)": IN_USE,
+    "states.random_channel(k)": IN_USE,
+    "states.random_channel(seed)": IN_USE,
+    "verify.SuiteResult.extras": IN_USE,
+    "verify.witness_suite(dims)": PUBLIC,
+    "verify.witness_suite(pairs_per_dim)": PUBLIC,
+    "verify.witness_suite(seed)": PUBLIC,
+    "verify.dpi_suite(dim)": PUBLIC,
+    "verify.dpi_suite(trials)": PUBLIC,
+    "verify.dpi_suite(seed)": PUBLIC,
+    "verify._witness_chunks(rank)": IN_USE,
+    "verify._witness_chunks(prefix)": IN_USE,
+    "verify.maximality_and_pinsker(dim)": PUBLIC,
+    "verify.maximality_and_pinsker(samples)": PUBLIC,
+    "verify.maximality_and_pinsker(seed)": PUBLIC,
+    "verify.reverse_pinsker_and_binette(dim)": PUBLIC,
+    "verify.reverse_pinsker_and_binette(samples)": PUBLIC,
+    "verify.reverse_pinsker_and_binette(seed)": PUBLIC,
+    "verify.trace_identity_suite(trials)": PUBLIC,
+    "verify.trace_identity_suite(seed)": PUBLIC,
+    "verify.operator_jensen_suite(trials)": PUBLIC,
+    "verify.operator_jensen_suite(seed)": PUBLIC,
+    "verify.condition_rate(dim)": PUBLIC,
+    "verify.condition_rate(samples)": PUBLIC,
+    "verify.condition_rate(seed)": PUBLIC,
+    "verify.condition_rate(commuting)": PUBLIC,
+}
+
+
+def _has_default(value):
+    """Whether a dataclass field's assigned ``value`` gives it a default: any
+    value but a ``field(...)`` call without ``default`` or ``default_factory``."""
+    if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+        return any(k.arg in ("default", "default_factory") for k in value.keywords)
+    return True
+
+
+def _settable_values(source, module):
+    """``module.function(parameter)`` for each parameter with a default, and
+    ``module.Class.field`` for each dataclass field with one, in ``source``;
+    a nested definition is named by its enclosing ones."""
+    names = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                name = f"{prefix}{getattr(child, 'name', '<lambda>')}"
+                a = child.args
+                positional = a.posonlyargs + a.args
+                given = positional[len(positional) - len(a.defaults):]
+                given += [arg for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+                names.extend(f"{module}.{name}({arg.arg})" for arg in given)
+                visit(child, f"{name}.")
+            elif isinstance(child, ast.ClassDef):
+                if any("dataclass" in ast.unparse(d) for d in child.decorator_list):
+                    names.extend(f"{module}.{prefix}{child.name}.{s.target.id}"
+                                 for s in child.body
+                                 if isinstance(s, ast.AnnAssign) and s.value is not None
+                                 and _has_default(s.value))
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(source), "")
+    return names
+
+
+def test_the_settable_value_finder_sees_each_kind_of_default():
+    source = ("from dataclasses import dataclass, field\n"
+              "def f(a, b=1, *, c, d=2):\n"
+              "    def g(e=3):\n"
+              "        return lambda h=4: h\n"
+              "@dataclass(frozen=True)\n"
+              "class C:\n"
+              "    i: int\n"
+              "    j: int = 5\n"
+              "    k: list = field(default_factory=list)\n"
+              "    m: list = field(repr=False)\n"
+              "    def n(self, o=6):\n"
+              "        pass\n"
+              "class P:\n"
+              "    q: int = 7\n")
+    assert _settable_values(source, "x") == [
+        "x.f(b)", "x.f(d)", "x.f.g(e)", "x.f.g.<lambda>(h)", "x.C.j", "x.C.k", "x.C.n(o)"]
+
+
+def test_every_settable_value_in_src_has_a_reason():
+    found = [name for path in sorted((ROOT / "src" / "qfdiv").glob("*.py"))
+             for name in _settable_values(path.read_text(), path.stem)]
+    assert len(found) == len(set(found))
+    assert sorted(found) == sorted(SETTABLE)
+    assert set(SETTABLE.values()) <= {IN_USE, PUBLIC, OUTSIDE}

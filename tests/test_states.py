@@ -118,8 +118,7 @@ def test_non_numeric_matrices_raise_a_typed_error(build, mat):
     lambda tol: DensityMatrix([[1, 0], [0, -3]], tol),
     lambda tol: DensityMatrix([[0.5, 1], [0, 0.5]], tol),
     lambda tol: DensityStack([np.eye(2) * 5], tol),
-    lambda tol: QuantumChannel([np.eye(2) * 2], tol),
-], ids=["probs", "trace", "positivity", "hermiticity", "stack", "channel"])
+], ids=["probs", "trace", "positivity", "hermiticity", "stack"])
 def test_a_tolerance_outside_zero_to_infinity_is_rejected(build, tol):
     # a nan or infinite tolerance would let each of these invalid inputs pass
     with pytest.raises(OutOfRange, match=r"^tolerance must be a real number in \[0, inf\)"):
@@ -171,7 +170,7 @@ def test_quantum_channel_rejects_completeness_just_past_its_tolerance():
 def test_quantum_channel_accepts_unitary_kraus():
     hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
     ch = QuantumChannel([hadamard])
-    out = apply_channel_rows(ch.kraus[None], plus_state().mat[None])
+    out = apply_channel_rows(ch.kraus[None], plus_state().as_stack())
     assert np.allclose(out.mats[0], np.diag([1.0, 0.0]), atol=1e-12)
 
 
@@ -297,7 +296,7 @@ def test_random_channel_is_trace_preserving(n, k):
     comp = sum(a.conj().T @ a for a in ch.kraus)
     assert np.max(np.abs(comp - np.eye(n))) <= 1e-9
     rho = random_density(n, seed=substream(6, 99, n, k))
-    out = apply_channel_rows(ch.kraus[None], rho.mat[None])
+    out = apply_channel_rows(ch.kraus[None], rho.as_stack())
     assert float(out.mats[0].trace().real) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -325,7 +324,7 @@ def test_apply_channel_checks_dimensions():
     ch = random_channel(2, seed=substream(8, 0))
     rho = random_density(3, seed=substream(8, 1))
     with pytest.raises(DimensionMismatch):
-        apply_channel_rows(ch.kraus[None], rho.mat[None])
+        apply_channel_rows(ch.kraus[None], rho.as_stack())
 
 
 # ---------------------------------------------------------------------------
@@ -650,13 +649,25 @@ def test_the_anticommutator_certifies_no_row_at_the_condition_boundary(n):
         assert np.array_equal(abs_condition_holds(*mixed), exact)
 
 
-def test_apply_channel_rows_checks_at_the_given_tolerance():
+def test_apply_channel_rows_checks_at_the_tolerance_of_its_states():
     # a witness-style state, normalized only to 5e-10
-    m = np.diag([0.5, 0.5 + 5e-10])[None]
+    rho = DensityStack(np.diag([0.5, 0.5 + 5e-10])[None], 1e-9)
     ch = random_channel(2, seed=substream(14))
-    assert apply_channel_rows(ch.kraus[None], m, 1e-9).tol == 1e-9
-    with pytest.raises(InvariantViolation):
-        apply_channel_rows(ch.kraus[None], m)
+    assert apply_channel_rows(ch.kraus[None], rho).tol == 1e-9
+    # a Kraus stack 5e-10 short of complete takes an exact state as far
+    # from unit trace, within 1e-9 and not within STATE_TOL
+    short = np.sqrt(1.0 - 5e-10) * np.eye(2)[None, None]
+    assert apply_channel_rows(short, DensityStack(np.eye(2)[None] / 2, 1e-9)).tol == 1e-9
+    with pytest.raises(InvariantViolation, match="^trace: "):
+        apply_channel_rows(short, DensityStack(np.eye(2)[None] / 2))
+
+
+def test_apply_channel_rows_takes_a_state_stack_only():
+    kraus = np.eye(2)[None, None]
+    with pytest.raises(NotAState, match="^rho must be a DensityStack, got ndarray$"):
+        apply_channel_rows(kraus, np.eye(2)[None] / 2)
+    with pytest.raises(NotAState, match="^rho must be a DensityStack, got DensityMatrix$"):
+        apply_channel_rows(kraus, DensityMatrix(np.eye(2) / 2))
 
 
 def _three_rows():
