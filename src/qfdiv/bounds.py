@@ -8,6 +8,7 @@ rather than broadcast.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 
@@ -185,16 +186,27 @@ def zeta1_integral(m, M, f):
 def _chord_integral(length, sign, curvature, nodes, panels):
     """int_0^L (1 - e^(u - L)) curvature(e^(sign u)) du for each entry L of
     ``length``, over ``panels`` equal panels of the ``nodes``-point
-    Gauss-Legendre rule; numpy.polynomial is imported here, on first use.
-    Each entry's sum is its own row's, so its value does not depend on the
-    other entries (a matrix product rounds by batch size)."""
-    from numpy.polynomial.legendre import leggauss
-
-    x, w = leggauss(nodes)
+    Gauss-Legendre rule (:func:`_gauss_legendre`).  Each entry's sum is its
+    own row's, so its value does not depend on the other entries (a matrix
+    product rounds by batch size)."""
+    x, w = _gauss_legendre(nodes)
     frac = ((np.arange(panels)[:, None] + (x + 1.0) / 2.0) / panels).ravel()
     column = length[..., None]
     chords = -np.expm1(column * (frac - 1.0)) * curvature(np.exp(sign * column * frac))
     return (chords * np.tile(w, panels)).sum(axis=-1) * length / (2.0 * panels)
+
+
+@functools.cache
+def _gauss_legendre(nodes):
+    """The ``nodes``-point Gauss-Legendre nodes and weights on [-1, 1], read
+    only, computed once per node count; numpy.polynomial is imported here,
+    on first use."""
+    from numpy.polynomial.legendre import leggauss
+
+    rule = leggauss(nodes)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 def audenaert_eisert_rows(t, alpha, beta):

@@ -40,10 +40,10 @@ from .generators import BUILTIN_NAMES, builtin_generator
 from .linalg import check_counts
 from .maximal import WITNESS_TOL, witness_batch, witness_residual_rows
 from .states import (
-    CHUNK_ROWS,
     DensityMatrix,
     DensityStack,
     abs_condition_rows,
+    chunks,
     random_pairs,
     substreams,
 )
@@ -389,27 +389,27 @@ def cmd_fig1(config):
     return 0
 
 
-def _accepted_pairs(config, start, stop, draws):
-    """Rejection-sample pairs ``start..stop-1`` of fig2 in rounds.
+def _accepted_pairs(config, rngs, kept_before, draws):
+    """Rejection-sample one stack of fig2 in rounds.
 
-    Sample i draws (rho, sigma) from ``substream(seed, i)`` until the pair
-    satisfies the positivity condition; each round draws once for every
-    pending sample.  ``draws`` counts the pairs drawn before this call.
+    Sample i draws (rho, sigma) from its generator in ``rngs``,
+    ``substream(seed, i)``, until the pair satisfies the positivity
+    condition; each round draws once for every pending sample.
+    ``kept_before`` counts the samples kept before this stack and ``draws``
+    the pairs drawn before this call.
     Returns the kept rho and sigma rows, in sample order, as the state
     stacks they were checked in when drawn (not checked again), their trace
     distances from the condition test, and the updated draw count.
     Raises :class:`SamplingBudgetExceeded` rather than draw more than
     ``FIG2_DRAWS_PER_PAIR`` pairs per requested sample in all.
     """
-    # a pending sample draws again from its stream in the next round
-    rngs = list(substreams(config.seed, (), range(start, stop)))
-    size = stop - start
+    size = len(rngs)
     budget = FIG2_DRAWS_PER_PAIR * config.samples
     kept = []  # per round: sample positions, rho rows, sigma rows, trace distances
     pending = np.arange(size)
     while pending.size:
         if draws + pending.size > budget:
-            done = start + size - pending.size
+            done = kept_before + size - pending.size
             raise SamplingBudgetExceeded(
                 f"fig2 drew {draws} candidate pairs and kept {done} of "
                 f"{config.samples} (acceptance rate {done / max(draws, 1):.4f}); "
@@ -445,21 +445,22 @@ def cmd_fig2(config):
     ``verify.reverse_pinsker_and_binette``) but not for the maximal
     divergence in ``max_relent_div``.
 
-    Samples are processed in stacks of ``CHUNK_ROWS``.  Each candidate
-    stack is checked as states once, when it is drawn, and the kept rows
-    are not checked again.  Per kept pair every column comes from three
-    decompositions and one spectrum: that of rho - sigma in the condition
-    test (the trace distance), sigma's ``eig`` (computed by the witness and
-    read again by the relative entropy and the Audenaert-Eisert bound),
-    the witness's of the likelihood-ratio operator, and rho's ``spectra``
-    (one ``eigvalsh`` of each kept stack).
+    Samples are processed in the stacks of :func:`states.chunks`.  Each
+    candidate stack is checked as states once, when it is drawn, and the
+    kept rows are not checked again.  Per kept pair every column comes from
+    three decompositions and one spectrum: that of rho - sigma in the
+    condition test (the trace distance), sigma's ``eig`` (computed by the
+    witness and read again by the relative entropy and the Audenaert-Eisert
+    bound), the witness's of the likelihood-ratio operator, and rho's
+    ``spectra`` (one ``eigvalsh`` of each kept stack).
     """
     kl = builtin_generator("kl")
     stacks = []
     draws = 0
-    for start in range(0, config.samples, CHUNK_ROWS):
-        stop = min(start + CHUNK_ROWS, config.samples)
-        rho, sigma, t, draws = _accepted_pairs(config, start, stop, draws)
+    for indices in chunks(config.samples, config.dim):
+        # a pending sample draws again from its stream in the next round
+        rngs = list(substreams(config.seed, (), indices))
+        rho, sigma, t, draws = _accepted_pairs(config, rngs, indices.start, draws)
         w = witness_batch(rho, sigma)
         m = w.lambdas[:, 0]
         big_m = w.lambdas[:, -1]

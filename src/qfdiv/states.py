@@ -36,8 +36,9 @@ from .errors import DimensionMismatch, InvariantViolation, NotAState, OutOfRange
 STATE_TOL = 1e-10
 CHANNEL_TOL = 1e-9
 CONDITION_TOL = 1e-9
-# rows per stack in the batched Monte Carlo loops; bounds their memory
-CHUNK_ROWS = 256
+# matrix entries per stack in the batched Monte Carlo loops (read only by
+# chunks): 256 rows at dim 8, 1024 at dim 4; bounds their memory
+CHUNK_ENTRIES = 256 * 8 * 8
 # sample indices enter the vectorized seeding hash as one uint32 word each
 MAX_INDEX = 2**32 - 1
 
@@ -46,6 +47,16 @@ def substream(seed, *key):
     """Independent generator derived from a base seed and an index key."""
     linalg.check_counts(0, seed=seed, **{f"key[{i}]": part for i, part in enumerate(key)})
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+
+
+def chunks(samples, n):
+    """The index ranges that cover ``range(samples)`` in order, each of
+    ``max(1, CHUNK_ENTRIES // n**2)`` rows but the last: the stacks of n x n
+    pairs that the batched Monte Carlo loops sample and check together.
+    ``samples`` and ``n`` are counts of at least 1 (:class:`OutOfRange`)."""
+    linalg.check_counts(samples=samples, n=n)
+    rows = max(1, CHUNK_ENTRIES // n**2)
+    return [range(start, min(start + rows, samples)) for start in range(0, samples, rows)]
 
 
 def substreams(seed, prefix, indices):
@@ -60,7 +71,7 @@ def substreams(seed, prefix, indices):
     :class:`StreamsConsumed`; a caller that draws from a stream again
     later takes ``list(...)``.  The hash's fixed cost makes it dearer than
     :func:`substream` below about ten indices and about six times cheaper
-    per generator at ``CHUNK_ROWS``.  Indices must be integers in
+    per generator at 256 indices.  Indices must be integers in
     ``[0, MAX_INDEX]``, and the prefix a tuple or list of integers >= 0.
     """
     if not isinstance(prefix, (tuple, list)):

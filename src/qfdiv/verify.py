@@ -27,11 +27,11 @@ from .linalg import (check_counts, hermitian_eig, hermitian_part, matrix_polynom
                      singular_check, trace_norm_hermitian)
 from .maximal import WITNESS_TOL, witness_batch, witness_residual_rows
 from .states import (
-    CHUNK_ROWS,
     DensityStack,
     abs_condition_holds,
     abs_condition_rows,
     apply_channel_rows,
+    chunks,
     random_channel,
     random_pairs,
     substream,
@@ -85,8 +85,8 @@ def witness_suite(dims=(2, 3, 4, 8), pairs_per_dim=100, seed=42):
     """Worst witness residual over random full-rank pairs.
 
     Pair i of dimension n draws from ``substream(seed, n, i)``, and each
-    stack of ``CHUNK_ROWS`` pairs gets one :func:`witness_residual_rows`
-    report on its one witness batch.
+    stack of pairs (:func:`states.chunks`) gets one
+    :func:`witness_residual_rows` report on its one witness batch.
     """
     check_counts(pairs_per_dim=pairs_per_dim)
     worst = 0.0
@@ -101,11 +101,11 @@ def dpi_suite(dim=4, trials=100, seed=42):
     """Monotonicity of the maximal divergence under random channels.
 
     Trial i draws a pair and then a channel Phi from ``substream(seed, i)``.
-    The trials run in stacks of ``CHUNK_ROWS`` with four witness builds per
-    stack, one for each of a trial's four distinct pairs, and kl, chi2 and
-    tv are read from them: (rho, sigma), (Phi rho, Phi sigma), the witness
-    pair (diag r, diag s), and that pair's image under the recovery channel
-    V.  A trial is skipped (``extras['skipped']``) when sigma or Phi sigma
+    The trials run in stacks (:func:`states.chunks`) with four witness
+    builds per stack, one for each of a trial's four distinct pairs, and
+    kl, chi2 and tv are read from them: (rho, sigma), (Phi rho, Phi sigma),
+    the witness pair (diag r, diag s), and that pair's image under the
+    recovery channel V.  A trial is skipped (``extras['skipped']``) when sigma or Phi sigma
     is too close to singular for the first two witnesses, as read from
     the ``eig`` of their stacks, which those witnesses then share.
 
@@ -124,9 +124,9 @@ def dpi_suite(dim=4, trials=100, seed=42):
     equality_worst = 0.0
     skipped = 0
     tv_increases = 0
-    for start in range(0, trials, CHUNK_ROWS):
+    for indices in chunks(trials, dim):
         # each stream draws a pair, then a channel
-        rngs = list(substreams(seed, (), range(start, min(start + CHUNK_ROWS, trials))))
+        rngs = list(substreams(seed, (), indices))
         rho, sigma = random_pairs(rngs, dim)
         kraus = np.stack([random_channel(dim, seed=rng).kraus for rng in rngs])
         out_rho = apply_channel_rows(kraus, rho)
@@ -164,11 +164,11 @@ def dpi_suite(dim=4, trials=100, seed=42):
 
 
 def _witness_chunks(dim, samples, seed, rank=None, prefix=()):
-    """Sample i's pair from ``substream(seed, *prefix, i)``, in stacks of
-    ``CHUNK_ROWS``: yields the rho and sigma stacks and their witnesses."""
-    for start in range(0, samples, CHUNK_ROWS):
-        rngs = substreams(seed, prefix, range(start, min(start + CHUNK_ROWS, samples)))
-        rho, sigma = random_pairs(rngs, dim, rank)
+    """Sample i's pair from ``substream(seed, *prefix, i)``, in the stacks
+    of :func:`states.chunks`: yields the rho and sigma stacks and their
+    witnesses."""
+    for indices in chunks(samples, dim):
+        rho, sigma = random_pairs(substreams(seed, prefix, indices), dim, rank)
         yield rho, sigma, witness_batch(rho, sigma)
 
 
@@ -370,12 +370,12 @@ def condition_rate(dim=4, samples=1000, seed=42, commuting=False):
     Hilbert-Schmidt draws (environment ``dim``) satisfy the condition far
     more rarely.  ``commuting`` draws diagonal pairs instead, where the
     condition holds identically.  Sample i draws from ``substream(seed, i)``;
-    the samples are checked in stacks of ``CHUNK_ROWS``.
+    the samples are checked in the stacks of :func:`states.chunks`.
     """
     check_counts(dim=dim, samples=samples)
     hits = 0
-    for start in range(0, samples, CHUNK_ROWS):
-        rngs = substreams(seed, (), range(start, min(start + CHUNK_ROWS, samples)))
+    for indices in chunks(samples, dim):
+        rngs = substreams(seed, (), indices)
         if commuting:
             rho, sigma = _random_commuting_pairs(rngs, dim)
         else:

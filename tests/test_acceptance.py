@@ -40,7 +40,7 @@ from qfdiv.divergence import relative_entropy_rows
 from qfdiv.generators import builtin_generator
 from qfdiv.linalg import trace_norm_hermitian
 from qfdiv.maximal import build_witness
-from qfdiv.states import CHUNK_ROWS, random_pairs, substream, substreams
+from qfdiv.states import chunks, random_pairs, substream, substreams
 from qfdiv.verify import (
     condition_rate,
     dpi_suite,
@@ -225,9 +225,8 @@ def test_criterion_09_audenaert_eisert(tmp_path):
     # The bound dominates the relative entropy on all 10^4 pairs and the
     # pure-vs-mixed hand case gives exactly ln 2.
     worst = 0.0
-    for start in range(0, 10000, CHUNK_ROWS):
-        rngs = substreams(42, (), range(start, min(start + CHUNK_ROWS, 10000)))
-        rho, sigma = random_pairs(rngs, 4)
+    for indices in chunks(10000, 4):
+        rho, sigma = random_pairs(substreams(42, (), indices), 4)
         t = trace_norm_hermitian(rho.mats - sigma.mats)
         relent = relative_entropy_rows(rho, sigma)
         slack = audenaert_eisert_rows(t, rho.spectra[:, 0], sigma.spectra[:, 0]) - relent

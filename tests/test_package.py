@@ -92,6 +92,12 @@ WRITER = ("src/qfdiv/cli.py", "_write_ascii")
 _OS_WRITE_FLAGS = {"O_WRONLY", "O_RDWR", "O_APPEND", "O_CREAT"}
 
 
+def _callee(call):
+    """The name a call calls: ``f`` of ``f(...)`` and of ``x.f(...)``."""
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
 def _write_sites(source):
     """``(function, line)`` of each call in ``source`` that can write a file,
     ``function`` being the innermost enclosing one (None at module level):
@@ -101,8 +107,7 @@ def _write_sites(source):
     sites = []
 
     def writes(call):
-        func = call.func
-        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        name = _callee(call)
         if name in ("write_text", "write_bytes"):
             return True
         if name != "open":
@@ -145,6 +150,74 @@ def test_src_opens_files_for_writing_only_in_the_one_writer():
              for path in sorted((ROOT / "src").rglob("*.py"))
              for owner, line in _write_sites(path.read_text())]
     assert [site[:2] for site in sites] == [WRITER], sites
+
+
+# the one function in src/ that reads the stack budget; every sampled stack
+# takes its indices from one of its ranges
+STACK_SIZER = ("src/qfdiv/states.py", "chunks")
+
+
+def _stack_sites(source):
+    """``(function, line, kind)`` of each site in ``source`` that sizes a
+    sampled stack, ``function`` being the innermost enclosing one (None at
+    module level): a read or import of ``CHUNK_ENTRIES`` (``"budget"``), and
+    a ``substreams`` call whose indices are not a name that a ``for`` loop
+    of the same function takes from ``chunks(...)`` (``"indices"``)."""
+    sites = []
+
+    def chunk_ranges(func):
+        return {loop.target.id for loop in ast.walk(func)
+                if isinstance(loop, ast.For) and isinstance(loop.target, ast.Name)
+                and isinstance(loop.iter, ast.Call) and _callee(loop.iter) == "chunks"}
+
+    def visit(node, owner, ranges):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name, chunk_ranges(child))
+                continue
+            if ((isinstance(child, ast.Name) and child.id == "CHUNK_ENTRIES"
+                 and isinstance(child.ctx, ast.Load))
+                    or (isinstance(child, ast.Attribute) and child.attr == "CHUNK_ENTRIES")
+                    or (isinstance(child, ast.ImportFrom)
+                        and any(a.name == "CHUNK_ENTRIES" for a in child.names))):
+                sites.append((owner, child.lineno, "budget"))
+            if isinstance(child, ast.Call) and _callee(child) == "substreams":
+                indices = [*child.args[2:3], *(k.value for k in child.keywords
+                                                if k.arg == "indices")]
+                if not (indices and isinstance(indices[0], ast.Name)
+                        and indices[0].id in ranges):
+                    sites.append((owner, child.lineno, "indices"))
+            visit(child, owner, ranges)
+
+    visit(ast.parse(source), None, set())
+    return sites
+
+
+def test_the_stack_site_finder_sees_each_kind_of_site():
+    source = ("def chunks(samples, n):\n"
+              "    return CHUNK_ENTRIES // n\n"
+              "def f(seed):\n"
+              "    for indices in chunks(10, 2):\n"
+              "        substreams(seed, (), indices)\n"
+              "        states.substreams(seed, prefix=(), indices=indices)\n"
+              "        substreams(seed, (), range(3))\n"
+              "    for other in range(3):\n"
+              "        substreams(seed, (), other)\n"
+              "    return states.CHUNK_ENTRIES\n"
+              "def g(seed, indices):\n"
+              "    return substreams(seed, (), indices)\n"
+              "from .states import CHUNK_ENTRIES\n"
+              "CHUNK_ENTRIES = 4\n")
+    assert _stack_sites(source) == [
+        ("chunks", 2, "budget"), ("f", 7, "indices"), ("f", 9, "indices"),
+        ("f", 10, "budget"), ("g", 12, "indices"), (None, 13, "budget")]
+
+
+def test_src_sizes_every_sampled_stack_through_chunks():
+    sites = [(str(path.relative_to(ROOT)), owner, kind)
+             for path in sorted((ROOT / "src").rglob("*.py"))
+             for owner, _, kind in _stack_sites(path.read_text())]
+    assert sites == [(*STACK_SIZER, "budget")]
 
 
 # public definitions that nothing in src/ reads, each kept on purpose

@@ -25,7 +25,6 @@ from qfdiv.errors import (
 )
 from qfdiv.states import (
     CHANNEL_TOL,
-    CHUNK_ROWS,
     CONDITION_TOL,
     MAX_INDEX,
     STATE_TOL,
@@ -551,17 +550,17 @@ def test_take_keeps_cached_eig_rows_bit_identical_to_a_fresh_eig(monkeypatch):
     # eig is computed once, read-only, and never stands in for spectra;
     # take hands its rows on with no eigensolver call, with the bits that a
     # fresh hermitian_eig of the taken rows gives
-    rho, _ = random_pairs([substream(24, i) for i in range(CHUNK_ROWS)], 5, rank=10)
+    rho, _ = random_pairs([substream(24, i) for i in range(256)], 5, rank=10)
     calls = count_eig_calls(monkeypatch)
     eig = rho.eig
     assert rho.eig is eig and calls == {"eigh": 1}
     assert not eig.eigenvalues.flags.writeable and not eig.vectors.flags.writeable
-    picks = [[7, 3, 200], slice(10, 20), np.arange(CHUNK_ROWS) % 3 == 0]
+    picks = [[7, 3, 200], slice(10, 20), np.arange(256) % 3 == 0]
     taken = [rho.take(rows) for rows in picks]
     for stack in taken:
         assert stack.eig.vectors.shape == stack.mats.shape  # kept, not computed
     assert calls == {"eigh": 1}
-    assert rho.spectra.shape == (CHUNK_ROWS, 5)
+    assert rho.spectra.shape == (256, 5)
     assert calls == {"eigh": 1, "eigvalsh": 1}
     for rows, stack in zip(picks, taken):
         fresh = linalg.hermitian_eig(rho.mats[rows])
@@ -572,9 +571,9 @@ def test_take_keeps_cached_eig_rows_bit_identical_to_a_fresh_eig(monkeypatch):
 
 
 def test_row_spectra_match_the_stack_and_a_fresh_state():
-    rho, _ = random_pairs([substream(19, i) for i in range(CHUNK_ROWS)], 5, rank=10)
-    before = [rho.row(i).spectrum for i in range(CHUNK_ROWS)]  # each its own
-    for i in range(CHUNK_ROWS):
+    rho, _ = random_pairs([substream(19, i) for i in range(256)], 5, rank=10)
+    before = [rho.row(i).spectrum for i in range(256)]  # each its own
+    for i in range(256):
         fresh = DensityMatrix(rho.mats[i]).spectrum
         assert np.array_equal(before[i], rho.spectra[i])
         assert np.array_equal(rho.row(i).spectrum, rho.spectra[i])
@@ -604,9 +603,9 @@ def test_abs_condition_rows_rejects_a_shape_mismatch():
 def test_the_anticommutator_certifies_only_rows_the_exact_test_accepts(n):
     # ranks 1 (pure), n (Hilbert-Schmidt) and 2n (environment-doubled), and
     # commuting pairs, on which rho sigma + sigma rho = 2 rho sigma
-    stacks = [random_pairs(substreams(71, (n, rank), range(CHUNK_ROWS)), n, rank)
+    stacks = [random_pairs(substreams(71, (n, rank), range(256)), n, rank)
               for rank in (1, n, 2 * n)]
-    stacks.append(verify._random_commuting_pairs(substreams(72, (n,), range(CHUNK_ROWS)), n))
+    stacks.append(verify._random_commuting_pairs(substreams(72, (n,), range(256)), n))
     certified_rows = 0
     for rho, sigma in stacks:
         exact, _ = abs_condition_rows(rho, sigma)
@@ -614,7 +613,7 @@ def test_the_anticommutator_certifies_only_rows_the_exact_test_accepts(n):
         assert not (certified & ~exact).any()
         assert np.array_equal(abs_condition_holds(rho, sigma), exact)
         certified_rows += int(certified.sum())
-    assert certified_rows >= CHUNK_ROWS
+    assert certified_rows >= 256
 
 
 def _least_slack(rho, sigma):

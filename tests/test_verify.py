@@ -6,17 +6,17 @@ import numpy as np
 import pytest
 from conftest import count_eig_calls
 
-from qfdiv import maximal, verify
+from qfdiv import cli, maximal, states, verify
 from qfdiv.bounds import EQUAL_STATES_EPS, binette_rhs
 from qfdiv.divergence import classical_f_div
 from qfdiv.errors import OutOfRange
 from qfdiv.generators import builtin_generator
 from qfdiv.linalg import trace_norm_hermitian
 from qfdiv.states import (
-    CHUNK_ROWS,
     ClassicalDistribution,
     QuantumChannel,
     abs_condition_holds,
+    chunks,
     random_pairs,
     substream,
 )
@@ -53,13 +53,15 @@ def _count_witness_builds(monkeypatch):
 
 def test_witness_suite_builds_one_witness_per_stack(monkeypatch):
     # the residual report reads the stack's one witness batch, and its chi2
-    # reference reads sigma's cached eig; 300 pairs per dim are stacks of
-    # 256 and 44, each with the eigh of sigma and of T and the eigvalsh of
-    # the two reconstruction errors
+    # reference reads sigma's cached eig; 300 pairs are one stack at dim 3
+    # and stacks of 256 and 44 at dim 8, each with the eigh of sigma and of
+    # T and the eigvalsh of the two reconstruction errors
     calls = _count_witness_builds(monkeypatch)
     eig = count_eig_calls(monkeypatch)
-    witness_suite(dims=(2, 3), pairs_per_dim=300, seed=42)
-    assert [len(rho.mats) for rho, _ in calls] == [256, 44] * 2
+    witness_suite(dims=(3, 8), pairs_per_dim=300, seed=42)
+    stacks = [len(indices) for n in (3, 8) for indices in chunks(300, n)]
+    assert stacks == [300, 256, 44]
+    assert [len(rho.mats) for rho, _ in calls] == stacks
     assert eig == {"eigh": 2 * len(calls), "eigvalsh": 2 * len(calls)}
 
 
@@ -78,18 +80,23 @@ def test_witness_suite_fails_when_the_witness_divergence_is_off(monkeypatch):
 def test_dpi_suite_builds_each_distinct_pair_once(monkeypatch):
     # (rho, sigma), the channel outputs, (diag r, diag s) and its recovery
     calls = _count_witness_builds(monkeypatch)
-    result = dpi_suite(dim=3, trials=300, seed=42)
+    result = dpi_suite(dim=8, trials=300, seed=42)
     assert result.extras["skipped"] == 0
-    assert [len(rho.mats) for rho, _ in calls] == [256] * 4 + [44] * 4
+    stacks = [len(indices) for indices in chunks(300, 8)]
+    assert stacks == [256, 44]
+    assert [len(rho.mats) for rho, _ in calls] == [rows for rows in stacks for _ in range(4)]
 
 
 def test_dpi_suite_diagonalizes_each_sigma_stack_once(monkeypatch):
-    # per stack of 256 trials: the eig of sigma and of Phi sigma, which the
+    # per stack of trials: the eig of sigma and of Phi sigma, which the
     # singular skip reads and the first two witnesses take with their rows,
-    # T of those two witnesses, and sigma and T of the last two; no eigvalsh
-    calls = count_eig_calls(monkeypatch)
-    dpi_suite(dim=4, trials=1000, seed=42)
-    assert calls == {"eigh": 8 * 4}
+    # T of those two witnesses, and sigma and T of the last two; no eigvalsh.
+    # 1000 trials are one stack at dim 4, and 300 two at dim 8
+    for dim, trials, stacks in ((4, 1000, 1), (8, 300, 2)):
+        assert len(chunks(trials, dim)) == stacks
+        calls = count_eig_calls(monkeypatch)
+        dpi_suite(dim=dim, trials=trials, seed=42)
+        assert calls == {"eigh": 8 * stacks}
 
 
 def _reset_channel(dim, seed):
@@ -133,10 +140,46 @@ def test_dpi_suite_skips_only_the_singular_rows_of_a_stack(monkeypatch):
 @pytest.mark.parametrize("run", [maximality_and_pinsker, reverse_pinsker_and_binette],
                          ids=lambda run: run.__name__)
 def test_stacked_passes_build_one_witness_batch_per_chunk(monkeypatch, run):
-    # 600 samples are three stacks of at most CHUNK_ROWS = 256 pairs
+    # at dim 8, 600 samples are three stacks of at most 256 pairs
     calls = _count_witness_builds(monkeypatch)
-    run(dim=4, samples=600, seed=42)
-    assert [len(rho.mats) for rho, _ in calls] == [256, 256, 88]
+    run(dim=8, samples=600, seed=42)
+    stacks = [len(indices) for indices in chunks(600, 8)]
+    assert stacks == [256, 256, 88]
+    assert [len(rho.mats) for rho, _ in calls] == stacks
+
+
+def _worst_and_extras(*results):
+    return [(r.worst, r.extras) for r in results]
+
+
+def _fig2_csv(out):
+    assert cli.main(["fig2", "--samples", "200", "--out", str(out)]) == 0
+    return (out / "fig2.csv").read_bytes()
+
+
+# each run reads a value of every sampled stack
+STACKED_RUNS = {
+    "condition_rate": lambda out: [condition_rate(dim=n, samples=300).rate for n in (2, 4, 8)],
+    "fig2": _fig2_csv,
+    "witness_suite": lambda out: _worst_and_extras(
+        witness_suite(dims=(2, 4, 8), pairs_per_dim=40)),
+    "dpi_suite": lambda out: _worst_and_extras(dpi_suite(dim=4, trials=40)),
+    "maximality_and_pinsker": lambda out: _worst_and_extras(
+        *maximality_and_pinsker(dim=4, samples=100)),
+    "reverse_pinsker_and_binette": lambda out: _worst_and_extras(
+        *reverse_pinsker_and_binette(dim=4, samples=100)),
+}
+
+
+@pytest.mark.parametrize("run", STACKED_RUNS.values(), ids=STACKED_RUNS)
+def test_the_stack_size_moves_no_value(tmp_path, monkeypatch, run):
+    # every stacked operation works row by row, so stacks of 7 rows at dim
+    # 4 (28 at dim 2, 1 at dim 8) give the default run's values bit for bit
+    default = run(tmp_path / "default")
+    monkeypatch.setattr(states, "CHUNK_ENTRIES", 7 * 4 * 4)
+    assert [len(indices) for n in (2, 4, 8) for indices in chunks(30, n)] == (
+        [28, 2] + [7, 7, 7, 7, 2] + [1] * 30)
+    assert run(tmp_path / "small") == default
 
 
 def test_stacked_passes_are_pinned_at_seed_42():
@@ -346,16 +389,18 @@ def test_condition_rate_starts_no_garbage_collection_per_chunk(seed):
     # leaves too few live objects to pass the collector's threshold
     assert gc.isenabled()
     starts = []
+    stacks = chunks(4096, 4)
+    assert len(stacks) == 4
 
     def count(phase, info):
         if phase == "start":
             starts.append(info["generation"])
 
-    condition_rate(dim=4, samples=CHUNK_ROWS, seed=seed)  # first-call imports
+    condition_rate(dim=4, samples=len(stacks[0]), seed=seed)  # first-call imports
     gc.collect()
     gc.callbacks.append(count)
     try:
-        condition_rate(dim=4, samples=4 * CHUNK_ROWS, seed=seed)
+        condition_rate(dim=4, samples=4096, seed=seed)
     finally:
         gc.callbacks.remove(count)
     assert len(starts) <= 1, starts
@@ -390,8 +435,8 @@ def test_condition_rate_builds_its_states_without_an_eigensolver(monkeypatch):
         return pair
 
     monkeypatch.setattr(verify, "random_pairs", building)
-    condition_rate(dim=4, samples=600, seed=42)
-    assert during == [0, 0, 0]
+    condition_rate(dim=8, samples=600, seed=42)
+    assert during == [0] * len(chunks(600, 8)) == [0, 0, 0]
 
 
 @pytest.mark.parametrize("samples, rate", [(1000, 0.814), (10000, 0.805)])
