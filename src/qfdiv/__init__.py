@@ -1,5 +1,6 @@
 """Classical and quantum f-divergences with explicit maximal-divergence
-witnesses and numerically verified Pinsker-type bounds."""
+witnesses and numerically verified Pinsker-type bounds.  A single state is
+a one-row :class:`DensityStack`."""
 
 from .bounds import (
     binette_rhs,
@@ -9,44 +10,34 @@ from .bounds import (
     zeta1_integral,
 )
 from .divergence import (
-    classical_f_div,
-    max_relative_entropy,
+    chi2_rows,
+    f_div_rows,
+    max_relative_entropy_rows,
+    relative_entropy_rows,
 )
 from .errors import QfdivError
 from .generators import BUILTIN_NAMES, FGenerator, builtin_generator
-from .maximal import (
-    Witness,
-    WitnessBatch,
-    build_witness,
-    witness_batch,
-)
-from .states import (
-    ClassicalDistribution,
-    DensityMatrix,
-    QuantumChannel,
-    random_channel,
-    substream,
-)
+from .maximal import WitnessBatch, witness_batch
+from .states import DensityStack, QuantumChannel, random_channel, substream
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BUILTIN_NAMES",
-    "ClassicalDistribution",
-    "DensityMatrix",
+    "DensityStack",
     "FGenerator",
     "QfdivError",
     "QuantumChannel",
-    "Witness",
     "WitnessBatch",
     "binette_rhs",
-    "build_witness",
     "builtin_generator",
-    "classical_f_div",
+    "chi2_rows",
     "decoherence_bounds",
-    "max_relative_entropy",
+    "f_div_rows",
+    "max_relative_entropy_rows",
     "pinsker_chi2_lower",
     "random_channel",
+    "relative_entropy_rows",
     "substream",
     "witness_batch",
     "zeta1_closed",

@@ -30,6 +30,7 @@ from .divergence import (
     relative_entropy_rows,
 )
 from .errors import (
+    DimensionMismatch,
     InvariantViolation,
     OutOfRange,
     ParseError,
@@ -40,7 +41,6 @@ from .generators import BUILTIN_NAMES, builtin_generator
 from .linalg import check_counts
 from .maximal import WITNESS_TOL, witness_batch, witness_residual_rows
 from .states import (
-    DensityMatrix,
     DensityStack,
     abs_condition_rows,
     chunks,
@@ -91,13 +91,14 @@ _SETTINGS = frozenset(f.name for f in fields(ExperimentConfig))
 
 
 def parse_state_file(path):
-    """Read a density matrix from the plain-text state format.
+    """Read a density matrix from the plain-text state format, as a checked
+    one-row :class:`DensityStack`.
 
     Line 1 holds the dimension n; each of the next n lines holds n entries
     formatted "re,im" separated by whitespace.  The file must be ASCII,
     every number finite, and every line after row n blank.
     """
-    return DensityMatrix(_read_matrix(path))
+    return DensityStack(_read_matrix(path)[None])
 
 
 def _read_matrix(path):
@@ -174,13 +175,14 @@ def _convert_rows(rows, n):
 
 
 def write_state_file(path, rho):
-    """Write a density matrix in the state format; round-trips bit-exactly."""
-    rows = []
-    for i in range(rho.dim):
-        rows.append(" ".join(
-            f"{float(z.real)!r},{float(z.imag)!r}" for z in rho.mat[i]
-        ))
-    _write_ascii(path, f"{rho.dim}\n" + "\n".join(rows) + "\n")
+    """Write the state of a one-row :class:`DensityStack` in the state
+    format; round-trips bit-exactly.  A stack of other than one row raises
+    :class:`DimensionMismatch`."""
+    if len(rho.mats) != 1:
+        raise DimensionMismatch(f"a state file holds one state, got a stack of {len(rho.mats)}")
+    mat = rho.mats[0]
+    rows = [" ".join(f"{float(z.real)!r},{float(z.imag)!r}" for z in row) for row in mat]
+    _write_ascii(path, f"{len(mat)}\n" + "\n".join(rows) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +586,7 @@ def cmd_compare_bounds(rho_path, sigma_path, bits):
 
 def _read_pair(rho_path, sigma_path):
     """The states of two state files, as one-row stacks, and their witness."""
-    rho, sigma = parse_state_file(rho_path).as_stack(), parse_state_file(sigma_path).as_stack()
+    rho, sigma = parse_state_file(rho_path), parse_state_file(sigma_path)
     return rho, sigma, witness_batch(rho, sigma)
 
 

@@ -4,20 +4,18 @@ All quantum definitions here are the conventional ones (relative entropy,
 chi-squared, max-relative entropy); the trace distance is
 ``linalg.trace_norm_hermitian`` of rho - sigma, and the maximal f-divergence
 lives in :mod:`qfdiv.maximal`.  Entropic quantities are in nats.  The
-``*_rows`` functions evaluate many pairs at once, one per row;
-:func:`classical_f_div` is the one-row view of :func:`f_div_rows`.
+``*_rows`` functions evaluate many pairs at once, one per row; a single
+pair is a one-row stack.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 from .errors import DimensionMismatch, ZeroReference
 from .generators import check_generator
 from .linalg import adjoint, numbers, raise_first_failure, singular_check
-from .states import ClassicalDistribution, check_pair, check_types, one_row_pair
+from .states import check_pair
 
 
 def f_div_rows(p, q, f):
@@ -30,14 +28,6 @@ def f_div_rows(p, q, f):
     raise_first_failure([(q.min(axis=-1) <= 0.0, lambda i, where: ZeroReference(
         f"{where}reference distribution has a zero entry"))])
     return np.sum(f.values(p / q) * q, axis=-1)
-
-
-def classical_f_div(p, q, f):
-    """D_f(p || q) = sum_i q_i f(p_i / q_i) of two
-    :class:`ClassicalDistribution`; q must be strictly positive.  Other
-    types raise :class:`NotAState`."""
-    check_types(ClassicalDistribution, p=p, q=q)
-    return float(f_div_rows(p.probs[None], q.probs[None], f)[0])
 
 
 def _sigma_frame(rho, sigma):
@@ -73,13 +63,12 @@ def chi2_rows(rho, sigma):
     return np.sum(weights / sigma.eig.eigenvalues, axis=-1) - 1.0
 
 
-def max_relative_entropy(rho, sigma):
-    """D_max(rho || sigma) in nats: ln of the largest eigenvalue of
-    W^{-1/2} V^dag rho V W^{-1/2}, for sigma = V W V^dag.  That matrix has
-    T's spectrum but is not T, so this route to ln M shares only sigma's
-    eigendecomposition with the witness.  Takes two :class:`DensityMatrix`
-    states; other types raise :class:`NotAState`."""
-    rho, sigma = one_row_pair(rho, sigma)
-    rotated = _sigma_frame(rho, sigma)[0] @ sigma.eig.vectors[0]
-    scale = sigma.eig.eigenvalues[0] ** -0.5
-    return math.log(float(np.linalg.eigvalsh(scale[:, None] * rotated * scale)[-1]))
+def max_relative_entropy_rows(rho, sigma):
+    """D_max(rho || sigma) in nats of each row pair of two state stacks: ln
+    of the largest eigenvalue of W^{-1/2} V^dag rho V W^{-1/2}, for
+    sigma = V W V^dag (its stack's ``eig``).  That matrix has T's spectrum
+    but is not T, so this route to ln M shares only sigma's
+    eigendecomposition with the witness."""
+    rotated = _sigma_frame(rho, sigma) @ sigma.eig.vectors
+    scale = sigma.eig.eigenvalues ** -0.5
+    return np.log(np.linalg.eigvalsh(scale[:, :, None] * rotated * scale[:, None, :])[:, -1])

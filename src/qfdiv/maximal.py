@@ -19,13 +19,13 @@ experiments) consumes this construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+import operator
+from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import chi2_rows, classical_f_div, f_div_rows
-from .errors import InvariantViolation, NegativeSpectrum, SingularState
+from .divergence import chi2_rows, f_div_rows
+from .errors import InvariantViolation, NegativeSpectrum, OutOfRange, SingularState
 from .generators import builtin_generator
 from .linalg import (
     PSD_CLAMP_TOL,
@@ -36,48 +36,21 @@ from .linalg import (
     singular_check,
     trace_norm_hermitian,
 )
-from .states import ClassicalDistribution, DensityStack, QuantumChannel, check_pair, one_row_pair
+from .states import DensityStack, QuantumChannel, check_pair
 
 WITNESS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class Witness:
-    """Classical witness (r, s) and recovery channel for a state pair.
-
-    ``lambdas`` are the ascending eigenvalues of sigma^{-1/2} rho sigma^{-1/2}
-    (the likelihood-ratio spectrum), and column i of ``columns`` is
-    sigma^{1/2} u_i, with u_i the eigenvector of lambda_i; its squared norm
-    is s_i.  The recovery channel is assembled when ``channel`` is first
-    read.
-    """
-
-    lambdas: np.ndarray
-    r: ClassicalDistribution
-    s: ClassicalDistribution
-    columns: np.ndarray = field(repr=False)
-
-    @cached_property
-    def channel(self):
-        """Kraus operators A_i = sigma^{1/2} |u_i><i| / sqrt(s_i)."""
-        n = len(self.lambdas)
-        idx = np.arange(n)
-        kraus = np.zeros((n, n, n), dtype=np.complex128)
-        kraus[idx, :, idx] = (self.columns / np.sqrt(self.s.probs)).T
-        return QuantumChannel(kraus)
-
-    def f_divergence(self, f):
-        """D_f(r || s): the maximal f-divergence of the pair for
-        operator-convex f (kl, chi2), an upper bound on it otherwise."""
-        return classical_f_div(self.r, self.s, f)
-
-
-@dataclass(frozen=True)
 class WitnessBatch:
-    """Witnesses of a stack of pairs: row b of each array belongs to pair b.
+    """Classical witnesses (r, s) of a stack of pairs: row b of each array
+    belongs to pair b.
 
-    ``lambdas``, ``r`` and ``s`` are ``(B, n)``; ``columns`` is
-    ``(B, n, n)`` as in :class:`Witness`.
+    ``lambdas``, ``r`` and ``s`` are ``(B, n)``: ``lambdas[b]`` holds the
+    ascending eigenvalues of sigma^{-1/2} rho sigma^{-1/2} (the
+    likelihood-ratio spectrum).  ``columns`` is ``(B, n, n)``: column i of
+    ``columns[b]`` is sigma^{1/2} u_i, with u_i the eigenvector of
+    lambda_i, and its squared norm is s_i.
     """
 
     lambdas: np.ndarray
@@ -98,18 +71,23 @@ class WitnessBatch:
         return (DensityStack((c * self.lambdas[:, None, :]) @ adjoint(c), WITNESS_TOL),
                 DensityStack(c @ adjoint(c), WITNESS_TOL))
 
-    def row(self, i):
-        """The :class:`Witness` of pair ``i``."""
-        return Witness(
-            lambdas=self.lambdas[i],
-            r=ClassicalDistribution(self.r[i], tol=WITNESS_TOL),
-            s=ClassicalDistribution(self.s[i], tol=WITNESS_TOL),
-            columns=self.columns[i],
-        )
+    def channel(self, i):
+        """The recovery channel of pair ``i``, assembled on each call: Kraus
+        operators A_j = sigma^{1/2} |u_j><j| / sqrt(s_j).  An index off the
+        stack raises :class:`OutOfRange`."""
+        try:
+            i = range(len(self.lambdas))[operator.index(i)]
+        except (IndexError, TypeError) as exc:
+            raise OutOfRange(f"row {i!r} is not a row of a stack of {len(self.lambdas)}") from exc
+        n = self.lambdas.shape[-1]
+        idx = np.arange(n)
+        kraus = np.zeros((n, n, n), dtype=np.complex128)
+        kraus[idx, :, idx] = (self.columns[i] / np.sqrt(self.s[i])).T
+        return QuantumChannel(kraus)
 
 
 def witness_batch(rho, sigma):
-    """Witness distributions of every pair in two state stacks
+    """The witness distributions of every pair in two state stacks
     (:class:`DensityStack`), rho first.
 
     Both stacks were checked as states where they were built
@@ -172,13 +150,6 @@ def witness_batch(rho, sigma):
     for a in (lam, r_vec, s_vec, columns):
         a.flags.writeable = False
     return WitnessBatch(lambdas=lam, r=r_vec, s=s_vec, columns=columns)
-
-
-def build_witness(rho, sigma):
-    """Construct the witness distributions and recovery channel of one pair
-    of :class:`DensityMatrix` states; the one-row view of
-    :func:`witness_batch`; other types raise :class:`NotAState`."""
-    return witness_batch(*one_row_pair(rho, sigma)).row(0)
 
 
 def witness_residual_rows(rho, sigma, w):

@@ -92,37 +92,6 @@ def _check_tol(tol):
         raise OutOfRange(f"tolerance must be a real number in [0, inf), got {tol!r}")
 
 
-class ClassicalDistribution:
-    """Probability vector: nonnegative entries summing to one within ``tol``.
-
-    ``tol`` is kept, so states built from the distribution are checked at
-    the tolerance it was built under.
-    """
-
-    __slots__ = ("probs", "tol")
-
-    def __init__(self, probs, tol=STATE_TOL):
-        _check_tol(tol)
-        # a copy: the caller's array is never made read-only
-        p = np.array(linalg.numbers(probs, finite=True))
-        if p.ndim != 1 or p.size < 1:
-            raise InvariantViolation("shape", f"expected a vector, got shape {p.shape}")
-        if p.min() < 0.0:
-            raise InvariantViolation("nonnegativity", f"min entry {p.min():.3e}")
-        defect = abs(float(p.sum()) - 1.0)
-        if defect > tol:
-            raise InvariantViolation("normalization", f"|sum - 1| = {defect:.3e}")
-        p.flags.writeable = False
-        self.probs = p
-        self.tol = tol
-
-    def __len__(self):
-        return self.probs.size
-
-    def __repr__(self):
-        return f"ClassicalDistribution({self.probs.tolist()})"
-
-
 def _read_only(a):
     a.flags.writeable = False
     return a
@@ -171,8 +140,9 @@ class DensityStack:
     row.  ``spectra`` (``eigvalsh``, one row per state) and ``eig``
     (:func:`linalg.hermitian_eig`) are computed on first read and cached;
     their eigenvalues differ in the last bits, so neither stands in for the
-    other.  Rows taken from checked stacks (:meth:`take`, :meth:`concatenate`,
-    :meth:`row`) stay checked and are not checked again.
+    other.  Rows taken from checked stacks (:meth:`take`, :meth:`concatenate`)
+    stay checked and are not checked again.  A single state is a one-row
+    stack.
     """
 
     __slots__ = ("mats", "tol", "_spectra", "_eig")
@@ -198,17 +168,6 @@ class DensityStack:
             for a in (self._eig.eigenvalues, self._eig.vectors):
                 _read_only(a)
         return self._eig
-
-    def row(self, i):
-        """Row ``i`` (from the end if negative) as a :class:`DensityMatrix`
-        viewing ``take(slice(i, i + 1))``: not checked again, sharing caches."""
-        try:
-            i = range(len(self.mats))[i]
-        except (IndexError, TypeError) as exc:
-            raise OutOfRange(f"row {i!r} is not a row of a stack of {len(self.mats)}") from exc
-        rho = object.__new__(DensityMatrix)
-        rho._stack = self.take(slice(i, i + 1))
-        return rho
 
     def take(self, rows):
         """The rows ``rows`` (an index array, a slice or a boolean mask) as a
@@ -250,47 +209,6 @@ def _checked_stack(mats, tol, spectra=None, eig=None):
     stack = object.__new__(DensityStack)
     stack.mats, stack.tol, stack._spectra, stack._eig = mats, tol, spectra, eig
     return stack
-
-
-class DensityMatrix:
-    """Hermitian PSD matrix with unit trace; the carrier for quantum states.
-
-    A view of one checked one-row :class:`DensityStack`: ``mat``, ``tol``
-    and ``spectrum`` (ascending eigenvalues) are read from it, and every
-    reader of the state shares the caches it fills.
-    """
-
-    __slots__ = ("_stack",)
-
-    def __init__(self, mat, tol=STATE_TOL):
-        m = linalg.as_complex_matrix(mat)
-        if m.ndim != 2:
-            raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-        self._stack = DensityStack(m[None], tol)
-
-    @property
-    def mat(self):
-        return self._stack.mats[0]
-
-    @property
-    def tol(self):
-        return self._stack.tol
-
-    @property
-    def spectrum(self):
-        return self._stack.spectra[0]
-
-    def as_stack(self):
-        """This state as its one-row :class:`DensityStack`: the same object
-        on every call, so the caches it fills serve every later reader."""
-        return self._stack
-
-    @property
-    def dim(self):
-        return self.mat.shape[0]
-
-    def __repr__(self):
-        return f"DensityMatrix(dim={self.dim})"
 
 
 class QuantumChannel:
@@ -401,13 +319,6 @@ def check_types(kind, **named):
     for name, state in named.items():
         if not isinstance(state, kind):
             raise NotAState(f"{name} must be a {kind.__name__}, got {type(state).__name__}")
-
-
-def one_row_pair(rho, sigma):
-    """Two :class:`DensityMatrix` states as one-row stacks; raises
-    :class:`NotAState`, naming the argument, for any other type."""
-    check_types(DensityMatrix, rho=rho, sigma=sigma)
-    return rho.as_stack(), sigma.as_stack()
 
 
 def check_pair(rho, sigma):

@@ -39,7 +39,7 @@ from qfdiv.cli import main as cli_main
 from qfdiv.divergence import relative_entropy_rows
 from qfdiv.generators import builtin_generator
 from qfdiv.linalg import trace_norm_hermitian
-from qfdiv.maximal import build_witness
+from qfdiv.maximal import witness_batch
 from qfdiv.states import chunks, random_pairs, substream, substreams
 from qfdiv.verify import (
     condition_rate,
@@ -88,7 +88,7 @@ def test_criterion_02_chi2_coincidence():
     for i in range(1000):
         rho = random_density(4, seed=substream(42, i, 0))
         sigma = random_density(4, seed=substream(42, i, 1))
-        gap = abs(build_witness(rho, sigma).f_divergence(CHI2) - quantum_chi2(rho, sigma))
+        gap = abs(witness_batch(rho, sigma).f_divergence(CHI2)[0] - quantum_chi2(rho, sigma))
         worst = max(worst, gap)
     _report(2, "chi-squared coincidence", worst <= 1e-9, f"worst {worst:.3e}")
     assert worst <= 1e-9
@@ -127,7 +127,7 @@ def test_criterion_05_improved_pinsker():
     # 10^4 random 4x4 pairs; the hand case has chi2 = 1 = T^2 exactly.
     _, result = maximality_and_pinsker(dim=4, samples=10000, seed=42)
     rho, sigma = plus_state(), maximally_mixed()
-    lhs = pinsker_chi2_lower(trace_norm_hermitian(rho.mat - sigma.mat))
+    lhs = pinsker_chi2_lower(trace_norm_hermitian(rho.mats[0] - sigma.mats[0]))
     hand = max(abs(lhs - 1.0), abs(quantum_chi2(rho, sigma) - 1.0))
     ok = result.worst <= 1e-10 and hand <= 1e-10
     _report(

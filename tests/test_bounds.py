@@ -42,7 +42,7 @@ from qfdiv.errors import (
 )
 from qfdiv.generators import FGenerator, builtin_generator
 from qfdiv.linalg import trace_norm_hermitian
-from qfdiv.maximal import build_witness, witness_batch
+from qfdiv.maximal import witness_batch
 from qfdiv.states import DensityStack, random_pairs, substream
 
 KL = builtin_generator("kl")
@@ -77,7 +77,7 @@ def test_pinsker_lower_envelope_rejects_out_of_range():
 
 def test_quantum_pinsker_equality_for_pure_vs_mixed():
     rho, sigma = plus_state(), maximally_mixed()
-    lhs = pinsker_chi2_lower(trace_norm_hermitian(rho.mat - sigma.mat))
+    lhs = pinsker_chi2_lower(trace_norm_hermitian(rho.mats[0] - sigma.mats[0]))
     rhs = quantum_chi2(rho, sigma)
     assert lhs == pytest.approx(1.0, abs=1e-12)
     assert rhs == pytest.approx(1.0, abs=1e-12)
@@ -100,9 +100,9 @@ def test_binary_commuting_pairs_attain_the_pinsker_envelope_at_every_t():
 
 
 def test_quantum_pinsker_holds_on_random_pairs():
-    pairs = [(random_density(4, seed=substream(60, i, 0)).mat,
-              random_density(4, seed=substream(60, i, 1)).mat) for i in range(100)]
-    rho_mats, sigma_mats = (np.stack(m) for m in zip(*pairs))
+    pairs = [(random_density(4, seed=substream(60, i, 0)).mats,
+              random_density(4, seed=substream(60, i, 1)).mats) for i in range(100)]
+    rho_mats, sigma_mats = (np.concatenate(m) for m in zip(*pairs))
     slack = (chi2_rows(DensityStack(rho_mats), DensityStack(sigma_mats))
              - pinsker_chi2_lower(trace_norm_hermitian(rho_mats - sigma_mats)))
     assert slack.min() >= -1e-10, (int(slack.argmin()), slack.min())
@@ -542,14 +542,14 @@ def test_reverse_pinsker_report_matches_the_single_pair_check(n):
     for i in range(5):
         rho = random_density(n, rank=2 * n, seed=substream(65, n, i, 0))
         sigma = random_density(n, rank=2 * n, seed=substream(65, n, i, 1))
-        w = build_witness(rho, sigma)
-        t = trace_norm_hermitian(rho.mat - sigma.mat)
+        w = witness_batch(rho, sigma)
+        t = trace_norm_hermitian(rho.mats[0] - sigma.mats[0])
         for f in (KL, CHI2, TV):
-            rhs = binette_rhs(float(w.lambdas[0]), float(w.lambdas[-1]), t, f)
+            rhs = binette_rhs(float(w.lambdas[0, 0]), float(w.lambdas[0, -1]), t, f)
             want = reverse_pinsker(rho, sigma, f)
-            assert w.f_divergence(f) == pytest.approx(want.lhs, rel=1e-12, abs=1e-15)
+            assert w.f_divergence(f)[0] == pytest.approx(want.lhs, rel=1e-12, abs=1e-15)
             assert rhs == pytest.approx(want.rhs, rel=1e-12, abs=1e-15), (i, f.name)
-            assert rhs - w.f_divergence(f) == pytest.approx(
+            assert rhs - w.f_divergence(f)[0] == pytest.approx(
                 want.slack, rel=1e-12, abs=1e-15), (i, f.name)
 
 
@@ -583,13 +583,13 @@ def test_reverse_pinsker_witness_form_always_holds():
     for i in range(100):
         rho = random_density(4, rank=8, seed=substream(903, i, 0))
         sigma = random_density(4, rank=8, seed=substream(903, i, 1))
-        w = build_witness(rho, sigma)
-        m, M = float(w.lambdas[0]), float(w.lambdas[-1])
+        w = witness_batch(rho, sigma)
+        m, M = float(w.lambdas[0, 0]), float(w.lambdas[0, -1])
         if not (m < 1.0 - 1e-12 < 1.0 + 1e-12 < M):
             continue
-        t_witness = float(np.sum(np.abs(w.r.probs - w.s.probs)))
+        t_witness = float(np.sum(np.abs(w.r[0] - w.s[0])))
         for f in (KL, CHI2, TV):
-            lhs = w.f_divergence(f)
+            lhs = w.f_divergence(f)[0]
             rhs = binette_rhs(m, M, t_witness, f)
             assert lhs <= rhs + 1e-10, (i, f.name, lhs, rhs)
 
@@ -600,9 +600,9 @@ def test_witness_total_variation_dominates_trace_distance():
     for i in range(50):
         rho = random_density(4, rank=8, seed=substream(64, i, 0))
         sigma = random_density(4, rank=8, seed=substream(64, i, 1))
-        w = build_witness(rho, sigma)
-        t_witness = float(np.sum(np.abs(w.r.probs - w.s.probs)))
-        assert t_witness >= trace_norm_hermitian(rho.mat - sigma.mat) - 1e-10
+        w = witness_batch(rho, sigma)
+        t_witness = float(np.sum(np.abs(w.r[0] - w.s[0])))
+        assert t_witness >= trace_norm_hermitian(rho.mats[0] - sigma.mats[0]) - 1e-10
 
 
 def test_audenaert_eisert_rows_match_the_single_pair_bound():
@@ -610,9 +610,9 @@ def test_audenaert_eisert_rows_match_the_single_pair_bound():
               random_density(3, rank=2, seed=substream(90, i, 1)) if i == 0
               else random_density(3, seed=substream(90, i, 1)))
              for i in range(5)]
-    t = [trace_norm_hermitian(r.mat - s.mat) for r, s in pairs]
-    alpha = [r.spectrum[0] for r, _ in pairs]
-    beta = [s.spectrum[0] for _, s in pairs]
+    t = [trace_norm_hermitian(r.mats[0] - s.mats[0]) for r, s in pairs]
+    alpha = [r.spectra[0, 0] for r, _ in pairs]
+    beta = [s.spectra[0, 0] for _, s in pairs]
     beta[0] = 0.0
     with pytest.raises(SingularState, match="^row 0: "):
         audenaert_eisert_rows(t, alpha, beta)

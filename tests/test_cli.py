@@ -33,11 +33,11 @@ from qfdiv.cli import (
     parse_state_file,
     write_state_file,
 )
-from qfdiv.divergence import max_relative_entropy
-from qfdiv.errors import InvariantViolation, OutOfRange, ParseError
+from qfdiv.divergence import max_relative_entropy_rows
+from qfdiv.errors import DimensionMismatch, InvariantViolation, OutOfRange, ParseError
 from qfdiv.generators import BUILTIN_NAMES, builtin_generator
 from qfdiv.linalg import trace_norm_hermitian
-from qfdiv.states import abs_condition_rows, substream
+from qfdiv.states import DensityStack, abs_condition_rows, substream
 from qfdiv.verify import RateResult
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -83,17 +83,18 @@ def test_state_file_round_trip_is_bit_exact(tmp_path):
     path = tmp_path / "state.txt"
     write_state_file(path, rho)
     back = parse_state_file(path)
-    assert np.array_equal(back.mat, rho.mat)
+    assert np.array_equal(back.mats, rho.mats)
 
 
 def test_state_file_parses_hand_written_qubit(tmp_path):
     path = tmp_path / "plus.txt"
     path.write_text("2\n0.5,0 0.5,0\n0.5,0 0.5,0\n")
     rho = parse_state_file(path)
-    assert np.allclose(rho.mat, plus_state().mat)
+    assert rho.mats.shape == (1, 2, 2)  # a one-row stack
+    assert np.allclose(rho.mats, plus_state().mats)
     # trailing blank lines are accepted
     path.write_text("2\n0.5,0 0.5,0\n0.5,0 0.5,0\n\n \n\t\n")
-    assert np.array_equal(parse_state_file(path).mat, rho.mat)
+    assert np.array_equal(parse_state_file(path).mats, rho.mats)
 
 
 def test_state_file_reports_the_offending_line(tmp_path):
@@ -130,7 +131,16 @@ def test_state_file_round_trip_is_bit_exact_at_dim_32(tmp_path):
     rho = random_density(32, rank=64, seed=substream(71, 0))
     path = tmp_path / "state.txt"
     write_state_file(path, rho)
-    assert np.array_equal(parse_state_file(path).mat, rho.mat)
+    assert np.array_equal(parse_state_file(path).mats, rho.mats)
+
+
+def test_state_file_holds_one_state(tmp_path):
+    two = DensityStack([np.eye(2) / 2, np.diag([1.0, 0.0])])
+    for stack in (two, two.take([])):
+        want = f"^a state file holds one state, got a stack of {len(stack.mats)}$"
+        with pytest.raises(DimensionMismatch, match=want):
+            write_state_file(tmp_path / "state.txt", stack)
+    assert not (tmp_path / "state.txt").exists()
 
 
 def test_state_file_reads_numbers_as_python_float_does(tmp_path):
@@ -138,7 +148,7 @@ def test_state_file_reads_numbers_as_python_float_does(tmp_path):
     # casting need not
     path = tmp_path / "underscore.txt"
     path.write_text("2\n0.2_5,0 0,0\n0,-0 7_5e-2,+0\n")
-    mat = parse_state_file(path).mat
+    (mat,) = parse_state_file(path).mats
     assert mat[0, 0] == float("0.2_5") and mat[1, 1] == float("7_5e-2")
 
 
@@ -147,6 +157,24 @@ def test_state_file_rejects_wrong_row_count(tmp_path):
     path.write_text("3\n0.5,0 0.5,0\n")
     with pytest.raises(ParseError):
         parse_state_file(path)
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_a_state_file_that_cannot_be_read_names_no_line(tmp_path, capsys, kind):
+    path = tmp_path / "state.txt"
+    if kind == "directory":
+        path.mkdir()
+    with pytest.raises(ParseError, match=f"^cannot read {path}: ") as info:
+        parse_state_file(path)
+    assert info.value.line is None
+    good = tmp_path / "good.txt"
+    write_state_file(good, plus_state())
+    for command in ("witness", "compare-bounds"):
+        for pair in ((path, good), (good, path)):
+            assert run_cli(command, *pair) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith(f"error: cannot read {path}: ")
+            assert captured.out == ""
 
 
 def test_state_file_enforces_state_invariants(tmp_path):
@@ -450,20 +478,19 @@ def test_compare_bounds_numbers_match_the_scalar_functions(
     out = capsys.readouterr().out
 
     (batch,) = seen["witness_batch"]
-    w = batch.row(0)
     ((holds, t_rows),) = seen["abs_condition_rows"]
     ((chi2,),) = seen["chi2_rows"]
     (envelope,) = seen["pinsker_chi2_lower"]
     (ae,) = seen["audenaert_eisert_rows"]
     t = float(t_rows[0])
-    dmax = math.log(float(w.lambdas[-1]))
-    t_eigvalsh = trace_norm_hermitian(rho.mat - sigma.mat)
+    dmax = math.log(float(batch.lambdas[0, -1]))
+    t_eigvalsh = trace_norm_hermitian(rho.mats[0] - sigma.mats[0])
     pin_lhs = pinsker_chi2_lower(t_eigvalsh)
 
-    assert bool(holds[0]) == abs_condition_rows(rho.as_stack(), sigma.as_stack())[0][0]
+    assert bool(holds[0]) == abs_condition_rows(rho, sigma)[0][0]
     assert t == pytest.approx(t_eigvalsh, rel=1e-12)
     # two routes to D_max: ln M of the witness and sigma^{-1/2} rho sigma^{-1/2}
-    assert dmax == pytest.approx(max_relative_entropy(rho, sigma), rel=1e-12)
+    assert dmax == pytest.approx(max_relative_entropy_rows(rho, sigma)[0], rel=1e-12)
     assert envelope == pytest.approx(pin_lhs, rel=1e-12)
     # the printed relative entropy reads sigma's eig, computed by the witness;
     # the reference diagonalizes sigma on its own

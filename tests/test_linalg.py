@@ -15,7 +15,7 @@ from qfdiv.errors import (
     NoConvergence,
     SingularState,
 )
-from qfdiv.states import DensityMatrix, DensityStack
+from qfdiv.states import DensityStack
 
 RNG = np.random.default_rng(20240811)
 # slack of the Loewner-order comparisons, on the least eigenvalue
@@ -62,7 +62,7 @@ def test_trace_norm_of_indefinite_diagonal():
 
 
 def test_trace_norm_of_pure_vs_mixed_difference():
-    diff = plus_state().mat - maximally_mixed().mat
+    diff = plus_state().mats[0] - maximally_mixed().mats[0]
     assert linalg.trace_norm_hermitian(diff) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -85,8 +85,8 @@ def test_loewner_order_incomparable_projectors():
 
 
 def test_loewner_sum_dominates_absolute_difference_for_qubit_pair():
-    rho = plus_state().mat
-    sigma = maximally_mixed().mat
+    rho = plus_state().mats[0]
+    sigma = maximally_mixed().mats[0]
     eig = linalg.hermitian_eig(rho - sigma)
     gap = eig.compose(np.abs(eig.eigenvalues))
     assert _geq(rho + sigma, gap)
@@ -198,7 +198,7 @@ def test_polynomial_inverse_weighted_trace_identity():
 
 def test_hermitian_defect_within_tolerance_is_symmetrized():
     # within the carrier's tolerance, so accepted and symmetrized
-    out = DensityMatrix(np.array([[0.5, 1e-12], [0.0, 0.5]])).mat
+    out = DensityStack([[[0.5, 1e-12], [0.0, 0.5]]]).mats[0]
     assert np.array_equal(out, linalg.adjoint(out))
 
 
@@ -235,7 +235,7 @@ def test_entries_near_the_largest_float_give_finite_results_or_typed_errors():
         assert np.array_equal(linalg.hermitian_part(big), big)
         # a defect that overflows fails the carriers' Hermiticity check
         with pytest.raises(InvariantViolation, match="^hermiticity: max .* = inf$"):
-            DensityMatrix(np.array([[0.5, 1e308], [-1e308, 0.5]]))
+            DensityStack([[[0.5, 1e308], [-1e308, 0.5]]])
         # a finite matrix whose largest eigenvalue (2e308) is past the largest float
         with pytest.raises(DomainError, match="overflow"):
             linalg.hermitian_eig(np.full((2, 2), 1e308))

@@ -1,6 +1,7 @@
 """Tests for the maximal f-divergence witness construction."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,8 +17,8 @@ from conftest import (
 
 from qfdiv.divergence import (
     chi2_rows,
-    classical_f_div,
-    max_relative_entropy,
+    f_div_rows,
+    max_relative_entropy_rows,
     relative_entropy_rows,
 )
 from qfdiv import linalg, maximal
@@ -26,6 +27,7 @@ from qfdiv.errors import (
     InvariantViolation,
     NegativeSpectrum,
     NotAState,
+    OutOfRange,
     SingularState,
 )
 from qfdiv.generators import FGenerator, builtin_generator
@@ -37,13 +39,10 @@ from qfdiv.linalg import (
 )
 from qfdiv.maximal import (
     WITNESS_TOL,
-    build_witness,
     witness_batch,
     witness_residual_rows,
 )
 from qfdiv.states import (
-    ClassicalDistribution,
-    DensityMatrix,
     DensityStack,
     QuantumChannel,
     abs_condition_holds,
@@ -61,22 +60,30 @@ TV = builtin_generator("tv")
 
 
 def _through(channel, states):
-    """The states sum_i A_i rho A_i^dag of a list of states, by the Kraus
-    route, checked at the largest of their tolerances."""
-    rho = DensityStack.concatenate([state.as_stack() for state in states])
+    """The states sum_i A_i rho A_i^dag of a list of one-row stacks, by the
+    Kraus route, checked at the largest of their tolerances."""
+    rho = DensityStack.concatenate(states)
     kraus = np.broadcast_to(channel.kraus, (len(states), *channel.kraus.shape))
     return apply_channel_rows(kraus, rho)
 
 
 def _diag(p):
-    """The diagonal state of a witness distribution, at its tolerance."""
-    return diagonal_state(p.probs, p.tol)
+    """The diagonal state of a witness distribution, at the witness tolerance."""
+    return diagonal_state(p, WITNESS_TOL)
+
+
+def _haar_unitaries(rng, count, n):
+    """``count`` Haar-distributed n x n unitaries, from one draw of ``rng``."""
+    g = np.empty((count, n, n), dtype=np.complex128)
+    g.real, g.imag = rng.standard_normal((2, count, n, n))
+    q, r = np.linalg.qr(g)
+    phases = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (phases / np.abs(phases))[:, None, :]
 
 
 def _residuals(rho, sigma):
-    """The witness residuals of one pair of states, from one-row stacks."""
-    rho_rows, sigma_rows = rho.as_stack(), sigma.as_stack()
-    rows = witness_residual_rows(rho_rows, sigma_rows, witness_batch(rho_rows, sigma_rows))
+    """The witness residuals of one pair of one-row stacks."""
+    rows = witness_residual_rows(rho, sigma, witness_batch(rho, sigma))
     return {name: float(gaps[0]) for name, gaps in rows.items()}
 
 
@@ -90,25 +97,25 @@ def _passes(rho, sigma):
 
 
 def test_witness_hand_case_spectrum_and_distributions():
-    w = build_witness(plus_state(), maximally_mixed())
-    assert np.allclose(w.lambdas, [0.0, 2.0], atol=1e-12)
-    assert np.allclose(w.s.probs, [0.5, 0.5], atol=1e-12)
-    assert np.allclose(w.r.probs, [0.0, 1.0], atol=1e-12)
+    w = witness_batch(plus_state(), maximally_mixed())
+    assert np.allclose(w.lambdas, [[0.0, 2.0]], atol=1e-12)
+    assert np.allclose(w.s, [[0.5, 0.5]], atol=1e-12)
+    assert np.allclose(w.r, [[0.0, 1.0]], atol=1e-12)
 
 
 def test_witness_hand_case_divergences():
-    w = build_witness(plus_state(), maximally_mixed())
-    assert w.f_divergence(KL) == pytest.approx(math.log(2.0), abs=1e-12)
-    assert w.f_divergence(TV) == pytest.approx(1.0, abs=1e-12)
-    assert w.f_divergence(CHI2) == pytest.approx(1.0, abs=1e-12)
+    w = witness_batch(plus_state(), maximally_mixed())
+    assert w.f_divergence(KL)[0] == pytest.approx(math.log(2.0), abs=1e-12)
+    assert w.f_divergence(TV)[0] == pytest.approx(1.0, abs=1e-12)
+    assert w.f_divergence(CHI2)[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_witness_hand_case_reconstructs_both_states():
     rho, sigma = plus_state(), maximally_mixed()
-    w = build_witness(rho, sigma)
-    back_r, back_s = _through(w.channel, [_diag(w.r), _diag(w.s)]).mats
-    assert trace_norm_hermitian(back_r - rho.mat) <= 1e-12
-    assert trace_norm_hermitian(back_s - sigma.mat) <= 1e-12
+    w = witness_batch(rho, sigma)
+    back_r, back_s = _through(w.channel(0), [_diag(w.r[0]), _diag(w.s[0])]).mats
+    assert trace_norm_hermitian(back_r - rho.mats[0]) <= 1e-12
+    assert trace_norm_hermitian(back_s - sigma.mats[0]) <= 1e-12
 
 
 def test_witness_hand_case_report_passes():
@@ -132,23 +139,21 @@ def test_witness_hand_case_report_passes():
 def test_maximal_divergence_reduces_to_classical_on_diagonal_states():
     rng = substream(40)
     for _ in range(20):
-        p = ClassicalDistribution(rng.dirichlet(np.ones(4)))
-        q = ClassicalDistribution(rng.dirichlet(np.ones(4)) * 0.96 + 0.01)
-        w = build_witness(_diag(p), _diag(q))
+        p = rng.dirichlet(np.ones(4))
+        q = rng.dirichlet(np.ones(4)) * 0.96 + 0.01
+        w = witness_batch(diagonal_state(p), diagonal_state(q))
         for f in (KL, CHI2, TV):
-            assert w.f_divergence(f) == pytest.approx(
-                classical_f_div(p, q, f), abs=1e-9
+            assert w.f_divergence(f)[0] == pytest.approx(
+                f_div_rows(p[None], q[None], f)[0], abs=1e-9
             )
 
 
 def test_witness_on_diagonal_pair_sorts_likelihood_ratios():
-    p = ClassicalDistribution([0.1, 0.6, 0.3])
-    q = ClassicalDistribution([0.2, 0.3, 0.5])
-    w = build_witness(_diag(p), _diag(q))
-    assert np.allclose(w.lambdas, sorted([0.5, 2.0, 0.6]), atol=1e-12)
+    w = witness_batch(diagonal_state([0.1, 0.6, 0.3]), diagonal_state([0.2, 0.3, 0.5]))
+    assert np.allclose(w.lambdas[0], sorted([0.5, 2.0, 0.6]), atol=1e-12)
     # s collects the sigma weights in the same sorted order
-    assert np.allclose(w.s.probs, [0.2, 0.5, 0.3], atol=1e-12)
-    assert np.allclose(w.r.probs, [0.1, 0.3, 0.6], atol=1e-12)
+    assert np.allclose(w.s[0], [0.2, 0.5, 0.3], atol=1e-12)
+    assert np.allclose(w.r[0], [0.1, 0.3, 0.6], atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -168,20 +173,20 @@ def test_witness_report_passes_on_random_pairs(dim):
 def test_witness_handles_rank_deficient_rho():
     rho = random_density(4, rank=2, seed=substream(43, 0))
     sigma = random_density(4, seed=substream(43, 1))
-    w = build_witness(rho, sigma)
-    assert np.sum(w.lambdas <= 1e-10) == 2
-    assert np.sum(w.r.probs <= 1e-10) == 2
+    w = witness_batch(rho, sigma)
+    assert np.sum(w.lambdas[0] <= 1e-10) == 2
+    assert np.sum(w.r[0] <= 1e-10) == 2
     assert _passes(rho, sigma)
 
 
 def test_witness_is_deterministic():
     rho = random_density(4, seed=substream(44, 0))
     sigma = random_density(4, seed=substream(44, 1))
-    w1 = build_witness(rho, sigma)
-    w2 = build_witness(rho, sigma)
+    w1 = witness_batch(rho, sigma)
+    w2 = witness_batch(rho, sigma)
     assert np.array_equal(w1.lambdas, w2.lambdas)
-    assert np.array_equal(w1.r.probs, w2.r.probs)
-    assert np.array_equal(w1.channel.kraus, w2.channel.kraus)
+    assert np.array_equal(w1.r, w2.r)
+    assert np.array_equal(w1.channel(0).kraus, w2.channel(0).kraus)
 
 
 def test_chi2_maximal_coincides_with_standard_quantum_chi2():
@@ -189,7 +194,7 @@ def test_chi2_maximal_coincides_with_standard_quantum_chi2():
     for i in range(200):
         rho = random_density(4, seed=substream(42, i, 0))
         sigma = random_density(4, seed=substream(42, i, 1))
-        gap = abs(build_witness(rho, sigma).f_divergence(CHI2) - quantum_chi2(rho, sigma))
+        gap = abs(witness_batch(rho, sigma).f_divergence(CHI2)[0] - quantum_chi2(rho, sigma))
         worst = max(worst, gap)
     assert worst <= 1e-9
 
@@ -198,12 +203,12 @@ def test_extremes_match_max_relative_entropy_in_both_directions():
     for i in range(50):
         rho = random_density(4, seed=substream(46, i, 0))
         sigma = random_density(4, seed=substream(46, i, 1))
-        lambdas = build_witness(rho, sigma).lambdas
+        lambdas = witness_batch(rho, sigma).lambdas[0]
         assert math.log(lambdas[-1]) == pytest.approx(
-            max_relative_entropy(rho, sigma), abs=1e-9
+            max_relative_entropy_rows(rho, sigma)[0], abs=1e-9
         )
         assert -math.log(lambdas[0]) == pytest.approx(
-            max_relative_entropy(sigma, rho), abs=1e-9
+            max_relative_entropy_rows(sigma, rho)[0], abs=1e-9
         )
 
 
@@ -234,15 +239,15 @@ def test_maximal_divergence_matches_direct_trace_formula():
         coeffs = c1 * base[1] + c2 * base[2] + c4 * base[4]
         rho = random_density(4, seed=substream(47, i, 0))
         sigma = random_density(4, seed=substream(47, i, 1))
-        eig = hermitian_eig(sigma.mat)
+        eig = hermitian_eig(sigma.mats[0])
         inv_sqrt = eig.compose(eig.eigenvalues ** -0.5)
         sqrt_s = (eig.vectors * eig.eigenvalues**0.5) @ eig.vectors.conj().T
-        t = inv_sqrt @ rho.mat @ inv_sqrt
+        t = inv_sqrt @ rho.mats[0] @ inv_sqrt
         direct = float(
             np.trace(sqrt_s @ matrix_polynomial(coeffs, t) @ sqrt_s).real
         )
         scale = max(1.0, abs(direct))
-        assert abs(build_witness(rho, sigma).f_divergence(f) - direct) <= 1e-8 * scale
+        assert abs(witness_batch(rho, sigma).f_divergence(f)[0] - direct) <= 1e-8 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -255,11 +260,11 @@ def test_dpi_holds_for_operator_convex_generators():
         rho = random_density(3, seed=substream(48, i, 0))
         sigma = random_density(3, seed=substream(48, i, 1))
         ch = random_channel(3, seed=substream(48, i, 2))
-        before = build_witness(rho, sigma)
+        before = witness_batch(rho, sigma)
         out = _through(ch, [rho, sigma])
-        after = build_witness(out.row(0), out.row(1))
+        after = witness_batch(out.take([0]), out.take([1]))
         for f in (KL, CHI2):
-            assert after.f_divergence(f) <= before.f_divergence(f) + 1e-8
+            assert after.f_divergence(f)[0] <= before.f_divergence(f)[0] + 1e-8
 
 
 def test_witness_channel_attains_dpi_equality():
@@ -268,13 +273,13 @@ def test_witness_channel_attains_dpi_equality():
     for i in range(20):
         rho = random_density(4, seed=substream(50, i, 0))
         sigma = random_density(4, seed=substream(50, i, 1))
-        w = build_witness(rho, sigma)
-        diag_r, diag_s = _diag(w.r), _diag(w.s)
-        before = build_witness(diag_r, diag_s).f_divergence(KL)
-        out = _through(w.channel, [diag_r, diag_s])
-        after = build_witness(out.row(0), out.row(1)).f_divergence(KL)
+        w = witness_batch(rho, sigma)
+        diag_r, diag_s = _diag(w.r[0]), _diag(w.s[0])
+        before = witness_batch(diag_r, diag_s).f_divergence(KL)[0]
+        out = _through(w.channel(0), [diag_r, diag_s])
+        after = witness_batch(out.take([0]), out.take([1])).f_divergence(KL)[0]
         assert after == pytest.approx(before, abs=1e-9)
-        assert before == pytest.approx(w.f_divergence(KL), abs=1e-9)
+        assert before == pytest.approx(w.f_divergence(KL)[0], abs=1e-9)
 
 
 def test_the_jordan_reverse_test_attains_the_trace_distance_under_the_condition():
@@ -335,11 +340,7 @@ def test_maximal_kl_adds_and_one_plus_chi2_multiplies_on_tensor_products(seed):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_maximal_kl_is_invariant_under_a_unitary_conjugation(seed):
     rho, sigma = random_pairs(substreams(seed, (4,), range(256)), 4)
-    g = np.empty((256, 4, 4), dtype=np.complex128)
-    g.real, g.imag = substream(seed, 5).standard_normal((2, 256, 4, 4))
-    q, r = np.linalg.qr(g)
-    phases = np.diagonal(r, axis1=-2, axis2=-1)
-    u = q * (phases / np.abs(phases))[:, None, :]  # Haar-distributed
+    u = _haar_unitaries(substream(seed, 5), 256, 4)
     u_dag = linalg.adjoint(u)
     kl = witness_batch(rho, sigma).f_divergence(KL)
     turned = witness_batch(DensityStack(u @ rho.mats @ u_dag),
@@ -354,7 +355,7 @@ def test_maximal_kl_is_invariant_under_a_unitary_conjugation(seed):
 
 def test_witness_requires_invertible_sigma():
     with pytest.raises(SingularState):
-        build_witness(maximally_mixed(), diagonal_state([1.0, 0.0]))
+        witness_batch(maximally_mixed(), diagonal_state([1.0, 0.0]))
 
 
 def test_witness_batch_names_the_lowest_non_hermitian_sigma_row():
@@ -402,36 +403,15 @@ def test_a_bad_rho_row_raises_the_carriers_error_for_the_lowest_row(defect):
 
 def test_witness_rejects_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        build_witness(
+        witness_batch(
             random_density(2, seed=substream(51, 0)),
             random_density(3, seed=substream(51, 1)),
         )
 
 
 # ---------------------------------------------------------------------------
-# batched witnesses: build_witness is the one-row view of witness_batch
+# batched witnesses
 # ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("dim", [2, 3, 4, 8])
-def test_build_witness_is_bit_identical_to_its_batch_row(dim):
-    rho, sigma = random_pairs([substream(60, dim, i) for i in range(7)], dim)
-    batch = witness_batch(rho, sigma)
-    assert batch.lambdas.shape == (7, dim)
-    for i in range(7):
-        # fresh states, so the one-row route computes sigma's eig alone
-        w = build_witness(DensityMatrix(rho.mats[i]), DensityMatrix(sigma.mats[i]))
-        row = batch.row(i)
-        for got, want in (
-            (w.lambdas, batch.lambdas[i]),
-            (w.r.probs, batch.r[i]),
-            (w.s.probs, batch.s[i]),
-            (w.columns, batch.columns[i]),
-            (w.channel.kraus, row.channel.kraus),
-        ):
-            assert got.shape == want.shape
-            assert np.array_equal(got, want)
-        assert w.f_divergence(KL) == batch.f_divergence(KL)[i]
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 8])
@@ -444,35 +424,66 @@ def test_stacked_residuals_match_the_one_row_and_kraus_routes(dim):
     kraus = np.stack([random_channel(dim, seed=rng).kraus for rng in rngs])
     out = apply_channel_rows(kraus, rho)
     for b in range(6):
-        assert _residuals(DensityMatrix(rho.mats[b]), DensityMatrix(sigma.mats[b])) == {
+        # fresh one-row stacks, so each computes sigma's eig alone
+        assert _residuals(DensityStack([rho.mats[b]]), DensityStack([sigma.mats[b]])) == {
             k: float(v[b]) for k, v in rows.items()}
         # the Kraus route of the recovery channel is the independent oracle
-        w = batch.row(b)
-        for back, p in ((back_r, w.r), (back_s, w.s)):
-            oracle = _through(w.channel, [_diag(p)]).mats[0]
+        for back, p in ((back_r, batch.r[b]), (back_s, batch.s[b])):
+            oracle = _through(batch.channel(b), [_diag(p)]).mats[0]
             assert np.max(np.abs(back.mats[b] - oracle)) <= 1e-12
-        one = _through(QuantumChannel(kraus[b]), [rho.row(b)]).mats[0]
+        one = _through(QuantumChannel(kraus[b]), [rho.take([b])]).mats[0]
         loop = sum(a @ rho.mats[b] @ a.conj().T for a in kraus[b])
         assert np.array_equal(one, out.mats[b])
         assert np.array_equal(one, (loop + loop.conj().T) / 2)
 
 
+def _classical_sums(p, q):
+    """Each builtin divergence and D_max of the rows of two probability
+    arrays, as plain numpy sums over (p, q)."""
+    return {"kl": np.sum(p * np.log(p / q), axis=-1),
+            "chi2": np.sum(p ** 2 / q, axis=-1) - 1.0,
+            "tv": np.sum(np.abs(p - q), axis=-1),
+            "dmax": np.log(np.max(p / q, axis=-1))}
+
+
 def test_batched_witness_of_commuting_pairs_is_the_diagonals():
+    # diagonal pairs, and the same pairs turned by one Haar unitary each:
+    # both commute, so every builtin divergence of the witness, and D_max by
+    # its own route, is the classical value of (p, q).  The bound is 1e-11
+    # relative to max(1, |D|); the worst gap measured was 3.1e-13 (chi2, dim 8).
     rng = substream(61)
-    for dim in (2, 3, 5):
-        p = rng.dirichlet(np.ones(dim), size=6)
-        q = rng.dirichlet(np.ones(dim), size=6)
-        diag = np.zeros((6, dim, dim))
-        diag[:, np.arange(dim), np.arange(dim)] = p
-        rho_mats = diag.copy()
-        diag[:, np.arange(dim), np.arange(dim)] = q
-        batch = witness_batch(DensityStack(rho_mats), DensityStack(diag))
-        for i in range(6):
-            # the witness lists the pairs (p_j, q_j) in ascending ratio order
-            order = np.argsort(p[i] / q[i])
-            assert np.allclose(batch.r[i], p[i][order], atol=1e-14)
-            assert np.allclose(batch.s[i], q[i][order], atol=1e-14)
-            assert np.allclose(batch.lambdas[i], (p[i] / q[i])[order], rtol=1e-12)
+    for dim in (2, 3, 5, 8):
+        p = rng.dirichlet(np.ones(dim), size=200)
+        q = rng.dirichlet(np.ones(dim), size=200)
+        u = _haar_unitaries(rng, 200, dim)
+        u_dag = linalg.adjoint(u)
+        rho_mats, sigma_mats = p[..., None] * np.eye(dim), q[..., None] * np.eye(dim)
+        stacks = [(DensityStack(rho_mats), DensityStack(sigma_mats)),
+                  (DensityStack(u @ rho_mats @ u_dag), DensityStack(u @ sigma_mats @ u_dag))]
+        witnesses = [witness_batch(*pair) for pair in stacks]
+        # the diagonal witness lists the pairs (p_j, q_j) in ascending ratio order
+        order = np.argsort(p / q, axis=-1)
+        assert np.allclose(witnesses[0].r, np.take_along_axis(p, order, -1), atol=1e-14)
+        assert np.allclose(witnesses[0].s, np.take_along_axis(q, order, -1), atol=1e-14)
+        assert np.allclose(witnesses[0].lambdas, np.take_along_axis(p / q, order, -1),
+                           rtol=1e-12)
+        want = _classical_sums(p, q)
+        for (rho, sigma), w in zip(stacks, witnesses):
+            got = {name: w.f_divergence(builtin_generator(name)) for name in ("kl", "chi2", "tv")}
+            got["dmax"] = max_relative_entropy_rows(rho, sigma)
+            for name, value in got.items():
+                gap = np.abs(value - want[name]) / np.maximum(1.0, np.abs(want[name]))
+                assert gap.max() <= 1e-11, (dim, name, gap.max())
+
+
+def test_a_kl_fault_in_the_witness_fails_the_commuting_pair_check(monkeypatch):
+    # kl alone scaled by 1 - 1e-3: chi2_match cannot see it, the commuting
+    # pairs' classical sums do
+    real = maximal.WitnessBatch.f_divergence
+    monkeypatch.setattr(maximal.WitnessBatch, "f_divergence", lambda self, f: (
+        real(self, f) * (1.0 - 1e-3) if f.name == "kl" else real(self, f)))
+    with pytest.raises(AssertionError, match=r"\(2, 'kl', "):
+        test_batched_witness_of_commuting_pairs_is_the_diagonals()
 
 
 def test_witness_batch_raises_for_the_lowest_failing_row():
@@ -497,9 +508,9 @@ def test_witness_batch_rejects_mismatched_stacks():
 
 @pytest.mark.parametrize("name", [
     "witness_batch", "witness_residual_rows", "relative_entropy_rows", "chi2_rows",
-    "abs_condition_rows", "abs_condition_holds"])
+    "max_relative_entropy_rows", "abs_condition_rows", "abs_condition_holds"])
 def test_every_pair_function_names_the_state_stack_it_expects(name):
-    # a plain array in either place, or a pair of one-state carriers
+    # a plain array in either place, or a witness in rho's
     rho, sigma = random_pairs([substream(65, i) for i in range(2)], 3)
     w = witness_batch(rho, sigma)
     call = {
@@ -507,25 +518,14 @@ def test_every_pair_function_names_the_state_stack_it_expects(name):
         "witness_residual_rows": lambda r, s: witness_residual_rows(r, s, w),
         "relative_entropy_rows": relative_entropy_rows,
         "chi2_rows": chi2_rows,
+        "max_relative_entropy_rows": max_relative_entropy_rows,
         "abs_condition_rows": abs_condition_rows,
         "abs_condition_holds": abs_condition_holds,
     }[name]
     for args, which, got in (((rho.mats, sigma), "rho", "ndarray"),
                              ((rho, sigma.mats), "sigma", "ndarray"),
-                             ((rho.row(0), sigma.row(0)), "rho", "DensityMatrix")):
+                             ((w, sigma), "rho", "WitnessBatch")):
         with pytest.raises(NotAState, match=f"^{which} must be a DensityStack, got {got}$"):
-            call(*args)
-
-
-@pytest.mark.parametrize("call", [build_witness, max_relative_entropy],
-                         ids=["build_witness", "max_relative_entropy"])
-def test_one_pair_entry_points_name_the_state_they_expect(call):
-    # a plain array, or a stack, in either place
-    rho, sigma = random_density(2, seed=substream(66, 0)), random_density(2, seed=substream(66, 1))
-    for args, which, got in (((np.eye(2) / 2, sigma), "rho", "ndarray"),
-                             ((rho, np.eye(2) / 2), "sigma", "ndarray"),
-                             ((rho.as_stack(), sigma), "rho", "DensityStack")):
-        with pytest.raises(NotAState, match=f"^{which} must be a DensityMatrix, got {got}$"):
             call(*args)
 
 
@@ -537,10 +537,20 @@ def test_recovery_channel_is_assembled_on_first_read(monkeypatch):
         raise AssertionError("channel assembled")
 
     monkeypatch.setattr(maximal, "QuantumChannel", refuse)
-    w = build_witness(rho, sigma)
-    assert w.f_divergence(KL) >= 0.0
+    w = witness_batch(rho, sigma)
+    assert w.f_divergence(KL)[0] >= 0.0
     with pytest.raises(AssertionError, match="channel assembled"):
-        w.channel
+        w.channel(0)
+
+
+@pytest.mark.parametrize("i", [2, -3, 1.0, "0", slice(0, 1), None], ids=[
+    "past-the-end", "before-the-start", "float", "string", "slice", "none"])
+def test_the_recovery_channel_of_an_index_off_the_stack_is_out_of_range(i):
+    w = witness_batch(*random_pairs([substream(67, k) for k in range(2)], 3))
+    assert np.array_equal(w.channel(-1).kraus, w.channel(1).kraus)
+    want = f"^row {re.escape(repr(i))} is not a row of a stack of 2$"
+    with pytest.raises(OutOfRange, match=want):
+        w.channel(i)
 
 
 # Two pairs of the witness suite's ensemble, keyed (seed, dim, index) as in
@@ -552,10 +562,10 @@ def test_recovery_channel_is_assembled_on_first_read(monkeypatch):
 
 
 def test_witness_is_complete_for_a_nearly_singular_sigma():
-    rho, sigma = (x.row(0) for x in random_pairs([substream(568437518, 8, 7)], 8))
-    assert sigma.spectrum[0] < 1e-8
-    w = build_witness(rho, sigma)
-    comp = np.einsum("kij,kil->jl", w.channel.kraus.conj(), w.channel.kraus)
+    rho, sigma = random_pairs([substream(568437518, 8, 7)], 8)
+    assert sigma.spectra[0, 0] < 1e-8
+    kraus = witness_batch(rho, sigma).channel(0).kraus
+    comp = np.einsum("kij,kil->jl", kraus.conj(), kraus)
     assert np.max(np.abs(comp - np.eye(8))) <= 1e-14
     assert _passes(rho, sigma)
 
@@ -567,8 +577,8 @@ def test_r_gap_of_an_ill_conditioned_sigma_is_a_singular_state():
     with pytest.raises(SingularState, match=(
             r"^r: \|sum - 1\| = \d\.\d{3}e-09 exceeds 1e-09 at lambda_max = 3\.39\de\+07, "
             r"sigma's least eigenvalue 1\.000e-08$")):
-        build_witness(rho, sigma)
-    stack = [x.as_stack() for x in (*ill_conditioned_pair(0), rho, sigma)]
+        witness_batch(rho, sigma)
+    stack = [*ill_conditioned_pair(0), rho, sigma]
     with pytest.raises(SingularState, match="^row 1: r: "):
         witness_batch(DensityStack.concatenate(stack[::2]),
                       DensityStack.concatenate(stack[1::2]))
@@ -588,22 +598,21 @@ def test_r_gap_of_a_well_conditioned_sigma_stays_an_invariant_violation(monkeypa
 
 
 def test_witness_r_defect_shows_as_its_residual():
-    rho, sigma = (x.row(0) for x in random_pairs([substream(568657945, 2, 9)], 2))
+    rho, sigma = random_pairs([substream(568657945, 2, 9)], 2)
     residuals = _residuals(rho, sigma)
     assert 1e-10 < residuals["r_normalization"] <= WITNESS_TOL
     assert max(residuals.values()) <= WITNESS_TOL
 
 
 def test_one_pair_diagonalizes_sigma_once_for_both_entry_points(monkeypatch):
-    # a DensityMatrix is a view of its one-row stack, so the eigendecomposition
-    # of sigma that build_witness computes is the one max_relative_entropy reads
-    rho, sigma = (x.row(0) for x in random_pairs([substream(31, 4)], 4))
-    alone = max_relative_entropy(DensityMatrix(rho.mat), DensityMatrix(sigma.mat))
+    # a stack caches sigma's eigendecomposition, so the one that
+    # witness_batch computes is the one max_relative_entropy_rows reads
+    rho, sigma = random_pairs([substream(31, 4)], 4)
+    alone = max_relative_entropy_rows(DensityStack(rho.mats), DensityStack(sigma.mats))
     calls = count_eig_calls(monkeypatch)
-    w = build_witness(rho, sigma)
+    w = witness_batch(rho, sigma)
     assert calls == {"eigh": 2}  # sigma, then T
-    d_max = max_relative_entropy(rho, sigma)
+    d_max = max_relative_entropy_rows(rho, sigma)
     assert calls == {"eigh": 2, "eigvalsh": 1}
-    assert d_max == alone
-    assert d_max == pytest.approx(math.log(w.lambdas[-1]), rel=1e-12)
-    assert sigma.as_stack() is sigma.as_stack()
+    assert np.array_equal(d_max, alone)
+    assert d_max[0] == pytest.approx(math.log(w.lambdas[0, -1]), rel=1e-12)

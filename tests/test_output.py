@@ -252,7 +252,7 @@ def test_a_state_file_written_over_a_longer_file_reads_back(tmp_path):
     write_state_file(fresh, rho)
     write_state_file(reused, rho)
     assert reused.read_bytes() == fresh.read_bytes()
-    assert np.array_equal(cli.parse_state_file(reused).mat, rho.mat)
+    assert np.array_equal(cli.parse_state_file(reused).mats, rho.mats)
 
 
 def test_an_output_that_is_a_symlink_is_written_through(tmp_path, capsys):

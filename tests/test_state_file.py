@@ -21,7 +21,7 @@ def _write(path, numbers):
     """Write 2 n^2 numbers, row-major (re, im) pairs, with write_state_file."""
     mat = np.array(numbers, dtype=float).view(np.complex128)
     n = int(round(len(mat) ** 0.5))
-    write_state_file(path, SimpleNamespace(dim=n, mat=mat.reshape(n, n)))
+    write_state_file(path, SimpleNamespace(mats=mat.reshape(1, n, n)))
     return path.read_text(encoding="ascii").splitlines()
 
 

@@ -28,8 +28,6 @@ from qfdiv.states import (
     CONDITION_TOL,
     MAX_INDEX,
     STATE_TOL,
-    ClassicalDistribution,
-    DensityMatrix,
     DensityStack,
     QuantumChannel,
     _anticommutator_certifies,
@@ -50,37 +48,11 @@ from qfdiv.states import (
 # ---------------------------------------------------------------------------
 
 
-def test_classical_distribution_accepts_probability_vectors():
-    p = ClassicalDistribution([0.75, 0.25])
-    assert len(p) == 2
-    assert np.allclose(p.probs, [0.75, 0.25])
-    assert not p.probs.flags.writeable
-
-
-@pytest.mark.parametrize(
-    "probs, invariant",
-    [
-        ([[0.5, 0.5]], "shape"),
-        ([0.5, float("nan")], "finiteness"),
-        ([1.2, -0.2], "nonnegativity"),
-        ([0.5, 0.4], "normalization"),
-    ],
-)
-def test_classical_distribution_invariants(probs, invariant):
-    if invariant == "finiteness":  # refused where the entries are converted
-        with pytest.raises(DomainError, match="^entries are not finite$"):
-            ClassicalDistribution(probs)
-        return
-    with pytest.raises(InvariantViolation) as info:
-        ClassicalDistribution(probs)
-    assert info.value.invariant == invariant
-
-
 def test_density_matrix_accepts_valid_states():
-    rho = plus_state()
-    assert rho.dim == 2
-    assert not rho.mat.flags.writeable
-    assert float(rho.mat.trace().real) == pytest.approx(1.0)
+    rho = plus_state()  # a single state is a one-row stack
+    assert rho.mats.shape == (1, 2, 2)
+    assert not rho.mats.flags.writeable
+    assert float(rho.mats[0].trace().real) == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize(
@@ -98,26 +70,22 @@ def test_density_matrix_invariants(mat, invariant):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InvariantViolation) as info:
-            DensityMatrix(np.array(mat))
+            DensityStack([np.array(mat)])
     assert info.value.invariant == invariant
 
 
-@pytest.mark.parametrize("build", [DensityMatrix, lambda m: DensityStack([m])],
-                         ids=["matrix", "stack"])
 @pytest.mark.parametrize("mat", ["abc", [["a", 0], [0, 1]], [[0.5, 0.5], [0.5]]])
-def test_non_numeric_matrices_raise_a_typed_error(build, mat):
+def test_non_numeric_matrices_raise_a_typed_error(mat):
     with pytest.raises(DomainError, match="^entries are not numbers: "):
-        build(mat)
+        DensityStack([mat])
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, "1e-10"])
 @pytest.mark.parametrize("build", [
-    lambda tol: ClassicalDistribution([5.0, 2.0], tol),
-    lambda tol: DensityMatrix(np.eye(2) * 5, tol),
-    lambda tol: DensityMatrix([[1, 0], [0, -3]], tol),
-    lambda tol: DensityMatrix([[0.5, 1], [0, 0.5]], tol),
     lambda tol: DensityStack([np.eye(2) * 5], tol),
-], ids=["probs", "trace", "positivity", "hermiticity", "stack"])
+    lambda tol: DensityStack([[[1, 0], [0, -3]]], tol),
+    lambda tol: DensityStack([[[0.5, 1], [0, 0.5]]], tol),
+], ids=["trace", "positivity", "hermiticity"])
 def test_a_tolerance_outside_zero_to_infinity_is_rejected(build, tol):
     # a nan or infinite tolerance would let each of these invalid inputs pass
     with pytest.raises(OutOfRange, match=r"^tolerance must be a real number in \[0, inf\)"):
@@ -127,7 +95,7 @@ def test_a_tolerance_outside_zero_to_infinity_is_rejected(build, tol):
 def test_a_least_eigenvalue_the_solver_cannot_give_fails_positivity(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: np.full(m.shape[:-1], np.nan))
     with pytest.raises(InvariantViolation, match="^positivity: min eigenvalue nan$"):
-        DensityMatrix(np.diag([1.5, -0.5]))
+        DensityStack([np.diag([1.5, -0.5])])
 
 
 def test_quantum_channel_requires_completeness():
@@ -169,7 +137,7 @@ def test_quantum_channel_rejects_completeness_just_past_its_tolerance():
 def test_quantum_channel_accepts_unitary_kraus():
     hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
     ch = QuantumChannel([hadamard])
-    out = apply_channel_rows(ch.kraus[None], plus_state().as_stack())
+    out = apply_channel_rows(ch.kraus[None], plus_state())
     assert np.allclose(out.mats[0], np.diag([1.0, 0.0]), atol=1e-12)
 
 
@@ -196,22 +164,22 @@ def test_quantum_channel_rejects_mixed_shapes():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 8])
 def test_random_density_is_a_valid_state(n):
-    rho = random_pairs([substream(1, n)], n)[0].row(0)
-    assert rho.dim == n
-    w = np.linalg.eigvalsh(rho.mat)
+    rho = random_pairs([substream(1, n)], n)[0]
+    assert rho.mats.shape == (1, n, n)
+    w = np.linalg.eigvalsh(rho.mats[0])
     assert w[0] >= -1e-12
     assert float(np.sum(w)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_random_density_rank_one_is_pure():
-    rho = random_pairs([substream(2, 0)], 4, rank=1)[0].row(0)
-    purity = float(np.trace(rho.mat @ rho.mat).real)
+    rho = random_pairs([substream(2, 0)], 4, rank=1)[0].mats[0]
+    purity = float(np.trace(rho @ rho).real)
     assert purity == pytest.approx(1.0, abs=1e-12)
 
 
 def test_random_density_respects_requested_rank():
-    rho = random_pairs([substream(2, 1)], 5, rank=2)[0].row(0)
-    w = np.linalg.eigvalsh(rho.mat)
+    rho = random_pairs([substream(2, 1)], 5, rank=2)[0]
+    w = np.linalg.eigvalsh(rho.mats[0])
     assert np.sum(w > 1e-12) == 2
 
 
@@ -229,9 +197,9 @@ def test_random_pairs_names_a_bad_size():
 
 
 def test_substream_is_deterministic_and_keyed():
-    a = random_density(4, seed=substream(5, 3)).mat
-    b = random_density(4, seed=substream(5, 3)).mat
-    c = random_density(4, seed=substream(5, 4)).mat
+    a = random_density(4, seed=substream(5, 3)).mats
+    b = random_density(4, seed=substream(5, 3)).mats
+    c = random_density(4, seed=substream(5, 4)).mats
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -295,7 +263,7 @@ def test_random_channel_is_trace_preserving(n, k):
     comp = sum(a.conj().T @ a for a in ch.kraus)
     assert np.max(np.abs(comp - np.eye(n))) <= 1e-9
     rho = random_density(n, seed=substream(6, 99, n, k))
-    out = apply_channel_rows(ch.kraus[None], rho.as_stack())
+    out = apply_channel_rows(ch.kraus[None], rho)
     assert float(out.mats[0].trace().real) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -323,7 +291,7 @@ def test_apply_channel_checks_dimensions():
     ch = random_channel(2, seed=substream(8, 0))
     rho = random_density(3, seed=substream(8, 1))
     with pytest.raises(DimensionMismatch):
-        apply_channel_rows(ch.kraus[None], rho.as_stack())
+        apply_channel_rows(ch.kraus[None], rho)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +300,7 @@ def test_apply_channel_checks_dimensions():
 
 
 def _holds(rho, sigma):
-    return bool(abs_condition_rows(rho.as_stack(), sigma.as_stack())[0][0])
+    return bool(abs_condition_rows(rho, sigma)[0][0])
 
 
 def test_abs_condition_holds_for_the_qubit_hand_pair():
@@ -371,8 +339,7 @@ def test_abs_condition_checks_dimensions():
 
 
 # ---------------------------------------------------------------------------
-# stacks of states: DensityMatrix is a one-row view of the stacked check, and
-# a stack gives each row what that row gives alone
+# stacks of states: a stack gives each row what that row gives alone
 # ---------------------------------------------------------------------------
 
 
@@ -383,9 +350,9 @@ def test_random_pairs_stack_exactly_the_one_at_a_time_draws():
         rng = substream(12, i)
         one_rho = random_density(4, rank=8, seed=rng)
         one_sigma = random_density(4, rank=8, seed=rng)
-        assert np.array_equal(rho.mats[i], one_rho.mat)
-        assert np.array_equal(sigma.mats[i], one_sigma.mat)
-        assert np.array_equal(rho.row(i).spectrum, one_rho.spectrum)
+        assert np.array_equal(rho.mats[i:i + 1], one_rho.mats)
+        assert np.array_equal(sigma.mats[i:i + 1], one_sigma.mats)
+        assert np.array_equal(rho.take([i]).spectra, one_rho.spectra)
 
 
 @pytest.mark.parametrize("n, rank", [(2, 1), (4, 8), (8, 3)])
@@ -419,11 +386,11 @@ def test_density_stack_names_the_lowest_failing_row():
         DensityStack(mats)
     assert info.value.invariant == "trace"
     with pytest.raises(InvariantViolation) as info:
-        DensityMatrix(mats[3])
+        DensityStack(mats[3:])
     assert info.value.invariant == "positivity"
     assert str(info.value).startswith("positivity: min eigenvalue")
     with pytest.raises(DimensionMismatch):
-        DensityMatrix(mats)
+        DensityStack(mats[3])
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +411,7 @@ def _state_with_least_eigenvalue(low, n=4, seed=0):
 def test_positivity_accepts_half_a_tolerance_below_zero(monkeypatch):
     calls = count_eig_calls(monkeypatch)
     mats = [_state_with_least_eigenvalue(-0.5 * STATE_TOL, seed=k) for k in range(5)]
-    DensityMatrix(mats[0])
+    DensityStack(mats[:1])
     DensityStack(mats)
     assert sum(calls.values()) == 0
 
@@ -452,7 +419,7 @@ def test_positivity_accepts_half_a_tolerance_below_zero(monkeypatch):
 def test_positivity_rejects_twice_the_tolerance_below_zero():
     bad = _state_with_least_eigenvalue(-2.0 * STATE_TOL)
     with pytest.raises(InvariantViolation) as info:
-        DensityMatrix(bad)
+        DensityStack([bad])
     assert str(info.value) == "positivity: min eigenvalue -2.000e-10"
     mats = [_state_with_least_eigenvalue(0.1, seed=k) for k in range(5)]
     mats[3] = bad
@@ -479,9 +446,9 @@ def test_rank_one_state_at_dim_64_passes_without_the_eigensolver(monkeypatch):
     v = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     pure = np.outer(v, v.conj()) / np.vdot(v, v).real
     calls = count_eig_calls(monkeypatch)
-    rho = DensityMatrix(pure)
+    rho = DensityStack([pure])
     assert sum(calls.values()) == 0
-    assert rho.spectrum[-1] == pytest.approx(1.0)
+    assert rho.spectra[0, -1] == pytest.approx(1.0)
     assert calls == {"eigvalsh": 1}
 
 
@@ -498,15 +465,15 @@ def test_spectra_are_computed_once_and_read_only(monkeypatch):
     calls = count_eig_calls(monkeypatch)
     spectra = rho.spectra
     assert rho.spectra is spectra
-    row = rho.row(2)  # passes on the stack's row
-    assert np.shares_memory(row.spectrum, spectra)
+    row = rho.take(slice(2, 3))  # passes on the stack's row
+    assert np.shares_memory(row.spectra, spectra)
     assert calls == {"eigvalsh": 1}
     assert not spectra.flags.writeable
-    assert not row.spectrum.flags.writeable
+    assert not row.spectra.flags.writeable
     with pytest.raises(AttributeError):
         rho.spectra = spectra
     with pytest.raises(AttributeError):
-        row.spectrum = spectra[0]
+        row.spectra = spectra[:1]
 
 
 def test_state_carriers_neither_alias_nor_freeze_their_input():
@@ -514,8 +481,8 @@ def test_state_carriers_neither_alias_nor_freeze_their_input():
     arr = np.array(rho.mats)
     arr[:, 0, 1] += 1e-13  # within STATE_TOL, so symmetrizing changes it
     before = arr.copy()
-    stack, one = DensityStack(arr), DensityMatrix(arr[1])
-    for mats, given in ((stack.mats, arr), (one.mat, arr[1])):
+    stack, one = DensityStack(arr), DensityStack(arr[1:2])
+    for mats, given in ((stack.mats, arr), (one.mats, arr[1:2])):
         assert not np.shares_memory(mats, arr)
         assert not mats.flags.writeable
         assert not np.array_equal(mats, given)
@@ -524,7 +491,7 @@ def test_state_carriers_neither_alias_nor_freeze_their_input():
 
 
 def test_selected_rows_stay_checked_and_keep_their_spectra(monkeypatch):
-    # take, concatenate and as_stack wrap rows that were checked already:
+    # take and concatenate wrap rows that were checked already:
     # no second check runs, and the selected rows are read-only
     rho, sigma = random_pairs([substream(23, i) for i in range(6)], 3)
     wide = DensityStack(rho.mats, tol=1e-9)
@@ -534,7 +501,7 @@ def test_selected_rows_stay_checked_and_keep_their_spectra(monkeypatch):
     picked = rho.take([4, 1])
     joined = DensityStack.concatenate(
         [picked, sigma.take(np.arange(6) < 2), wide.take(slice(5, 6))])
-    one = rho.row(3).as_stack()
+    one = rho.take(slice(3, 4))
     assert checks == []
     assert np.array_equal(picked.mats, rho.mats[[4, 1]])
     assert np.array_equal(picked.spectra, spectra[[4, 1]]) and picked.tol == STATE_TOL
@@ -572,12 +539,12 @@ def test_take_keeps_cached_eig_rows_bit_identical_to_a_fresh_eig(monkeypatch):
 
 def test_row_spectra_match_the_stack_and_a_fresh_state():
     rho, _ = random_pairs([substream(19, i) for i in range(256)], 5, rank=10)
-    before = [rho.row(i).spectrum for i in range(256)]  # each its own
+    before = [rho.take(slice(i, i + 1)).spectra for i in range(256)]  # each its own
     for i in range(256):
-        fresh = DensityMatrix(rho.mats[i]).spectrum
-        assert np.array_equal(before[i], rho.spectra[i])
-        assert np.array_equal(rho.row(i).spectrum, rho.spectra[i])
-        assert np.array_equal(fresh, rho.spectra[i])
+        fresh = DensityStack(rho.mats[i:i + 1]).spectra
+        assert np.array_equal(before[i], rho.spectra[i:i + 1])
+        assert np.array_equal(rho.take(slice(i, i + 1)).spectra, rho.spectra[i:i + 1])
+        assert np.array_equal(fresh, rho.spectra[i:i + 1])
 
 
 def test_abs_condition_rows_agree_with_the_single_pair_test():
@@ -665,8 +632,8 @@ def test_apply_channel_rows_takes_a_state_stack_only():
     kraus = np.eye(2)[None, None]
     with pytest.raises(NotAState, match="^rho must be a DensityStack, got ndarray$"):
         apply_channel_rows(kraus, np.eye(2)[None] / 2)
-    with pytest.raises(NotAState, match="^rho must be a DensityStack, got DensityMatrix$"):
-        apply_channel_rows(kraus, DensityMatrix(np.eye(2) / 2))
+    with pytest.raises(NotAState, match="^rho must be a DensityStack, got list$"):
+        apply_channel_rows(kraus, [DensityStack([np.eye(2) / 2])])
 
 
 def _three_rows():
@@ -674,9 +641,6 @@ def _three_rows():
 
 
 @pytest.mark.parametrize("select, error, match", [
-    (lambda s: s.row(5), OutOfRange, "row 5 "),
-    (lambda s: s.row(-4), OutOfRange, "row -4 "),
-    (lambda s: s.row(1.0), OutOfRange, "row 1.0 "),
     (lambda s: s.take([7]), OutOfRange, "index 7 "),
     (lambda s: s.take(np.array([True, False])), OutOfRange, "boolean axis is 2"),
     (lambda s: s.take([0.5]), OutOfRange, r"rows \[0.5\]"),
@@ -695,21 +659,10 @@ def _three_rows():
      r"^stacks\[1\] must be a DensityStack, got ndarray$"),
     (lambda s: DensityStack.concatenate(5), NotAState, "^stacks must be a list, got int$"),
     (lambda s: DensityStack.concatenate(s), NotAState, "^stacks must be a list, got DensityStack$"),
-], ids=["row-past-the-end", "row-before-the-start", "row-float", "take-past-the-end",
-        "take-short-mask", "take-float", "concatenate-nothing", "concatenate-n3-with-n4",
-        "take-2d-index", "take-tuple", "take-none", "take-int", "concatenate-an-array",
-        "concatenate-a-stack-and-an-array", "concatenate-an-int", "concatenate-one-stack"])
+], ids=["take-past-the-end", "take-short-mask", "take-float", "concatenate-nothing",
+        "concatenate-n3-with-n4", "take-2d-index", "take-tuple", "take-none", "take-int",
+        "concatenate-an-array", "concatenate-a-stack-and-an-array", "concatenate-an-int",
+        "concatenate-one-stack"])
 def test_row_selection_raises_typed_errors_naming_the_index_or_shapes(select, error, match):
     with pytest.raises(error, match=match):
         select(_three_rows())
-
-
-def test_a_row_is_its_one_row_take():
-    rho = _three_rows()
-    spectra = rho.spectra
-    for i in (0, 2, -1):
-        row = rho.row(i)
-        assert np.array_equal(row.mat, rho.mats[i])
-        assert np.array_equal(row.as_stack().mats, rho.take(slice(i % 3, i % 3 + 1)).mats)
-        assert np.shares_memory(row.spectrum, spectra)
-        assert row.as_stack() is row.as_stack() and row.tol == rho.tol
