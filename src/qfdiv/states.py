@@ -303,10 +303,10 @@ def random_channel(n, k=None, seed=None):
 
 def apply_channel_rows(kraus, rho):
     """Apply channel b to state b of a stack: sum_i A_bi rho_b A_bi^dag for a
-    ``(B, k, m, n)`` Kraus stack and a :class:`DensityStack` ``rho`` (else
-    :class:`NotAState`), with the terms added in the order of i, checked at ``rho.tol``."""
+    ``(B, k, m, n)`` Kraus stack of finite entries and a :class:`DensityStack`
+    ``rho`` (else :class:`NotAState`), terms added in the order of i, checked at ``rho.tol``."""
     check_types(DensityStack, rho=rho)
-    kraus = linalg.numbers(kraus, np.complex128)
+    kraus = linalg.numbers(kraus, np.complex128, finite=True)
     if kraus.ndim != 4 or rho.mats.shape != (len(kraus),) + kraus.shape[-1:] * 2:
         raise DimensionMismatch(f"Kraus stack {kraus.shape} cannot act on {rho.mats.shape}")
     terms = (a @ rho.mats @ linalg.adjoint(a) for a in kraus.swapaxes(0, 1))

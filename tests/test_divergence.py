@@ -234,6 +234,24 @@ def test_chi2_rows_match_the_single_pair_chi2():
     assert str(stacked.value) == f"row 2: {one.value}"
 
 
+def test_max_relative_entropy_rows_match_the_single_pair_value():
+    rho, sigma = random_pairs([substream(85, i) for i in range(6)], 3)
+    rows = max_relative_entropy_rows(rho, sigma)
+    for i in range(6):
+        # a fresh one-row stack computes sigma's eig alone
+        one = max_relative_entropy_rows(*(DensityStack(x.mats[i:i + 1]) for x in (rho, sigma)))
+        assert rows[i] == one[0]
+    # the stack raises what its lowest singular row raises alone
+    sigma_mats = np.array(sigma.mats)
+    sigma_mats[3] = np.diag([0.5, 0.5, 0.0])
+    sigma_mats[5] = np.diag([1.0, 0.0, 0.0])
+    with pytest.raises(SingularState, match="^sigma has min eigenvalue") as one:
+        max_relative_entropy_rows(rho.take([3]), DensityStack(sigma_mats[3:4]))
+    with pytest.raises(SingularState) as stacked:
+        max_relative_entropy_rows(rho, DensityStack(sigma_mats))
+    assert str(stacked.value) == f"row 3: {one.value}"
+
+
 def test_sigma_is_diagonalized_once_per_stack_across_the_pair_functions(monkeypatch):
     # the witness computes sigma's eig and caches it on the stack, and the
     # reference divergences read it there

@@ -30,6 +30,7 @@ from qfdiv.states import (
     DensityStack,
     QuantumChannel,
     apply_channel_rows,
+    ginibre_states,
     random_channel,
     random_pairs,
     substream,
@@ -50,12 +51,16 @@ KL = builtin_generator("kl")
 # name -> (call with x in one numeric place, a good x, whether complex x is good)
 NUMBER_TAKERS = {
     "DensityStack": (lambda x: DensityStack([[[x, 0], [0, 0.5]]]), 0.5, True),
+    "DensityStack-two-rows": (lambda x: DensityStack([np.eye(2) / 2, [[x, 0], [0, 0.5]]]),
+                              0.5, True),
+    "ginibre_states": (lambda x: ginibre_states([[[x, 0], [0, 0.5]]]), 0.5, True),
     "QuantumChannel": (lambda x: QuantumChannel([[[x, 0], [0, 1]]]), 1.0, True),
     "apply_channel_rows": (lambda x: apply_channel_rows([[[[x, 0], [0, 1]]]],
                                                         DensityStack([np.eye(2) / 2])),
                            1.0, True),
     "FGenerator.values": (lambda x: KL.values([x, 0.5]), 0.5, False),
     "f_div_rows": (lambda x: f_div_rows([[x, 0.5]], [[0.5, 0.5]], KL), 0.5, False),
+    "f_div_rows-q": (lambda x: f_div_rows([[0.5, 0.5]], [[x, 0.5]], KL), 0.5, False),
     "pinsker_chi2_lower": (lambda x: pinsker_chi2_lower([x, 0.5]), 0.5, False),
     "decoherence_bounds": (lambda x: decoherence_bounds(x, 0.1, 1.0), 4.0, False),
     "binette_rhs": (lambda x: binette_rhs([x, 0.5], [2.0, 2.0], [0.5, 0.5], KL), 0.5, False),
@@ -147,7 +152,8 @@ def test_a_key_prefix_that_is_not_a_tuple_or_list_is_out_of_range(prefix):
         substreams(1, prefix, [0])
 
 
-@pytest.mark.parametrize("carrier", ["DensityStack", "QuantumChannel"])
+@pytest.mark.parametrize("carrier", ["DensityStack", "DensityStack-two-rows", "QuantumChannel",
+                                     "apply_channel_rows"])
 @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
 def test_non_finite_entries_are_a_domain_error_in_every_carrier(carrier, x):
     with pytest.raises(DomainError, match="^entries are not finite$"):

@@ -415,6 +415,26 @@ def test_witness_rejects_dimension_mismatch():
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 8])
+def test_a_one_row_witness_is_bit_identical_to_its_batch_row(dim):
+    rho, sigma = random_pairs([substream(60, dim, i) for i in range(7)], dim)
+    batch = witness_batch(rho, sigma)
+    assert batch.lambdas.shape == (7, dim)
+    for i in range(7):
+        # fresh one-row stacks, so the one-row witness computes sigma's eig alone
+        w = witness_batch(DensityStack(rho.mats[i:i + 1]), DensityStack(sigma.mats[i:i + 1]))
+        for got, want in (
+            (w.lambdas[0], batch.lambdas[i]),
+            (w.r[0], batch.r[i]),
+            (w.s[0], batch.s[i]),
+            (w.columns[0], batch.columns[i]),
+            (w.channel(0).kraus, batch.channel(i).kraus),
+        ):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+        assert w.f_divergence(KL)[0] == batch.f_divergence(KL)[i]
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 8])
 def test_stacked_residuals_match_the_one_row_and_kraus_routes(dim):
     rngs = [substream(64, dim, i) for i in range(6)]
     rho, sigma = random_pairs(rngs, dim)

@@ -74,10 +74,14 @@ def test_density_matrix_invariants(mat, invariant):
     assert info.value.invariant == invariant
 
 
+# the entries are converted before the shape is read, so a bare matrix
+# fails as its one-row stack does
+@pytest.mark.parametrize("build", [DensityStack, lambda m: DensityStack([m])],
+                         ids=["matrix", "stack"])
 @pytest.mark.parametrize("mat", ["abc", [["a", 0], [0, 1]], [[0.5, 0.5], [0.5]]])
-def test_non_numeric_matrices_raise_a_typed_error(mat):
+def test_non_numeric_matrices_raise_a_typed_error(build, mat):
     with pytest.raises(DomainError, match="^entries are not numbers: "):
-        DensityStack([mat])
+        build(mat)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, "1e-10"])
@@ -85,7 +89,8 @@ def test_non_numeric_matrices_raise_a_typed_error(mat):
     lambda tol: DensityStack([np.eye(2) * 5], tol),
     lambda tol: DensityStack([[[1, 0], [0, -3]]], tol),
     lambda tol: DensityStack([[[0.5, 1], [0, 0.5]]], tol),
-], ids=["trace", "positivity", "hermiticity"])
+    lambda tol: DensityStack([np.eye(2) / 2, np.eye(2) * 5], tol),
+], ids=["trace", "positivity", "hermiticity", "stack"])
 def test_a_tolerance_outside_zero_to_infinity_is_rejected(build, tol):
     # a nan or infinite tolerance would let each of these invalid inputs pass
     with pytest.raises(OutOfRange, match=r"^tolerance must be a real number in \[0, inf\)"):
@@ -642,6 +647,7 @@ def _three_rows():
 
 @pytest.mark.parametrize("select, error, match", [
     (lambda s: s.take([7]), OutOfRange, "index 7 "),
+    (lambda s: s.take([-4]), OutOfRange, "index -4 "),
     (lambda s: s.take(np.array([True, False])), OutOfRange, "boolean axis is 2"),
     (lambda s: s.take([0.5]), OutOfRange, r"rows \[0.5\]"),
     (lambda s: DensityStack.concatenate([]), DimensionMismatch, r"shapes \[\]"),
@@ -659,7 +665,7 @@ def _three_rows():
      r"^stacks\[1\] must be a DensityStack, got ndarray$"),
     (lambda s: DensityStack.concatenate(5), NotAState, "^stacks must be a list, got int$"),
     (lambda s: DensityStack.concatenate(s), NotAState, "^stacks must be a list, got DensityStack$"),
-], ids=["take-past-the-end", "take-short-mask", "take-float", "concatenate-nothing",
+], ids=["take-past-the-end", "take-before-the-start", "take-short-mask", "take-float", "concatenate-nothing",
         "concatenate-n3-with-n4", "take-2d-index", "take-tuple", "take-none", "take-int",
         "concatenate-an-array", "concatenate-a-stack-and-an-array", "concatenate-an-int",
         "concatenate-one-stack"])
