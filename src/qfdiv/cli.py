@@ -43,6 +43,7 @@ from .maximal import WITNESS_TOL, witness_batch, witness_residual_rows
 from .states import (
     DensityStack,
     abs_condition_rows,
+    check_types,
     chunks,
     random_pairs,
     substreams,
@@ -176,8 +177,9 @@ def _convert_rows(rows, n):
 
 def write_state_file(path, rho):
     """Write the state of a one-row :class:`DensityStack` in the state
-    format; round-trips bit-exactly.  A stack of other than one row raises
-    :class:`DimensionMismatch`."""
+    format; round-trips bit-exactly.  Anything but a stack raises
+    :class:`NotAState`, a stack of other than one row :class:`DimensionMismatch`."""
+    check_types(DensityStack, rho=rho)
     if len(rho.mats) != 1:
         raise DimensionMismatch(f"a state file holds one state, got a stack of {len(rho.mats)}")
     mat = rho.mats[0]
@@ -338,7 +340,8 @@ def cmd_verify(config):
     """Run every property suite at the configured sizes; exit 0 iff all pass."""
     small = max(1, config.samples // 10)
     results = [
-        suites.witness_suite(pairs_per_dim=max(1, small // 10), seed=config.seed),
+        suites.witness_suite(dims=suites.WITNESS_DIMS, pairs_per_dim=max(1, small // 10),
+                             seed=config.seed),
         suites.dpi_suite(dim=config.dim, trials=max(1, small // 10), seed=config.seed),
         *suites.maximality_and_pinsker(dim=config.dim, samples=small, seed=config.seed),
         *suites.reverse_pinsker_and_binette(dim=config.dim, samples=small, seed=config.seed),

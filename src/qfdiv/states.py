@@ -246,9 +246,10 @@ def completeness_defect(kraus):
 
 
 def ginibre_states(factors):
-    """The states G G^dag / tr(G G^dag) of a ``(B, n, rank)`` factor stack,
-    symmetrized once, by the state stack."""
-    g = linalg.numbers(factors, np.complex128)
+    """The states G G^dag / tr(G G^dag) of a ``(B, n, rank)`` factor stack
+    of finite numbers (else :class:`DomainError`), symmetrized once, by the
+    state stack."""
+    g = linalg.numbers(factors, np.complex128, finite=True)
     m = g @ linalg.adjoint(g)
     return DensityStack(m / m.trace(axis1=1, axis2=2).real[:, None, None])
 
@@ -283,17 +284,13 @@ def _ginibre_factors(rngs, n, rank):
     return g
 
 
-def random_channel(n, k=None, seed=None):
+def random_channel(n, k=None, *, seed):
     """Draw a Haar-random isometry C^n -> C^(kn) and split it into k Kraus
-    blocks; k defaults to n.  ``seed`` is anything ``np.random.default_rng``
-    takes, a generator included, which then draws on."""
+    blocks; k defaults to n.  ``seed`` is a generator, which draws on, or
+    the base seed of :func:`substream`."""
     k = n if k is None else k
     linalg.check_counts(n=n, k=k)
-    try:
-        rng = np.random.default_rng(seed)
-    except (TypeError, ValueError) as exc:
-        raise OutOfRange(f"seed must be a nonnegative integer or a generator, "
-                         f"got {seed!r}") from exc
+    rng = seed if isinstance(seed, np.random.Generator) else substream(seed)
     g = rng.standard_normal((k * n, n)) + 1j * rng.standard_normal((k * n, n))
     q, r = np.linalg.qr(g)
     diag = np.diagonal(r)

@@ -49,6 +49,7 @@ CONDITION_RATE_FLOOR = 0.75
 # the builtins whose maximal divergence data processing must not increase
 _OPERATOR_CONVEX = [g for g in map(builtin_generator, BUILTIN_NAMES) if g.operator_convex]
 
+WITNESS_DIMS = (2, 3, 4, 8)  # the dimensions of `qfdiv verify`'s witness suite
 # the (m, M) grid of the zeta1 suite
 ZETA1_M_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 ZETA1_M_UPPER_GRID = (1.1, 1.5, 2.0, 3.0, 5.0, 7.0, 10.0)
@@ -72,16 +73,14 @@ class RateResult:
     """Fraction of sampled pairs satisfying |rho - sigma| <= rho + sigma."""
 
     rate: float
-    samples: int
     environment: int
-    commuting: bool
 
     @property
     def passed(self):
         return self.rate > MIN_CONDITION_RATE
 
 
-def witness_suite(dims=(2, 3, 4, 8), pairs_per_dim=100, seed=42):
+def witness_suite(dims, pairs_per_dim, seed):
     """Worst witness residual over random full-rank pairs.
 
     Pair i of dimension n draws from ``substream(seed, n, i)``, and each
@@ -97,7 +96,7 @@ def witness_suite(dims=(2, 3, 4, 8), pairs_per_dim=100, seed=42):
     return SuiteResult("witness", worst, WITNESS_TOL)
 
 
-def dpi_suite(dim=4, trials=100, seed=42):
+def dpi_suite(dim, trials, seed):
     """Monotonicity of the maximal divergence under random channels.
 
     Trial i draws a pair and then a channel Phi from ``substream(seed, i)``.
@@ -177,7 +176,7 @@ def _worst(current, gaps):
     return max(current, float(np.max(gaps, initial=-math.inf)))
 
 
-def maximality_and_pinsker(dim=4, samples=1000, seed=42):
+def maximality_and_pinsker(dim, samples, seed):
     """The maximality and pinsker suites on one Hilbert-Schmidt ensemble.
 
     maximality: standard divergences never exceed their maximal
@@ -209,7 +208,7 @@ def maximality_and_pinsker(dim=4, samples=1000, seed=42):
             SuiteResult("pinsker", pinsker, INEQUALITY_TOL))
 
 
-def reverse_pinsker_and_binette(dim=4, samples=1000, seed=42):
+def reverse_pinsker_and_binette(dim, samples, seed):
     """The reverse-pinsker and witness-binette suites on one
     environment-doubled Ginibre ensemble (rank 2 dim), where the condition
     |rho - sigma| <= rho + sigma holds for most pairs.
@@ -298,7 +297,7 @@ def _random_psd(n, rng):
     return m / np.trace(m).real + PSD_RIDGE * np.eye(n)
 
 
-def trace_identity_suite(trials=200, seed=42):
+def trace_identity_suite(trials, seed):
     """Polynomial trace identities behind the maximal-divergence formula.
 
     For random PSD A, B of dimension 2 to 6 and random polynomials f
@@ -333,7 +332,7 @@ def trace_identity_suite(trials=200, seed=42):
     return SuiteResult("trace-identity", worst, IDENTITY_TOL)
 
 
-def operator_jensen_suite(trials=200, seed=42):
+def operator_jensen_suite(trials, seed):
     """Operator Jensen inequality for the operator-convex builtins.
 
     With a resolution of identity {L_i} from a random channel (dimension and
@@ -362,7 +361,7 @@ def operator_jensen_suite(trials=200, seed=42):
     return SuiteResult("operator-jensen", worst, IDENTITY_TOL)
 
 
-def condition_rate(dim=4, samples=1000, seed=42, commuting=False):
+def condition_rate(dim, samples, seed, commuting):
     """Fraction of random pairs satisfying |rho - sigma| <= rho + sigma.
 
     The ensemble is environment-doubled Ginibre (environment ``2 dim``),
@@ -381,7 +380,7 @@ def condition_rate(dim=4, samples=1000, seed=42, commuting=False):
         else:
             rho, sigma = random_pairs(rngs, dim, 2 * dim)
         hits += int(np.count_nonzero(abs_condition_holds(rho, sigma)))
-    return RateResult(hits / samples, samples, 2 * dim, commuting)
+    return RateResult(hits / samples, 2 * dim)
 
 
 def _random_commuting_pairs(rngs, dim):

@@ -272,7 +272,7 @@ def test_criterion_10_condition_rate():
     # dim-4 rate of |rho - sigma| <= rho + sigma above 0.80 with 10^4
     # samples of the environment-doubled ensemble; a rate in (0.75, 0.80]
     # warns instead of failing (ensemble ambiguity).
-    result = condition_rate(dim=4, samples=10000, seed=42)
+    result = condition_rate(dim=4, samples=10000, seed=42, commuting=False)
     rate = result.rate
     _report(
         10,

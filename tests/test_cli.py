@@ -34,7 +34,8 @@ from qfdiv.cli import (
     write_state_file,
 )
 from qfdiv.divergence import max_relative_entropy_rows
-from qfdiv.errors import DimensionMismatch, InvariantViolation, OutOfRange, ParseError
+from qfdiv.errors import (DimensionMismatch, InvariantViolation, NotAState, OutOfRange,
+                          ParseError)
 from qfdiv.generators import BUILTIN_NAMES, builtin_generator
 from qfdiv.linalg import trace_norm_hermitian
 from qfdiv.states import DensityStack, abs_condition_rows, substream
@@ -140,6 +141,15 @@ def test_state_file_holds_one_state(tmp_path):
         want = f"^a state file holds one state, got a stack of {len(stack.mats)}$"
         with pytest.raises(DimensionMismatch, match=want):
             write_state_file(tmp_path / "state.txt", stack)
+    assert not (tmp_path / "state.txt").exists()
+
+
+def test_state_file_takes_only_a_state_stack(tmp_path):
+    # a bare array raised AttributeError ('mats')
+    for rho in (np.eye(2)[None] / 2, [[[0.5, 0], [0, 0.5]]]):
+        want = f"^rho must be a DensityStack, got {type(rho).__name__}$"
+        with pytest.raises(NotAState, match=want):
+            write_state_file(tmp_path / "state.txt", rho)
     assert not (tmp_path / "state.txt").exists()
 
 
@@ -791,9 +801,9 @@ def test_the_benchmark_argv_shapes_still_parse(argv, command, parsed):
 ])
 def test_condition_rate_verdict_reads_the_rate_result(tmp_path, capsys, monkeypatch,
                                                       rate, code, err):
-    assert RateResult(rate, 1000, 8, False).passed == (rate > 0.80)
+    assert RateResult(rate, 8).passed == (rate > 0.80)
     monkeypatch.setattr(cli.suites, "condition_rate",
                         lambda dim, samples, seed, commuting:
-                        RateResult(rate, samples, 2 * dim, commuting))
+                        RateResult(rate, 2 * dim))
     assert run_cli("condition-rate", "--samples", 1000, "--out", tmp_path) == code
     assert capsys.readouterr().err == err

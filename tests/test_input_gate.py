@@ -81,18 +81,19 @@ COUNT_TAKERS = {
     "substream-key": (lambda c: substream(1, c), 0, 0),
     "substreams-seed": (lambda c: substreams(c, (), [0]), 0, 0),
     "substreams-prefix": (lambda c: substreams(1, (c,), [0]), 0, 0),
-    "witness_suite-dims": (lambda c: witness_suite(dims=(c,), pairs_per_dim=1), 2, 1),
-    "witness_suite-pairs_per_dim": (lambda c: witness_suite(dims=(2,), pairs_per_dim=c), 1, 1),
-    "dpi_suite-dim": (lambda c: dpi_suite(c, 1), 2, 1),
-    "dpi_suite-trials": (lambda c: dpi_suite(2, c), 1, 1),
-    "maximality_and_pinsker-dim": (lambda c: maximality_and_pinsker(c, 1), 2, 1),
-    "maximality_and_pinsker-samples": (lambda c: maximality_and_pinsker(2, c), 1, 1),
-    "reverse_pinsker_and_binette-dim": (lambda c: reverse_pinsker_and_binette(c, 1), 2, 1),
-    "reverse_pinsker_and_binette-samples": (lambda c: reverse_pinsker_and_binette(2, c), 1, 1),
-    "trace_identity_suite-trials": (lambda c: trace_identity_suite(c), 1, 1),
-    "operator_jensen_suite-trials": (lambda c: operator_jensen_suite(c), 1, 1),
-    "condition_rate-dim": (lambda c: condition_rate(c, 1), 2, 1),
-    "condition_rate-samples": (lambda c: condition_rate(2, c), 1, 1),
+    "witness_suite-dims": (lambda c: witness_suite(dims=(c,), pairs_per_dim=1, seed=42), 2, 1),
+    "witness_suite-pairs_per_dim": (lambda c: witness_suite(dims=(2,), pairs_per_dim=c, seed=42),
+                                    1, 1),
+    "dpi_suite-dim": (lambda c: dpi_suite(c, 1, 42), 2, 1),
+    "dpi_suite-trials": (lambda c: dpi_suite(2, c, 42), 1, 1),
+    "maximality_and_pinsker-dim": (lambda c: maximality_and_pinsker(c, 1, 42), 2, 1),
+    "maximality_and_pinsker-samples": (lambda c: maximality_and_pinsker(2, c, 42), 1, 1),
+    "reverse_pinsker_and_binette-dim": (lambda c: reverse_pinsker_and_binette(c, 1, 42), 2, 1),
+    "reverse_pinsker_and_binette-samples": (lambda c: reverse_pinsker_and_binette(2, c, 42), 1, 1),
+    "trace_identity_suite-trials": (lambda c: trace_identity_suite(c, 42), 1, 1),
+    "operator_jensen_suite-trials": (lambda c: operator_jensen_suite(c, 42), 1, 1),
+    "condition_rate-dim": (lambda c: condition_rate(c, 1, 42, False), 2, 1),
+    "condition_rate-samples": (lambda c: condition_rate(2, c, 42, False), 1, 1),
     "ExperimentConfig-dim": (lambda c: ExperimentConfig(dim=c), 2, 2),
     "ExperimentConfig-seed": (lambda c: ExperimentConfig(seed=c), 0, 0),
     "ExperimentConfig-samples": (lambda c: ExperimentConfig(samples=c), 1, 1),
@@ -152,8 +153,8 @@ def test_a_key_prefix_that_is_not_a_tuple_or_list_is_out_of_range(prefix):
         substreams(1, prefix, [0])
 
 
-@pytest.mark.parametrize("carrier", ["DensityStack", "DensityStack-two-rows", "QuantumChannel",
-                                     "apply_channel_rows"])
+@pytest.mark.parametrize("carrier", ["DensityStack", "DensityStack-two-rows", "ginibre_states",
+                                     "QuantumChannel", "apply_channel_rows"])
 @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
 def test_non_finite_entries_are_a_domain_error_in_every_carrier(carrier, x):
     with pytest.raises(DomainError, match="^entries are not finite$"):

@@ -314,8 +314,8 @@ SETTABLE = {
     # the console script calls main() to read sys.argv
     "cli.main(argv)": OUTSIDE,
     "errors.ParseError.__init__(line)": IN_USE,
-    "generators.FGenerator.second_derivative": IN_USE,
-    "generators.FGenerator.operator_convex": IN_USE,
+    "generators.FGenerator.second_derivative": PUBLIC,
+    "generators.FGenerator.operator_convex": PUBLIC,
     "linalg.numbers(dtype)": IN_USE,
     "linalg.numbers(finite)": IN_USE,
     "linalg.check_counts(minimum)": IN_USE,
@@ -324,30 +324,9 @@ SETTABLE = {
     "states._checked_stack(eig)": IN_USE,
     "states.random_pairs(rank)": IN_USE,
     "states.random_channel(k)": IN_USE,
-    "states.random_channel(seed)": IN_USE,
     "verify.SuiteResult.extras": IN_USE,
-    "verify.witness_suite(dims)": PUBLIC,
-    "verify.witness_suite(pairs_per_dim)": PUBLIC,
-    "verify.witness_suite(seed)": PUBLIC,
-    "verify.dpi_suite(dim)": PUBLIC,
-    "verify.dpi_suite(trials)": PUBLIC,
-    "verify.dpi_suite(seed)": PUBLIC,
     "verify._witness_chunks(rank)": IN_USE,
     "verify._witness_chunks(prefix)": IN_USE,
-    "verify.maximality_and_pinsker(dim)": PUBLIC,
-    "verify.maximality_and_pinsker(samples)": PUBLIC,
-    "verify.maximality_and_pinsker(seed)": PUBLIC,
-    "verify.reverse_pinsker_and_binette(dim)": PUBLIC,
-    "verify.reverse_pinsker_and_binette(samples)": PUBLIC,
-    "verify.reverse_pinsker_and_binette(seed)": PUBLIC,
-    "verify.trace_identity_suite(trials)": PUBLIC,
-    "verify.trace_identity_suite(seed)": PUBLIC,
-    "verify.operator_jensen_suite(trials)": PUBLIC,
-    "verify.operator_jensen_suite(seed)": PUBLIC,
-    "verify.condition_rate(dim)": PUBLIC,
-    "verify.condition_rate(samples)": PUBLIC,
-    "verify.condition_rate(seed)": PUBLIC,
-    "verify.condition_rate(commuting)": PUBLIC,
 }
 
 

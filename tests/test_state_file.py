@@ -1,14 +1,12 @@
 """Property tests of the state-file reader: bit-exact round trips, the error
 each single-entry corruption raises, and which of two bad rows is named."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from qfdiv import cli
+from qfdiv import cli, states
 from qfdiv.cli import parse_state_file, write_state_file
 from qfdiv.errors import ParseError
 
@@ -18,10 +16,12 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
 def _write(path, numbers):
-    """Write 2 n^2 numbers, row-major (re, im) pairs, with write_state_file."""
+    """Write 2 n^2 numbers, row-major (re, im) pairs, with write_state_file,
+    as a one-row stack that skips the state checks: the numbers need not
+    form a state."""
     mat = np.array(numbers, dtype=float).view(np.complex128)
     n = int(round(len(mat) ** 0.5))
-    write_state_file(path, SimpleNamespace(mats=mat.reshape(1, n, n)))
+    write_state_file(path, states._checked_stack(mat.reshape(1, n, n), states.STATE_TOL))
     return path.read_text(encoding="ascii").splitlines()
 
 

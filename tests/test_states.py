@@ -273,9 +273,11 @@ def test_random_channel_is_trace_preserving(n, k):
 
 
 def test_random_channel_names_a_bad_argument():
-    # each raised a bare TypeError or ValueError
-    for args, kwargs, name in [((2, 1.5), {}, "k"), (("a",), {}, "n"), ((0,), {}, "n"),
-                               ((2,), {"seed": -1}, "seed"), ((2,), {"seed": 0.5}, "seed")]:
+    # each raised a bare TypeError or ValueError; a seed of None drew unseeded
+    for args, kwargs, name in [((2, 1.5), {"seed": 1}, "k"), (("a",), {"seed": 1}, "n"),
+                               ((0,), {"seed": 1}, "n"),
+                               ((2,), {"seed": -1}, "seed"), ((2,), {"seed": 0.5}, "seed"),
+                               ((2,), {"seed": None}, "seed")]:
         with pytest.raises(OutOfRange, match=f"^{name} must be "):
             random_channel(*args, **kwargs)
     # a generator draws on, as dpi_suite relies on

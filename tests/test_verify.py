@@ -66,10 +66,10 @@ def test_witness_suite_fails_when_the_witness_divergence_is_off(monkeypatch):
     # a relative fault of 1e-7 in the witness's D_f shows in chi2_match,
     # whose reference tr(rho sigma^-1 rho) - 1 does not read the witness
     real = maximal.WitnessBatch.f_divergence
-    assert witness_suite(dims=(4,), pairs_per_dim=20).passed
+    assert witness_suite(dims=(4,), pairs_per_dim=20, seed=42).passed
     monkeypatch.setattr(maximal.WitnessBatch, "f_divergence",
                         lambda self, f: real(self, f) * (1.0 + 1e-7))
-    result = witness_suite(dims=(4,), pairs_per_dim=20)
+    result = witness_suite(dims=(4,), pairs_per_dim=20, seed=42)
     assert not result.passed
     assert result.worst > 1e-8
 
@@ -156,15 +156,16 @@ def _fig2_csv(out):
 
 # each run reads a value of every sampled stack
 STACKED_RUNS = {
-    "condition_rate": lambda out: [condition_rate(dim=n, samples=300).rate for n in (2, 4, 8)],
+    "condition_rate": lambda out: [
+        condition_rate(dim=n, samples=300, seed=42, commuting=False).rate for n in (2, 4, 8)],
     "fig2": _fig2_csv,
     "witness_suite": lambda out: _worst_and_extras(
-        witness_suite(dims=(2, 4, 8), pairs_per_dim=40)),
-    "dpi_suite": lambda out: _worst_and_extras(dpi_suite(dim=4, trials=40)),
+        witness_suite(dims=(2, 4, 8), pairs_per_dim=40, seed=42)),
+    "dpi_suite": lambda out: _worst_and_extras(dpi_suite(dim=4, trials=40, seed=42)),
     "maximality_and_pinsker": lambda out: _worst_and_extras(
-        *maximality_and_pinsker(dim=4, samples=100)),
+        *maximality_and_pinsker(dim=4, samples=100, seed=42)),
     "reverse_pinsker_and_binette": lambda out: _worst_and_extras(
-        *reverse_pinsker_and_binette(dim=4, samples=100)),
+        *reverse_pinsker_and_binette(dim=4, samples=100, seed=42)),
 }
 
 
@@ -344,14 +345,14 @@ def test_condition_rate_rejects_a_bad_dimension_or_sample_count():
     # and samples = 0 rate 0.0
     for commuting in (False, True):
         with pytest.raises(OutOfRange, match="^dim must be an integer >= 1, got 1.5$"):
-            condition_rate(dim=1.5, samples=10, commuting=commuting)
+            condition_rate(dim=1.5, samples=10, seed=42, commuting=commuting)
     for samples in (-1, 0):
         with pytest.raises(OutOfRange, match=f"^samples must be an integer >= 1, got {samples}$"):
-            condition_rate(dim=4, samples=samples)
+            condition_rate(dim=4, samples=samples, seed=42, commuting=False)
 
 
 def test_condition_rate_exceeds_eighty_percent_for_environment_doubled():
-    result = condition_rate(dim=4, samples=500, seed=42)
+    result = condition_rate(dim=4, samples=500, seed=42, commuting=False)
     assert result.environment == 8
     assert result.rate > 0.80
     assert result.passed
@@ -393,11 +394,11 @@ def test_condition_rate_starts_no_garbage_collection_per_chunk(seed):
         if phase == "start":
             starts.append(info["generation"])
 
-    condition_rate(dim=4, samples=len(stacks[0]), seed=seed)  # first-call imports
+    condition_rate(dim=4, samples=len(stacks[0]), seed=seed, commuting=False)  # first-call imports
     gc.collect()
     gc.callbacks.append(count)
     try:
-        condition_rate(dim=4, samples=4096, seed=seed)
+        condition_rate(dim=4, samples=4096, seed=seed, commuting=False)
     finally:
         gc.callbacks.remove(count)
     assert len(starts) <= 1, starts
@@ -416,7 +417,7 @@ def test_condition_rate_runs_one_eigensolver_per_stack(monkeypatch):
         return counted(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", recorded)
-    condition_rate(dim=4, samples=256, seed=42)
+    condition_rate(dim=4, samples=256, seed=42, commuting=False)
     assert calls == {"eigh": 1}
     assert rows[0] < 0.4 * 256
 
@@ -432,11 +433,11 @@ def test_condition_rate_builds_its_states_without_an_eigensolver(monkeypatch):
         return pair
 
     monkeypatch.setattr(verify, "random_pairs", building)
-    condition_rate(dim=8, samples=600, seed=42)
+    condition_rate(dim=8, samples=600, seed=42, commuting=False)
     assert during == [0] * len(chunks(600, 8)) == [0, 0, 0]
 
 
 @pytest.mark.parametrize("samples, rate", [(1000, 0.814), (10000, 0.805)])
 def test_condition_rate_is_pinned_at_seed_42(samples, rate):
     # seed-42 rates: stacking the draws must not change any verdict
-    assert condition_rate(dim=4, samples=samples, seed=42).rate == rate
+    assert condition_rate(dim=4, samples=samples, seed=42, commuting=False).rate == rate
