@@ -181,7 +181,9 @@ def trace_norm_hermitian(x):
 
 def psd_rows(a, tol):
     """Whether ``a + tol I`` is positive definite, per row: whether its
-    Cholesky factorization completes.
+    Cholesky factorization completes.  The one positivity test: the state
+    check, the condition |rho - sigma| <= rho + sigma and its anticommutator
+    certificate (:mod:`qfdiv.states`) take their verdicts from it.
 
     Reads only the lower triangle of each row, as LAPACK does; for a
     Hermitian row the verdict is ``lambda_min > -tol``, up to rounding at

@@ -11,14 +11,14 @@ Gaussian draw straight into a preallocated stack, in the order that
 one-at-a-time sampling would draw, so a stack holds exactly the states that
 one-at-a-time sampling would give.
 
-Every state built, sampled or parsed, is checked for positivity at its
-``tol`` by one Cholesky factorization of ``m + tol I`` per stack; the
-eigensolver runs only when that factorization fails, to name the failing
-row.  Spectra and eigendecompositions are computed on first read.  The
-condition |rho - sigma| <= rho + sigma (:func:`abs_condition_rows`) runs one
-eigensolver, on rho - sigma, and decides by Cholesky too.  Where only the
-verdicts are read (:func:`abs_condition_holds`), a Cholesky factorization of
-the anticommutator rho sigma + sigma rho certifies most rows first, since
+Positivity is decided in one place, :func:`linalg.psd_rows`.  Every state
+built, sampled or parsed is checked by it at its ``tol``; the eigensolver
+runs only when a row fails, to name the lowest failing row.  Spectra and
+eigendecompositions are computed on first read.  The condition
+|rho - sigma| <= rho + sigma (:func:`abs_condition_rows`) runs one
+eigensolver, on rho - sigma, and takes its verdict from ``psd_rows`` too.
+Where only the verdicts are read (:func:`abs_condition_holds`), ``psd_rows``
+on the anticommutator rho sigma + sigma rho certifies most rows first, since
 (rho + sigma)^2 - (rho - sigma)^2 = 2 (rho sigma + sigma rho) and the square
 root is operator monotone; the eigensolver runs only on the rows it leaves
 open.
@@ -102,11 +102,10 @@ def _check_states(m, tol):
     state within ``tol``; returns the read-only stack, or raises for the
     lowest failing row.
 
-    One Cholesky factorization of ``m + tol I`` over the whole stack
-    certifies that no least eigenvalue lies below ``-tol``.  Only when it
-    fails does ``eigvalsh`` run, and its least eigenvalues decide which
-    rows fail; a stack with none is accepted.  The two agree up to
-    rounding at the boundary.
+    :func:`linalg.psd_rows` certifies that no least eigenvalue lies below
+    ``-tol``.  Only when a row fails does ``eigvalsh`` run, and its least
+    eigenvalues decide which rows fail; a stack with none is accepted.
+    The two agree up to rounding at the boundary.
     """
     _check_tol(tol)
     defect = linalg._defects(m)
@@ -120,9 +119,7 @@ def _check_states(m, tol):
         (tr_gap > tol, lambda i, where: InvariantViolation(
             "trace", f"{where}|tr - 1| = {tr_gap[i]:.3e}")),
     ]
-    try:
-        np.linalg.cholesky(m + tol * np.eye(m.shape[-1]))
-    except np.linalg.LinAlgError:
+    if not linalg.psd_rows(m, tol).all():
         low = np.linalg.eigvalsh(m)[:, 0]
         # a least eigenvalue the solver could not give (nan) fails too
         checks.append((~(low >= -tol), lambda i, where: InvariantViolation(
@@ -134,9 +131,8 @@ def _check_states(m, tol):
 class DensityStack:
     """Stack of density matrices, each Hermitian PSD with unit trace.
 
-    ``mats`` is a new, read-only, symmetrized stack.  Positivity is
-    certified by one Cholesky factorization of the stack, with ``eigvalsh``
-    only when that fails; a failing stack raises for its lowest failing
+    ``mats`` is a new, read-only, symmetrized stack, checked by
+    :func:`_check_states`: a failing stack raises for its lowest failing
     row.  ``spectra`` (``eigvalsh``, one row per state) and ``eig``
     (:func:`linalg.hermitian_eig`) are computed on first read and cached;
     their eigenvalues differ in the last bits, so neither stands in for the
@@ -333,10 +329,10 @@ def abs_condition_rows(rho, sigma):
 
     One eigendecomposition of the stack rho - sigma gives both its spectra
     and |rho - sigma|, with no phase fixed (|rho - sigma| does not depend on
-    them); the verdict is whether the Cholesky factorization of
-    rho + sigma - |rho - sigma| + ``CONDITION_TOL`` I completes
-    (:func:`linalg.psd_rows`), so no second eigensolver runs.  Returns the
-    per-row verdicts and trace distances, the spectra's absolute sums.
+    them); the verdict is :func:`linalg.psd_rows` of
+    rho + sigma - |rho - sigma| at ``CONDITION_TOL``, so no second
+    eigensolver runs.  Returns the per-row verdicts and trace distances,
+    the spectra's absolute sums.
     """
     check_pair(rho, sigma)
     w, u = linalg._eigh(rho.mats - sigma.mats)
@@ -353,10 +349,10 @@ def abs_condition_holds(rho, sigma):
     (rho + sigma)^2 - (rho - sigma)^2 = 2 (rho sigma + sigma rho), so where
     rho sigma + sigma rho >= 0, (rho - sigma)^2 <= (rho + sigma)^2 and, the
     square root being operator monotone, |rho - sigma| <= rho + sigma.  A
-    row is certified when the Cholesky factorization of
-    rho sigma + sigma rho - ``CONDITION_TOL`` I completes, a margin far
-    above rounding, so a certified row satisfies the condition exactly and
-    gets the verdict the exact route would give it.
+    row is certified when :func:`linalg.psd_rows` finds
+    rho sigma + sigma rho - ``CONDITION_TOL`` I positive definite, a margin
+    far above rounding, so a certified row satisfies the condition exactly
+    and gets the verdict the exact route would give it.
     """
     check_pair(rho, sigma)
     holds = _anticommutator_certifies(rho.mats, sigma.mats)

@@ -368,8 +368,9 @@ def condition_rate(dim, samples, seed, commuting):
     which reproduces the above-80-percent rate at dim 4; plain
     Hilbert-Schmidt draws (environment ``dim``) satisfy the condition far
     more rarely.  ``commuting`` draws diagonal pairs instead, where the
-    condition holds identically.  Sample i draws from ``substream(seed, i)``;
-    the samples are checked in the stacks of :func:`states.chunks`.
+    condition holds identically and there is no environment (0).  Sample i
+    draws from ``substream(seed, i)``; the samples are checked in the stacks
+    of :func:`states.chunks`.
     """
     check_counts(dim=dim, samples=samples)
     hits = 0
@@ -380,7 +381,7 @@ def condition_rate(dim, samples, seed, commuting):
         else:
             rho, sigma = random_pairs(rngs, dim, 2 * dim)
         hits += int(np.count_nonzero(abs_condition_holds(rho, sigma)))
-    return RateResult(hits / samples, 2 * dim)
+    return RateResult(hits / samples, 0 if commuting else 2 * dim)
 
 
 def _random_commuting_pairs(rngs, dim):

@@ -28,7 +28,9 @@ from qfdiv.states import substream
 # verify.csv and both verify stdouts (the maximality worst, and
 # relent_form_worst), when the relative entropy and chi2 references read rho
 # in sigma's eigenbasis; verify.csv and both verify stdouts (the zeta1 row's
-# worst and tol), when zeta1_integral became a fixed Gauss-Legendre rule.
+# worst and tol), when zeta1_integral became a fixed Gauss-Legendre rule;
+# the commuting run's condition_rate.csv, when its environment column went
+# from 2 dim to 0, since diagonal Dirichlet pairs have no environment.
 GOLDEN = {
     "fig2 --samples 600 --seed 42": (0, {
         "stdout": "08f56ce98d41be01dced5dabdf9a4a5afe38e57d93b99a763fc61d8672d1cd04",
@@ -51,7 +53,7 @@ GOLDEN = {
     }),
     "condition-rate --samples 2000 --seed 7 --commuting": (0, {
         "stdout": "c6eac1408d8abb7ffec1111481acbea7f3989806a29610505eaeddbfa0d39652",
-        "condition_rate.csv": "9bf72d65c47b9d3bc581dacbee7423220b23a5e0fc640b3e675839252c800e0b",
+        "condition_rate.csv": "912e09f287a2f60ad7e6eb9300290a6798b6ef8aab3f7ea14fc5bc5f1d393e5c",
     }),
     "verify --samples 1000 --seed 42": (1, {
         "stdout": "2d44856ed0bbeceadaf3d9704bf12f994e8a241a1dd8f05ffea6fb193643a9ae",

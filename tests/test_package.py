@@ -219,6 +219,37 @@ def test_src_sizes_every_sampled_stack_through_chunks():
     assert sites == [(*STACK_SIZER, "budget")]
 
 
+# the one module in src/ that calls numpy's Cholesky factorization: every
+# positivity verdict is decided there, by linalg.psd_rows
+CHOLESKY_HOME = "src/qfdiv/linalg.py"
+
+
+def _cholesky_sites(source):
+    """Lines of ``source`` that reach ``numpy.linalg.cholesky``: a call or
+    read of a ``cholesky`` attribute or name, and an import of it."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if (isinstance(node, ast.Attribute) and node.attr == "cholesky")
+                   or (isinstance(node, ast.Name) and node.id == "cholesky")
+                   or (isinstance(node, ast.ImportFrom)
+                       and any(a.name == "cholesky" for a in node.names))})
+
+
+def test_the_cholesky_site_finder_sees_each_kind_of_site():
+    source = ("np.linalg.cholesky(a)\n"
+              "factor = numpy.linalg.cholesky\n"
+              "from numpy.linalg import cholesky\n"
+              "cholesky(a)\n"
+              "np.linalg.eigvalsh(a)\n")
+    assert _cholesky_sites(source) == [1, 2, 3, 4]
+
+
+def test_src_calls_cholesky_only_in_linalg():
+    sites = sorted({str(path.relative_to(ROOT))
+                    for path in (ROOT / "src").rglob("*.py")
+                    if _cholesky_sites(path.read_text())})
+    assert sites == [CHOLESKY_HOME]
+
+
 # public definitions that nothing in src/ reads, each kept on purpose
 UNREAD_BY_DESIGN = {
     "write_state_file": "writes the state files that replay a worst case",

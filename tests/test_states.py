@@ -401,8 +401,8 @@ def test_density_stack_names_the_lowest_failing_row():
 
 
 # ---------------------------------------------------------------------------
-# positivity is certified by one Cholesky factorization; the eigensolver
-# runs only when it fails, and spectra are computed where they are read
+# positivity is certified by linalg.psd_rows; the eigensolver runs only
+# when a row fails, and spectra are computed where they are read
 # ---------------------------------------------------------------------------
 
 

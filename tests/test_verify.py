@@ -324,6 +324,7 @@ def test_operator_jensen_suite_passes():
 def test_condition_rate_is_one_for_commuting_pairs():
     result = condition_rate(dim=4, samples=200, seed=42, commuting=True)
     assert result.rate == 1.0
+    assert result.environment == 0  # diagonal Dirichlet pairs have none
     assert result.passed
 
 
@@ -405,9 +406,9 @@ def test_condition_rate_starts_no_garbage_collection_per_chunk(seed):
 
 
 def test_condition_rate_runs_one_eigensolver_per_stack(monkeypatch):
-    # the eigh of rho - sigma in the exact condition test, which decides its
-    # verdict by Cholesky, on only the rows the anticommutator leaves open;
-    # the state checks factor by Cholesky too and read no spectrum
+    # the eigh of rho - sigma in the exact condition test, which takes its
+    # verdict from psd_rows, on only the rows the anticommutator leaves open;
+    # the state checks decide by psd_rows too and read no spectrum
     calls = count_eig_calls(monkeypatch)
     rows = []
     counted = np.linalg.eigh
