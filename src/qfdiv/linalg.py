@@ -1,16 +1,18 @@
 """Dense Hermitian linear algebra on small complex matrices.
 
 Plain ``numpy`` arrays in, plain arrays out; the typed state wrappers live in
-:mod:`qfdiv.states`.  ``hermitian_part``, ``hermitian_eig``,
-``trace_norm_hermitian`` and ``psd_rows`` also take a stack of matrices,
-shape ``(B, n, n)``, and work row by row: a single matrix gives a scalar
-result, a stack gives one entry per row.  Eigenvector phases follow a fixed
-convention so repeated runs on identical input are bit-identical.  Nothing
-here checks Hermiticity: a matrix is checked once, where it enters as a
-state (the carriers of :mod:`qfdiv.states`), and ``hermitian_eig`` and
-``trace_norm_hermitian`` take Hermitian input as given.  On finite input
-near the largest float, ``hermitian_part`` and ``hermitian_eig`` return
-finite values or raise a typed error, and emit no warning.
+:mod:`qfdiv.states`.  ``hermitian_part``, ``hermitian_eig`` and
+``trace_norm_hermitian`` also take a stack of matrices, shape ``(B, n, n)``,
+and work row by row: a single matrix gives a scalar result, a stack gives
+one entry per row.  ``psd_rows``, the one positivity test, takes only
+stacks and factors the whole stack with one LAPACK call.  Eigenvector
+phases follow a fixed convention so repeated runs on identical input are
+bit-identical.  Nothing here checks Hermiticity: a matrix is checked
+once, where it enters as a state (the carriers of :mod:`qfdiv.states`), and
+``hermitian_eig`` and ``trace_norm_hermitian`` take Hermitian input as
+given.  On finite input near the largest float, ``hermitian_part``,
+``hermitian_eig`` and ``psd_rows`` return finite values or raise a typed
+error, and emit no warning.
 
 Input from outside passes one gate, here: :func:`numbers` is the only
 conversion of an outside array, and :func:`check_counts` the only check of
@@ -22,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import DimensionMismatch, DomainError, NoConvergence, OutOfRange, SingularState
 
@@ -180,50 +183,25 @@ def trace_norm_hermitian(x):
 
 
 def psd_rows(a, tol):
-    """Whether ``a + tol I`` is positive definite, per row: whether its
-    Cholesky factorization completes.  The one positivity test: the state
-    check, the condition |rho - sigma| <= rho + sigma and its anticommutator
-    certificate (:mod:`qfdiv.states`) take their verdicts from it.
+    """Whether ``a + tol I`` is positive definite, for each row of a
+    ``(B, n, n)`` stack: whether its Cholesky factorization completes.  The
+    one positivity test: the state check, the condition
+    |rho - sigma| <= rho + sigma and its anticommutator certificate
+    (:mod:`qfdiv.states`) take their verdicts from it.
 
-    Reads only the lower triangle of each row, as LAPACK does; for a
-    Hermitian row the verdict is ``lambda_min > -tol``, up to rounding at
-    the boundary.  A stack with at least n rows runs n column steps over
-    the whole stack; a shorter one factors each row with one LAPACK call,
-    which is cheaper when the steps would outnumber the rows.
+    One LAPACK call factors the whole stack: numpy's Cholesky gufunc, the
+    kernel behind ``np.linalg.cholesky``, fills a row it cannot factor with
+    nan instead of raising.  Reads only the lower triangle of each row, as
+    LAPACK does; for a Hermitian row the verdict is ``lambda_min > -tol``,
+    up to rounding at the boundary.  The gufunc is a private numpy name;
+    ``tests/test_linalg.py`` pins the behaviour relied on here.
     """
-    m = np.asarray(a)
-    n = m.shape[-1]
-    stack = m.reshape((-1, n, n)) + tol * np.eye(n)
-    if len(stack) < n:
-        ok = np.array([_cholesky_completes(row) for row in stack], dtype=bool)
-    else:
-        ok = _cholesky_columns(stack)
-    return _scalar(ok.reshape(m.shape[:-2]))
-
-
-def _cholesky_completes(a):
-    try:
-        np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
-def _cholesky_columns(w):
-    # Right-looking Cholesky of every row of the stack at once, overwriting
-    # the lower triangle of w; a row fails at its first pivot that is not
-    # positive, and from then on divides by 1 so its values stay finite.
-    # Upper-triangle entries are updated too but never read.
-    ok = np.ones(len(w), dtype=bool)
-    # a failed row, or one past a subnormal pivot, may overflow into inf
-    # or nan, which fails its later pivots; that must not warn
+    stack = a + tol * np.eye(a.shape[-1])
+    # a failing row sets the invalid flag, and a row near the largest float
+    # may overflow; neither may warn
     with np.errstate(all="ignore"):
-        for j in range(w.shape[-1]):
-            pivot = w[:, j, j].real
-            ok &= pivot > 0.0
-            col = w[:, j + 1:, j] / np.sqrt(np.where(ok, pivot, 1.0))[:, None]
-            w[:, j + 1:, j + 1:] -= col[:, :, None] * col[:, None, :].conj()
-    return ok
+        factor = _umath_linalg.cholesky_lo(stack, signature="D->D")
+    return ~np.isnan(factor).any(axis=(-2, -1))
 
 
 def matrix_polynomial(coeffs, x):

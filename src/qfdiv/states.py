@@ -11,12 +11,13 @@ Gaussian draw straight into a preallocated stack, in the order that
 one-at-a-time sampling would draw, so a stack holds exactly the states that
 one-at-a-time sampling would give.
 
-Positivity is decided in one place, :func:`linalg.psd_rows`.  Every state
-built, sampled or parsed is checked by it at its ``tol``; the eigensolver
-runs only when a row fails, to name the lowest failing row.  Spectra and
-eigendecompositions are computed on first read.  The condition
-|rho - sigma| <= rho + sigma (:func:`abs_condition_rows`) runs one
-eigensolver, on rho - sigma, and takes its verdict from ``psd_rows`` too.
+Positivity is decided in one place, :func:`linalg.psd_rows`, with one
+LAPACK Cholesky call per stack.  Every state built, sampled or parsed is
+checked by it at its ``tol``; the eigensolver runs only when a row fails,
+to name the lowest failing row.  Spectra and eigendecompositions are
+computed on first read.  The condition |rho - sigma| <= rho + sigma
+(:func:`abs_condition_rows`) runs one eigensolver, on rho - sigma, and
+takes its verdict from ``psd_rows`` too.
 Where only the verdicts are read (:func:`abs_condition_holds`), ``psd_rows``
 on the anticommutator rho sigma + sigma rho certifies most rows first, since
 (rho + sigma)^2 - (rho - sigma)^2 = 2 (rho sigma + sigma rho) and the square

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import maximally_mixed, plus_state, random_hermitian, random_psd
 
 from qfdiv import linalg
@@ -67,29 +69,30 @@ def test_trace_norm_of_pure_vs_mixed_difference():
 
 
 def _geq(x, y):
-    """X >= Y in the Loewner order, up to ``-LOEWNER_TOL`` on the spectrum."""
+    """X >= Y in the Loewner order, row by row of two stacks, up to
+    ``-LOEWNER_TOL`` on the spectrum."""
     return linalg.psd_rows(np.asarray(x) - np.asarray(y), LOEWNER_TOL)
 
 
 def test_loewner_order_comparable_pair():
-    eye = np.eye(3)
-    assert _geq(2.0 * eye, eye)
-    assert not _geq(eye, 2.0 * eye)
+    eye = np.eye(3)[None]
+    assert _geq(2.0 * eye, eye).tolist() == [True]
+    assert _geq(eye, 2.0 * eye).tolist() == [False]
 
 
 def test_loewner_order_incomparable_projectors():
-    p = np.diag([1.0, 0.0])
-    q = np.diag([0.0, 1.0])
-    assert not _geq(p, q)
-    assert not _geq(q, p)
+    p = np.diag([1.0, 0.0])[None]
+    q = np.diag([0.0, 1.0])[None]
+    assert _geq(p, q).tolist() == [False]
+    assert _geq(q, p).tolist() == [False]
 
 
 def test_loewner_sum_dominates_absolute_difference_for_qubit_pair():
-    rho = plus_state().mats[0]
-    sigma = maximally_mixed().mats[0]
+    rho = plus_state().mats
+    sigma = maximally_mixed().mats
     eig = linalg.hermitian_eig(rho - sigma)
     gap = eig.compose(np.abs(eig.eigenvalues))
-    assert _geq(rho + sigma, gap)
+    assert _geq(rho + sigma, gap).tolist() == [True]
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +306,7 @@ def test_stacked_checks_return_one_entry_per_row():
         assert norms[i] == linalg.trace_norm_hermitian(xs[i])
     geq = _geq(np.abs(xs).sum() * np.eye(3)[None] + 0 * xs, xs)
     assert geq.dtype == bool and geq.all()
-    assert isinstance(_geq(np.eye(2), np.eye(2)), bool)
+    assert _geq(np.eye(2)[None], np.eye(2)[None]).tolist() == [True]
 
 
 def test_stacked_hermiticity_check_names_the_lowest_failing_row():
@@ -343,14 +346,7 @@ def _spectra_near_the_boundary(n, tol, rng):
 
 @pytest.mark.parametrize("tol", [1e-9, 1e-6])
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-def test_psd_rows_gives_the_eigvalsh_verdict_on_both_paths(monkeypatch, n, tol):
-    lapack_calls = []
-
-    def counted(a, _cholesky=np.linalg.cholesky):
-        lapack_calls.append(1)
-        return _cholesky(a)
-
-    monkeypatch.setattr(np.linalg, "cholesky", counted)
+def test_psd_rows_gives_the_eigvalsh_verdict_at_every_stack_size(n, tol):
     rng = np.random.default_rng(60 + n)
     spectra = _spectra_near_the_boundary(n, tol, rng) * 3
     unitaries = [_random_unitary(n, rng) for _ in spectra]
@@ -359,18 +355,16 @@ def test_psd_rows_gives_the_eigvalsh_verdict_on_both_paths(monkeypatch, n, tol):
     # the construction puts every row on the side its margin says
     assert expected.tolist() == [w[0] > -tol for w in spectra]
     assert 0 < expected.sum() < len(stack)
-    assert np.array_equal(linalg.psd_rows(stack, tol), expected)  # column steps
-    assert lapack_calls == []
+    assert np.array_equal(linalg.psd_rows(stack, tol), expected)
     assert np.array_equal(linalg.psd_rows(stack[:n - 1], tol), expected[:n - 1])
     for i in range(len(stack)):
-        assert linalg.psd_rows(stack[i], tol) is bool(expected[i])
-    assert len(lapack_calls) == n - 1 + len(stack)  # one LAPACK call per row
+        assert linalg.psd_rows(stack[i:i + 1], tol).tolist() == [expected[i]]
 
 
 def test_psd_rows_keeps_a_row_failed_after_its_first_bad_pivot():
     a = np.array([np.diag([-1.0, 1.0, 1.0]), np.diag([1.0, -1.0, 1.0]), np.eye(3)])
     assert linalg.psd_rows(a, 0.5).tolist() == [False, False, True]
-    assert [linalg.psd_rows(x, 0.5) for x in a] == [False, False, True]
+    assert [linalg.psd_rows(x[None], 0.5)[0] for x in a] == [False, False, True]
 
 
 @pytest.mark.parametrize("n", [1, 3])
@@ -382,7 +376,7 @@ def test_psd_rows_of_an_empty_stack_is_empty(n):
 def test_psd_rows_reads_only_the_lower_triangle():
     a = np.array([[[4.0, 100.0], [1.0, 4.0]], [[4.0, 1.0], [100.0, 4.0]]])
     assert linalg.psd_rows(a, 0.0).tolist() == [True, False]
-    assert [linalg.psd_rows(x, 0.0) for x in a] == [True, False]
+    assert [linalg.psd_rows(x[None], 0.0)[0] for x in a] == [True, False]
 
 
 def test_psd_rows_emits_no_warning_on_adversarial_rows():
@@ -398,4 +392,68 @@ def test_psd_rows_emits_no_warning_on_adversarial_rows():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert linalg.psd_rows(rows, 0.0).tolist() == expected
-        assert [linalg.psd_rows(x, 0.0) for x in rows] == expected
+        assert [linalg.psd_rows(x[None], 0.0)[0] for x in rows] == expected
+
+
+def test_the_cholesky_gufunc_gives_each_row_its_own_verdict():
+    # psd_rows rests on numpy's private Cholesky gufunc, the kernel behind
+    # np.linalg.cholesky: a row it cannot factor comes back all nan, a row
+    # it can comes back as np.linalg.cholesky gives it, no row reads
+    # another, and under errstate nothing warns.  A numpy release that
+    # changes any of this fails here rather than giving wrong verdicts.
+    rng = np.random.default_rng(61)
+    n = 4
+    overflows = np.eye(n)
+    overflows[:2, :2] = [[1e-320, 1.0], [1.0, 1.0]]  # a subnormal first pivot
+    rows = [random_psd(n, rng) + np.eye(n) for _ in range(4)] + [
+        np.diag([-1.0, 1.0, 1.0, 1.0]),  # fails at the first pivot
+        np.diag([1.0, 1.0, -1.0, 1.0]),  # fails at a later one
+        np.zeros((n, n)),
+        random_psd(n, rng) - 10.0 * np.eye(n),
+        overflows,
+    ]
+    stack = np.array(rows, dtype=complex)[rng.permutation(len(rows))]
+    expected = np.linalg.eigvalsh(stack)[:, 0] > 0.0
+    assert 0 < expected.sum() < len(stack)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="ignore"):
+            factor = linalg._umath_linalg.cholesky_lo(stack, signature="D->D")
+        verdicts = linalg.psd_rows(stack, 0.0)
+        alone = [linalg.psd_rows(row[None], 0.0)[0] for row in stack]
+        reversed_stack = linalg.psd_rows(stack[::-1], 0.0)
+    for i, row in enumerate(stack):
+        if expected[i]:
+            assert np.array_equal(factor[i], np.linalg.cholesky(row))
+        else:
+            assert np.isnan(factor[i]).all()
+    assert verdicts.tolist() == expected.tolist()
+    assert alone == expected.tolist()
+    assert reversed_stack.tolist() == expected[::-1].tolist()
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.data(), st.integers(1, 6), st.sampled_from([0.0, 1e-10, 1e-9, 1e-6, 1e-3, -1e-9]),
+       st.integers(0, 9), st.integers(0, 2**32 - 1))
+def test_psd_rows_agrees_with_eigvalsh_away_from_the_boundary(data, n, tol, shrink, seed):
+    # each row's least eigenvalue is -tol + x 10^-shrink, x in [-1, 1], and
+    # the rest lie up to 1 above it; only rows whose computed least
+    # eigenvalue is at least 1e-6 of the row's scale away from -tol are
+    # compared, far above the rounding of either route
+    rows = data.draw(st.integers(0, 2 * n))
+    unit = st.floats(-1.0, 1.0, allow_subnormal=False)
+    offsets = np.array(data.draw(st.lists(unit, min_size=rows, max_size=rows)))
+    rises = np.abs(data.draw(st.lists(st.lists(unit, min_size=n - 1, max_size=n - 1),
+                                      min_size=rows, max_size=rows)))
+    spectra = (offsets * 10.0**-shrink - tol)[:, None] + np.c_[np.zeros(rows), rises]
+    rng = np.random.default_rng(seed)
+    unitaries = [_random_unitary(n, rng) for _ in range(rows)]
+    stack = np.array([(u * w) @ u.conj().T
+                      for w, u in zip(spectra, unitaries)]).reshape(rows, n, n)
+    spectrum = np.linalg.eigvalsh(stack)
+    low = spectrum[:, 0]
+    scale = np.maximum(np.abs(spectrum).max(axis=-1, initial=0.0), abs(tol))
+    clear = (np.abs(low + tol) >= 1e-6 * scale) & (scale > 0.0)
+    verdicts = linalg.psd_rows(stack, tol)
+    assert verdicts.shape == (rows,)
+    assert np.array_equal(verdicts[clear], (low > -tol)[clear])

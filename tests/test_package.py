@@ -222,16 +222,30 @@ def test_src_sizes_every_sampled_stack_through_chunks():
 # the one module in src/ that calls numpy's Cholesky factorization: every
 # positivity verdict is decided there, by linalg.psd_rows
 CHOLESKY_HOME = "src/qfdiv/linalg.py"
+# np.linalg.cholesky, and the private gufunc module and gufunc behind it
+CHOLESKY_NAMES = {"cholesky", "_umath_linalg", "cholesky_lo"}
+
+
+def _reaches_cholesky(node):
+    if isinstance(node, ast.Attribute):
+        return node.attr in CHOLESKY_NAMES
+    if isinstance(node, ast.Name):
+        return node.id in CHOLESKY_NAMES
+    if isinstance(node, ast.ImportFrom):
+        names = [node.module or ""] + [a.name for a in node.names]
+    elif isinstance(node, ast.Import):
+        names = [a.name for a in node.names]
+    else:
+        return False
+    return any(CHOLESKY_NAMES & set(name.split(".")) for name in names)
 
 
 def _cholesky_sites(source):
-    """Lines of ``source`` that reach ``numpy.linalg.cholesky``: a call or
-    read of a ``cholesky`` attribute or name, and an import of it."""
+    """Lines of ``source`` that reach numpy's Cholesky factorization: a
+    call or read of an attribute or name in ``CHOLESKY_NAMES``, and an
+    import of one."""
     return sorted({node.lineno for node in ast.walk(ast.parse(source))
-                   if (isinstance(node, ast.Attribute) and node.attr == "cholesky")
-                   or (isinstance(node, ast.Name) and node.id == "cholesky")
-                   or (isinstance(node, ast.ImportFrom)
-                       and any(a.name == "cholesky" for a in node.names))})
+                   if _reaches_cholesky(node)})
 
 
 def test_the_cholesky_site_finder_sees_each_kind_of_site():
@@ -239,8 +253,17 @@ def test_the_cholesky_site_finder_sees_each_kind_of_site():
               "factor = numpy.linalg.cholesky\n"
               "from numpy.linalg import cholesky\n"
               "cholesky(a)\n"
-              "np.linalg.eigvalsh(a)\n")
-    assert _cholesky_sites(source) == [1, 2, 3, 4]
+              "np.linalg.eigvalsh(a)\n"
+              "np.linalg._umath_linalg.cholesky_lo(a)\n"
+              "gufuncs = np.linalg._umath_linalg\n"
+              "from numpy.linalg import _umath_linalg\n"
+              "_umath_linalg.eigh_lo(a)\n"
+              "from numpy.linalg._umath_linalg import cholesky_lo\n"
+              "cholesky_lo(a)\n"
+              "import numpy.linalg._umath_linalg\n"
+              "from numpy.linalg._umath_linalg import eigh_lo\n"
+              "np.linalg.eigh(a)\n")
+    assert _cholesky_sites(source) == list(range(1, 5)) + list(range(6, 14))
 
 
 def test_src_calls_cholesky_only_in_linalg():
