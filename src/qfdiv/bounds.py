@@ -71,7 +71,8 @@ def pinsker_chi2_lower(t):
     """Sharp lower envelope of the chi-squared divergence at trace distance t,
     entrywise.
 
-    Piecewise: t^2 on [0, 1], t / (2 - t) on (1, 2]; unbounded as t -> 2.
+    Piecewise: t^2 on [0, 1], t / (2 - t) on (1, 2]; ``inf`` at t = 2, which
+    is right: states at trace distance 2 have infinite chi-squared divergence.
     """
     t = numbers(t)
     raise_first_failure([_trace_distance_check(t)])
@@ -99,7 +100,8 @@ def decoherence_bounds(chi2_0, lam, t):
     temme = math.sqrt(decayed)
     # exp(lam t) overflows past _LOG_MAX_FLOAT, and then exceeds every chi2_0
     if lam * t < _LOG_MAX_FLOAT and math.exp(lam * t) < chi2_0:
-        improved = 2.0 * decayed / (1.0 + decayed)
+        # never overflows; bit-identical to 2 x / (1 + x), since doubling is exact
+        improved = 2.0 * (decayed / (1.0 + decayed))
     else:
         improved = temme
     return temme, improved

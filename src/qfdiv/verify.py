@@ -1,16 +1,18 @@
 """Seeded Monte Carlo suites behind the `verify` command.
 
-Each suite returns a :class:`SuiteResult` whose ``worst`` is the largest
-residual or violation observed; ``passed`` compares it against the suite
-tolerance.  Quantities that are measured but deliberately not asserted
-(skip counts, rates) travel in ``extras``.  :func:`condition_rate` measures
-a rate, not a residual, and returns a :class:`RateResult`.
+Each suite feeds a :class:`_Tally` every row's slack (positive where the
+clause holds); the tally builds its :class:`SuiteResult`: ``checked`` rows,
+their ``least_slack`` (``+inf`` when none) and its row's ``worst_key``, not
+printed yet, and ``worst = max(0, -least_slack)``, which ``passed``
+compares against the suite tolerance.  Skip counts and rates, measured but
+not asserted, travel in ``extras``.  :func:`condition_rate` measures a rate
+and returns a :class:`RateResult`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,13 +61,50 @@ PSD_RIDGE = 0.1  # times I, added to the trace-identity suite's unit-trace PSD m
 @dataclass(frozen=True)
 class SuiteResult:
     name: str
-    worst: float
     tol: float
-    extras: dict = field(default_factory=dict)
+    extras: dict
+    checked: int
+    least_slack: float
+    worst_key: tuple | None
+
+    @property
+    def worst(self):
+        """The largest violation, ``max(0, -least_slack)``; nan stays nan."""
+        return 0.0 if self.least_slack >= 0.0 else -self.least_slack
 
     @property
     def passed(self):
         return self.worst <= self.tol
+
+
+class _Tally:
+    """The least per-row slack fed to :meth:`add` (nan below every number;
+    of equal slacks the lowest key wins, so stacking moves nothing), the
+    rows fed, and the key ``(*head, *prefix, index)`` of the least row: a
+    sampled suite's ``head`` is its seed, so ``substream(*key)`` replays it."""
+
+    def __init__(self, *head):
+        self.head, self.checked, self.least_slack, self.worst_key = head, 0, math.inf, None
+
+    def add(self, slack, indices, *prefix):
+        """Feed one stack's slacks, row b for sample ``indices[b]``."""
+        slack = np.ravel(slack)
+        self.checked += slack.size
+        if slack.size:
+            row = int(np.argmin(slack))  # the first nan, else the first least
+            new = (float(slack[row]), (*self.head, *prefix, int(indices[row])))
+            if self.worst_key is None or _order(*new) < _order(self.least_slack, self.worst_key):
+                self.least_slack, self.worst_key = new
+
+    worst = SuiteResult.worst
+
+    def result(self, name, tol, **extras):
+        return SuiteResult(name, tol, extras, self.checked, self.least_slack, self.worst_key)
+
+
+def _order(slack, key):
+    nan = math.isnan(slack)
+    return (not nan, 0.0 if nan else slack, key)
 
 
 @dataclass(frozen=True)
@@ -88,12 +127,12 @@ def witness_suite(dims, pairs_per_dim, seed):
     :func:`witness_residual_rows` report on its one witness batch.
     """
     check_counts(pairs_per_dim=pairs_per_dim)
-    worst = 0.0
+    tally = _Tally(seed)
     for dim in dims:
-        for rho, sigma, w in _witness_chunks(dim, pairs_per_dim, seed, prefix=(dim,)):
-            for gaps in witness_residual_rows(rho, sigma, w).values():
-                worst = _worst(worst, gaps)
-    return SuiteResult("witness", worst, WITNESS_TOL)
+        for indices, rho, sigma, w in _witness_chunks(dim, pairs_per_dim, seed, prefix=(dim,)):
+            for residual in witness_residual_rows(rho, sigma, w).values():
+                tally.add(-residual, indices, dim)
+    return tally.result("witness", WITNESS_TOL)
 
 
 def dpi_suite(dim, trials, seed):
@@ -119,9 +158,7 @@ def dpi_suite(dim, trials, seed):
     """
     check_counts(dim=dim, trials=trials)
     tv = builtin_generator("tv")
-    worst = 0.0
-    equality_worst = 0.0
-    skipped = 0
+    tally, equality = _Tally(seed), _Tally(seed)
     tv_increases = 0
     for indices in chunks(trials, dim):
         # each stream draws a pair, then a channel
@@ -132,12 +169,12 @@ def dpi_suite(dim, trials, seed):
         out_sigma = apply_channel_rows(kraus, sigma)
         singular, _ = singular_check(np.minimum(sigma.eig.eigenvalues[:, 0],
                                                 out_sigma.eig.eigenvalues[:, 0]))
-        skipped += int(np.count_nonzero(singular))
         keep = ~singular
+        kept = np.asarray(indices)[keep]
         before = witness_batch(rho.take(keep), sigma.take(keep))
         after = witness_batch(out_rho.take(keep), out_sigma.take(keep))
         for f in _OPERATOR_CONVEX:
-            worst = _worst(worst, after.f_divergence(f) - before.f_divergence(f))
+            tally.add(before.f_divergence(f) - after.f_divergence(f), kept)
         tv_increases += int(np.count_nonzero(
             after.f_divergence(tv) > before.f_divergence(tv) + INEQUALITY_TOL))
         # r and s are normalized to WITNESS_TOL, so diag r and diag s are
@@ -148,40 +185,28 @@ def dpi_suite(dim, trials, seed):
         recovered = witness_batch(*before.recovered())
         for f in _OPERATOR_CONVEX:
             d = classical.f_divergence(f)
-            gap = np.abs(recovered.f_divergence(f) - d) / np.maximum(1.0, np.abs(d))
-            equality_worst = _worst(equality_worst, gap)
-    return SuiteResult(
-        "dpi",
-        worst,
-        INEQUALITY_TOL,
-        extras={
-            "equality_worst": equality_worst,
-            "skipped": skipped,
-            "tv_increase_rate": tv_increases / trials,
-        },
-    )
+            equality.add(-np.abs(recovered.f_divergence(f) - d) / np.maximum(1.0, np.abs(d)),
+                         kept)
+    return tally.result("dpi", INEQUALITY_TOL, equality_worst=equality.worst,
+                        skipped=trials - tally.checked // len(_OPERATOR_CONVEX),
+                        tv_increase_rate=tv_increases / trials)
 
 
 def _witness_chunks(dim, samples, seed, rank=None, prefix=()):
     """Sample i's pair from ``substream(seed, *prefix, i)``, in the stacks
-    of :func:`states.chunks`: yields the rho and sigma stacks and their
-    witnesses."""
+    of :func:`states.chunks`: yields the stack's sample indices, its rho and
+    sigma stacks and their witnesses."""
     for indices in chunks(samples, dim):
         rho, sigma = random_pairs(substreams(seed, prefix, indices), dim, rank)
-        yield rho, sigma, witness_batch(rho, sigma)
-
-
-def _worst(current, gaps):
-    """The larger of ``current`` and the entries of ``gaps`` (maybe none)."""
-    return max(current, float(np.max(gaps, initial=-math.inf)))
+        yield indices, rho, sigma, witness_batch(rho, sigma)
 
 
 def maximality_and_pinsker(dim, samples, seed):
     """The maximality and pinsker suites on one Hilbert-Schmidt ensemble.
 
     maximality: standard divergences never exceed their maximal
-    counterparts.  ``worst`` collects the largest of: relative entropy above
-    maximal kl, trace distance above maximal tv, and the chi-squared
+    counterparts.  Each pair feeds three slacks: maximal kl above relative
+    entropy, maximal tv above trace distance, and the negated chi-squared
     mismatch (which must vanish).  The mismatch is an identity check, so it
     is measured relative to the chi-squared magnitude (floored at 1); the
     two inequality slacks stay absolute.  The chi-squared divergence comes
@@ -192,20 +217,19 @@ def maximality_and_pinsker(dim, samples, seed):
     """
     check_counts(dim=dim, samples=samples)
     kl, chi2, tv = (builtin_generator(name) for name in ("kl", "chi2", "tv"))
-    maximality = 0.0
-    pinsker = 0.0
-    for rho, sigma, w in _witness_chunks(dim, samples, seed):
+    maximality, pinsker = _Tally(seed), _Tally(seed)
+    for indices, rho, sigma, w in _witness_chunks(dim, samples, seed):
         t = trace_norm_hermitian(rho.mats - sigma.mats)
         chi2_std = chi2_rows(rho, sigma)
         max_chi2 = w.f_divergence(chi2)
         relent = relative_entropy_rows(rho, sigma)
-        maximality = _worst(maximality, relent - w.f_divergence(kl))
-        maximality = _worst(maximality, t - w.f_divergence(tv))
-        maximality = _worst(
-            maximality, np.abs(chi2_std - max_chi2) / np.maximum(1.0, np.abs(max_chi2)))
-        pinsker = _worst(pinsker, -(chi2_std - pinsker_chi2_lower(t)))
-    return (SuiteResult("maximality", maximality, INEQUALITY_TOL),
-            SuiteResult("pinsker", pinsker, INEQUALITY_TOL))
+        maximality.add(w.f_divergence(kl) - relent, indices)
+        maximality.add(w.f_divergence(tv) - t, indices)
+        maximality.add(-np.abs(chi2_std - max_chi2) / np.maximum(1.0, np.abs(max_chi2)),
+                       indices)
+        pinsker.add(chi2_std - pinsker_chi2_lower(t), indices)
+    return (maximality.result("maximality", INEQUALITY_TOL),
+            pinsker.result("pinsker", INEQUALITY_TOL))
 
 
 def reverse_pinsker_and_binette(dim, samples, seed):
@@ -241,54 +265,48 @@ def reverse_pinsker_and_binette(dim, samples, seed):
     """
     check_counts(dim=dim, samples=samples)
     gens = [builtin_generator(name) for name in ("kl", "chi2", "tv")]
-    worst = 0.0
-    met = 0
+    reverse, witness_form, relent_form, binette = (_Tally(seed) for _ in range(4))
     violations = {f.name: 0 for f in gens}
-    witness_form_worst = 0.0
-    relent_form_worst = -math.inf
-    binette_worst = 0.0
-    skipped = 0
-    for rho, sigma, w in _witness_chunks(dim, samples, seed, rank=2 * dim):
+    for indices, rho, sigma, w in _witness_chunks(dim, samples, seed, rank=2 * dim):
         condition, t = abs_condition_rows(rho, sigma)
         m, big_m = w.lambdas[:, 0], w.lambdas[:, -1]
         rs_l1 = np.abs(w.r - w.s).sum(axis=-1)
         proper = (m < 1.0) & (big_m > 1.0)
-        skipped += int(np.count_nonzero(~proper))
         keep = t >= EQUAL_STATES_EPS
         met_kept = condition[keep]
-        met += int(np.count_nonzero(met_kept))
+        met = np.asarray(indices)[keep][met_kept]
         relent = relative_entropy_rows(rho, sigma)[keep]
         for f in gens:
             lhs = w.f_divergence(f)
             # raises for kept rows without m < 1 < M, so keep implies proper
             rhs = binette_rhs(m[keep], big_m[keep], t[keep], f)
             if f.name == "kl":
-                relent_form_worst = _worst(relent_form_worst, (relent - rhs)[met_kept])
-            gap = (lhs[keep] - rhs)[met_kept]
-            worst = _worst(worst, gap)
-            violations[f.name] += int(np.count_nonzero(gap > INEQUALITY_TOL))
-            witness_gap = lhs[proper] - binette_rhs(
-                m[proper], big_m[proper], rs_l1[proper], f)
-            witness_form_worst = _worst(witness_form_worst, witness_gap[keep[proper]])
-            binette_worst = _worst(binette_worst, witness_gap)
-    extras = {
-        "condition_met": met,
-        "witness_form_worst": witness_form_worst,
-        "relent_form_worst": relent_form_worst,
-    }
-    extras.update({f"violations_{k}": v for k, v in violations.items()})
-    return (SuiteResult("reverse-pinsker", worst, INEQUALITY_TOL, extras=extras),
-            SuiteResult("witness-binette", binette_worst, WITNESS_TOL,
-                        extras={"skipped": skipped}))
+                relent_form.add((rhs - relent)[met_kept], met)
+            slack = (rhs - lhs[keep])[met_kept]
+            reverse.add(slack, met)
+            violations[f.name] += int(np.count_nonzero(slack < -INEQUALITY_TOL))
+            slack = binette_rhs(m[proper], big_m[proper], rs_l1[proper], f) - lhs[proper]
+            witness_form.add(slack[keep[proper]], np.asarray(indices)[proper & keep])
+            binette.add(slack, np.asarray(indices)[proper])
+    extras = dict(condition_met=relent_form.checked, witness_form_worst=witness_form.worst,
+                  relent_form_worst=-relent_form.least_slack,
+                  **{f"violations_{k}": v for k, v in violations.items()})
+    return (reverse.result("reverse-pinsker", INEQUALITY_TOL, **extras),
+            binette.result("witness-binette", WITNESS_TOL,
+                           skipped=samples - binette.checked // len(gens)))
 
 
 def zeta1_suite():
     """Integral and closed forms of the unit-radius bound must agree on the
-    ``ZETA1_M_GRID`` x ``ZETA1_M_UPPER_GRID`` grid."""
+    ``ZETA1_M_GRID`` x ``ZETA1_M_UPPER_GRID`` grid; the worst key
+    ``(f.name, i, j)`` names m = ``ZETA1_M_GRID[i]``, M = ``ZETA1_M_UPPER_GRID[j]``."""
     m, M = np.meshgrid(ZETA1_M_GRID, ZETA1_M_UPPER_GRID, indexing="ij")
-    worst = max(float(np.max(np.abs(zeta1_integral(m, M, f) - zeta1_closed(m, M, f))))
-                for f in map(builtin_generator, ("kl", "chi2")))
-    return SuiteResult("zeta1", worst, ZETA1_TOL)
+    tally = _Tally()
+    for f in map(builtin_generator, ("kl", "chi2")):
+        slack = -np.abs(zeta1_integral(m, M, f) - zeta1_closed(m, M, f))
+        for i, row in enumerate(slack):
+            tally.add(row, range(len(row)), f.name, i)
+    return tally.result("zeta1", ZETA1_TOL)
 
 
 def _random_psd(n, rng):
@@ -307,42 +325,34 @@ def trace_identity_suite(trials, seed):
     side's magnitude (floored at 1).
     """
     check_counts(trials=trials)
-    worst = 0.0
+    tally = _Tally(seed)
     for i in range(trials):
         rng = substream(seed, 101, i)
         n = int(rng.integers(2, 7))
         a = _random_psd(n, rng)
         b = _random_psd(n, rng)
         coeffs = rng.uniform(-1.0, 1.0, size=5)
-        ab = a @ b
-        ba = b @ a
-        lhs = complex(np.trace(a @ matrix_polynomial(coeffs, ab) @ a)).real
-        rhs = complex(np.trace(a @ matrix_polynomial(coeffs, ba) @ a)).real
-        scale = max(1.0, abs(lhs), abs(rhs))
-        worst = max(worst, abs(lhs - rhs) / scale)
-
         g_coeffs = rng.uniform(-1.0, 1.0, size=4)
         f_coeffs = np.concatenate(([0.0], g_coeffs))  # f(x) = x g(x)
-        lhs2 = complex(
-            np.trace(np.linalg.inv(a) @ matrix_polynomial(f_coeffs, ba))
-        ).real
-        rhs2 = complex(np.trace(b @ matrix_polynomial(g_coeffs, ab))).real
-        scale2 = max(1.0, abs(lhs2), abs(rhs2))
-        worst = max(worst, abs(lhs2 - rhs2) / scale2)
-    return SuiteResult("trace-identity", worst, IDENTITY_TOL)
+        ab, ba = a @ b, b @ a
+        for sides in ((a @ matrix_polynomial(coeffs, ab) @ a,
+                       a @ matrix_polynomial(coeffs, ba) @ a),
+                      (np.linalg.inv(a) @ matrix_polynomial(f_coeffs, ba),
+                       b @ matrix_polynomial(g_coeffs, ab))):
+            lhs, rhs = (complex(np.trace(side)).real for side in sides)
+            tally.add(-abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)), [i], 101)
+    return tally.result("trace-identity", IDENTITY_TOL)
 
 
 def operator_jensen_suite(trials, seed):
     """Operator Jensen inequality for the operator-convex builtins.
 
     With a resolution of identity {L_i} from a random channel (dimension and
-    Kraus rank 2 to 4) and points
-    x_i >= 0: sum f(x_i) L_i >= f(sum x_i L_i).  ``worst`` is the most
-    negative eigenvalue of the difference, sign-flipped, or 0 when no
-    difference has a negative eigenvalue.
+    Kraus rank 2 to 4) and points x_i >= 0: sum f(x_i) L_i >= f(sum x_i L_i).
+    A trial's slack for f is the least eigenvalue of the difference.
     """
     check_counts(trials=trials)
-    worst = 0.0
+    tally = _Tally(seed)
     for i in range(trials):
         rng = substream(seed, 202, i)
         n = int(rng.integers(2, 5))
@@ -356,9 +366,8 @@ def operator_jensen_suite(trials, seed):
         for f in _OPERATOR_CONVEX:
             lhs = sum(v * l for v, l in zip(f.values(xs), lambdas))
             rhs = mean_eig.compose(f.values(spectrum))
-            low = float(np.linalg.eigvalsh(lhs - rhs)[0])
-            worst = max(worst, -low)
-    return SuiteResult("operator-jensen", worst, IDENTITY_TOL)
+            tally.add(np.linalg.eigvalsh(lhs - rhs)[0], [i], 202)
+    return tally.result("operator-jensen", IDENTITY_TOL)
 
 
 def condition_rate(dim, samples, seed, commuting):

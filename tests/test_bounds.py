@@ -136,7 +136,7 @@ def test_decoherence_improved_is_continuous_at_the_crossover():
 
 
 def test_decoherence_improved_never_exceeds_classical_or_two():
-    for chi2_0 in (0.5, 1.0, 4.0, 16.0, 1e4):
+    for chi2_0 in (0.5, 1.0, 4.0, 16.0, 1e4, 1e308, 1.7e308):
         for t in np.linspace(0.0, 100.0, 201):
             temme, improved = decoherence_bounds(chi2_0, 0.1, float(t))
             assert improved <= temme + 1e-12

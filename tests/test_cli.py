@@ -261,6 +261,19 @@ def test_fig1_command_writes_decay_table(tmp_path, capsys):
     assert (tmp_path / "fig1.svg").read_text().lstrip().startswith("<svg")
 
 
+def test_fig1_writes_finite_values_at_the_top_of_the_float_range(tmp_path, capsys):
+    # 2 chi2_0 overflowed in the improved envelope, which wrote inf into
+    # fig1.csv and warned while drawing the axis
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("fig1", "--chi0", "1e308", "--out", tmp_path) == 0
+    for name in ("fig1.csv", "fig1.svg"):
+        text = (tmp_path / name).read_text().lower()
+        assert "inf" not in text and "nan" not in text, name
+    rows = (tmp_path / "fig1.csv").read_text().splitlines()[1:]
+    assert max(float(row.split(",")[3]) for row in rows) == 2.0
+
+
 @pytest.mark.parametrize("option, value", [
     ("--lambda", "nan"), ("--chi0", "nan"), ("--lambda", "inf"), ("--chi0", "inf"),
     ("--lambda", "1e-320"),  # finite, but the horizon 10 / lam is not

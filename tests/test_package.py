@@ -273,6 +273,54 @@ def test_src_calls_cholesky_only_in_linalg():
     assert sites == [CHOLESKY_HOME]
 
 
+# the one class in verify.py that builds a SuiteResult: every suite's
+# worst, least slack, checked rows and worst key come from its tally
+SUITE_RESULT_HOME = "_Tally"
+
+
+def _suite_result_sites(source):
+    """``(line, class)`` for each read of the name ``SuiteResult`` in
+    ``source``, as a name or an attribute, with the innermost class that
+    encloses it (None outside every class)."""
+    sites = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if (getattr(child, "id", None) == "SuiteResult"
+                    or getattr(child, "attr", None) == "SuiteResult"):
+                sites.append((child.lineno, owner))
+            visit(child, child.name if isinstance(child, ast.ClassDef) else owner)
+
+    visit(ast.parse(source), None)
+    return sorted(sites)
+
+
+def test_the_suite_result_site_finder_sees_each_kind_of_site():
+    source = ("class SuiteResult:\n"
+              "    pass\n"
+              "SuiteResult('a')\n"
+              "def f():\n"
+              "    return verify.SuiteResult('b')\n"
+              "class _Tally:\n"
+              "    def result(self):\n"
+              "        return SuiteResult('c')\n"
+              "    def make(self):\n"
+              "        def inner():\n"
+              "            return SuiteResult\n"
+              "        return inner\n"
+              "class Other:\n"
+              "    build = SuiteResult\n"
+              "x = 'SuiteResult('\n")
+    assert _suite_result_sites(source) == [
+        (3, None), (5, None), (8, "_Tally"), (11, "_Tally"), (14, "Other")]
+
+
+def test_verify_builds_each_suite_result_in_its_tally():
+    sites = _suite_result_sites((ROOT / "src" / "qfdiv" / "verify.py").read_text())
+    assert sites
+    assert {owner for _, owner in sites} == {SUITE_RESULT_HOME}
+
+
 # public definitions that nothing in src/ reads, each kept on purpose
 UNREAD_BY_DESIGN = {
     "write_state_file": "writes the state files that replay a worst case",
@@ -378,7 +426,6 @@ SETTABLE = {
     "states._checked_stack(eig)": IN_USE,
     "states.random_pairs(rank)": IN_USE,
     "states.random_channel(k)": IN_USE,
-    "verify.SuiteResult.extras": IN_USE,
     "verify._witness_chunks(rank)": IN_USE,
     "verify._witness_chunks(prefix)": IN_USE,
 }

@@ -1,26 +1,31 @@
 """Tests for the seeded Monte Carlo verification suites."""
 
 import gc
+import math
 
 import numpy as np
 import pytest
 from conftest import count_eig_calls
 
 from qfdiv import cli, maximal, states, verify
-from qfdiv.bounds import EQUAL_STATES_EPS, binette_rhs
-from qfdiv.divergence import f_div_rows
+from qfdiv.bounds import EQUAL_STATES_EPS, binette_rhs, zeta1_closed, zeta1_integral
+from qfdiv.divergence import chi2_rows, f_div_rows, relative_entropy_rows
 from qfdiv.errors import OutOfRange
 from qfdiv.generators import builtin_generator
 from qfdiv.linalg import trace_norm_hermitian
 from qfdiv.states import (
     QuantumChannel,
     abs_condition_holds,
+    abs_condition_rows,
     chunks,
     random_pairs,
     substream,
 )
 from qfdiv.verify import (
+    ZETA1_M_GRID,
+    ZETA1_M_UPPER_GRID,
     _random_commuting_pairs,
+    _Tally,
     condition_rate,
     dpi_suite,
     maximality_and_pinsker,
@@ -145,8 +150,8 @@ def test_stacked_passes_build_one_witness_batch_per_chunk(monkeypatch, run):
     assert [len(rho.mats) for rho, _ in calls] == stacks
 
 
-def _worst_and_extras(*results):
-    return [(r.worst, r.extras) for r in results]
+def _tallied(*results):
+    return [(r.worst, r.extras, r.checked, r.least_slack, r.worst_key) for r in results]
 
 
 def _fig2_csv(out):
@@ -159,12 +164,12 @@ STACKED_RUNS = {
     "condition_rate": lambda out: [
         condition_rate(dim=n, samples=300, seed=42, commuting=False).rate for n in (2, 4, 8)],
     "fig2": _fig2_csv,
-    "witness_suite": lambda out: _worst_and_extras(
+    "witness_suite": lambda out: _tallied(
         witness_suite(dims=(2, 4, 8), pairs_per_dim=40, seed=42)),
-    "dpi_suite": lambda out: _worst_and_extras(dpi_suite(dim=4, trials=40, seed=42)),
-    "maximality_and_pinsker": lambda out: _worst_and_extras(
+    "dpi_suite": lambda out: _tallied(dpi_suite(dim=4, trials=40, seed=42)),
+    "maximality_and_pinsker": lambda out: _tallied(
         *maximality_and_pinsker(dim=4, samples=100, seed=42)),
-    "reverse_pinsker_and_binette": lambda out: _worst_and_extras(
+    "reverse_pinsker_and_binette": lambda out: _tallied(
         *reverse_pinsker_and_binette(dim=4, samples=100, seed=42)),
 }
 
@@ -172,7 +177,8 @@ STACKED_RUNS = {
 @pytest.mark.parametrize("run", STACKED_RUNS.values(), ids=STACKED_RUNS)
 def test_the_stack_size_moves_no_value(tmp_path, monkeypatch, run):
     # every stacked operation works row by row, so stacks of 7 rows at dim
-    # 4 (28 at dim 2, 1 at dim 8) give the default run's values bit for bit
+    # 4 (28 at dim 2, 1 at dim 8) give the default run's values bit for bit,
+    # and a tally breaks ties by key, not by the order its stacks come in
     default = run(tmp_path / "default")
     monkeypatch.setattr(states, "CHUNK_ENTRIES", 7 * 4 * 4)
     assert [len(indices) for n in (2, 4, 8) for indices in chunks(30, n)] == (
@@ -212,6 +218,243 @@ def test_stacked_passes_are_pinned_at_seed_42():
     assert binette.name == "witness-binette"
     assert binette.worst == 4.440892098500626e-16
     assert binette.extras == {"skipped": 0}
+
+
+def test_the_tally_keeps_the_least_slack_and_the_lowest_key_of_a_tie():
+    tally = _Tally(7)
+    assert (tally.checked, tally.least_slack, tally.worst_key, tally.worst) == (
+        0, math.inf, None, 0.0)
+    tally.add(np.array([0.5, -0.25, 0.1]), range(10, 13), 3)
+    assert (tally.checked, tally.least_slack, tally.worst_key) == (3, -0.25, (7, 3, 11))
+    tally.add([-0.25], [4], 3)
+    tally.add([-0.25], [20], 3)
+    tally.add([], [], 3)
+    assert (tally.checked, tally.least_slack, tally.worst_key) == (5, -0.25, (7, 3, 4))
+    assert tally.worst == 0.25
+    assert all(type(part) is int for part in tally.worst_key)
+    result = tally.result("planted", 0.3, skipped=1)
+    assert (result.name, result.worst, result.tol, result.extras) == ("planted", 0.25, 0.3,
+                                                                      {"skipped": 1})
+    assert (result.checked, result.least_slack, result.worst_key) == (5, -0.25, (7, 3, 4))
+    assert result.passed
+
+
+def test_a_nan_slack_is_the_least_and_fails_the_tally():
+    # a nan hid a violation of 1.0 in its own stack when the suites kept
+    # running maxima, since Python's max(0.0, nan) is 0.0
+    tally = _Tally(7)
+    tally.add([1.0, math.nan, -1.0, math.nan], range(4))
+    assert math.isnan(tally.least_slack) and math.isnan(tally.worst)
+    assert tally.worst_key == (7, 1)
+    tally.add([-math.inf], [0])
+    tally.add([math.nan], [2])
+    assert tally.worst_key == (7, 1)
+    tally.add([math.nan], [0])
+    assert tally.worst_key == (7, 0)
+    assert not tally.result("planted", 1.0).passed
+
+
+def _plant_rows(monkeypatch, name, row, value, when=lambda args: True):
+    """Patch ``verify.<name>`` so that entry ``row`` of its result reads
+    ``value`` on the calls whose arguments pass ``when``."""
+    real = getattr(verify, name)
+
+    def planted(*args):
+        out = real(*args)
+        if when(args):
+            out = np.array(out, dtype=float)
+            out[row] = value
+        return out
+
+    monkeypatch.setattr(verify, name, planted)
+
+
+class _PlantedWitness:
+    """A witness batch whose every divergence reads ``values[row]`` at each
+    planted row."""
+
+    def __init__(self, w, values):
+        self._w = w
+        self._values = values
+
+    def __getattr__(self, name):
+        return getattr(self._w, name)
+
+    def f_divergence(self, f):
+        d = self._w.f_divergence(f).copy()
+        for row, value in self._values.items():
+            d[row] = value
+        return d
+
+
+def _plant_witness(monkeypatch, values, call=lambda n: True):
+    """Plant ``values`` (row: value) in the divergences of the witness
+    batches of the calls numbered ``n`` (from 0) that pass ``call``."""
+    real = verify.witness_batch
+    calls = []
+
+    def planted(*args):
+        w = real(*args)
+        calls.append(w)
+        return _PlantedWitness(w, values) if call(len(calls) - 1) else w
+
+    monkeypatch.setattr(verify, "witness_batch", planted)
+
+
+def test_a_planted_witness_residual_is_the_least_slack(monkeypatch):
+    def dim3(args):
+        return args[0].mats.shape[-1] == 3
+
+    real = verify.witness_residual_rows
+
+    def planted(rho, sigma, w):
+        residuals = real(rho, sigma, w)
+        if dim3((rho,)):
+            residuals["kraus_completeness"] = residuals["kraus_completeness"].copy()
+            residuals["kraus_completeness"][5] = 0.25
+        return residuals
+
+    monkeypatch.setattr(verify, "witness_residual_rows", planted)
+    result = witness_suite(dims=(2, 3), pairs_per_dim=20, seed=42)
+    assert (result.least_slack, result.worst_key, result.worst) == (-0.25, (42, 3, 5), 0.25)
+    assert result.checked == 6 * 2 * 20
+
+
+def test_a_planted_channel_increase_is_the_least_dpi_slack(monkeypatch):
+    # the second build of the stack is the channel outputs'; 1e300 is far
+    # above every divergence, so before - 1e300 rounds to -1e300
+    _plant_witness(monkeypatch, {5: 1e300}, call=lambda n: n == 1)
+    result = dpi_suite(dim=3, trials=20, seed=42)
+    assert (result.least_slack, result.worst_key) == (-1e300, (42, 5))
+    assert result.checked == 2 * 20
+    assert not result.passed
+    assert result.extras["equality_worst"] <= 1e-9
+
+
+def test_a_planted_recovery_mismatch_is_the_dpi_equality_worst(monkeypatch):
+    _plant_witness(monkeypatch, {5: 1e300}, call=lambda n: n == 3)
+    result = dpi_suite(dim=3, trials=20, seed=42)
+    assert result.passed
+    assert result.extras["equality_worst"] > 1e250
+
+
+def test_a_planted_relative_entropy_is_the_least_maximality_slack(monkeypatch):
+    _plant_rows(monkeypatch, "relative_entropy_rows", 5, 1e300)
+    maximality, pinsker = maximality_and_pinsker(dim=4, samples=20, seed=42)
+    assert (maximality.least_slack, maximality.worst_key) == (-1e300, (42, 5))
+    assert maximality.checked == 3 * 20
+    assert pinsker.passed and pinsker.least_slack > 0.0
+
+
+def test_a_planted_pinsker_envelope_is_the_least_pinsker_slack(monkeypatch):
+    _plant_rows(monkeypatch, "pinsker_chi2_lower", 5, 1e300)
+    maximality, pinsker = maximality_and_pinsker(dim=4, samples=20, seed=42)
+    assert (pinsker.least_slack, pinsker.worst_key) == (-1e300, (42, 5))
+    assert pinsker.checked == 20
+    assert maximality.passed
+
+
+def test_a_nan_row_fails_its_suite_and_names_its_key(monkeypatch):
+    _plant_rows(monkeypatch, "relative_entropy_rows", 5, math.nan)
+    maximality, pinsker = maximality_and_pinsker(dim=4, samples=20, seed=42)
+    assert not maximality.passed
+    assert math.isnan(maximality.worst) and math.isnan(maximality.least_slack)
+    assert maximality.worst_key == (42, 5)
+    assert pinsker.passed
+
+
+def test_planted_divergences_are_the_least_reverse_pinsker_and_binette_slacks(monkeypatch):
+    # one row that meets the condition and one that does not: the
+    # reverse-pinsker tally reads only the first, witness-binette both
+    rho, sigma = random_pairs([substream(42, i) for i in range(40)], 4, 8)
+    condition, t = abs_condition_rows(rho, sigma)
+    assert np.all(t >= EQUAL_STATES_EPS)
+    met, unmet = int(np.flatnonzero(condition)[3]), int(np.flatnonzero(~condition)[0])
+    _plant_witness(monkeypatch, {met: 1e300, unmet: 1e301})
+    reverse, binette = reverse_pinsker_and_binette(dim=4, samples=40, seed=42)
+    assert (reverse.least_slack, reverse.worst_key) == (-1e300, (42, met))
+    assert (binette.least_slack, binette.worst_key) == (-1e301, (42, unmet))
+    assert reverse.extras["witness_form_worst"] == 1e301  # every kept pair
+    assert binette.checked == 3 * 40
+
+
+def test_condition_met_counts_the_rows_the_relent_form_checks():
+    rho, sigma = random_pairs([substream(42, i) for i in range(200)], 4, 8)
+    condition, t = abs_condition_rows(rho, sigma)
+    met = int(np.count_nonzero(condition & (t >= EQUAL_STATES_EPS)))
+    reverse, _ = reverse_pinsker_and_binette(dim=4, samples=200, seed=42)
+    assert reverse.extras["condition_met"] == met > 0
+    assert reverse.checked == 3 * met
+
+
+def test_a_planted_zeta1_integral_is_the_least_zeta1_slack(monkeypatch):
+    _plant_rows(monkeypatch, "zeta1_integral", (2, 3), 4.0,
+                when=lambda args: args[2].name == "kl")
+    result = zeta1_suite()
+    m, M = ZETA1_M_GRID[2], ZETA1_M_UPPER_GRID[3]
+    assert result.least_slack == -abs(4.0 - float(zeta1_closed(m, M, KL)))
+    assert result.worst_key == ("kl", 2, 3)
+    assert result.checked == 2 * len(ZETA1_M_GRID) * len(ZETA1_M_UPPER_GRID)
+    assert abs(4.0 - float(zeta1_integral(m, M, KL))) > 1.0
+
+
+def test_a_planted_polynomial_is_the_least_trace_identity_slack(monkeypatch):
+    # trial 7's first polynomial scaled up to 1e300 I: the relative
+    # residual |lhs - rhs| / |lhs| rounds to 1
+    real = verify.matrix_polynomial
+    calls = []
+
+    def planted(coeffs, m):
+        calls.append(m)
+        return 1e300 * np.eye(len(m)) if len(calls) == 4 * 7 + 1 else real(coeffs, m)
+
+    monkeypatch.setattr(verify, "matrix_polynomial", planted)
+    result = trace_identity_suite(trials=10, seed=42)
+    assert len(calls) == 4 * 10
+    assert (result.least_slack, result.worst_key) == (-1.0, (42, 101, 7))
+    assert result.checked == 2 * 10
+
+
+def test_a_planted_eigenvalue_is_the_least_operator_jensen_slack(monkeypatch):
+    # trial 7's second generator
+    real = np.linalg.eigvalsh
+    calls = []
+
+    def planted(a):
+        calls.append(a)
+        low = real(a)
+        if len(calls) == 2 * 7 + 2:
+            low[0] = -0.75
+        return low
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", planted)
+    result = operator_jensen_suite(trials=10, seed=42)
+    assert len(calls) == 2 * 10
+    assert (result.least_slack, result.worst_key) == (-0.75, (42, 202, 7))
+    assert result.checked == 2 * 10
+
+
+def test_the_maximality_worst_key_replays_its_least_slack():
+    result, _ = maximality_and_pinsker(dim=4, samples=300, seed=42)
+    rho, sigma = random_pairs([substream(*result.worst_key)], 4)
+    w = maximal.witness_batch(rho, sigma)
+    chi2_max = w.f_divergence(CHI2)
+    slacks = [w.f_divergence(KL) - relative_entropy_rows(rho, sigma),
+              w.f_divergence(TV) - trace_norm_hermitian(rho.mats - sigma.mats),
+              -np.abs(chi2_rows(rho, sigma) - chi2_max) / np.maximum(1.0, np.abs(chi2_max))]
+    assert min(float(s[0]) for s in slacks) == result.least_slack < 0.0
+
+
+def test_the_reverse_pinsker_worst_key_replays_its_least_slack():
+    result, _ = reverse_pinsker_and_binette(dim=4, samples=300, seed=42)
+    rho, sigma = random_pairs([substream(*result.worst_key)], 4, 8)
+    w = maximal.witness_batch(rho, sigma)
+    condition, t = abs_condition_rows(rho, sigma)
+    assert condition[0] and t[0] >= EQUAL_STATES_EPS
+    m, big_m = w.lambdas[:, 0], w.lambdas[:, -1]
+    slack = min(float((binette_rhs(m, big_m, t, f) - w.f_divergence(f))[0])
+                for f in (KL, CHI2, TV))
+    assert slack == result.least_slack < 0.0
 
 
 def test_witness_suite_passes():
